@@ -53,46 +53,97 @@ class CatalogEntry:
             raise InadmissibleParameterError(
                 f"kind must be one of {KINDS}, got {self.kind!r}"
             )
+        if not isinstance(self.schema_version, int) or isinstance(self.schema_version, bool):
+            raise InadmissibleParameterError(
+                f"schema_version must be an integer, got {self.schema_version!r}"
+            )
         object.__setattr__(self, "inputs", dict(self.inputs))
         object.__setattr__(self, "outputs", dict(self.outputs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatalogEntry):
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.schema_version == other.schema_version
-            and _map_key(self.inputs) == _map_key(other.inputs)
-            and _map_key(self.outputs) == _map_key(other.outputs)
-        )
+        # Fraction(3) == 3 would blur the int/rational distinction; compare
+        # the serialized forms so equality matches byte-level identity.
+        return serialize_entry(self) == serialize_entry(other)
 
 
-def _map_key(mapping: Mapping[str, Any]) -> tuple:
-    # Fraction(3) == 3 would blur the int/rational distinction; key on the
-    # serialized form instead so equality matches byte-level identity.
-    return tuple(sorted((k, _encode_value(v)) for k, v in mapping.items()))
+# ---------------------------------------------------------------------------
+# encoding: each entry is encoded once, into JSON text pieces that both the
+# compact canonical line and the indented document block are joined from.
+# The output is byte-identical to ``json.dumps(..., sort_keys=True)`` with
+# ``separators=(",", ":")`` (one entry) or ``indent=2`` (the document).
+
+_json_str = json.encoder.encode_basestring_ascii
 
 
-def _encode_value(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
+def _encode_value(value: Any) -> str:
+    """JSON text of one ``inputs``/``outputs`` value."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
-        return value
+        return int.__repr__(value)
     if isinstance(value, Fraction):
-        return rational_str(value)
+        return _json_str(rational_str(value))
     if isinstance(value, str):
         if _RATIONAL_RE.match(value.strip()):
             raise DomainError(
                 f"string value {value!r} would be parsed back as a rational"
             )
-        return value
+        return _json_str(value)
     raise DomainError(f"unsupported catalog value {value!r}")
 
 
+def _encode_map(mapping: Mapping[str, Any]) -> list[tuple[str, str]]:
+    """(key, value) JSON text pairs of one map, sorted by key."""
+    try:
+        return [(_json_str(k), _encode_value(v)) for k, v in sorted(mapping.items())]
+    except TypeError as exc:  # a key that is not a string
+        raise DomainError(f"catalog keys must be strings: {exc}") from exc
+
+
+def _encode_pieces(entry: CatalogEntry) -> tuple:
+    """JSON text of the entry's fields in key order: inputs, kind, outputs, version."""
+    return (
+        _encode_map(entry.inputs),
+        _json_str(entry.kind),
+        _encode_map(entry.outputs),
+        int.__repr__(entry.schema_version),
+    )
+
+
+def _compact_line(pieces: tuple) -> str:
+    inputs, kind, outputs, version = pieces
+    return (
+        '{"inputs":{' + ",".join([k + ":" + v for k, v in inputs])
+        + '},"kind":' + kind
+        + ',"outputs":{' + ",".join([k + ":" + v for k, v in outputs])
+        + '},"schema_version":' + version + "}"
+    )
+
+
+def _indented_map(pairs: list[tuple[str, str]]) -> str:
+    if not pairs:
+        return "{}"
+    items = ",\n        ".join([k + ": " + v for k, v in pairs])
+    return "{\n        " + items + "\n      }"
+
+
+def _indented_block(pieces: tuple) -> str:
+    """One entry as it appears, two levels deep, in the catalog document."""
+    inputs, kind, outputs, version = pieces
+    return (
+        '    {\n      "inputs": ' + _indented_map(inputs)
+        + ',\n      "kind": ' + kind
+        + ',\n      "outputs": ' + _indented_map(outputs)
+        + ',\n      "schema_version": ' + version + "\n    }"
+    )
+
+
 def _decode_value(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, int):  # bool included
         return value
     if isinstance(value, float):
         raise DomainError(f"floating point value {value!r} is not allowed in catalogs")
@@ -104,26 +155,25 @@ def _decode_value(value: Any) -> Any:
 
 
 def entry_to_jsonable(entry: CatalogEntry) -> dict:
-    return {
-        "kind": entry.kind,
-        "inputs": {k: _encode_value(v) for k, v in sorted(entry.inputs.items())},
-        "outputs": {k: _encode_value(v) for k, v in sorted(entry.outputs.items())},
-        "schema_version": entry.schema_version,
-    }
+    """The entry as plain JSON values, read back from its canonical line."""
+    return json.loads(serialize_entry(entry))
 
 
 def entry_from_jsonable(data: Mapping[str, Any]) -> CatalogEntry:
+    inputs, outputs = data["inputs"], data["outputs"]
+    if not isinstance(inputs, dict) or not isinstance(outputs, dict):
+        raise DomainError("entry inputs and outputs must be JSON objects")
     return CatalogEntry(
         kind=data["kind"],
-        inputs={k: _decode_value(v) for k, v in data["inputs"].items()},
-        outputs={k: _decode_value(v) for k, v in data["outputs"].items()},
-        schema_version=int(data["schema_version"]),
+        inputs={k: _decode_value(v) for k, v in inputs.items()},
+        outputs={k: _decode_value(v) for k, v in outputs.items()},
+        schema_version=data["schema_version"],
     )
 
 
 def serialize_entry(entry: CatalogEntry) -> str:
     """Canonical single-line JSON for one entry."""
-    return json.dumps(entry_to_jsonable(entry), sort_keys=True, separators=(",", ":"))
+    return _compact_line(_encode_pieces(entry))
 
 
 def parse_entry(text: str) -> CatalogEntry:
@@ -131,18 +181,34 @@ def parse_entry(text: str) -> CatalogEntry:
 
 
 def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
-    """Canonical catalog document: sorted entries, stable layout."""
-    ordered = sorted(entries, key=serialize_entry)
-    doc = {
-        "entries": [entry_to_jsonable(e) for e in ordered],
-        "schema_version": SCHEMA_VERSION,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical catalog document: entries sorted by their canonical line.
+
+    The layout is ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
+    trailing newline, where ``doc`` holds the entries and the schema version.
+    """
+    pairs = []
+    for entry in entries:
+        pieces = _encode_pieces(entry)
+        pairs.append((_compact_line(pieces), _indented_block(pieces)))
+    pairs.sort()
+    version = int.__repr__(SCHEMA_VERSION)
+    if not pairs:
+        return '{\n  "entries": [],\n  "schema_version": ' + version + "\n}\n"
+    blocks = ",\n".join([block for _, block in pairs])
+    return '{\n  "entries": [\n' + blocks + '\n  ],\n  "schema_version": ' + version + "\n}\n"
 
 
 def parse_catalog(text: str) -> list[CatalogEntry]:
-    doc = json.loads(text)
-    return [entry_from_jsonable(e) for e in doc["entries"]]
+    """The entries of a catalog document.
+
+    Raises :class:`DomainError` when ``text`` is not a catalog document.
+    """
+    try:
+        return [entry_from_jsonable(e) for e in json.loads(text)["entries"]]
+    except DomainError:
+        raise
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise DomainError(f"not a catalog document: {type(exc).__name__}: {exc}") from exc
 
 
 def diff_catalogs(
@@ -238,16 +304,16 @@ def strata_catalog(c2_range: range, l_range: range) -> list[CatalogEntry]:
     length-l partition types of the zero-dimensional quotient; ch_3 of the
     reflexive part and the ambient presentation dimensions are recorded.
     """
+    # The labels depend on l alone; partition_types also rejects l < 0.
+    labels = [(l, [str(ptype) for ptype in partition_types(l)]) for l in l_range]
     entries = []
     for c2 in c2_range:
         for s in admissible_s(c2):
             c3 = c3_of(c2, s)
             character = chern_to_character(ChernClasses(2, -1, c2, c3), 3)
             report = presentation_report(c2, s)
-            for l in l_range:
-                if l < 0:
-                    raise InadmissibleParameterError("length range must be >= 0")
-                for ptype in partition_types(l):
+            for l, partitions in labels:
+                for partition in partitions:
                     entries.append(
                         CatalogEntry(
                             kind="stratum",
@@ -255,7 +321,7 @@ def strata_catalog(c2_range: range, l_range: range) -> list[CatalogEntry]:
                                 "c2": c2,
                                 "s": s,
                                 "l": l,
-                                "partition": str(ptype),
+                                "partition": partition,
                             },
                             outputs={
                                 "c3": c3,

@@ -40,7 +40,7 @@ from .chow import (
     restrict_to_hyperplane,
     todd,
 )
-from .errors import DomainError
+from .errors import DomainError, InadmissibleParameterError
 from .monads import monad_shape, partition_types
 from .resolutions import (
     admissible_s,
@@ -49,7 +49,13 @@ from .resolutions import (
     resolution_shapes,
     verify_resolution_chern,
 )
-from .splitting import SplittingType, enumerate_splitting_types, splitting_radius
+from .splitting import (
+    SplittingType,
+    enumerate_splitting_types,
+    magnitude_ok,
+    splitting_radius,
+    validate,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -263,7 +269,18 @@ def _cmd_restrict(args) -> tuple[int, dict]:
 
 
 def _cmd_bound(args) -> tuple[int, dict]:
-    b = SplittingType(args.b) if args.b is not None else None
+    b = None
+    if args.b is not None:
+        b = SplittingType(args.b)
+        if not validate(b, args.rank, args.c1):
+            raise InadmissibleParameterError(
+                f"--b {b} is not a splitting type of rank {args.rank} and c1 {args.c1}"
+            )
+        if not magnitude_ok(b, args.rank, args.c1):
+            radius = rational_str(splitting_radius(args.rank, args.c1))
+            raise InadmissibleParameterError(
+                f"--b {b} has an entry of magnitude above the splitting radius {radius}"
+            )
     report = bound_report(args.rank, args.c1, args.ch2, b=b, literal_mode=args.literal)
     return EXIT_OK, _report_payload(report)
 
@@ -390,8 +407,8 @@ def _cmd_diff(args) -> tuple[int, dict]:
                 catalogs.append(cat.parse_catalog(handle.read()))
         except OSError as exc:
             raise DomainError(f"cannot read catalog {path!r}: {exc}")
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise DomainError(f"malformed catalog {path!r}: {exc}")
+        except (UnicodeDecodeError, DomainError) as exc:
+            raise DomainError(f"malformed catalog {path!r}: {exc}") from exc
     delta = cat.diff_catalogs(catalogs[0], catalogs[1])
     identical = not delta["only_in_a"] and not delta["only_in_b"]
     payload = {

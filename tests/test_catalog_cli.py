@@ -78,6 +78,8 @@ def test_entry_rejects_bad_values():
         serialize_entry(CatalogEntry("bound", {"x": 1.5}, {}))
     with pytest.raises(DomainError):
         parse_entry('{"kind": "bound", "inputs": {"x": 1.5}, "outputs": {}, "schema_version": 1}')
+    with pytest.raises(DomainError):
+        serialize_entry(CatalogEntry("bound", {1: 2}, {}))
 
 
 def test_catalog_document_round_trip_and_sorting():
@@ -207,6 +209,21 @@ def test_cli_bound_report(capsys):
     assert payload["literal_mode"] is True
 
 
+@pytest.mark.parametrize(
+    "b, problem",
+    [("5,-7", "is not a splitting type"), ("3,-3", "above the splitting radius")],
+)
+def test_cli_bound_rejects_bad_splitting_type(b, problem, capsys):
+    code, out, err = run_cli(
+        ["bound", "--rank", "2", "--c1", "0", "--ch2", "0", "--b", b], capsys
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InadmissibleParameterError"
+    assert problem in error["message"]
+    assert err == ""
+
+
 def test_cli_euler_and_restrict(capsys):
     # chi = 71/6 + 2(-9/2) + (11/6)(-1) + 2 = 3
     code, out, _ = run_cli(["euler", "--character", "2,-1,-9/2,71/6"], capsys)
@@ -320,6 +337,32 @@ def test_cli_catalog_files_and_diff(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["identical"] is False
     assert payload["only_in_a"] and payload["only_in_b"]
+
+
+MALFORMED_CATALOGS = {
+    "entry-not-object": b'{"entries": [1]}',
+    "document-not-object": b"[]",
+    "schema-version-not-int": (
+        b'{"entries": [{"inputs": {}, "kind": "bound", "outputs": {},'
+        b' "schema_version": "one"}], "schema_version": 1}'
+    ),
+    "not-utf8": b'{"entries": ["\xff\xfe"]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CATALOGS))
+def test_cli_diff_malformed_catalog(case, tmp_path, capsys):
+    good = str(tmp_path / "good.json")
+    bad = str(tmp_path / f"{case}.json")
+    run_cli(["catalog", "strata", "--c2", "5..5", "--l", "0..0", "--output", good], capsys)
+    with open(bad, "wb") as handle:
+        handle.write(MALFORMED_CATALOGS[case])
+    code, out, err = run_cli(["catalog", "diff", good, bad], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert bad in error["message"]
+    assert err == ""
 
 
 def test_cli_catalog_unwritable_output(tmp_path, capsys):

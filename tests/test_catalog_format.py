@@ -1,0 +1,165 @@
+"""The catalog file format: golden digests and a reference emitter.
+
+The golden digests pin the bytes of four small catalogs (the benchmark's
+smoke grids) and of the empty catalog.  The property tests compare the
+emitter with the plain ``json.dumps`` layout it is documented to write.
+"""
+
+import hashlib
+import json
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from chowkit.catalog import (
+    KINDS,
+    CatalogEntry,
+    bounds_catalog,
+    monads_catalog,
+    parse_catalog,
+    resolutions_catalog,
+    serialize_catalog,
+    serialize_entry,
+    strata_catalog,
+)
+from chowkit.cli import main
+from chowkit.errors import InadmissibleParameterError
+
+# ---------------------------------------------------------------------------
+# golden digests: (entries, bytes, sha256) of each grid's catalog document
+
+GOLDEN = {
+    "strata --c2 5..12 --l 0..3": (
+        lambda: strata_catalog(range(5, 13), range(0, 4)),
+        47552,
+        "9ffcc89ec3e4e4dae382f4ec3529d9f548b3d222fd68a64f7ac3e4d8bf83f623",
+    ),
+    "resolutions --c2 5..30": (
+        lambda: resolutions_catalog(range(5, 31)),
+        27207,
+        "aaa4ed536c3dad465b5a4b70303f0fb978a286a021afc0c491635e683ef9f9d6",
+    ),
+    "monads --rank-max 3 --charge 0..5": (
+        lambda: monads_catalog(3, range(0, 6)),
+        7925,
+        "73c60d93194a0ae7cd90470ee4b5d3acf221aab87a6c39542b6474d66386549a",
+    ),
+    "bounds --c2 0..30": (
+        lambda: bounds_catalog(2, -1, range(0, 31)),
+        10208,
+        "6651e4c57801ad4129fcd47c8e05a2de99a844c1225c25c612b7ad0a469f63a2",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GOLDEN))
+def test_golden_catalog_bytes(grid):
+    generate, size, sha256 = GOLDEN[grid]
+    document = serialize_catalog(generate()).encode("utf-8")
+    assert len(document) == size
+    assert hashlib.sha256(document).hexdigest() == sha256
+
+
+def test_golden_empty_catalog():
+    assert serialize_catalog([]) == '{\n  "entries": [],\n  "schema_version": 1\n}\n'
+    assert parse_catalog(serialize_catalog([])) == []
+
+
+# ---------------------------------------------------------------------------
+# reference emitter: the json.dumps layout the catalog format is defined by
+
+
+def _reference_value(value):
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    return value
+
+
+def _reference_jsonable(entry):
+    return {
+        "kind": entry.kind,
+        "inputs": {k: _reference_value(v) for k, v in entry.inputs.items()},
+        "outputs": {k: _reference_value(v) for k, v in entry.outputs.items()},
+        "schema_version": entry.schema_version,
+    }
+
+
+def reference_entry(entry):
+    return json.dumps(_reference_jsonable(entry), sort_keys=True, separators=(",", ":"))
+
+
+def reference_catalog(entries):
+    doc = {
+        "entries": [_reference_jsonable(e) for e in sorted(entries, key=reference_entry)],
+        "schema_version": 1,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_RATIONAL = re.compile(r"^-?\d+(?:/\d+)?$")
+
+# Labels mix arbitrary text with the characters JSON must escape or that
+# ASCII escaping rewrites; rational-looking strings are not labels.  Small
+# key and value pools make entries that share a prefix, where the compact
+# and indented layouts would sort differently.
+_TRICKY = st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "é", "ß", "€", "漢", "\U0001f600"])
+labels = st.text(st.characters() | _TRICKY, max_size=12).filter(
+    lambda s: not _RATIONAL.match(s.strip())
+)
+values = st.one_of(
+    st.integers(-20, 20),
+    st.integers(),
+    st.booleans(),
+    st.fractions(),
+    labels,
+)
+keys = st.sampled_from(("c2", "l", "s")) | st.text(st.characters() | _TRICKY, max_size=8)
+maps = st.dictionaries(keys, values, max_size=5)
+entries = st.builds(
+    CatalogEntry,
+    kind=st.sampled_from(KINDS),
+    inputs=maps,
+    outputs=maps,
+    schema_version=st.integers(0, 3),
+)
+
+
+@st.composite
+def catalogs(draw):
+    """Lists of entries, possibly empty, in which entries may repeat."""
+    distinct = draw(st.lists(entries, max_size=4))
+    if not distinct:
+        return []
+    return draw(st.lists(st.sampled_from(distinct), max_size=8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(catalogs())
+@example([CatalogEntry("bound", {"c2": 12}, {}), CatalogEntry("bound", {"c2": 1}, {})])
+def test_emitters_match_reference_and_round_trip(catalog):
+    for entry in catalog:
+        assert serialize_entry(entry) == reference_entry(entry)
+    document = serialize_catalog(catalog)
+    assert document == reference_catalog(catalog)
+    parsed = parse_catalog(document)
+    assert parsed == sorted(catalog, key=reference_entry)
+    assert serialize_catalog(parsed) == document
+
+
+def test_negative_length_raises():
+    with pytest.raises(InadmissibleParameterError):
+        strata_catalog(range(5, 6), range(-1, 1))
+    # no (c2, s) in the grid: the length range is still checked
+    with pytest.raises(InadmissibleParameterError):
+        strata_catalog(range(0, 1), range(-2, 0))
+
+
+def test_cli_negative_length_is_a_domain_error(capsys):
+    code = main(["catalog", "strata", "--c2", "5..5", "--l", "-1..0"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["error"]["type"] == "InadmissibleParameterError"
