@@ -149,12 +149,11 @@ def ch3_bound(
     satisfies |ch_3| < ch3_bound(n, c1, ch2) strictly.
     """
     ch2 = as_rational(ch2)
-    return (
-        euler_bound(n, c1, ch2, literal_mode)
-        + 2 * abs(ch2)
-        + Fraction(11, 6) * abs(c1)
-        + n
-    )
+    return _ch3_from_euler(euler_bound(n, c1, ch2, literal_mode), n, c1, ch2)
+
+
+def _ch3_from_euler(euler: Fraction, n: int, c1: int, ch2: Fraction) -> Fraction:
+    return euler + 2 * abs(ch2) + Fraction(11, 6) * abs(c1) + n
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,11 @@ def bound_report(
 
     With a splitting type the middle cohomology uses the sharper invariant
     bound and the extremes use the exact section counts; without one, every
-    splitting-type quantity is evaluated at the magnitude radius t.
+    splitting-type quantity is evaluated at the magnitude radius t.  The
+    worst-case Euler bound is evaluated once, in exact rationals, and the
+    ch_3 bound is derived from that value by the same sum :func:`ch3_bound`
+    forms, so both fields equal :func:`euler_bound` and :func:`ch3_bound`
+    exactly (``tests/test_bounds.py`` checks this on a grid).
     """
     if n < 1:
         raise InadmissibleParameterError(f"rank must be >= 1, got {n}")
@@ -210,6 +213,7 @@ def bound_report(
         low, high = extreme_bounds(b, 3)
         outer_low, outer_high = Fraction(low), Fraction(high)
     middle = _clamp(q, literal_mode) * _clamp(inv, literal_mode)
+    euler = euler_bound(n, c1, ch2, literal_mode)
     return BoundReport(
         rank=n,
         c1=c1,
@@ -218,8 +222,8 @@ def bound_report(
         q=q,
         q_int=ceil(q),
         h_bounds=(outer_low, middle, middle, outer_high),
-        euler_bound=euler_bound(n, c1, ch2, literal_mode),
-        ch3_bound=ch3_bound(n, c1, ch2, literal_mode),
+        euler_bound=euler,
+        ch3_bound=_ch3_from_euler(euler, n, c1, ch2),
         literal_mode=literal_mode,
         splitting_type=b,
     )
@@ -268,7 +272,11 @@ def enumerate_admissible_c3(r: int, c1: int, c2: int) -> tuple[int, int]:
     """
     if r < 1:
         raise InadmissibleParameterError(f"rank must be >= 1, got {r}")
-    bound = ch3_bound(r, c1, _ch2_of_classes(r, c1, c2))
+    return _c3_interval(c1, c2, ch3_bound(r, c1, _ch2_of_classes(r, c1, c2)))
+
+
+def _c3_interval(c1: int, c2: int, bound: Fraction) -> tuple[int, int]:
+    """The c_3 interval of :func:`enumerate_admissible_c3` for a given ch_3 bound."""
     base = Fraction(c1**3 - 3 * c1 * c2, 6)  # ch_3 at c_3 = 0
     # |base + c3/2| < bound  <=>  -2(base + bound) < c3 < 2(bound - base)
     c3_min = floor(-2 * (base + bound)) + 1

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
-from .bounds import bound_report, enumerate_admissible_c3
+from .bounds import _c3_interval, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
 from .errors import DomainError, InadmissibleParameterError
 from .monads import monad_shape, partition_types
 from .resolutions import (
     admissible_s,
     c3_of,
+    _presentation,
     presentation_report,
     resolution_shapes,
     verify_resolution_chern,
@@ -229,7 +230,8 @@ def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
     for c2 in c2_range:
         ch2 = Fraction(c1 * c1 - 2 * c2, 2)
         report = bound_report(r, c1, ch2)
-        c3_min, c3_max = enumerate_admissible_c3(r, c1, c2)
+        # the interval of enumerate_admissible_c3, from the same ch_3 bound
+        c3_min, c3_max = _c3_interval(c1, c2, report.ch3_bound)
         entries.append(
             CatalogEntry(
                 kind="bound",
@@ -253,7 +255,7 @@ def resolutions_catalog(c2_range: range) -> list[CatalogEntry]:
     for c2 in c2_range:
         for s in admissible_s(c2):
             r_minus1, r_0 = resolution_shapes(c2, s)
-            report = presentation_report(c2, s)
+            report = _presentation(r_minus1, r_0)
             entries.append(
                 CatalogEntry(
                     kind="resolution",

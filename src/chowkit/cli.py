@@ -4,8 +4,10 @@ Results go to standard output as JSON (default) or RFC-4180-style CSV
 (``--format csv``); logs and usage messages go to standard error.  Exit
 codes: 0 on success, 2 on usage errors (unknown subcommand, malformed
 numbers, missing flags), 1 on domain errors, which are reported as a
-machine-readable ``{"error": {...}}`` object.  ``catalog diff`` exits 0
-when the catalogs are identical and 1 otherwise, like classic diff.
+machine-readable ``{"error": {...}}`` object.  ``catalog diff`` follows
+classic diff: 0 when the catalogs are identical, 1 when they differ, and 2
+when a catalog file cannot be read or is not a catalog document (reported
+as the same ``{"error": {...}}`` object, naming the file).
 
 All rationals are printed as reduced "p/q" strings; no floating point is
 ever emitted, so byte-identical output for identical invocations is
@@ -60,6 +62,9 @@ from .splitting import (
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
 EXIT_USAGE_ERROR = 2
+# catalog diff: 1 means "the catalogs differ", so trouble exits 2
+EXIT_DIFFERENT = 1
+EXIT_DIFF_TROUBLE = 2
 
 
 class UsageError(Exception):
@@ -406,9 +411,12 @@ def _cmd_diff(args) -> tuple[int, dict]:
             with open(path, "r", encoding="utf-8") as handle:
                 catalogs.append(cat.parse_catalog(handle.read()))
         except OSError as exc:
-            raise DomainError(f"cannot read catalog {path!r}: {exc}")
+            problem = f"cannot read catalog {path!r}: {exc}"
         except (UnicodeDecodeError, DomainError) as exc:
-            raise DomainError(f"malformed catalog {path!r}: {exc}") from exc
+            problem = f"malformed catalog {path!r}: {exc}"
+        else:
+            continue
+        return EXIT_DIFF_TROUBLE, _error_payload(DomainError(problem))
     delta = cat.diff_catalogs(catalogs[0], catalogs[1])
     identical = not delta["only_in_a"] and not delta["only_in_b"]
     payload = {
@@ -416,7 +424,7 @@ def _cmd_diff(args) -> tuple[int, dict]:
         "only_in_a": delta["only_in_a"],
         "only_in_b": delta["only_in_b"],
     }
-    return (EXIT_OK if identical else EXIT_DOMAIN_ERROR), payload
+    return (EXIT_OK if identical else EXIT_DIFFERENT), payload
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +601,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         args.format = fmt
 
 
+def _error_payload(exc: DomainError) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -607,11 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE_ERROR
     except DomainError as exc:
-        _emit(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            args.format or "json",
-            sys.stdout,
-        )
+        _emit(_error_payload(exc), args.format or "json", sys.stdout)
         return EXIT_DOMAIN_ERROR
     if payload is not None:
         _emit(payload, args.format, sys.stdout)

@@ -35,8 +35,8 @@ def is_normalized(r: int, d: int) -> bool:
 def charge(r: int, d: int, ch2: RationalLike) -> Fraction:
     """The charge -chi(F(-1)) of a P^2 class (r, d, ch_2).
 
-    Computed through Riemann-Roch on the twisted character; closes to
-    -ch_2 - d/2.
+    Computed through Riemann-Roch on the twisted character; it closes to
+    -ch_2 - d/2, which ``tests/test_identities.py`` proves symbolically.
     """
     character = ChernCharacter.of(2, r, d, as_rational(ch2))
     return -euler_characteristic(twist(character, -1))
@@ -109,8 +109,11 @@ def monad_shape(r: int, d: int, ch2: RationalLike) -> MonadShape:
     The exponents are (v, w, u) = (d + c, r + d + 2c, c) with c the charge.
     Raises :class:`NotRealizableError` unless the input is normalized, the
     charge is a nonnegative integer, and d + c >= 0.  The exact identity
-    ch(middle) - ch(left) - ch(right) = (r, d, ch_2) is verified before
-    returning.
+    ch(middle) - ch(left) - ch(right) = (r, d, ch_2) is verified on every
+    call before returning, in its closed form: the character of the monad
+    O(-1)^v -> O^w -> O(1)^u is (w - v - u, v - u, -(v + u)/2), read off the
+    built shape.  ``tests/test_identities.py`` proves symbolically that the
+    exponents below satisfy it for all (r, d, c).
 
     The cohomology-vanishing hypotheses under which a sheaf with these
     invariants really is the middle cohomology of such a monad are
@@ -130,10 +133,10 @@ def monad_shape(r: int, d: int, ch2: RationalLike) -> MonadShape:
         raise NotRealizableError(f"left exponent d + c = {d + c} is negative")
     shape = MonadShape.from_exponents(d + c, r + d + 2 * c, c)
     # exact re-check of the character identity; survives python -O
-    if shape.chern_character() != ChernCharacter.of(2, r, d, ch2):
+    v, w, u = shape.v, shape.w, shape.u
+    if (w - v - u, v - u, Fraction(-(v + u), 2)) != (r, d, ch2):
         raise NotRealizableError(
-            f"monad exponents {(shape.v, shape.w, shape.u)} do not reproduce "
-            f"({r}, {d}, {ch2})"
+            f"monad exponents {(v, w, u)} do not reproduce ({r}, {d}, {ch2})"
         )
     return shape
 

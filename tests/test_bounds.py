@@ -279,6 +279,20 @@ def test_worst_case_report_uses_radius_substitution():
     assert report.h_bounds[0] == F(2, 6) * (t + 3) ** 3
 
 
+def test_bound_report_fields_equal_the_standalone_bounds():
+    rng = random.Random(53)
+    for _ in range(150):
+        n, c1 = rng.randint(1, 6), rng.randint(-8, 8)
+        ch2 = random_rational(rng)
+        literal = rng.random() < 0.3
+        b = random_splitting_type(rng) if rng.random() < 0.5 else None
+        if b is not None:
+            n = b.rank
+        report = bound_report(n, c1, ch2, b=b, literal_mode=literal)
+        assert report.euler_bound == euler_bound(n, c1, ch2, literal)
+        assert report.ch3_bound == ch3_bound(n, c1, ch2, literal)
+
+
 # ---------------------------------------------------------------------------
 # admissible c_3 enumeration and containment
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from chowkit.bounds import ch3_bound, enumerate_admissible_c3, euler_bound
 from chowkit.catalog import (
     KINDS,
     CatalogEntry,
@@ -132,6 +133,17 @@ def test_bounds_catalog_entries():
     assert outputs["ch3_bound"] == F(2635, 6)
     assert outputs["c3_min"] == -882
     assert outputs["c3_max"] == 873
+
+
+def test_bounds_catalog_matches_the_standalone_functions():
+    for r, c1 in [(1, 0), (2, -1), (3, 2), (5, -4)]:
+        for entry in bounds_catalog(r, c1, range(-3, 40)):
+            c2 = entry.inputs["c2"]
+            ch2 = F(c1 * c1 - 2 * c2, 2)
+            out = entry.outputs
+            assert (out["c3_min"], out["c3_max"]) == enumerate_admissible_c3(r, c1, c2)
+            assert out["ch3_bound"] == ch3_bound(r, c1, ch2)
+            assert out["euler_bound"] == euler_bound(r, c1, ch2)
 
 
 def test_resolutions_catalog_entries():
@@ -358,11 +370,24 @@ def test_cli_diff_malformed_catalog(case, tmp_path, capsys):
     with open(bad, "wb") as handle:
         handle.write(MALFORMED_CATALOGS[case])
     code, out, err = run_cli(["catalog", "diff", good, bad], capsys)
-    assert code == 1
+    assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "DomainError"
     assert bad in error["message"]
     assert err == ""
+
+
+def test_cli_diff_unreadable_catalog_exits_2(tmp_path, capsys):
+    good = str(tmp_path / "good.json")
+    missing = str(tmp_path / "missing.json")
+    run_cli(["catalog", "strata", "--c2", "5..5", "--l", "0..0", "--output", good], capsys)
+    for command in (["catalog", "diff"], ["diff"]):
+        code, out, err = run_cli([*command, missing, good], capsys)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "DomainError"
+        assert missing in error["message"]
+        assert err == ""
 
 
 def test_cli_catalog_unwritable_output(tmp_path, capsys):

@@ -1,0 +1,119 @@
+"""Symbolic proofs of the identities that the runtime checks rely on.
+
+Each identity is a polynomial identity in its free parameters, so one
+sympy expansion proves it for every input:
+
+* the resolution ch(R^0) - ch(R^-1) = ch(2, -1, c_2, c_3(c_2, s)) on P^3,
+  in (c_2, s);
+* the monad ch(O^w) - ch(O(-1)^v) - ch(O(1)^u) = (r, d, -c - d/2) on P^2,
+  with (v, w, u) = (d + c, r + d + 2c, c), in (r, d, c);
+* the charge -chi(F(-1)) = -ch_2 - d/2, by Riemann-Roch with td(P^2);
+* the n!-scaled integer tuples the runtime checks compare are n! times the
+  rational characters.
+
+The characters of split sheaves are built here the slow way, one truncated
+exp(tH) per line-bundle summand, independently of the closed forms in
+``chowkit.resolutions``.
+"""
+
+from fractions import Fraction
+
+import sympy as sp
+
+from chowkit import monads, resolutions
+
+H = sp.Symbol("H")
+C2, C3, S = sp.symbols("c2 c3 s", integer=True)
+R, D, C, CH2 = sp.symbols("r d c ch2")
+
+
+def ch_line_bundle(n, t):
+    """Components (ch_0, ..., ch_n) of O(t) on P^n: the series of exp(tH)."""
+    series = sp.series(sp.exp(t * H), H, 0, n + 1).removeO()
+    return [sp.expand(series).coeff(H, i) for i in range(n + 1)]
+
+
+def ch_split(n, summands):
+    """Character of a direct sum of line bundles, summand by summand."""
+    total = [sp.Integer(0)] * (n + 1)
+    for t, e in summands:
+        total = [a + e * b for a, b in zip(total, ch_line_bundle(n, t))]
+    return total
+
+
+def ch_of_classes(rank, c1, c2, c3):
+    """(ch_0, ..., ch_3) of integer Chern classes on P^3."""
+    return [
+        rank,
+        c1,
+        sp.Rational(1, 2) * (c1**2 - 2 * c2),
+        sp.Rational(1, 6) * (c1**3 - 3 * c1 * c2 + 3 * c3),
+    ]
+
+
+def assert_identity(lhs, rhs):
+    assert len(lhs) == len(rhs)
+    for a, b in zip(lhs, rhs):
+        assert sp.expand(a - b) == 0, (a, b)
+
+
+# the resolution terms of the (c2, s) sheaf, as in resolution_shapes
+R_MINUS1 = [(-S - 2, 1), (S - 1 - C2, 1)]
+R_0 = [(-S - 1, 1), (-1, 1), (-2, 1), (S - C2, 1)]
+C3_OF = C2**2 - 2 * S * C2 + 2 * S * (S + 1)
+
+
+def test_resolution_character_identity():
+    resolved = [a - b for a, b in zip(ch_split(3, R_0), ch_split(3, R_MINUS1))]
+    assert_identity(resolved, ch_of_classes(2, -1, C2, C3_OF))
+
+
+def test_symbolic_terms_are_the_library_terms():
+    assert sp.expand(resolutions._c3_formula(C2, S) - C3_OF) == 0
+    for c2, s in [(5, 1), (20, 3), (60, 7)]:
+        values = {C2: c2, S: s}
+        r_minus1, r_0 = resolutions.resolution_shapes(c2, s)
+        for symbolic, shape in ((R_MINUS1, r_minus1), (R_0, r_0)):
+            numeric = [(int(sp.sympify(t).subs(values)), e) for t, e in symbolic]
+            assert resolutions.ShapeDescriptor(tuple(numeric)) == shape
+
+
+def test_monad_character_identity():
+    v, w, u = D + C, R + D + 2 * C, C
+    middle = ch_split(2, [(0, w)])
+    outer = [a + b for a, b in zip(ch_split(2, [(-1, v)]), ch_split(2, [(1, u)]))]
+    assert_identity([m - o for m, o in zip(middle, outer)], [R, D, -C - D / 2])
+    # the closed form monad_shape compares: (w - v - u, v - u, -(v + u)/2)
+    assert_identity([m - o for m, o in zip(middle, outer)], [w - v - u, v - u, -(v + u) / 2])
+
+
+def test_charge_is_riemann_roch():
+    todd = [1, sp.Rational(3, 2), 1]
+    ch_f, ch_minus1 = [R, D, CH2], ch_line_bundle(2, -1)
+    # ch(F(-1)) = ch(F) ch(O(-1)), truncated past H^2
+    twisted = [sum(ch_f[i] * ch_minus1[k - i] for i in range(k + 1)) for k in range(3)]
+    chi = sum(twisted[i] * todd[2 - i] for i in range(3))
+    assert sp.expand(-chi - (-CH2 - D / 2)) == 0
+    # the library's closed form agrees with the Riemann-Roch expression
+    for r, d, ch2 in [(1, 0, Fraction(0)), (2, -1, Fraction(-9, 2)), (5, -3, Fraction(7, 4))]:
+        value = (-chi).subs({R: r, D: d, CH2: sp.Rational(ch2.numerator, ch2.denominator)})
+        assert monads.charge(r, d, ch2) == Fraction(int(value.p), int(value.q))
+
+
+def test_scaled_tuples_are_factorial_times_characters():
+    # a split sheaf with symbolic twists and exponents, on P^2 and P^3
+    t1, t2, e1, e2 = sp.symbols("t1 t2 e1 e2", integer=True)
+    for n in (2, 3):
+        summands = [(t1, e1), (t2, e2)]
+        scaled = resolutions._scaled_character(summands, n)
+        assert_identity(scaled, [sp.factorial(n) * x for x in ch_split(n, summands)])
+    # the resolution: the tuples verify_resolution_chern compares
+    resolved = [
+        a - b
+        for a, b in zip(
+            resolutions._scaled_character(R_0, 3), resolutions._scaled_character(R_MINUS1, 3)
+        )
+    ]
+    assert_identity(resolved, [6 * x for x in ch_of_classes(2, -1, C2, C3_OF)])
+    target = [6 * x for x in ch_of_classes(2, -1, C2, C3)]
+    assert_identity(resolutions._scaled_target(C2, C3), target)

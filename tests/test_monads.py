@@ -126,6 +126,19 @@ def test_monad_shape_hand_values():
     assert degenerate.left.rank == 0
 
 
+@pytest.mark.parametrize("offset", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (1, 2, 1)])
+def test_monad_shape_recheck_rejects_wrong_exponents(monkeypatch, offset):
+    # (1, 2, 1) keeps rank and degree and moves only ch_2 by -1
+    original = MonadShape.from_exponents
+
+    def shifted(v, w, u):
+        return original(v + offset[0], w + offset[1], u + offset[2])
+
+    monkeypatch.setattr(MonadShape, "from_exponents", staticmethod(shifted))
+    with pytest.raises(NotRealizableError, match="do not reproduce"):
+        monad_shape(2, -1, F(-9, 2))
+
+
 def test_monad_shape_identity_over_grid():
     for r in range(1, 6):
         for d in range(-r + 1, 1):

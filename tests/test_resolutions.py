@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from chowkit import chow
 from chowkit.chow import ChernCharacter, ChernClasses, chern_to_character, sub
 from chowkit.errors import InadmissibleParameterError, NotRealizableError
 from chowkit.resolutions import (
@@ -73,6 +75,26 @@ def test_shape_chern_character_is_additive():
         ),
     )
     assert lhs == rhs
+
+
+def reference_chern_character(shape, n):
+    """The per-summand sum: e copies of ch(O(t)) per summand, added with chow.add."""
+    total = ChernCharacter(n, (0,) * (n + 1))
+    for t, e in shape.summands:
+        for _ in range(e):
+            total = chow.add(total, chow.ch_line_bundle(n, t))
+    return total
+
+
+@given(
+    n=st.sampled_from((2, 3)),
+    summands=st.lists(
+        st.tuples(st.integers(-60, 60), st.integers(0, 6)), max_size=6
+    ),
+)
+def test_shape_chern_character_matches_per_summand_sum(n, summands):
+    shape = ShapeDescriptor(tuple(summands))
+    assert shape.chern_character(n) == reference_chern_character(shape, n)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +186,15 @@ def test_verify_resolution_chern_specific_instance():
 def test_verify_resolution_chern_detects_perturbation():
     for c2, s in [(5, 1), (10, 2), (20, 3)]:
         assert verify_resolution_chern(c2, s, c3=c3_of(c2, s) + 1) is False
+
+
+def test_verify_resolution_chern_rejects_every_nearby_c3():
+    for c2 in range(5, 61):
+        for s in admissible_s(c2):
+            c3 = c3_of(c2, s)
+            assert verify_resolution_chern(c2, s, c3) is True
+            for k in (-2, -1, 1, 2):
+                assert verify_resolution_chern(c2, s, c3 + k) is False, (c2, s, k)
 
 
 def test_verify_resolution_chern_full_range():
