@@ -13,6 +13,12 @@ Value encoding inside the ``inputs``/``outputs`` maps:
 * bool <-> JSON true/false;
 * any other string stays a string, provided it cannot be mistaken for a
   rational (the serializer enforces this).
+
+Reading goes through one value decoder, which maps each raw JSON value to
+its value and its canonical JSON text.  :func:`parse_catalog` builds
+entries from the values; :func:`canonical_lines` joins the texts into each
+entry's canonical line without building the entry, and ``catalog diff``
+compares those lines.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .bounds import _c3_interval, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
@@ -40,6 +46,15 @@ SCHEMA_VERSION = 1
 KINDS = ("bound", "resolution", "monad", "stratum")
 
 
+def _check_tags(kind: Any, schema_version: Any) -> None:
+    if kind not in KINDS:
+        raise InadmissibleParameterError(f"kind must be one of {KINDS}, got {kind!r}")
+    if not isinstance(schema_version, int) or isinstance(schema_version, bool):
+        raise InadmissibleParameterError(
+            f"schema_version must be an integer, got {schema_version!r}"
+        )
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One computed record: a kind tag plus input and output maps."""
@@ -50,14 +65,7 @@ class CatalogEntry:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InadmissibleParameterError(
-                f"kind must be one of {KINDS}, got {self.kind!r}"
-            )
-        if not isinstance(self.schema_version, int) or isinstance(self.schema_version, bool):
-            raise InadmissibleParameterError(
-                f"schema_version must be an integer, got {self.schema_version!r}"
-            )
+        _check_tags(self.kind, self.schema_version)
         object.__setattr__(self, "inputs", dict(self.inputs))
         object.__setattr__(self, "outputs", dict(self.outputs))
 
@@ -143,16 +151,89 @@ def _indented_block(pieces: tuple) -> str:
     )
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, int):  # bool included
-        return value
-    if isinstance(value, float):
-        raise DomainError(f"floating point value {value!r} is not allowed in catalogs")
-    if isinstance(value, str):
-        if _RATIONAL_RE.match(value.strip()):
-            return parse_rational(value)
-        return value
-    raise DomainError(f"unsupported catalog value {value!r}")
+# ---------------------------------------------------------------------------
+# decoding: one value decoder turns each raw JSON value into its value and
+# its canonical JSON text; the checks on each raw entry are made in one place.
+
+
+def _value_decoder() -> Callable[[Any], tuple[Any, str]]:
+    """A fresh decoder: raw JSON value -> (catalog value, canonical JSON text).
+
+    Raw strings repeat across a catalog's entries (ch2 and ch3 over every
+    partition label, the labels over every (c2, s)), so the decoder keeps
+    each distinct string's result; make one per document.
+    """
+    memo: dict[str, tuple[Any, str]] = {}
+
+    def decode(raw: Any) -> tuple[Any, str]:
+        if type(raw) is int:
+            return raw, int.__repr__(raw)
+        if isinstance(raw, str):
+            known = memo.get(raw)
+            if known is None:
+                if _RATIONAL_RE.match(raw.strip()):
+                    value = parse_rational(raw)
+                    known = (value, _json_str(rational_str(value)))
+                else:
+                    known = (raw, _json_str(raw))
+                memo[raw] = known
+            return known
+        if isinstance(raw, int):  # bool, or an int subclass
+            return raw, _encode_value(raw)
+        if isinstance(raw, float):
+            raise DomainError(f"floating point value {raw!r} is not allowed in catalogs")
+        raise DomainError(f"unsupported catalog value {raw!r}")
+
+    return decode
+
+
+def _decode_entry(data: Mapping[str, Any], decode: Callable) -> tuple:
+    """Check one raw entry: (kind, inputs, outputs, schema_version).
+
+    The maps hold the decoder's (value, text) pairs.  The checks run in the
+    order that building a :class:`CatalogEntry` from ``data`` runs them, so
+    a malformed entry raises the same error through every reader.
+    """
+    inputs, outputs = data["inputs"], data["outputs"]
+    if not isinstance(inputs, dict) or not isinstance(outputs, dict):
+        raise DomainError("entry inputs and outputs must be JSON objects")
+    kind = data["kind"]
+    inputs = {k: decode(v) for k, v in inputs.items()}
+    outputs = {k: decode(v) for k, v in outputs.items()}
+    version = data["schema_version"]
+    _check_tags(kind, version)
+    return kind, inputs, outputs, version
+
+
+def _decoded_entry(data: Mapping[str, Any], decode: Callable) -> CatalogEntry:
+    kind, inputs, outputs, version = _decode_entry(data, decode)
+    return CatalogEntry(
+        kind,
+        {k: value for k, (value, _) in inputs.items()},
+        {k: value for k, (value, _) in outputs.items()},
+        version,
+    )
+
+
+def _decoded_line(data: Mapping[str, Any], decode: Callable) -> str:
+    kind, inputs, outputs, version = _decode_entry(data, decode)
+    return _compact_line((
+        [(_json_str(k), inputs[k][1]) for k in sorted(inputs)],
+        _json_str(kind),
+        [(_json_str(k), outputs[k][1]) for k in sorted(outputs)],
+        int.__repr__(version),
+    ))
+
+
+def _read_document(text: str, read_entry: Callable) -> list:
+    """``read_entry(raw, decode)`` of each entry of a catalog document."""
+    decode = _value_decoder()
+    try:
+        return [read_entry(e, decode) for e in json.loads(text)["entries"]]
+    except DomainError:
+        raise
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise DomainError(f"not a catalog document: {type(exc).__name__}: {exc}") from exc
 
 
 def entry_to_jsonable(entry: CatalogEntry) -> dict:
@@ -161,15 +242,7 @@ def entry_to_jsonable(entry: CatalogEntry) -> dict:
 
 
 def entry_from_jsonable(data: Mapping[str, Any]) -> CatalogEntry:
-    inputs, outputs = data["inputs"], data["outputs"]
-    if not isinstance(inputs, dict) or not isinstance(outputs, dict):
-        raise DomainError("entry inputs and outputs must be JSON objects")
-    return CatalogEntry(
-        kind=data["kind"],
-        inputs={k: _decode_value(v) for k, v in inputs.items()},
-        outputs={k: _decode_value(v) for k, v in outputs.items()},
-        schema_version=data["schema_version"],
-    )
+    return _decoded_entry(data, _value_decoder())
 
 
 def serialize_entry(entry: CatalogEntry) -> str:
@@ -204,12 +277,23 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
 
     Raises :class:`DomainError` when ``text`` is not a catalog document.
     """
-    try:
-        return [entry_from_jsonable(e) for e in json.loads(text)["entries"]]
-    except DomainError:
-        raise
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise DomainError(f"not a catalog document: {type(exc).__name__}: {exc}") from exc
+    return _read_document(text, _decoded_entry)
+
+
+def canonical_lines(text: str) -> list[str]:
+    """The canonical line of each entry of a catalog document, in order.
+
+    Equal to ``[serialize_entry(e) for e in parse_catalog(text)]``, with
+    the same checks and errors, but no entry is built: each line is joined
+    from the decoder's JSON texts.
+    """
+    return _read_document(text, _decoded_line)
+
+
+def diff_lines(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
+    """Set difference of two collections of canonical lines, each sorted."""
+    a, b = set(a), set(b)
+    return {"only_in_a": sorted(a - b), "only_in_b": sorted(b - a)}
 
 
 def diff_catalogs(
@@ -218,9 +302,10 @@ def diff_catalogs(
     """Set difference of two catalogs, in both directions."""
     a_keys = {serialize_entry(e): e for e in a}
     b_keys = {serialize_entry(e): e for e in b}
+    delta = diff_lines(a_keys, b_keys)
     return {
-        "only_in_a": [a_keys[k] for k in sorted(a_keys.keys() - b_keys.keys())],
-        "only_in_b": [b_keys[k] for k in sorted(b_keys.keys() - a_keys.keys())],
+        "only_in_a": [a_keys[k] for k in delta["only_in_a"]],
+        "only_in_b": [b_keys[k] for k in delta["only_in_b"]],
     }
 
 

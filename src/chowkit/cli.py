@@ -131,8 +131,6 @@ def _jsonable(value):
         return rational_str(value)
     if isinstance(value, str):
         return value
-    if isinstance(value, cat.CatalogEntry):
-        return cat.entry_to_jsonable(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -405,11 +403,11 @@ def _cmd_catalog_monads(args) -> tuple[int, dict | None]:
 
 
 def _cmd_diff(args) -> tuple[int, dict]:
-    catalogs = []
+    line_sets = []
     for path in (args.catalog_a, args.catalog_b):
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                catalogs.append(cat.parse_catalog(handle.read()))
+                line_sets.append(set(cat.canonical_lines(handle.read())))
         except OSError as exc:
             problem = f"cannot read catalog {path!r}: {exc}"
         except (UnicodeDecodeError, DomainError) as exc:
@@ -417,12 +415,12 @@ def _cmd_diff(args) -> tuple[int, dict]:
         else:
             continue
         return EXIT_DIFF_TROUBLE, _error_payload(DomainError(problem))
-    delta = cat.diff_catalogs(catalogs[0], catalogs[1])
+    delta = cat.diff_lines(*line_sets)
     identical = not delta["only_in_a"] and not delta["only_in_b"]
     payload = {
         "identical": identical,
-        "only_in_a": delta["only_in_a"],
-        "only_in_b": delta["only_in_b"],
+        "only_in_a": [json.loads(line) for line in delta["only_in_a"]],
+        "only_in_b": [json.loads(line) for line in delta["only_in_b"]],
     }
     return (EXIT_OK if identical else EXIT_DIFFERENT), payload
 

@@ -1,5 +1,6 @@
 """Tests for catalog serialization and the command line interface."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -351,14 +352,28 @@ def test_cli_catalog_files_and_diff(tmp_path, capsys):
     assert payload["only_in_a"] and payload["only_in_b"]
 
 
+def _one_entry(inputs=b"{}", kind=b'"bound"', outputs=b"{}", version=b"1"):
+    """A catalog document of one entry, with the given raw JSON fields."""
+    return (
+        b'{"entries": [{"inputs": ' + inputs + b', "kind": ' + kind
+        + b', "outputs": ' + outputs + b', "schema_version": ' + version
+        + b'}], "schema_version": 1}'
+    )
+
+
 MALFORMED_CATALOGS = {
     "entry-not-object": b'{"entries": [1]}',
     "document-not-object": b"[]",
-    "schema-version-not-int": (
-        b'{"entries": [{"inputs": {}, "kind": "bound", "outputs": {},'
-        b' "schema_version": "one"}], "schema_version": 1}'
-    ),
+    "schema-version-not-int": _one_entry(version=b'"one"'),
     "not-utf8": b'{"entries": ["\xff\xfe"]}',
+    "float-value": _one_entry(outputs=b'{"ch2": 1.5}'),
+    "nan-value": _one_entry(outputs=b'{"ch2": NaN}'),
+    "null-value": _one_entry(inputs=b'{"c2": null}'),
+    "list-value": _one_entry(inputs=b'{"c2": [5]}'),
+    "unknown-kind": _one_entry(kind=b'"sheaf"'),
+    "zero-denominator": _one_entry(outputs=b'{"ch2": "1/0"}'),
+    "schema-version-bool": _one_entry(version=b"true"),
+    "no-entries": b'{"schema_version": 1}',
 }
 
 
@@ -375,6 +390,54 @@ def test_cli_diff_malformed_catalog(case, tmp_path, capsys):
     assert error["type"] == "DomainError"
     assert bad in error["message"]
     assert err == ""
+
+
+def test_cli_diff_golden_payload(tmp_path, capsys):
+    """The payload's exact bytes for two overlapping strata grids."""
+    paths = []
+    for c2 in ("5..10", "6..11"):
+        paths.append(str(tmp_path / f"strata-{c2}.json"))
+        run_cli(["catalog", "strata", "--c2", c2, "--l", "0..2", "--output", paths[-1]], capsys)
+    code, out, err = run_cli(["catalog", "diff", *paths], capsys)
+    assert code == 1
+    assert err == ""
+    payload = out.encode("utf-8")
+    assert len(payload) == 5016
+    assert hashlib.sha256(payload).hexdigest() == (
+        "c0ee79e13aa7dae4d18ed36639d7b92587c480764d0cafc39c359c80aa7dc598"
+    )
+
+
+def _diff_documents(tmp_path, capsys, doc_a, doc_b):
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path, doc in zip(paths, (doc_a, doc_b)):
+        with open(path, "wb") as handle:
+            handle.write(doc)
+    code, out, _ = run_cli(["catalog", "diff", *paths], capsys)
+    return code, json.loads(out)
+
+
+def test_cli_diff_compares_canonical_spellings(tmp_path, capsys):
+    canonical = _one_entry(
+        inputs=b'{"c2": 5, "label": "x"}', outputs=b'{"ch2": "1/2", "ch3": "7"}'
+    )
+    respelled = (
+        b'{"schema_version": 1, "entries": [{"schema_version": 1,'
+        b' "outputs": {"ch3": " 007 ", "ch2": "2/4"}, "kind": "bound",'
+        b' "inputs": {"label": "x", "c2": 5}}]}'
+    )
+    code, payload = _diff_documents(tmp_path, capsys, canonical, respelled)
+    assert code == 0
+    assert payload == {"identical": True, "only_in_a": [], "only_in_b": []}
+
+
+def test_cli_diff_keeps_int_and_rational_apart(tmp_path, capsys):
+    as_int = _one_entry(outputs=b'{"c3": 3}')
+    as_rational = _one_entry(outputs=b'{"c3": "3"}')
+    code, payload = _diff_documents(tmp_path, capsys, as_int, as_rational)
+    assert code == 1
+    assert payload["only_in_a"][0]["outputs"] == {"c3": 3}
+    assert payload["only_in_b"][0]["outputs"] == {"c3": "3"}
 
 
 def test_cli_diff_unreadable_catalog_exits_2(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 The golden digests pin the bytes of four small catalogs (the benchmark's
 smoke grids) and of the empty catalog.  The property tests compare the
-emitter with the plain ``json.dumps`` layout it is documented to write.
+emitter with the plain ``json.dumps`` layout it is documented to write,
+and the canonical-line reader with ``parse_catalog`` on raw documents.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from chowkit.catalog import (
     KINDS,
     CatalogEntry,
     bounds_catalog,
+    canonical_lines,
     monads_catalog,
     parse_catalog,
     resolutions_catalog,
@@ -25,7 +27,7 @@ from chowkit.catalog import (
     strata_catalog,
 )
 from chowkit.cli import main
-from chowkit.errors import InadmissibleParameterError
+from chowkit.errors import DomainError, InadmissibleParameterError
 
 # ---------------------------------------------------------------------------
 # golden digests: (entries, bytes, sha256) of each grid's catalog document
@@ -148,6 +150,100 @@ def test_emitters_match_reference_and_round_trip(catalog):
     parsed = parse_catalog(document)
     assert parsed == sorted(catalog, key=reference_entry)
     assert serialize_catalog(parsed) == document
+
+
+# ---------------------------------------------------------------------------
+# the canonical-line reader against parse_catalog, on raw documents
+
+
+@st.composite
+def rational_spellings(draw):
+    """A rational as a file may spell it: padded, unreduced, zero-led, "-0"."""
+    num, den = draw(st.integers(-40, 40)), draw(st.integers(1, 9))
+    scale = draw(st.integers(1, 3))
+    sign = "-" if num < 0 or (num == 0 and draw(st.booleans())) else ""
+    text = sign + "0" * draw(st.integers(0, 2)) + str(abs(num) * scale)
+    if den * scale != 1 or draw(st.booleans()):
+        text += "/" + "0" * draw(st.integers(0, 2)) + str(den * scale)
+    pad = st.sampled_from(("", " ", "\t", " \n"))
+    return draw(pad) + text + draw(pad)
+
+
+raw_values = st.one_of(st.integers(), st.booleans(), rational_spellings(), labels)
+# values a catalog must reject, each placed once into an otherwise valid document
+bad_values = st.sampled_from(
+    (1.5, -0.0, float("nan"), float("inf"), None, [], [1], {}, "1/0", " 3/00")
+)
+# keys that look like rationals are written as they are, never canonicalised
+raw_keys = st.sampled_from(("c2", "s", "ch2", "2/4", " 3 ", "-0", "é"))
+FIELDS = ("inputs", "kind", "outputs", "schema_version")
+
+
+@st.composite
+def raw_documents(draw):
+    """JSON text of a catalog document, valid or with one defect.
+
+    Entries draw their values from one small pool of raw spellings, so the
+    same raw string recurs across entries; field and key order vary.
+    """
+    pool = draw(st.lists(raw_values, min_size=1, max_size=5))
+    maps = st.dictionaries(raw_keys, st.sampled_from(pool), max_size=4)
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        fields = {
+            "inputs": draw(maps),
+            "kind": draw(st.sampled_from(KINDS)),
+            "outputs": draw(maps),
+            "schema_version": draw(st.integers(0, 2)),
+        }
+        order = draw(st.permutations(FIELDS))
+        entries.append({name: fields[name] for name in order})
+    doc = {"entries": entries, "schema_version": 1}
+    defect = draw(st.sampled_from((None, None, "value", "kind", "version", "field", "entry", "document")))
+    if defect == "document":
+        doc = draw(st.sampled_from(({"schema_version": 1}, [], {"entries": {"a": 1}}, {"entries": None})))
+    elif defect == "entry":
+        entries.insert(draw(st.integers(0, len(entries))), draw(st.sampled_from((1, "x", None, []))))
+    elif entries and defect is not None:
+        entry = draw(st.sampled_from(entries))
+        if defect == "value":
+            entry[draw(st.sampled_from(("inputs", "outputs")))][draw(raw_keys)] = draw(bad_values)
+        elif defect == "kind":
+            entry["kind"] = draw(st.sampled_from(("sheaf", "", 1, None)))
+        elif defect == "version":
+            entry["schema_version"] = draw(st.sampled_from((True, "1", 1.0, None)))
+        else:
+            entry[draw(st.sampled_from(("inputs", "outputs")))] = draw(st.sampled_from(([], "x", 3)))
+            if draw(st.booleans()):
+                del entry[draw(st.sampled_from(FIELDS))]
+    return json.dumps(doc)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_documents())
+@example(json.dumps({"entries": [
+    {"inputs": {"c2": 5, "2/4": " 2/4"}, "kind": "stratum", "outputs": {"ch2": "-0", "ch3": "007"},
+     "schema_version": 1},
+    {"schema_version": 1, "outputs": {"ch3": " 2/4", "ch2": "-0"}, "kind": "bound",
+     "inputs": {"c2": "007"}},
+]}))
+@example(json.dumps({"entries": [
+    {"inputs": {"s": " 1/2"}, "kind": "bound", "outputs": {}, "schema_version": 1},
+    {"inputs": {"s": " 1/2", "c2": "1/0"}, "kind": "bound", "outputs": {}, "schema_version": 1},
+]}))
+def test_canonical_lines_match_parse_catalog(text):
+    lines = _outcome(canonical_lines, text)
+    assert lines == _outcome(lambda t: [serialize_entry(e) for e in parse_catalog(t)], text)
+    if isinstance(lines, list):
+        # each line is the compact json.dumps of the entry parse_catalog read
+        assert lines == [reference_entry(e) for e in parse_catalog(text)]
 
 
 def test_negative_length_raises():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from chowkit.chow import (
     ChernCharacter,
@@ -335,3 +336,42 @@ def test_rational_serialization_round_trip():
         parse_rational("seven")
     with pytest.raises(ValueError):
         parse_rational("3/0")
+
+
+@given(st.fractions())
+def test_rational_str_round_trips(value):
+    text = rational_str(value)
+    assert parse_rational(text) == value
+    assert rational_str(parse_rational(text)) == text
+    # the canonical form: reduced, denominator > 1 when written, no "-0",
+    # no leading zeros
+    num, _, den = text.lstrip("-").partition("/")
+    assert text != "-0"
+    assert num == "0" or not num.startswith("0")
+    if den:
+        assert not den.startswith("0") and int(den) > 1
+        assert math.gcd(int(num), int(den)) == 1
+
+
+@given(
+    num=st.integers(-10**6, 10**6),
+    den=st.integers(1, 10**4),
+    scale=st.integers(1, 50),
+    zeros=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    pads=st.tuples(st.sampled_from(("", " ", "\t", "\n", " \r\n")), st.sampled_from(("", " ", "\n"))),
+    minus_zero=st.booleans(),
+    slash=st.booleans(),
+)
+@example(num=0, den=1, scale=1, zeros=(2, 0), pads=("", ""), minus_zero=True, slash=False)
+@example(num=1, den=2, scale=2, zeros=(0, 0), pads=(" ", " "), minus_zero=False, slash=True)
+@example(num=7, den=1, scale=1, zeros=(2, 0), pads=("", ""), minus_zero=False, slash=False)
+def test_rational_str_canonicalises_spellings(num, den, scale, zeros, pads, minus_zero, slash):
+    """Padded, unreduced and zero-led spellings ("-0", " 2/4 ", "007") all
+    read back to the one canonical form of their value."""
+    sign = "-" if num < 0 or (num == 0 and minus_zero) else ""
+    spelled = sign + "0" * zeros[0] + str(abs(num) * scale)
+    if slash or den * scale != 1:
+        spelled += "/" + "0" * zeros[1] + str(den * scale)
+    spelled = pads[0] + spelled + pads[1]
+    assert parse_rational(spelled) == F(num, den)
+    assert rational_str(parse_rational(spelled)) == rational_str(F(num, den))
