@@ -11,6 +11,13 @@ P^2 and P^3, the worst-case Euler bound, and the ch_3 bound are assembled
 exactly as rational numbers.  Worst-case variants substitute b_i = t;
 per-splitting-type variants keep the sharper sum of squares.
 
+The P^3 bounds are evaluated exactly in scaled integers: with
+t = (|c_1| + n^2)/n and ch_2 = p/q, each one is an integer polynomial in
+n, |c_1|, p, q and sum b_i^2 over a fixed denominator (2nq for Q and the
+h^1 factor, 12n^2q^2 for the Euler and ch_3 bounds), and one Fraction is
+built per reported value.  ``tests/test_identities.py`` proves the scaled
+forms equal the rational formulas symbolically.
+
 Factors that bound dimensions are clamped at 0 by default (a negative
 "bound" just means the cohomology vanishes); pass ``literal_mode=True``
 to reproduce the raw formulas for auditing.
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import comb
 
 from .chow import (
     ChernCharacter,
@@ -28,7 +35,6 @@ from .chow import (
     RationalLike,
     as_rational,
     chern_to_character,
-    restrict_to_hyperplane,
 )
 from .errors import (
     DimensionMismatchError,
@@ -95,32 +101,18 @@ def vanishing_Q(n: int, c1: int, ch2: RationalLike, b: SplittingType) -> Fractio
     """The vanishing constant Q = |c_1|/n + n + 4 - ch_2 + (1/2) sum b_i^2.
 
     For k >= Q all four of h^1 F(k), h^2 F(k), h^0 F(-k), h^1 F(-k) vanish
-    on P^2.  Q subsumes the four step thresholds of
-    :func:`step_thresholds` via the magnitude bound on b_max and b_min.
+    on P^2.  Q subsumes the four per-step vanishing thresholds (k above
+    b_max, -b_min - 3, -b_min + inv and b_max + 3 + inv, with inv the
+    invariant h^1 bound) via the magnitude bound on b_max and b_min.
     """
     if b.rank != n:
         raise RankMismatchError(f"splitting type length {b.rank} != rank {n}")
     return splitting_radius(n, c1) + 4 + h1_invariant_bound(b, ch2)
 
 
-def step_thresholds(
-    b: SplittingType, ch2: RationalLike
-) -> tuple[int, int, Fraction, Fraction]:
-    """Diagnostic: the four per-step vanishing thresholds on P^2.
-
-    In order, vanishing of h^0 F(-k), h^2 F(k), h^1 F(k), h^1 F(-k) holds
-    for k strictly above b_max, -b_min - 3, -b_min + inv, b_max + 3 + inv,
-    where inv is the invariant h^1 bound.  These are informational only;
-    the bound formulas use the single displayed constant Q.
-    """
-    inv = h1_invariant_bound(b, ch2)
-    return (b.b_max, -b.b_min - 3, -b.b_min + inv, b.b_max + 3 + inv)
-
-
-def _clamp(value: Fraction, literal_mode: bool) -> Fraction:
-    if literal_mode:
-        return value
-    return value if value > 0 else Fraction(0)
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise InadmissibleParameterError(f"rank must be >= 1, got {n}")
 
 
 def euler_bound(
@@ -132,12 +124,8 @@ def euler_bound(
     2 (t + 4 - ch_2 + n t^2 / 2)(-ch_2 + n t^2 / 2) + (n/6)(t + 3)^3,
     i.e. the splitting-type-dependent quantities evaluated at b_i = t.
     """
-    ch2 = as_rational(ch2)
-    t = splitting_radius(n, c1)
-    half_square = n * t * t / 2
-    q_factor = _clamp(t + 4 - ch2 + half_square, literal_mode)
-    inv_factor = _clamp(-ch2 + half_square, literal_mode)
-    return 2 * q_factor * inv_factor + Fraction(n, 6) * (t + 3) ** 3
+    _check_rank(n)
+    return _evaluate(n, c1, as_rational(ch2), None, literal_mode).euler_bound
 
 
 def ch3_bound(
@@ -148,12 +136,8 @@ def ch3_bound(
     Equals the Euler bound plus 2|ch_2| + (11/6)|c_1| + n; any such sheaf
     satisfies |ch_3| < ch3_bound(n, c1, ch2) strictly.
     """
-    ch2 = as_rational(ch2)
-    return _ch3_from_euler(euler_bound(n, c1, ch2, literal_mode), n, c1, ch2)
-
-
-def _ch3_from_euler(euler: Fraction, n: int, c1: int, ch2: Fraction) -> Fraction:
-    return euler + 2 * abs(ch2) + Fraction(11, 6) * abs(c1) + n
+    _check_rank(n)
+    return _evaluate(n, c1, as_rational(ch2), None, literal_mode).ch3_bound
 
 
 @dataclass(frozen=True)
@@ -180,6 +164,79 @@ class BoundReport:
     splitting_type: SplittingType | None = None
 
 
+def _scaled(
+    n: int, a: int, p: int, q: int, square_sum: int | None
+) -> tuple[int, int, int, int, int, int, int]:
+    """Scaled-integer numerators of the P^3 bounds.
+
+    With t = (a + n^2)/n for a = |c_1|, and ch_2 = p/q, returns
+    ``(nt, den, h1_worst, h1, shift, sections, ch3_shift)``, each an integer
+    polynomial in n, a, p, q and ``square_sum`` = sum b_i^2:
+
+    * nt = n t;
+    * over den = 2nq: the h^1 factor -ch_2 + n t^2 / 2 of the worst case
+      b_i = t (h1_worst) and -ch_2 + square_sum / 2 (h1, the worst case
+      again when ``square_sum`` is None); Q is either one plus
+      shift = 2nq (t + 4);
+    * over 3 den^2 = 12 n^2 q^2: the section term (n/6)(t + 3)^3 and
+      ch3_shift = 2|ch_2| + (11/6)|c_1| + n; the Euler bound is
+      6 Q h1_worst + sections with Q = h1_worst + shift (both factors
+      clamped at 0 unless in literal mode), and the ch_3 bound is that
+      plus ch3_shift.
+
+    Only +, -, * and abs appear, so sympy symbols evaluate it too
+    (``tests/test_identities.py`` proves each numerator that way).
+    """
+    nt = a + n * n
+    den = 2 * n * q
+    h1_worst = q * nt * nt - 2 * n * p
+    h1 = h1_worst if square_sum is None else n * (q * square_sum - 2 * p)
+    shift = 2 * q * (nt + 4 * n)
+    sections = 2 * q * q * (nt + 3 * n) ** 3
+    ch3_shift = 2 * n * n * q * (12 * abs(p) + q * (11 * a + 6 * n))
+    return nt, den, h1_worst, h1, shift, sections, ch3_shift
+
+
+def _clamped_product(x: int, y: int, literal_mode: bool) -> int:
+    if literal_mode or (x > 0 and y > 0):
+        return x * y
+    return 0
+
+
+def _evaluate(
+    n: int, c1: int, ch2: Fraction, b: SplittingType | None, literal_mode: bool
+) -> BoundReport:
+    """The report's fields from the numerators of :func:`_scaled`, one Fraction each.
+
+    The caller has checked the rank and, if b is given, its length.
+    """
+    nt, den, h1_worst, h1, shift, sections, ch3_shift = _scaled(
+        n, abs(c1), ch2.numerator, ch2.denominator, None if b is None else b.square_sum
+    )
+    wide = 3 * den * den
+    euler = 6 * _clamped_product(h1_worst + shift, h1_worst, literal_mode) + sections
+    if b is None:
+        outer_low = outer_high = Fraction(sections, wide)
+    else:
+        low, high = extreme_bounds(b, 3)
+        outer_low, outer_high = Fraction(low), Fraction(high)
+    q_num = h1 + shift
+    middle = Fraction(_clamped_product(q_num, h1, literal_mode), den * den)
+    return BoundReport(
+        rank=n,
+        c1=c1,
+        ch2=ch2,
+        splitting_radius=Fraction(nt, n),
+        q=Fraction(q_num, den),
+        q_int=-(-q_num // den),
+        h_bounds=(outer_low, middle, middle, outer_high),
+        euler_bound=Fraction(euler, wide),
+        ch3_bound=Fraction(euler + ch3_shift, wide),
+        literal_mode=literal_mode,
+        splitting_type=b,
+    )
+
+
 def bound_report(
     n: int,
     c1: int,
@@ -192,41 +249,15 @@ def bound_report(
     With a splitting type the middle cohomology uses the sharper invariant
     bound and the extremes use the exact section counts; without one, every
     splitting-type quantity is evaluated at the magnitude radius t.  The
-    worst-case Euler bound is evaluated once, in exact rationals, and the
-    ch_3 bound is derived from that value by the same sum :func:`ch3_bound`
-    forms, so both fields equal :func:`euler_bound` and :func:`ch3_bound`
-    exactly (``tests/test_bounds.py`` checks this on a grid).
+    fields come from the same scaled-integer evaluation as
+    :func:`euler_bound` and :func:`ch3_bound`, so they equal those functions
+    exactly.
     """
-    if n < 1:
-        raise InadmissibleParameterError(f"rank must be >= 1, got {n}")
+    _check_rank(n)
     ch2 = as_rational(ch2)
-    t = splitting_radius(n, c1)
-    if b is None:
-        q = t + 4 - ch2 + n * t * t / 2
-        inv = -ch2 + n * t * t / 2
-        outer_low = outer_high = Fraction(n, 6) * (t + 3) ** 3
-    else:
-        if b.rank != n:
-            raise RankMismatchError(f"splitting type length {b.rank} != rank {n}")
-        q = vanishing_Q(n, c1, ch2, b)
-        inv = h1_invariant_bound(b, ch2)
-        low, high = extreme_bounds(b, 3)
-        outer_low, outer_high = Fraction(low), Fraction(high)
-    middle = _clamp(q, literal_mode) * _clamp(inv, literal_mode)
-    euler = euler_bound(n, c1, ch2, literal_mode)
-    return BoundReport(
-        rank=n,
-        c1=c1,
-        ch2=ch2,
-        splitting_radius=t,
-        q=q,
-        q_int=ceil(q),
-        h_bounds=(outer_low, middle, middle, outer_high),
-        euler_bound=euler,
-        ch3_bound=_ch3_from_euler(euler, n, c1, ch2),
-        literal_mode=literal_mode,
-        splitting_type=b,
-    )
+    if b is not None and b.rank != n:
+        raise RankMismatchError(f"splitting type length {b.rank} != rank {n}")
+    return _evaluate(n, c1, ch2, b, literal_mode)
 
 
 def p3_bounds(
@@ -235,27 +266,24 @@ def p3_bounds(
     """Per-splitting-type bound report for a sheaf on P^3.
 
     h^0 and h^3 come from the section counts of O(b) and O(-b-4); h^1 and
-    h^2 are bounded by Q * (-ch_2 + (1/2) sum b_i^2) with Q computed from
-    the restricted character (restriction just drops ch_3, so Q sees the
-    same rank, c_1, ch_2).
+    h^2 are bounded by Q * (-ch_2 + (1/2) sum b_i^2), where Q sees the rank,
+    c_1 and ch_2 of the restriction to a hyperplane, i.e. of the character
+    itself with ch_3 dropped.
     """
     if ch.ambient_dim != 3:
         raise DimensionMismatchError("p3_bounds expects a P^3 character")
-    if ch.rank < 1:
+    rank, ch1, ch2 = ch.components[:3]
+    if rank < 1:
         raise InadmissibleParameterError(
             f"bounds require an honest sheaf rank >= 1, got {ch.rank}"
         )
-    if ch.ch1.denominator != 1:
-        raise IntegralityError(f"c_1 must be an integer, got {ch.ch1}")
-    if ch.rank != b.rank:
+    if ch1.denominator != 1:
+        raise IntegralityError(f"c_1 must be an integer, got {ch1}")
+    if rank != b.rank:
         raise RankMismatchError(
             f"character rank {ch.rank} != splitting type length {b.rank}"
         )
-    restricted = restrict_to_hyperplane(ch)
-    return bound_report(
-        restricted.rank, int(restricted.ch1), restricted.ch2, b=b,
-        literal_mode=literal_mode,
-    )
+    return _evaluate(rank.numerator, ch1.numerator, ch2, b, literal_mode)
 
 
 def _ch2_of_classes(r: int, c1: int, c2: int) -> Fraction:
@@ -277,10 +305,12 @@ def enumerate_admissible_c3(r: int, c1: int, c2: int) -> tuple[int, int]:
 
 def _c3_interval(c1: int, c2: int, bound: Fraction) -> tuple[int, int]:
     """The c_3 interval of :func:`enumerate_admissible_c3` for a given ch_3 bound."""
-    base = Fraction(c1**3 - 3 * c1 * c2, 6)  # ch_3 at c_3 = 0
-    # |base + c3/2| < bound  <=>  -2(base + bound) < c3 < 2(bound - base)
-    c3_min = floor(-2 * (base + bound)) + 1
-    c3_max = ceil(2 * (bound - base)) - 1
+    # 6 ch_3 = base + 3 c3; with bound = N/D,
+    # |base + 3 c3| < 6N/D  <=>  -(base D + 6N) < 3D c3 < 6N - base D
+    base = c1**3 - 3 * c1 * c2
+    num, den = bound.numerator, bound.denominator
+    c3_min = -(base * den + 6 * num) // (3 * den) + 1
+    c3_max = -((base * den - 6 * num) // (3 * den)) - 1
     return c3_min, c3_max
 
 

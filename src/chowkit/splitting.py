@@ -10,9 +10,11 @@ mu-semistable reflexive sheaf on P^3:
 * gap: consecutive entries differ by at most 2.
 
 This module represents splitting types, checks the two constraints, and
-enumerates every candidate inside the magnitude box.  The gap filter is a
-flag because the magnitude bound holds for all mu-semistable reflexive
-sheaves while the gap bound is specific to reflexive sheaves on P^3.
+enumerates every candidate inside the magnitude box.  The enumeration
+prunes the gap constraint while it generates the tuples, so it never
+builds a tuple it would then discard.  The gap constraint is a flag
+because the magnitude bound holds for all mu-semistable reflexive sheaves
+while the gap bound is specific to reflexive sheaves on P^3.
 """
 
 from __future__ import annotations
@@ -133,21 +135,35 @@ def magnitude_ok(b: "SplittingType | IntSequence", r: int, c1: int) -> bool:
 
 
 def _descending_tuples(
-    slots: int, total: int, hi: int, lo: int
+    slots: int, total: int, hi: int, lo: int, floor_: int, gap: int
 ) -> Iterator[tuple[int, ...]]:
     """Non-increasing integer tuples of given length and sum, entries in [lo, hi].
 
-    Yielded in lexicographically descending order.
+    The first entry is at least ``floor_`` and each later entry at least its
+    predecessor minus ``gap``.  Yielded in lexicographically descending
+    order.  Every first entry tried extends to at least one tuple: the sums
+    a valid tail can reach form an interval (raising the last entry that
+    sits below its predecessor by 1 keeps every constraint), so bounding
+    the tail's least and greatest sums is exact.
     """
-    if slots == 0:
-        if total == 0:
-            yield ()
+    if slots == 1:
+        yield (total,)
         return
-    upper = min(hi, total - (slots - 1) * lo)
-    lower = max(lo, -(-total // slots))  # first entry is the max, so >= mean
+    rest = slots - 1
+    upper = min(hi, total - rest * lo)
+    lower = max(floor_, -(-total // slots))  # first entry is the max, so >= mean
+    # the least tail after `upper` is upper - gap, upper - 2 gap, ...,
+    # clamped at lo; lower `upper` until it and that tail fit in the total
+    while upper >= lower:
+        steps = min(rest, (upper - lo) // gap)
+        least = steps * upper - gap * steps * (steps + 1) // 2 + (rest - steps) * lo
+        if upper + least <= total:
+            break
+        upper -= 1
     for first in range(upper, lower - 1, -1):
-        for rest in _descending_tuples(slots - 1, total - first, first, lo):
-            yield (first, *rest)
+        tail_floor = max(lo, first - gap)
+        for tail in _descending_tuples(rest, total - first, first, lo, tail_floor, gap):
+            yield (first, *tail)
 
 
 def enumerate_splitting_types(
@@ -156,14 +172,10 @@ def enumerate_splitting_types(
     """All splitting types of rank r and first Chern class c1 inside the box.
 
     Every returned type satisfies |b_i| <= |c1|/r + r; with `reflexive_gap`
-    the gap <= 2 filter is applied on top.  The result is finite, free of
-    duplicates, and sorted lexicographically descending.
+    the gap <= 2 constraint is applied too, while the tuples are generated,
+    so no tuple that violates it is ever built.  The result is finite, free
+    of duplicates, and sorted lexicographically descending.
     """
-    radius = splitting_radius(r, c1)
-    hi = floor(radius)
-    results = []
-    for entries in _descending_tuples(r, c1, hi, -hi):
-        if reflexive_gap and not gap_ok(entries):
-            continue
-        results.append(SplittingType(entries))
-    return results
+    hi = floor(splitting_radius(r, c1))
+    gap = 2 if reflexive_gap else 2 * hi  # the box width constrains nothing
+    return [SplittingType(entries) for entries in _descending_tuples(r, c1, hi, -hi, -hi, gap)]

@@ -3,8 +3,10 @@
 import itertools
 import random
 from fractions import Fraction
+from math import ceil, comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chowkit.bounds import (
     bound_report,
@@ -17,7 +19,6 @@ from chowkit.bounds import (
     h1_invariant_bound,
     p2_bounds,
     p3_bounds,
-    step_thresholds,
     vanishing_Q,
 )
 from chowkit.chow import ChernCharacter, twist
@@ -147,6 +148,17 @@ def test_vanishing_q_hand_values():
 def test_vanishing_q_rejects_rank_mismatch():
     with pytest.raises(RankMismatchError):
         vanishing_Q(3, 0, F(0), SplittingType.of(0, 0))
+
+
+def step_thresholds(b, ch2):
+    """The four per-step vanishing thresholds on P^2 that Q subsumes.
+
+    In order, vanishing of h^0 F(-k), h^2 F(k), h^1 F(k), h^1 F(-k) holds
+    for k strictly above b_max, -b_min - 3, -b_min + inv, b_max + 3 + inv,
+    where inv is the invariant h^1 bound.
+    """
+    inv = h1_invariant_bound(b, ch2)
+    return (b.b_max, -b.b_min - 3, -b.b_min + inv, b.b_max + 3 + inv)
 
 
 def test_step_thresholds_values_and_dominance():
@@ -291,6 +303,74 @@ def test_bound_report_fields_equal_the_standalone_bounds():
         report = bound_report(n, c1, ch2, b=b, literal_mode=literal)
         assert report.euler_bound == euler_bound(n, c1, ch2, literal)
         assert report.ch3_bound == ch3_bound(n, c1, ch2, literal)
+
+
+def reference_report(n, c1, ch2, b, literal):
+    """The rational formulas, evaluated term by term in Fractions."""
+    clamp = (lambda x: x) if literal else (lambda x: x if x > 0 else F(0))
+    t = F(abs(c1), n) + n
+    half_square = n * t * t / 2
+    cube = F(n, 6) * (t + 3) ** 3
+    euler = 2 * clamp(t + 4 - ch2 + half_square) * clamp(-ch2 + half_square) + cube
+    ch3 = euler + 2 * abs(ch2) + F(11, 6) * abs(c1) + n
+    if b is None:
+        inv = -ch2 + half_square
+        low = high = cube
+    else:
+        inv = -ch2 + F(b.square_sum, 2)
+        low = F(sum(comb(x + 3, 3) for x in b if x >= 0))
+        high = F(sum(comb(-x - 1, 3) for x in b if x <= -4))
+    q = t + 4 + inv
+    middle = clamp(q) * clamp(inv)
+    return (n, c1, ch2, t, q, ceil(q), (low, middle, middle, high), euler, ch3, literal, b)
+
+
+def report_fields(report):
+    return (
+        report.rank, report.c1, report.ch2, report.splitting_radius, report.q,
+        report.q_int, report.h_bounds, report.euler_bound, report.ch3_bound,
+        report.literal_mode, report.splitting_type,
+    )
+
+
+def assert_field_types(report):
+    # an int where a Fraction belongs would change the bytes of a catalog
+    assert type(report.rank) is int and type(report.c1) is int
+    assert type(report.q_int) is int
+    rationals = (report.ch2, report.splitting_radius, report.q, *report.h_bounds,
+                 report.euler_bound, report.ch3_bound)
+    assert all(type(x) is F for x in rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(-40, 40),
+    st.fractions(min_value=-2000, max_value=2000, max_denominator=60),
+    st.lists(st.integers(-12, 12), min_size=7, max_size=7),
+    st.booleans(),
+    st.booleans(),
+)
+# positive ch_2 makes both factors negative: clamped to 0, literal product positive
+@example(2, 0, F(10), [0] * 7, True, True)
+@example(2, 0, F(10), [0] * 7, False, True)
+# the h^1 factor negative while Q is positive: the literal product is negative
+@example(1, 0, F(1), [0] * 7, True, True)
+@example(1, 0, F(1), [0] * 7, True, False)
+def test_bounds_match_the_rational_formulas(n, c1, ch2, entries, literal, typed):
+    b = SplittingType(tuple(entries[:n])) if typed else None
+    expected = reference_report(n, c1, ch2, b, literal)
+    assert euler_bound(n, c1, ch2, literal) == expected[7]
+    assert ch3_bound(n, c1, ch2, literal) == expected[8]
+    assert type(euler_bound(n, c1, ch2, literal)) is F
+    assert type(ch3_bound(n, c1, ch2, literal)) is F
+    reports = [bound_report(n, c1, ch2, b=b, literal_mode=literal)]
+    if b is not None:
+        ch = ChernCharacter(3, (F(n), F(c1), ch2, F(c1 - n, 6)))
+        reports.append(p3_bounds(b, ch, literal_mode=literal))
+    for report in reports:
+        assert report_fields(report) == expected
+        assert_field_types(report)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Tests for catalog serialization and the command line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowkit.bounds import ch3_bound, enumerate_admissible_c3, euler_bound
 from chowkit.catalog import (
@@ -557,3 +560,67 @@ def test_cli_subprocess_entry_point_is_deterministic(tmp_path):
         capture_output=True,
     )
     assert bad.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz of the bound commands
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# junk is never an integer, so it cannot lift the rank cap, and has no "h",
+# so it cannot spell or abbreviate --help
+JUNK = st.text(alphabet="0123456789-/,.xe ", max_size=6).filter(_not_an_int)
+RANK = st.integers(-3, 6).map(str)
+INT = st.one_of(st.integers(-40, 40), st.integers(-10**9, 10**9)).map(str)
+SMALL_INT = st.integers(-40, 40).map(str)
+RATIONAL = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=50).map(str)
+INT_LIST = st.lists(st.integers(-12, 12), min_size=1, max_size=7).map(
+    lambda b: ",".join(map(str, b))
+)
+COMMANDS = {
+    "bound": {"--rank": RANK, "--c1": INT, "--ch2": RATIONAL, "--b": INT_LIST,
+              "--literal": None},
+    # |c1| stays small: without the gap constraint the box grows like |c1|^(rank-1)
+    "splitting-types": {"--rank": RANK, "--c1": SMALL_INT, "--reflexive-gap": None,
+                        "--no-reflexive-gap": None},
+    "enumerate-c3": {"--rank": RANK, "--c1": INT, "--c2": INT},
+}
+
+
+@st.composite
+def bound_argv(draw):
+    """A bound command whose flags are each left out, junk or a valid value."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for flag, values in COMMANDS[command].items():
+        kind = draw(st.sampled_from(("omit", "junk") + ("valid",) * 8))
+        if kind == "omit":
+            continue
+        argv.append(flag)
+        if kind == "junk":
+            argv.append(draw(JUNK))
+        elif values is not None:
+            argv.append(draw(values))
+    if draw(st.integers(0, 19)) == 0:
+        argv.append(draw(JUNK))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_argv())
+def test_cli_bound_commands_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        payload = json.loads(out.getvalue())
+        assert ("error" in payload) == (code == 1), argv

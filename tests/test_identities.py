@@ -9,7 +9,9 @@ sympy expansion proves it for every input:
   with (v, w, u) = (d + c, r + d + 2c, c), in (r, d, c);
 * the charge -chi(F(-1)) = -ch_2 - d/2, by Riemann-Roch with td(P^2);
 * the n!-scaled integer tuples the runtime checks compare are n! times the
-  rational characters.
+  rational characters;
+* the scaled-integer numerators of the P^3 bounds over their denominators
+  are the rational formulas, in (n, |c_1|, p, q, sum b_i^2) with ch_2 = p/q.
 
 The characters of split sheaves are built here the slow way, one truncated
 exp(tH) per line-bundle summand, independently of the closed forms in
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from chowkit import monads, resolutions
+from chowkit import bounds, monads, resolutions
 
 H = sp.Symbol("H")
 C2, C3, S = sp.symbols("c2 c3 s", integer=True)
@@ -117,3 +119,33 @@ def test_scaled_tuples_are_factorial_times_characters():
     assert_identity(resolved, [6 * x for x in ch_of_classes(2, -1, C2, C3_OF)])
     target = [6 * x for x in ch_of_classes(2, -1, C2, C3)]
     assert_identity(resolutions._scaled_target(C2, C3), target)
+
+
+def test_scaled_bound_numerators_are_the_rational_formulas():
+    n, q = sp.symbols("n q", positive=True, integer=True)
+    a, squares = sp.symbols("a squares", nonnegative=True, integer=True)
+    p = sp.Symbol("p", integer=True)
+    t, ch2 = (a + n**2) / n, p / q
+    nt, den, h1_worst, h1, shift, sections, ch3_shift = bounds._scaled(n, a, p, q, squares)
+    # without a splitting type the h^1 factor is the worst case
+    worst = bounds._scaled(n, a, p, q, None)
+    assert worst == (nt, den, h1_worst, h1_worst, shift, sections, ch3_shift)
+
+    def equal(scaled, rational):
+        assert sp.simplify(scaled - rational) == 0, (scaled, rational)
+
+    inv_worst = -ch2 + n * t**2 / 2
+    inv = -ch2 + squares / 2
+    q_worst = t + 4 - ch2 + n * t**2 / 2
+    euler = 2 * q_worst * inv_worst + n * (t + 3) ** 3 / 6
+    wide = 3 * den**2
+    equal(nt / n, t)
+    equal(den, 2 * n * q)
+    equal(h1_worst / den, inv_worst)
+    equal(h1 / den, inv)
+    equal((h1_worst + shift) / den, q_worst)
+    equal((h1 + shift) / den, t + 4 - ch2 + squares / 2)
+    equal((h1 + shift) * h1 / den**2, (t + 4 - ch2 + squares / 2) * inv)
+    equal(sections / wide, n * (t + 3) ** 3 / 6)
+    equal((6 * (h1_worst + shift) * h1_worst + sections) / wide, euler)
+    equal(ch3_shift / wide, 2 * abs(ch2) + sp.Rational(11, 6) * a + n)

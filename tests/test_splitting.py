@@ -96,6 +96,27 @@ def test_enumerate_matches_box_brute_force(reflexive_gap):
             assert got == box_brute_force(r, c1, reflexive_gap), (r, c1)
 
 
+def test_enumerate_matches_combinations_oracle_and_order():
+    # combinations_with_replacement over a descending range yields every
+    # non-increasing tuple in lexicographically descending order; group
+    # them by sum once per box
+    for r in range(1, 8):
+        by_box = {}
+        for c1 in range(-3 * r, 3 * r + 1):
+            hi = int(Fraction(abs(c1), r) + r)
+            if hi not in by_box:
+                by_box[hi] = {}
+                for b in itertools.combinations_with_replacement(range(hi, -hi - 1, -1), r):
+                    by_box[hi].setdefault(sum(b), []).append(b)
+            box = by_box[hi].get(c1, [])
+            gapped = [b for b in box if all(b[i] - b[i + 1] <= 2 for i in range(r - 1))]
+            for reflexive_gap, expected in ((False, box), (True, gapped)):
+                got = [t.entries for t in enumerate_splitting_types(r, c1, reflexive_gap)]
+                assert got == expected, (r, c1, reflexive_gap)
+                assert got == sorted(got, reverse=True)
+                assert len(set(got)) == len(got)
+
+
 def test_enumerated_types_pass_all_checks():
     for r in range(1, 5):
         for c1 in range(-4, 5):
