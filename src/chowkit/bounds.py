@@ -31,10 +31,8 @@ from math import comb
 
 from .chow import (
     ChernCharacter,
-    ChernClasses,
     RationalLike,
     as_rational,
-    chern_to_character,
 )
 from .errors import (
     DimensionMismatchError,
@@ -312,8 +310,3 @@ def _c3_interval(c1: int, c2: int, bound: Fraction) -> tuple[int, int]:
     c3_min = -(base * den + 6 * num) // (3 * den) + 1
     c3_max = -((base * den - 6 * num) // (3 * den)) - 1
     return c3_min, c3_max
-
-
-def ch3_of_classes(r: int, c1: int, c2: int, c3: int) -> Fraction:
-    """ch_3 of the P^3 character with the given integer Chern classes."""
-    return chern_to_character(ChernClasses(r, c1, c2, c3), 3).ch3

@@ -236,22 +236,9 @@ def _read_document(text: str, read_entry: Callable) -> list:
         raise DomainError(f"not a catalog document: {type(exc).__name__}: {exc}") from exc
 
 
-def entry_to_jsonable(entry: CatalogEntry) -> dict:
-    """The entry as plain JSON values, read back from its canonical line."""
-    return json.loads(serialize_entry(entry))
-
-
-def entry_from_jsonable(data: Mapping[str, Any]) -> CatalogEntry:
-    return _decoded_entry(data, _value_decoder())
-
-
 def serialize_entry(entry: CatalogEntry) -> str:
     """Canonical single-line JSON for one entry."""
     return _compact_line(_encode_pieces(entry))
-
-
-def parse_entry(text: str) -> CatalogEntry:
-    return entry_from_jsonable(json.loads(text))
 
 
 def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
@@ -294,19 +281,6 @@ def diff_lines(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
     """Set difference of two collections of canonical lines, each sorted."""
     a, b = set(a), set(b)
     return {"only_in_a": sorted(a - b), "only_in_b": sorted(b - a)}
-
-
-def diff_catalogs(
-    a: Iterable[CatalogEntry], b: Iterable[CatalogEntry]
-) -> dict[str, list[CatalogEntry]]:
-    """Set difference of two catalogs, in both directions."""
-    a_keys = {serialize_entry(e): e for e in a}
-    b_keys = {serialize_entry(e): e for e in b}
-    delta = diff_lines(a_keys, b_keys)
-    return {
-        "only_in_a": [a_keys[k] for k in delta["only_in_a"]],
-        "only_in_b": [b_keys[k] for k in delta["only_in_b"]],
-    }
 
 
 def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:

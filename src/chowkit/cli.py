@@ -1,10 +1,10 @@
 """Command line front end for the chowkit library.
 
 Results go to standard output as JSON (default) or RFC-4180-style CSV
-(``--format csv``); logs and usage messages go to standard error.  Exit
-codes: 0 on success, 2 on usage errors (unknown subcommand, malformed
-numbers, missing flags), 1 on domain errors, which are reported as a
-machine-readable ``{"error": {...}}`` object.  ``catalog diff`` follows
+(``--format csv``).  Nothing is logged; only usage errors go to standard
+error.  Exit codes: 0 on success, 2 on usage errors (unknown subcommand,
+malformed numbers, missing flags), 1 on domain errors, which are reported
+as a machine-readable ``{"error": {...}}`` object.  ``catalog diff`` follows
 classic diff: 0 when the catalogs are identical, 1 when they differ, and 2
 when a catalog file cannot be read or is not a catalog document (reported
 as the same ``{"error": {...}}`` object, naming the file).
@@ -21,6 +21,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import catalog as cat
@@ -45,7 +46,6 @@ from .chow import (
 from .errors import DomainError, InadmissibleParameterError
 from .monads import monad_shape, partition_types
 from .resolutions import (
-    admissible_s,
     c3_of,
     presentation_report,
     resolution_shapes,
@@ -124,27 +124,22 @@ def _character(components: tuple[Fraction, ...]) -> ChernCharacter:
 # payload encoding
 
 
-def _jsonable(value):
-    if isinstance(value, bool) or isinstance(value, int) or value is None:
-        return value
+def _rational_default(value) -> str:
+    """``json.dump`` hook: a Fraction is written as its "p/q" string."""
     if isinstance(value, Fraction):
         return rational_str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _flatten(value, prefix: str, into: dict) -> None:
     if isinstance(value, dict):
         for k, v in sorted(value.items()):
             _flatten(v, f"{prefix}.{k}" if prefix else str(k), into)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             _flatten(v, f"{prefix}.{i}", into)
+    elif isinstance(value, Fraction):
+        into[prefix] = rational_str(value)
     else:
         into[prefix] = "" if value is None else json.dumps(value) if isinstance(value, bool) else str(value)
 
@@ -171,11 +166,10 @@ def _emit_csv(payload: dict, stream) -> None:
 
 
 def _emit(payload: dict, fmt: str, stream) -> None:
-    payload = _jsonable(payload)
     if fmt == "csv":
         _emit_csv(payload, stream)
     else:
-        json.dump(payload, stream, sort_keys=True, indent=2)
+        json.dump(payload, stream, sort_keys=True, indent=2, default=_rational_default)
         stream.write("\n")
 
 
@@ -184,21 +178,9 @@ def _shape_payload(shape) -> list[list[int]]:
 
 
 def _report_payload(report: BoundReport) -> dict:
-    payload = {
-        "rank": report.rank,
-        "c1": report.c1,
-        "ch2": report.ch2,
-        "splitting_radius": report.splitting_radius,
-        "q": report.q,
-        "q_int": report.q_int,
-        "h_bounds": list(report.h_bounds),
-        "euler_bound": report.euler_bound,
-        "ch3_bound": report.ch3_bound,
-        "literal_mode": report.literal_mode,
-        "splitting_type": (
-            None if report.splitting_type is None else list(report.splitting_type.entries)
-        ),
-    }
+    payload = {field.name: getattr(report, field.name) for field in fields(report)}
+    if report.splitting_type is not None:
+        payload["splitting_type"] = list(report.splitting_type.entries)
     return payload
 
 
@@ -358,7 +340,13 @@ def _cmd_partitions(args) -> tuple[int, dict]:
     }
 
 
-def _write_or_print(entries, args) -> tuple[int, dict | None]:
+def _cmd_catalog(args) -> tuple[int, dict | None]:
+    """The catalog ``args.generate`` builds from the flags named in ``args.params``."""
+    for name in args.params:
+        if getattr(args, name) is None:
+            flag = name.replace("_", "-")
+            raise UsageError(f"--{flag} is required (flag or config file)")
+    entries = args.generate(*(getattr(args, name) for name in args.params))
     document = cat.serialize_catalog(entries)
     if args.output is not None:
         try:
@@ -368,38 +356,9 @@ def _write_or_print(entries, args) -> tuple[int, dict | None]:
             raise DomainError(f"cannot write catalog to {args.output!r}: {exc}")
         return EXIT_OK, {"path": args.output, "entries": len(entries)}
     if args.format == "csv":
-        return EXIT_OK, {"entries": [cat.entry_to_jsonable(e) for e in entries]}
+        return EXIT_OK, {"entries": [json.loads(cat.serialize_entry(e)) for e in entries]}
     sys.stdout.write(document)
     return EXIT_OK, None
-
-
-def _require_range(args, name: str) -> range:
-    value = getattr(args, name)
-    if value is None:
-        raise UsageError(f"--{name} range is required (flag or config file)")
-    return value
-
-
-def _cmd_catalog_strata(args) -> tuple[int, dict | None]:
-    entries = cat.strata_catalog(_require_range(args, "c2"), _require_range(args, "l"))
-    return _write_or_print(entries, args)
-
-
-def _cmd_catalog_bounds(args) -> tuple[int, dict | None]:
-    entries = cat.bounds_catalog(args.rank, args.c1, _require_range(args, "c2"))
-    return _write_or_print(entries, args)
-
-
-def _cmd_catalog_resolutions(args) -> tuple[int, dict | None]:
-    entries = cat.resolutions_catalog(_require_range(args, "c2"))
-    return _write_or_print(entries, args)
-
-
-def _cmd_catalog_monads(args) -> tuple[int, dict | None]:
-    if args.rank_max is None:
-        raise UsageError("--rank-max is required (flag or config file)")
-    entries = cat.monads_catalog(args.rank_max, _require_range(args, "charge"))
-    return _write_or_print(entries, args)
 
 
 def _cmd_diff(args) -> tuple[int, dict]:
@@ -521,35 +480,32 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--c2", type=_int_range, default=None, metavar="A..B")
     c.add_argument("--l", type=_int_range, default=None, metavar="A..B")
     c.add_argument("--output", default=None, metavar="FILE")
-    c.set_defaults(handler=_cmd_catalog_strata)
+    c.set_defaults(handler=_cmd_catalog, generate=cat.strata_catalog, params=("c2", "l"))
 
     c = _allow_negative_values(catalog_sub.add_parser("bounds", help="ch_3 bounds and c3 intervals over a c2 grid"))
     c.add_argument("--rank", type=int, default=2)
     c.add_argument("--c1", type=int, default=-1)
     c.add_argument("--c2", type=_int_range, default=None, metavar="A..B")
     c.add_argument("--output", default=None, metavar="FILE")
-    c.set_defaults(handler=_cmd_catalog_bounds)
+    c.set_defaults(handler=_cmd_catalog, generate=cat.bounds_catalog,
+                   params=("rank", "c1", "c2"))
 
     c = _allow_negative_values(catalog_sub.add_parser("resolutions", help="resolution shapes over a c2 grid"))
     c.add_argument("--c2", type=_int_range, default=None, metavar="A..B")
     c.add_argument("--output", default=None, metavar="FILE")
-    c.set_defaults(handler=_cmd_catalog_resolutions)
+    c.set_defaults(handler=_cmd_catalog, generate=cat.resolutions_catalog, params=("c2",))
 
     c = _allow_negative_values(catalog_sub.add_parser("monads", help="monad shapes over normalized data"))
     c.add_argument("--rank-max", type=int, default=None)
     c.add_argument("--charge", type=_int_range, default=None, metavar="A..B")
     c.add_argument("--output", default=None, metavar="FILE")
-    c.set_defaults(handler=_cmd_catalog_monads)
+    c.set_defaults(handler=_cmd_catalog, generate=cat.monads_catalog,
+                   params=("rank_max", "charge"))
 
     c = _allow_negative_values(catalog_sub.add_parser("diff", help="compare two catalog files"))
     c.add_argument("catalog_a")
     c.add_argument("catalog_b")
     c.set_defaults(handler=_cmd_diff)
-
-    p = sub("diff", help="compare two catalog files")
-    p.add_argument("catalog_a")
-    p.add_argument("catalog_b")
-    p.set_defaults(handler=_cmd_diff)
 
     return parser
 
@@ -558,7 +514,7 @@ def _read_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}")
     config = {}
     for line in lines:

@@ -105,27 +105,6 @@ class ShapeDescriptor:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class ResolutionParams:
-    """Admissible Chern data (c_2, s, c_3) for a two-term resolution."""
-
-    c2: int
-    s: int
-    c3: int
-
-    def __post_init__(self) -> None:
-        _check_admissible(self.c2, self.s)
-        if self.c3 != _c3_formula(self.c2, self.s):
-            raise InadmissibleParameterError(
-                f"c3 = {self.c3} does not match c2^2 - 2 s c2 + 2 s (s+1) "
-                f"for (c2, s) = ({self.c2}, {self.s})"
-            )
-
-    @classmethod
-    def of(cls, c2: int, s: int) -> "ResolutionParams":
-        return cls(c2, s, c3_of(c2, s))
-
-
 def _power_sums(summands, n: int) -> list:
     """(sum e t^0, ..., sum e t^n) over (twist, exponent) pairs."""
     return [sum(e * t**i for t, e in summands) for i in range(n + 1)]

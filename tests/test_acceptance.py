@@ -9,8 +9,8 @@ import functools
 import random
 from fractions import Fraction
 
-from chowkit.bounds import ch3_bound, ch3_of_classes, enumerate_admissible_c3, h1_invariant_bound
-from chowkit.catalog import parse_catalog, parse_entry, serialize_entry, strata_catalog
+from chowkit.bounds import ch3_bound, enumerate_admissible_c3, h1_invariant_bound
+from chowkit.catalog import parse_catalog, serialize_catalog, serialize_entry, strata_catalog
 from chowkit.chow import (
     ChernCharacter,
     ch_line_bundle,
@@ -132,7 +132,7 @@ def test_criterion_6_bound_containment():
         ch2 = F(1 - 2 * c2, 2)
         bound = ch3_bound(2, -1, ch2)
         for s in admissible_s(c2):
-            ch3 = ch3_of_classes(2, -1, c2, c3_of(c2, s))
+            ch3 = chern_to_character(ChernClasses(2, -1, c2, c3_of(c2, s)), 3).ch3
             assert abs(ch3) < bound, (c2, s)
 
 
@@ -166,10 +166,10 @@ def test_criterion_8_enumeration_oracles():
     for (r, c1, c2) in [(2, -1, 5), (2, -1, 20), (1, 0, 0), (3, 2, 7)]:
         c3_min, c3_max = enumerate_admissible_c3(r, c1, c2)
         bound = ch3_bound(r, c1, F(c1 * c1 - 2 * c2, 2))
-        assert abs(ch3_of_classes(r, c1, c2, c3_min)) < bound
-        assert abs(ch3_of_classes(r, c1, c2, c3_max)) < bound
-        assert abs(ch3_of_classes(r, c1, c2, c3_min - 1)) >= bound
-        assert abs(ch3_of_classes(r, c1, c2, c3_max + 1)) >= bound
+        assert abs(chern_to_character(ChernClasses(r, c1, c2, c3_min), 3).ch3) < bound
+        assert abs(chern_to_character(ChernClasses(r, c1, c2, c3_max), 3).ch3) < bound
+        assert abs(chern_to_character(ChernClasses(r, c1, c2, c3_min - 1), 3).ch3) >= bound
+        assert abs(chern_to_character(ChernClasses(r, c1, c2, c3_max + 1), 3).ch3) >= bound
 
 
 @_report(9, "catalog output is byte-identical and JSON round-trips are lossless")
@@ -194,6 +194,6 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     for _ in range(500):
         entry = random_entry(rng)
         text = serialize_entry(entry)
-        parsed = parse_entry(text)
+        (parsed,) = parse_catalog(serialize_catalog([entry]))
         assert parsed == entry
         assert serialize_entry(parsed) == text

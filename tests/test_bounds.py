@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from chowkit.bounds import (
     bound_report,
     ch3_bound,
-    ch3_of_classes,
     enumerate_admissible_c3,
     euler_bound,
     extreme_bounds,
@@ -21,7 +20,7 @@ from chowkit.bounds import (
     p3_bounds,
     vanishing_Q,
 )
-from chowkit.chow import ChernCharacter, twist
+from chowkit.chow import ChernCharacter, ChernClasses, chern_to_character, twist
 from chowkit.errors import (
     DimensionMismatchError,
     InadmissibleParameterError,
@@ -382,9 +381,9 @@ def test_enumerate_admissible_c3_strictness():
         c3_min, c3_max = enumerate_admissible_c3(r, c1, c2)
         bound = ch3_bound(r, c1, F(c1 * c1 - 2 * c2, 2))
         for inside in (c3_min, c3_max):
-            assert abs(ch3_of_classes(r, c1, c2, inside)) < bound
-        assert abs(ch3_of_classes(r, c1, c2, c3_min - 1)) >= bound
-        assert abs(ch3_of_classes(r, c1, c2, c3_max + 1)) >= bound
+            assert abs(chern_to_character(ChernClasses(r, c1, c2, inside), 3).ch3) < bound
+        assert abs(chern_to_character(ChernClasses(r, c1, c2, c3_min - 1), 3).ch3) >= bound
+        assert abs(chern_to_character(ChernClasses(r, c1, c2, c3_max + 1), 3).ch3) >= bound
 
 
 def test_enumerate_admissible_c3_hand_interval():
@@ -411,5 +410,5 @@ def test_ch3_bound_contains_all_resolved_sheaves():
         ch2 = F(1 - 2 * c2, 2)
         bound = ch3_bound(2, -1, ch2)
         for s in admissible_s(c2):
-            ch3 = ch3_of_classes(2, -1, c2, c3_of(c2, s))
+            ch3 = chern_to_character(ChernClasses(2, -1, c2, c3_of(c2, s)), 3).ch3
             assert abs(ch3) < bound, (c2, s)

@@ -15,10 +15,9 @@ from chowkit.catalog import (
     KINDS,
     CatalogEntry,
     bounds_catalog,
-    diff_catalogs,
+    diff_lines,
     monads_catalog,
     parse_catalog,
-    parse_entry,
     resolutions_catalog,
     serialize_catalog,
     serialize_entry,
@@ -60,7 +59,7 @@ def test_entry_round_trip_is_lossless():
     for _ in range(200):
         entry = random_entry(rng)
         text = serialize_entry(entry)
-        parsed = parse_entry(text)
+        (parsed,) = parse_catalog(serialize_catalog([entry]))
         assert parsed == entry
         assert serialize_entry(parsed) == text
 
@@ -69,8 +68,8 @@ def test_entry_distinguishes_int_from_rational():
     as_int = CatalogEntry("bound", {"c2": 3}, {})
     as_fraction = CatalogEntry("bound", {"c2": F(3)}, {})
     assert serialize_entry(as_int) != serialize_entry(as_fraction)
-    assert parse_entry(serialize_entry(as_int)) == as_int
-    assert parse_entry(serialize_entry(as_fraction)) == as_fraction
+    assert parse_catalog(serialize_catalog([as_int])) == [as_int]
+    assert parse_catalog(serialize_catalog([as_fraction])) == [as_fraction]
     assert as_int != as_fraction
 
 
@@ -82,7 +81,7 @@ def test_entry_rejects_bad_values():
     with pytest.raises(DomainError):
         serialize_entry(CatalogEntry("bound", {"x": 1.5}, {}))
     with pytest.raises(DomainError):
-        parse_entry('{"kind": "bound", "inputs": {"x": 1.5}, "outputs": {}, "schema_version": 1}')
+        parse_catalog(_one_entry(inputs=b'{"x": 1.5}').decode())
     with pytest.raises(DomainError):
         serialize_entry(CatalogEntry("bound", {1: 2}, {}))
 
@@ -102,13 +101,12 @@ def test_catalog_document_round_trip_and_sorting():
 
 def test_diff_catalogs():
     rng = random.Random(53)
-    entries = [random_entry(rng) for _ in range(10)]
-    delta = diff_catalogs(entries, entries)
+    lines = [serialize_entry(random_entry(rng)) for _ in range(10)]
+    delta = diff_lines(lines, lines)
     assert delta == {"only_in_a": [], "only_in_b": []}
-    extra = random_entry(rng)
-    delta = diff_catalogs(entries + [extra], entries)
-    assert delta["only_in_a"] == [extra]
-    assert delta["only_in_b"] == []
+    extra = serialize_entry(random_entry(rng))
+    delta = diff_lines(lines + [extra], lines)
+    assert delta == {"only_in_a": [extra], "only_in_b": []}
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +346,16 @@ def test_cli_catalog_files_and_diff(tmp_path, capsys):
         ["catalog", "bounds", "--c2", "5..6", "--output", path_c], capsys
     )
     assert code == 0
-    code, out, _ = run_cli(["diff", path_a, path_c], capsys)
+    code, out, _ = run_cli(["catalog", "diff", path_a, path_c], capsys)
     assert code == 1
     payload = json.loads(out)
     assert payload["identical"] is False
     assert payload["only_in_a"] and payload["only_in_b"]
+    # the top-level alias is gone: "diff" is an unknown subcommand
+    code, out, err = run_cli(["diff", path_a, path_c], capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'diff'" in err
 
 
 def _one_entry(inputs=b"{}", kind=b'"bound"', outputs=b"{}", version=b"1"):
@@ -447,13 +450,12 @@ def test_cli_diff_unreadable_catalog_exits_2(tmp_path, capsys):
     good = str(tmp_path / "good.json")
     missing = str(tmp_path / "missing.json")
     run_cli(["catalog", "strata", "--c2", "5..5", "--l", "0..0", "--output", good], capsys)
-    for command in (["catalog", "diff"], ["diff"]):
-        code, out, err = run_cli([*command, missing, good], capsys)
-        assert code == 2
-        error = json.loads(out)["error"]
-        assert error["type"] == "DomainError"
-        assert missing in error["message"]
-        assert err == ""
+    code, out, err = run_cli(["catalog", "diff", missing, good], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert missing in error["message"]
+    assert err == ""
 
 
 def test_cli_catalog_unwritable_output(tmp_path, capsys):
@@ -494,6 +496,16 @@ def test_cli_config_presets_ranges(tmp_path, capsys):
     code, _, err = run_cli(["catalog", "strata", "--c2", "5..6"], capsys)
     assert code == 2
     assert "usage error" in err
+
+
+def test_cli_config_not_utf8_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"c2=5..6\n\xff\n")
+    code, out, err = run_cli(["--config", str(config), "catalog", "resolutions"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert repr(str(config)) in err
 
 
 def test_cli_csv_output(capsys):
@@ -563,7 +575,100 @@ def test_cli_subprocess_entry_point_is_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# argv fuzz of the bound commands
+# golden stdout of every subcommand
+
+
+# (format, argv, exit code, stdout bytes, stdout sha256); run in a directory
+# holding the strata catalogs a.json (c2 5..8) and b.json (c2 6..9), l 0..2
+GOLDEN_STDOUT = [
+    ("json", "todd --dim 3", 0, 76, "71621bafa7d39839b78228c202ed9e1f6520730b464f92f904123e02d15e12ff"),
+    ("csv", "todd --dim 3", 0, 79, "1d7218ab895b38c1751ec2d95947a0450bd5f211b887b26b86c35de552dfddce"),
+    ("json", "chern --dim 3 --classes 2,-1,5,19", 0, 154, "e948343e8ae7b9e87ae52c3cb15157dacc50a6f775c6bc9c89733879faf60366"),
+    ("csv", "chern --dim 3 --classes 2,-1,5,19", 0, 135, "30b843aadab38def46d6b848d99cc15d43aa9af480e5a34fe663fd9b1071ea9d"),
+    ("json", "chern --dim 3 --character 2,-1,-9/2,71/6", 0, 154, "e948343e8ae7b9e87ae52c3cb15157dacc50a6f775c6bc9c89733879faf60366"),
+    ("csv", "chern --dim 3 --character 2,-1,-9/2,71/6", 0, 135, "30b843aadab38def46d6b848d99cc15d43aa9af480e5a34fe663fd9b1071ea9d"),
+    ("json", "chern --dim 2 --classes 2,0,5", 0, 124, "0e9e3824c2405a8e1bb965704b45d08f8fe6356ba8e1a84e8ce8ddc9955d7993"),
+    ("csv", "chern --dim 2 --classes 2,0,5", 0, 100, "cff4b0151084d05fe77f25b4a965e5db90f058e4b7077d73d00213d653e35196"),
+    ("json", "euler --character 2,-1,-9/2,71/6", 0, 95, "1d8e9e4f4c1818c832eff46cf57884b0cdf14cff669503fb8321b55075697938"),
+    ("csv", "euler --character 2,-1,-9/2,71/6", 0, 87, "9e9acad2097f48a0154d2a3ac8202249a29d167016cf8c94cd5caab4b13dd5f1"),
+    ("json", "restrict --character 2,-1,-9/2,71/6", 0, 184, "98b6dddf7e68c02732d94d13b463a363b687ff8ebe320594230090a9efad490b"),
+    ("csv", "restrict --character 2,-1,-9/2,71/6", 0, 191, "7f9de22ec46c492e4b1150ee8d33918c4720e16e1a7f950406a7ed77a8801b47"),
+    ("json", "bound --rank 2 --c1 -1 --ch2 -9/2", 0, 287, "5d71d4085a901224ceff66b9912ced28afbd726e5bd4ea6ee10a4c392fb47ce7"),
+    ("csv", "bound --rank 2 --c1 -1 --ch2 -9/2", 0, 216, "4d927635d433046ad63b5eea9b055f56c267f383b30fd558b9e039c47136475e"),
+    ("json", "bound --rank 2 --c1 -1 --ch2 -9/2 --b 0,-1", 0, 286, "886101a18d07c480a241895f7e6f5b2672656ae871811055a952e747686497c2"),
+    ("csv", "bound --rank 2 --c1 -1 --ch2 -9/2 --b 0,-1", 0, 223, "7bba32f9f174e07f7544936ad4af5f1b4b1bacddf1585fb645b79888fa064308"),
+    ("json", "bound --rank 2 --c1 0 --ch2 10 --b 0,0 --literal", 0, 269, "ea0c6003373b66b5a5c38fe065f162e33a8b0c7c39f3c2c68963ce84df422c87"),
+    ("csv", "bound --rank 2 --c1 0 --ch2 10 --b 0,0 --literal", 0, 206, "87dec564189a677779535a04737923872f20dfcdd50ab464148ce054ea545971"),
+    ("json", "bound --rank 3 --c1 2 --ch2 -7/2 --literal", 0, 288, "341a77c7414851d8e759c46b02b62043b77f838ee891c033d0c692abe9f79677"),
+    ("csv", "bound --rank 3 --c1 2 --ch2 -7/2 --literal", 0, 217, "97d0910acecb85942b08e5b0a5297ebe373c0b9a074a0880cfdd1163fc69d4e7"),
+    ("json", "enumerate-c3 --rank 2 --c1 -1 --c2 5", 0, 133, "aa95c8d7f5cd84878d5e4d2cce097b04260e2adf1f4e96296cfd71940a9583e3"),
+    ("csv", "enumerate-c3 --rank 2 --c1 -1 --c2 5", 0, 88, "10165bde6d7c67206ff5405ac3f50d81c9f6e9235d19e3d524e9c364f6eddbbd"),
+    ("json", "splitting-types --rank 3 --c1 -1", 0, 225, "64ee7eaae24a3f6353feb298dbae5f4c2e526a3f0f8c1190da5f54611f03b08b"),
+    ("csv", "splitting-types --rank 3 --c1 -1", 0, 174, "11c367d108af2f45fd581f1cc6363b3dee552cb3407600baacf92ae8c16b70c2"),
+    ("json", "splitting-types --rank 2 --c1 0 --no-reflexive-gap", 0, 193, "3941d60ed1a3d96e241c64f63197cab0f141840f31677992b0a7763d5511e409"),
+    ("csv", "splitting-types --rank 2 --c1 0 --no-reflexive-gap", 0, 133, "4d95976dcc5a7c94830ce8b4469b79028b453166007238b04d550a8dec3d08cc"),
+    ("json", "resolution --c2 9 --s 2 --verify", 0, 413, "482aabf1090394e21afd5d0996d170dce0f71075d93471543c19d32c900c6e4a"),
+    ("csv", "resolution --c2 9 --s 2 --verify", 0, 288, "5b387fdb3525cb13eca8846b06e844ec4324c544819fa13d6f5ae7852695b914"),
+    ("json", "monad --rank 2 --degree -1 --ch2 -9/2", 0, 307, "4ded3a94a6cc3baa176ac8ee9c36aa9561a879b26934d1e7df7a6242361952de"),
+    ("csv", "monad --rank 2 --degree -1 --ch2 -9/2", 0, 196, "b62177279ed656c204146ce5619117562a06dc505c5f615e906369beb9bca9c7"),
+    ("json", "partitions --total 4", 0, 283, "44a5f4b14dee87bdc594896127a07f3d06044d45a540b99d163d7e1c0975238b"),
+    ("csv", "partitions --total 4", 0, 279, "8cb5af3d3b8f3136334f9420cd123bff34d2864c135930392d622a298f171b26"),
+    ("json", "catalog strata --c2 5..8 --l 0..2", 0, 8285, "5f117e4e4a866a5c04ef5fde0f97168074f839a9d4c99fdd79a77bf8319c178c"),
+    ("csv", "catalog strata --c2 5..8 --l 0..2", 0, 1335, "408ff40b0222e7b9503b6597b7f7ec62c39d5899c37e2e1d875236dcabdd7ab5"),
+    ("json", "catalog strata --c2 4..4 --l 0..3", 0, 43, "caa20f07e81adb8a91aa9251be68569637c902602c30c34c57f5ef39501df43b"),
+    ("csv", "catalog strata --c2 4..4 --l 0..3", 0, 10, "b91532ba6180d42d5956206981482f1fdda916541d7e53a32e341b06ce13a868"),
+    ("json", "catalog bounds --c2 5..9", 0, 1676, "64ac33c7f8b3d21d01111a40d8888b3791ac4c3d7985513254fc6a0cf4114e5a"),
+    ("csv", "catalog bounds --c2 5..9", 0, 393, "2389f2ddc5d6eb4e8f218b060051ae0b4f77e6ef26ccc8e6bf21c27f748d9c31"),
+    ("json", "catalog resolutions --c2 5..12", 0, 4665, "8434729621eb7ce8032bc033f11d7d13ce87ab054beee08f1f20e69c68fa3288"),
+    ("csv", "catalog resolutions --c2 5..12", 0, 1167, "79c990487000fb4cebe340cbc55d3576f080c47c7e53a4e38b2396f5a0322166"),
+    ("json", "catalog monads --rank-max 2 --charge 0..3", 0, 2747, "ef46df3c978371f5ae7e843cdb141ade314e6f6b10b7b4aeb3f324f4169e4a31"),
+    ("csv", "catalog monads --rank-max 2 --charge 0..3", 0, 362, "be75452f77f9203898b6a13831a99e917f49280b69a1c3194e8051e7f9038cdb"),
+    ("json", "catalog strata --c2 5..8 --l 0..2 --output out.json", 0, 42, "81a457a03e4146ab002e2207cfbade53c60bd6f705e3bfb1c2b433eee6c48e90"),
+    ("csv", "catalog strata --c2 5..8 --l 0..2 --output out.json", 0, 35, "cd4578ce5cc78fddea70f08ffacc9b56fe470a33c559436aa12c17c8392abeb7"),
+    ("json", "catalog bounds --c2 5..9 --output out.json", 0, 41, "c70f824d2a26bc962b2a65d218fdd68d13820879eaf7a414659d2330919d3261"),
+    ("csv", "catalog bounds --c2 5..9 --output out.json", 0, 34, "ad3ab87f77db06f3cb4ed50c2e2456f7e5fbac9bc3807d81cd42ca19f7368da4"),
+    ("json", "catalog resolutions --c2 5..12 --output out.json", 0, 42, "e9fcc6bbb60db99e064ad0cf94e932362bfa80e6eda651ee188804a774199866"),
+    ("csv", "catalog resolutions --c2 5..12 --output out.json", 0, 35, "c19975f2b71e52844cd0ce17ef4860e3857b86644b56d3b3ed8567e92939b17c"),
+    ("json", "catalog monads --rank-max 2 --charge 0..3 --output out.json", 0, 42, "f9fad9046233c8aadb35980ed78f69940a8dde2233d1f9937b58f1cbe15cf759"),
+    ("csv", "catalog monads --rank-max 2 --charge 0..3 --output out.json", 0, 35, "bb9d850de08ac231a0177a273893cb36545d782cca30bef66533a67bc7af1678"),
+    ("json", "catalog diff a.json b.json", 1, 5001, "19ec0278d46d98cdfbb372302e0b5281e29d9856c2213ea61c414afb05881477"),
+    ("csv", "catalog diff a.json b.json", 1, 5065, "bdce499822bf3f0ceefb0df6624c810b95312c981dfd12166ec74467cfa71e26"),
+    ("json", "catalog diff a.json a.json", 0, 62, "4b4f05c2775127608b7ff11316331aa23a0061075ad0fbe2cdaa557708e96454"),
+    ("csv", "catalog diff a.json a.json", 0, 25, "50a54dadb1d03e98cfa91e5df9a8d41e56e159e4291f8e30561da6144d29fa20"),
+    ("json", "catalog diff missing.json a.json", 2, 153, "120870fce0e631b81923bbda1462ac40609d71c380531ee090e3d877ee6b4f6d"),
+    ("csv", "catalog diff missing.json a.json", 2, 135, "d1c2355295bd4ec2354da6658c94e05b852994cb35b58ffe191bcaafb75a0848"),
+    ("json", "todd --dim 4", 1, 119, "ffc52c13df8b5528bb1040d2e2c4a63435d5ae006f39cdd719a26b87f9f234f2"),
+    ("csv", "todd --dim 4", 1, 103, "612dabcf22ebc593141dec829de0ed422455a0e984a06f8592a0582e50eda7a6"),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    for name, c2 in (("a.json", "5..8"), ("b.json", "6..9")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["catalog", "strata", "--c2", c2, "--l", "0..2",
+                         "--output", str(directory / name)])
+        assert code == 0
+    return directory
+
+
+@pytest.mark.parametrize(
+    "fmt, argv, code, size, sha256", GOLDEN_STDOUT,
+    ids=[f"{fmt}:{argv}" for fmt, argv, *_ in GOLDEN_STDOUT],
+)
+def test_cli_golden_stdout(fmt, argv, code, size, sha256, golden_dir, monkeypatch):
+    monkeypatch.chdir(golden_dir)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--format", fmt, *argv.split()]) == code
+    payload = out.getvalue().encode("utf-8")
+    assert (len(payload), hashlib.sha256(payload).hexdigest()) == (size, sha256)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz of the subcommands
 
 
 def _not_an_int(text):
@@ -575,8 +680,10 @@ def _not_an_int(text):
 
 
 # junk is never an integer, so it cannot lift the rank cap, and has no "h",
-# so it cannot spell or abbreviate --help
+# so it cannot spell or abbreviate --help; range junk has no "..", so it
+# cannot lift the range caps either
 JUNK = st.text(alphabet="0123456789-/,.xe ", max_size=6).filter(_not_an_int)
+RANGE_JUNK = JUNK.filter(lambda text: ".." not in text)
 RANK = st.integers(-3, 6).map(str)
 INT = st.one_of(st.integers(-40, 40), st.integers(-10**9, 10**9)).map(str)
 SMALL_INT = st.integers(-40, 40).map(str)
@@ -584,6 +691,21 @@ RATIONAL = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=50).m
 INT_LIST = st.lists(st.integers(-12, 12), min_size=1, max_size=7).map(
     lambda b: ",".join(map(str, b))
 )
+DIM = st.integers(1, 4).map(str)
+CLASSES = st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(
+    lambda c: ",".join(map(str, c))
+)
+SMALL_RATIONAL = st.fractions(min_value=-30, max_value=30, max_denominator=12).map(str)
+CHARACTER = st.lists(SMALL_RATIONAL, min_size=1, max_size=5).map(",".join)
+
+
+def _range(lo, hi):
+    """A range value "a..b" or "a", with a and b in [lo, hi]; b < a is a usage error."""
+    pair = st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(lambda ab: "%d..%d" % ab)
+    return st.one_of(pair, st.integers(lo, hi).map(str))
+
+
+C2_RANGE = _range(-30, 30)
 COMMANDS = {
     "bound": {"--rank": RANK, "--c1": INT, "--ch2": RATIONAL, "--b": INT_LIST,
               "--literal": None},
@@ -591,21 +713,36 @@ COMMANDS = {
     "splitting-types": {"--rank": RANK, "--c1": SMALL_INT, "--reflexive-gap": None,
                         "--no-reflexive-gap": None},
     "enumerate-c3": {"--rank": RANK, "--c1": INT, "--c2": INT},
+    "todd": {"--dim": DIM},
+    "chern": {"--dim": DIM, "--classes": CLASSES, "--character": CHARACTER},
+    "euler": {"--character": CHARACTER},
+    "restrict": {"--character": CHARACTER},
+    "resolution": {"--c2": SMALL_INT, "--s": SMALL_INT, "--verify": None},
+    "monad": {"--rank": RANK, "--degree": SMALL_INT, "--ch2": SMALL_RATIONAL},
+    # the number of partition types grows like exp(sqrt(total))
+    "partitions": {"--total": st.integers(-3, 8).map(str)},
+    # --output is left out, so no case writes a file
+    "catalog strata": {"--c2": C2_RANGE, "--l": _range(-3, 4)},
+    "catalog bounds": {"--rank": RANK, "--c1": SMALL_INT, "--c2": C2_RANGE},
+    "catalog resolutions": {"--c2": C2_RANGE},
+    "catalog monads": {"--rank-max": st.integers(-1, 4).map(str), "--charge": C2_RANGE},
 }
+RANGE_FLAGS = {"--c2", "--l", "--charge"}
 
 
 @st.composite
-def bound_argv(draw):
-    """A bound command whose flags are each left out, junk or a valid value."""
+def command_argv(draw):
+    """A subcommand whose flags are each left out, junk or a valid value."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    argv = [command]
+    argv = command.split()
     for flag, values in COMMANDS[command].items():
         kind = draw(st.sampled_from(("omit", "junk") + ("valid",) * 8))
         if kind == "omit":
             continue
         argv.append(flag)
         if kind == "junk":
-            argv.append(draw(JUNK))
+            catalog_range = argv[0] == "catalog" and flag in RANGE_FLAGS
+            argv.append(draw(RANGE_JUNK if catalog_range else JUNK))
         elif values is not None:
             argv.append(draw(values))
     if draw(st.integers(0, 19)) == 0:
@@ -613,8 +750,8 @@ def bound_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
-@given(bound_argv())
+@settings(max_examples=600, deadline=None)
+@given(command_argv())
 def test_cli_bound_commands_fuzz(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -11,7 +11,6 @@ from chowkit.chow import ChernCharacter, ChernClasses, chern_to_character, sub
 from chowkit.errors import InadmissibleParameterError, NotRealizableError
 from chowkit.resolutions import (
     PresentationReport,
-    ResolutionParams,
     ShapeDescriptor,
     admissible_s,
     c3_of,
@@ -142,15 +141,6 @@ def test_c3_positive_on_range():
     for c2 in range(5, 31):
         for s in admissible_s(c2):
             assert c3_of(c2, s) > 0
-
-
-def test_resolution_params_validation():
-    params = ResolutionParams.of(5, 1)
-    assert params.c3 == 19
-    with pytest.raises(InadmissibleParameterError):
-        ResolutionParams(5, 1, 20)
-    with pytest.raises(InadmissibleParameterError):
-        ResolutionParams(4, 1, 11)
 
 
 # ---------------------------------------------------------------------------
