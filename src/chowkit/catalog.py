@@ -46,13 +46,18 @@ SCHEMA_VERSION = 1
 KINDS = ("bound", "resolution", "monad", "stratum")
 
 
+def _check_version(schema_version: Any, where: str) -> None:
+    """Only the int SCHEMA_VERSION is known; True == 1 is not a version."""
+    if type(schema_version) is not int or schema_version != SCHEMA_VERSION:
+        raise InadmissibleParameterError(
+            f"{where} schema_version must be {SCHEMA_VERSION}, got {schema_version!r}"
+        )
+
+
 def _check_tags(kind: Any, schema_version: Any) -> None:
     if kind not in KINDS:
         raise InadmissibleParameterError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not isinstance(schema_version, int) or isinstance(schema_version, bool):
-        raise InadmissibleParameterError(
-            f"schema_version must be an integer, got {schema_version!r}"
-        )
+    _check_version(schema_version, "entry")
 
 
 @dataclass(frozen=True)
@@ -229,7 +234,10 @@ def _read_document(text: str, read_entry: Callable) -> list:
     """``read_entry(raw, decode)`` of each entry of a catalog document."""
     decode = _value_decoder()
     try:
-        return [read_entry(e, decode) for e in json.loads(text)["entries"]]
+        document = json.loads(text)
+        entries = document["entries"]
+        _check_version(document["schema_version"], "document")
+        return [read_entry(e, decode) for e in entries]
     except DomainError:
         raise
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -262,7 +270,9 @@ def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
 def parse_catalog(text: str) -> list[CatalogEntry]:
     """The entries of a catalog document.
 
-    Raises :class:`DomainError` when ``text`` is not a catalog document.
+    Raises :class:`DomainError` when ``text`` is not a catalog document, or
+    when the document or an entry has a ``schema_version`` other than
+    :data:`SCHEMA_VERSION`.
     """
     return _read_document(text, _decoded_entry)
 

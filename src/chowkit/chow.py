@@ -31,9 +31,6 @@ from .errors import (
     UnsupportedDimensionError,
 )
 
-#: Exact rational scalar used throughout the package.
-Rational = Fraction
-
 RationalLike = Union[int, Fraction, str]
 
 SUPPORTED_DIMENSIONS = (2, 3)
@@ -148,7 +145,7 @@ class ChernCharacter:
     @classmethod
     def of(cls, ambient_dim: int, *components: RationalLike) -> "ChernCharacter":
         """Build a character from loosely-typed components (ints, strings, ...)."""
-        return cls(ambient_dim, tuple(as_rational(c) for c in components))
+        return cls(ambient_dim, components)
 
     @property
     def rank(self) -> int:

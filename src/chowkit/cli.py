@@ -6,8 +6,13 @@ error.  Exit codes: 0 on success, 2 on usage errors (unknown subcommand,
 malformed numbers, missing flags), 1 on domain errors, which are reported
 as a machine-readable ``{"error": {...}}`` object.  ``catalog diff`` follows
 classic diff: 0 when the catalogs are identical, 1 when they differ, and 2
-when a catalog file cannot be read or is not a catalog document (reported
-as the same ``{"error": {...}}`` object, naming the file).
+when a catalog file cannot be read or is not a catalog document, including
+one whose document or entry ``schema_version`` is unknown (reported as the
+same ``{"error": {...}}`` object, naming the file).  When the reader closes
+standard output early (``chowkit ... | head -1``), the ``chowkit`` command
+exits 141, as a writer killed by SIGPIPE would, with nothing on standard
+error; a JSON catalog is one write call, and a reader that closes during
+it goes unnoticed (exit 0).
 
 All rationals are printed as reduced "p/q" strings; no floating point is
 ever emitted, so byte-identical output for identical invocations is
@@ -19,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from dataclasses import fields
@@ -65,6 +71,8 @@ EXIT_USAGE_ERROR = 2
 # catalog diff: 1 means "the catalogs differ", so trouble exits 2
 EXIT_DIFFERENT = 1
 EXIT_DIFF_TROUBLE = 2
+# stdout closed early by its reader: what a shell reports for SIGPIPE
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -83,10 +91,6 @@ def _allow_negative_values(parser: argparse.ArgumentParser) -> argparse.Argument
 
 # ---------------------------------------------------------------------------
 # argument conversion
-
-
-def _rational(text: str) -> Fraction:
-    return parse_rational(text)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -194,18 +198,12 @@ def _cmd_todd(args) -> tuple[int, dict]:
 
 
 def _cmd_chern(args) -> tuple[int, dict]:
-    if (args.classes is None) == (args.character is None):
-        raise UsageError("give exactly one of --classes or --character")
     if args.classes is not None:
-        values = args.classes
-        if len(values) == 4:
-            classes = ChernClasses(values[0], values[1], values[2], values[3])
-        elif len(values) == 3:
-            classes = ChernClasses(values[0], values[1], values[2])
-        else:
+        if len(args.classes) not in (3, 4):
             raise UsageError(
                 "--classes needs rank,c1,c2 on P^2 or rank,c1,c2,c3 on P^3"
             )
+        classes = ChernClasses(*args.classes)
         character = chern_to_character(classes, args.dim)
         return EXIT_OK, {
             "dim": args.dim,
@@ -347,17 +345,17 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
             flag = name.replace("_", "-")
             raise UsageError(f"--{flag} is required (flag or config file)")
     entries = args.generate(*(getattr(args, name) for name in args.params))
-    document = cat.serialize_catalog(entries)
     if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(document)
+                handle.write(cat.serialize_catalog(entries))
         except OSError as exc:
             raise DomainError(f"cannot write catalog to {args.output!r}: {exc}")
         return EXIT_OK, {"path": args.output, "entries": len(entries)}
     if args.format == "csv":
-        return EXIT_OK, {"entries": [json.loads(cat.serialize_entry(e)) for e in entries]}
-    sys.stdout.write(document)
+        # a row is the entry's own fields: kind, inputs, outputs, schema_version
+        return EXIT_OK, {"entries": [vars(e) for e in entries]}
+    sys.stdout.write(cat.serialize_catalog(entries))
     return EXIT_OK, None
 
 
@@ -416,10 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("chern", help="convert between Chern classes and characters")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--classes", type=_int_list, default=None,
-                   metavar="R,C1,C2[,C3]")
-    p.add_argument("--character", type=_components, default=None,
-                   metavar="CH0,CH1,...")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--classes", type=_int_list, metavar="R,C1,C2[,C3]")
+    given.add_argument("--character", type=_components, metavar="CH0,CH1,...")
     p.set_defaults(handler=_cmd_chern)
 
     p = sub("euler", help="Riemann-Roch Euler characteristic")
@@ -435,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("bound", help="cohomology / Euler / ch_3 bound report")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--ch2", type=_rational, required=True)
+    p.add_argument("--ch2", type=parse_rational, required=True)
     p.add_argument("--b", type=_int_list, default=None, metavar="B1,B2,...",
                    help="splitting type; omitted = worst case")
     p.add_argument("--literal", action="store_true",
@@ -465,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("monad", help="linear monad shape for (rank, degree, ch2)")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--ch2", type=_rational, required=True)
+    p.add_argument("--ch2", type=parse_rational, required=True)
     p.set_defaults(handler=_cmd_monad)
 
     p = sub("partitions", help="partition types of a given total length")
@@ -476,31 +473,25 @@ def build_parser() -> argparse.ArgumentParser:
     catalog_sub = p.add_subparsers(dest="catalog_command", required=True,
                                    metavar="KIND")
 
-    c = _allow_negative_values(catalog_sub.add_parser("strata", help="stratum labels over a (c2, l) grid"))
-    c.add_argument("--c2", type=_int_range, default=None, metavar="A..B")
-    c.add_argument("--l", type=_int_range, default=None, metavar="A..B")
-    c.add_argument("--output", default=None, metavar="FILE")
-    c.set_defaults(handler=_cmd_catalog, generate=cat.strata_catalog, params=("c2", "l"))
+    def kind(name: str, help_: str, generate, *flags: tuple[str, dict]) -> None:
+        """A catalog kind whose ``generate`` takes the ``flags``' values in order."""
+        c = _allow_negative_values(catalog_sub.add_parser(name, help=help_))
+        for flag, options in flags:
+            c.add_argument(flag, **options)
+        c.add_argument("--output", default=None, metavar="FILE")
+        params = tuple(flag[2:].replace("-", "_") for flag, _ in flags)
+        c.set_defaults(handler=_cmd_catalog, generate=generate, params=params)
 
-    c = _allow_negative_values(catalog_sub.add_parser("bounds", help="ch_3 bounds and c3 intervals over a c2 grid"))
-    c.add_argument("--rank", type=int, default=2)
-    c.add_argument("--c1", type=int, default=-1)
-    c.add_argument("--c2", type=_int_range, default=None, metavar="A..B")
-    c.add_argument("--output", default=None, metavar="FILE")
-    c.set_defaults(handler=_cmd_catalog, generate=cat.bounds_catalog,
-                   params=("rank", "c1", "c2"))
-
-    c = _allow_negative_values(catalog_sub.add_parser("resolutions", help="resolution shapes over a c2 grid"))
-    c.add_argument("--c2", type=_int_range, default=None, metavar="A..B")
-    c.add_argument("--output", default=None, metavar="FILE")
-    c.set_defaults(handler=_cmd_catalog, generate=cat.resolutions_catalog, params=("c2",))
-
-    c = _allow_negative_values(catalog_sub.add_parser("monads", help="monad shapes over normalized data"))
-    c.add_argument("--rank-max", type=int, default=None)
-    c.add_argument("--charge", type=_int_range, default=None, metavar="A..B")
-    c.add_argument("--output", default=None, metavar="FILE")
-    c.set_defaults(handler=_cmd_catalog, generate=cat.monads_catalog,
-                   params=("rank_max", "charge"))
+    grid = {"type": _int_range, "default": None, "metavar": "A..B"}
+    kind("strata", "stratum labels over a (c2, l) grid", cat.strata_catalog,
+         ("--c2", grid), ("--l", grid))
+    kind("bounds", "ch_3 bounds and c3 intervals over a c2 grid", cat.bounds_catalog,
+         ("--rank", {"type": int, "default": 2}), ("--c1", {"type": int, "default": -1}),
+         ("--c2", grid))
+    kind("resolutions", "resolution shapes over a c2 grid", cat.resolutions_catalog,
+         ("--c2", grid))
+    kind("monads", "monad shapes over normalized data", cat.monads_catalog,
+         ("--rank-max", {"type": int, "default": None}), ("--charge", grid))
 
     c = _allow_negative_values(catalog_sub.add_parser("diff", help="compare two catalog files"))
     c.add_argument("catalog_a")
@@ -581,7 +572,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ linear monad
 
     O(-1)^(d+c)  ->  O^(r+d+2c)  ->  O(1)^c.
 
-This module computes the charge from (r, d, ch_2), builds the monad shape
-with the exact character identity re-checked on construction, dualizes it,
-and handles the c + d = 0 case where the sheaf is the kernel of a
-surjection O^(r+c) -> O(1)^c.  It also enumerates the partition-type
+A monad shape is its three exponents (v, w, u); the terms are read off
+them.  This module computes the charge from (r, d, ch_2), builds the monad
+shape with the exact character identity re-checked on construction,
+dualizes it, and handles the c + d = 0 case where the sheaf is the kernel
+of a surjection O^(r+c) -> O(1)^c.  It also enumerates the partition-type
 labels of zero-dimensional quotient sheaves of length l (multisets of
 integer partitions of total l) and reports the group and Hom dimensions
 attached to a stratum label.
@@ -38,52 +39,39 @@ def charge(r: int, d: int, ch2: RationalLike) -> Fraction:
     Computed through Riemann-Roch on the twisted character; it closes to
     -ch_2 - d/2, which ``tests/test_identities.py`` proves symbolically.
     """
-    character = ChernCharacter.of(2, r, d, as_rational(ch2))
+    character = ChernCharacter.of(2, r, d, ch2)
     return -euler_characteristic(twist(character, -1))
 
 
 @dataclass(frozen=True)
 class MonadShape:
-    """Terms of a linear monad O(-1)^v -> O^w -> O(1)^u on P^2.
+    """A linear monad O(-1)^v -> O^w -> O(1)^u on P^2, as its exponents.
 
     The middle cohomology has rank w - v - u and degree v - u; both
     identities hold by construction once the exponents are fixed.
     """
 
-    left: ShapeDescriptor
-    middle: ShapeDescriptor
-    right: ShapeDescriptor
+    v: int
+    w: int
+    u: int
 
     def __post_init__(self) -> None:
-        for field_name, shape, twist_ in (
-            ("left", self.left, -1),
-            ("middle", self.middle, 0),
-            ("right", self.right, 1),
-        ):
-            if any(t != twist_ for t, _ in shape.summands):
-                raise NotRealizableError(
-                    f"{field_name} monad term must be a power of O({twist_})"
-                )
-
-    @classmethod
-    def from_exponents(cls, v: int, w: int, u: int) -> "MonadShape":
-        return cls(
-            ShapeDescriptor.power(-1, v),
-            ShapeDescriptor.power(0, w),
-            ShapeDescriptor.power(1, u),
-        )
+        if min(self.v, self.w, self.u) < 0:
+            raise NotRealizableError(
+                f"monad exponents {(self.v, self.w, self.u)} must be nonnegative"
+            )
 
     @property
-    def v(self) -> int:
-        return self.left.rank
+    def left(self) -> ShapeDescriptor:
+        return ShapeDescriptor.power(-1, self.v)
 
     @property
-    def w(self) -> int:
-        return self.middle.rank
+    def middle(self) -> ShapeDescriptor:
+        return ShapeDescriptor.power(0, self.w)
 
     @property
-    def u(self) -> int:
-        return self.right.rank
+    def right(self) -> ShapeDescriptor:
+        return ShapeDescriptor.power(1, self.u)
 
     @property
     def rank(self) -> int:
@@ -131,7 +119,7 @@ def monad_shape(r: int, d: int, ch2: RationalLike) -> MonadShape:
     c = int(c)
     if d + c < 0:
         raise NotRealizableError(f"left exponent d + c = {d + c} is negative")
-    shape = MonadShape.from_exponents(d + c, r + d + 2 * c, c)
+    shape = MonadShape(d + c, r + d + 2 * c, c)
     # exact re-check of the character identity; survives python -O
     v, w, u = shape.v, shape.w, shape.u
     if (w - v - u, v - u, Fraction(-(v + u), 2)) != (r, d, ch2):
@@ -143,7 +131,7 @@ def monad_shape(r: int, d: int, ch2: RationalLike) -> MonadShape:
 
 def dual_complex_shape(m: MonadShape) -> MonadShape:
     """Shape of the dualized monad: the outer exponents u and v swap."""
-    return MonadShape.from_exponents(m.u, m.w, m.v)
+    return MonadShape(m.u, m.w, m.v)
 
 
 @dataclass(frozen=True)
@@ -256,8 +244,9 @@ def partition_types(l: int) -> list[PartitionType]:
     """
     if l < 0:
         raise InadmissibleParameterError(f"length must be >= 0, got {l}")
+    # _partitions(k) is reverse-lexicographic and k runs downward, so the
+    # candidates are already in descending (size, entries) order
     candidates = [p for k in range(l, 0, -1) for p in _partitions(k)]
-    candidates.sort(key=lambda p: (sum(p), p), reverse=True)
 
     def generate(remaining: int, start: int):
         if remaining == 0:

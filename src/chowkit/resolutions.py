@@ -74,12 +74,6 @@ class ShapeDescriptor:
     def rank(self) -> int:
         return sum(e for _, e in self.summands)
 
-    def exponent_of(self, twist_: int) -> int:
-        for t, e in self.summands:
-            if t == twist_:
-                return e
-        return 0
-
     def chern_character(self, n: int) -> ChernCharacter:
         """Character on P^n: component i is (sum e t^i) / i!."""
         return ChernCharacter(

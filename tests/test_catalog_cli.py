@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from chowkit.catalog import (
     KINDS,
     CatalogEntry,
     bounds_catalog,
+    canonical_lines,
     diff_lines,
     monads_catalog,
     parse_catalog,
@@ -84,6 +87,28 @@ def test_entry_rejects_bad_values():
         parse_catalog(_one_entry(inputs=b'{"x": 1.5}').decode())
     with pytest.raises(DomainError):
         serialize_entry(CatalogEntry("bound", {1: 2}, {}))
+
+
+def test_entry_rejects_unknown_schema_version():
+    assert CatalogEntry("bound", {}, {}, 1).schema_version == 1
+    for version in (0, 2, 7, True, "1"):
+        with pytest.raises(InadmissibleParameterError, match="schema_version must be 1"):
+            CatalogEntry("bound", {}, {}, version)
+
+
+@pytest.mark.parametrize("read", [parse_catalog, canonical_lines])
+def test_readers_reject_unknown_schema_versions(read):
+    entry_7 = _one_entry(outputs=b'{"q": "1/2"}', version=b"7").decode()
+    with pytest.raises(DomainError, match="entry schema_version must be 1, got 7"):
+        read(entry_7)
+    doc_99 = _one_entry(outputs=b'{"q": "1/2"}', document_version=b"99").decode()
+    with pytest.raises(DomainError, match="document schema_version must be 1, got 99"):
+        read(doc_99)
+    with pytest.raises(DomainError, match="document schema_version must be 1, got True"):
+        read('{"entries": [], "schema_version": true}')
+    with pytest.raises(DomainError, match="KeyError: 'schema_version'"):
+        read('{"entries": []}')
+    assert read('{"entries": [], "schema_version": 1}') == []
 
 
 def test_catalog_document_round_trip_and_sorting():
@@ -190,6 +215,18 @@ def test_cli_todd_domain_error(capsys):
 def test_cli_usage_errors(capsys):
     code, _, _ = run_cli(["no-such-command"], capsys)
     assert code == 2
+    # chern takes exactly one of --classes and --character
+    code, out, err = run_cli(["chern", "--dim", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "one of the arguments --classes --character is required" in err
+    code, out, err = run_cli(
+        ["chern", "--dim", "2", "--classes", "2,0,5", "--character", "2,0,-5"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+    code, out, err = run_cli(["chern", "--dim", "2", "--classes", "2,0"], capsys)
+    assert (code, out) == (2, "")
+    assert "--classes needs rank,c1,c2" in err
     code, _, _ = run_cli(["bound", "--rank", "2", "--c1", "-1", "--ch2", "x"], capsys)
     assert code == 2
     code, _, _ = run_cli([], capsys)
@@ -358,17 +395,17 @@ def test_cli_catalog_files_and_diff(tmp_path, capsys):
     assert "invalid choice: 'diff'" in err
 
 
-def _one_entry(inputs=b"{}", kind=b'"bound"', outputs=b"{}", version=b"1"):
+def _one_entry(inputs=b"{}", kind=b'"bound"', outputs=b"{}", version=b"1", document_version=b"1"):
     """A catalog document of one entry, with the given raw JSON fields."""
     return (
         b'{"entries": [{"inputs": ' + inputs + b', "kind": ' + kind
         + b', "outputs": ' + outputs + b', "schema_version": ' + version
-        + b'}], "schema_version": 1}'
+        + b'}], "schema_version": ' + document_version + b'}'
     )
 
 
 MALFORMED_CATALOGS = {
-    "entry-not-object": b'{"entries": [1]}',
+    "entry-not-object": b'{"entries": [1], "schema_version": 1}',
     "document-not-object": b"[]",
     "schema-version-not-int": _one_entry(version=b'"one"'),
     "not-utf8": b'{"entries": ["\xff\xfe"]}',
@@ -380,6 +417,9 @@ MALFORMED_CATALOGS = {
     "zero-denominator": _one_entry(outputs=b'{"ch2": "1/0"}'),
     "schema-version-bool": _one_entry(version=b"true"),
     "no-entries": b'{"schema_version": 1}',
+    "entry-version-unknown": _one_entry(version=b"7"),
+    "document-version-unknown": _one_entry(document_version=b"99"),
+    "document-version-missing": b'{"entries": []}',
 }
 
 
@@ -555,9 +595,6 @@ def test_cli_catalog_monads_with_config(tmp_path, capsys):
 
 
 def test_cli_subprocess_entry_point_is_deterministic(tmp_path):
-    import subprocess
-    import sys
-
     argv = [
         sys.executable, "-m", "chowkit",
         "catalog", "strata", "--c2", "5..8", "--l", "0..2",
@@ -572,6 +609,21 @@ def test_cli_subprocess_entry_point_is_deterministic(tmp_path):
         capture_output=True,
     )
     assert bad.returncode == 1
+
+
+def test_cli_closed_stdout_exits_141_quietly():
+    """A reader that stops early (``| head -1``) gets no traceback."""
+    # 1.7 MB, well above 1 MiB, the largest pipe buffer an unprivileged
+    # process can ask Linux for by default; CSV is written row by row
+    argv = [sys.executable, "-m", "chowkit", "--format", "csv",
+            "catalog", "strata", "--c2", "5..60", "--l", "0..6"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"inputs.c2,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------
@@ -726,14 +778,30 @@ COMMANDS = {
     "catalog bounds": {"--rank": RANK, "--c1": SMALL_INT, "--c2": C2_RANGE},
     "catalog resolutions": {"--c2": C2_RANGE},
     "catalog monads": {"--rank-max": st.integers(-1, 4).map(str), "--charge": C2_RANGE},
+    # two positional paths, drawn from DIFF_FILES
+    "catalog diff": {},
 }
 RANGE_FLAGS = {"--c2", "--l", "--charge"}
+DIFF_FILES = ("good-a.json", "good-b.json", "malformed.json", "missing.json", "directory")
+
+
+@pytest.fixture(scope="module")
+def diff_files(tmp_path_factory):
+    """Two good catalogs, one holding the other, a malformed one and a directory."""
+    directory = tmp_path_factory.mktemp("diff-fuzz")
+    for name, c2 in (("good-a.json", "5..6"), ("good-b.json", "5..7")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["catalog", "strata", "--c2", c2, "--l", "0..1",
+                         "--output", str(directory / name)])
+        assert code == 0
+    (directory / "malformed.json").write_bytes(MALFORMED_CATALOGS["document-version-unknown"])
+    (directory / "directory").mkdir()
+    return directory
 
 
 @st.composite
-def command_argv(draw):
-    """A subcommand whose flags are each left out, junk or a valid value."""
-    command = draw(st.sampled_from(sorted(COMMANDS)))
+def command_argv(draw, command, directory):
+    """The command with its flags (and paths) each left out, junk or valid."""
     argv = command.split()
     for flag, values in COMMANDS[command].items():
         kind = draw(st.sampled_from(("omit", "junk") + ("valid",) * 8))
@@ -745,19 +813,36 @@ def command_argv(draw):
             argv.append(draw(RANGE_JUNK if catalog_range else JUNK))
         elif values is not None:
             argv.append(draw(values))
+    if command == "catalog diff":
+        for _ in range(2):
+            kind = draw(st.sampled_from(("omit", "junk") + ("valid",) * 8))
+            if kind == "junk":
+                argv.append(draw(JUNK))
+            elif kind == "valid":
+                argv.append(str(directory / draw(st.sampled_from(DIFF_FILES))))
     if draw(st.integers(0, 19)) == 0:
         argv.append(draw(JUNK))
     return argv
 
 
-@settings(max_examples=600, deadline=None)
-@given(command_argv())
-def test_cli_bound_commands_fuzz(argv):
+# each command gets an even share of 600 cases
+@pytest.mark.parametrize("command", sorted(COMMANDS), ids=lambda c: c.replace(" ", "-"))
+@settings(max_examples=600 // len(COMMANDS), deadline=None)
+@given(data=st.data())
+def test_cli_bound_commands_fuzz(command, diff_files, data):
+    argv = data.draw(command_argv(command, diff_files), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
-    if code in (0, 1):
+    if command == "catalog diff":
+        # classic diff: 1 means "different"; trouble exits 2 with an error
+        # object, or with nothing on stdout when argparse rejects the argv
+        if code == 2:
+            assert out.getvalue() == "" or list(json.loads(out.getvalue())) == ["error"], argv
+        else:
+            assert json.loads(out.getvalue())["identical"] is (code == 0), argv
+    elif code in (0, 1):
         payload = json.loads(out.getvalue())
         assert ("error" in payload) == (code == 1), argv

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chowkit.catalog import (
     KINDS,
+    SCHEMA_VERSION,
     CatalogEntry,
     bounds_catalog,
     canonical_lines,
@@ -126,7 +127,7 @@ entries = st.builds(
     kind=st.sampled_from(KINDS),
     inputs=maps,
     outputs=maps,
-    schema_version=st.integers(0, 3),
+    schema_version=st.just(SCHEMA_VERSION),
 )
 
 
@@ -194,14 +195,18 @@ def raw_documents(draw):
             "inputs": draw(maps),
             "kind": draw(st.sampled_from(KINDS)),
             "outputs": draw(maps),
-            "schema_version": draw(st.integers(0, 2)),
+            "schema_version": 1,
         }
         order = draw(st.permutations(FIELDS))
         entries.append({name: fields[name] for name in order})
     doc = {"entries": entries, "schema_version": 1}
     defect = draw(st.sampled_from((None, None, "value", "kind", "version", "field", "entry", "document")))
     if defect == "document":
-        doc = draw(st.sampled_from(({"schema_version": 1}, [], {"entries": {"a": 1}}, {"entries": None})))
+        doc = draw(st.sampled_from((
+            {"schema_version": 1}, [], {"entries": {"a": 1}}, {"entries": None},
+            {"entries": entries}, {"entries": entries, "schema_version": 2},
+            {"entries": entries, "schema_version": True},
+        )))
     elif defect == "entry":
         entries.insert(draw(st.integers(0, len(entries))), draw(st.sampled_from((1, "x", None, []))))
     elif entries and defect is not None:
@@ -211,7 +216,7 @@ def raw_documents(draw):
         elif defect == "kind":
             entry["kind"] = draw(st.sampled_from(("sheaf", "", 1, None)))
         elif defect == "version":
-            entry["schema_version"] = draw(st.sampled_from((True, "1", 1.0, None)))
+            entry["schema_version"] = draw(st.sampled_from((True, "1", 1.0, None, 0, 2)))
         else:
             entry[draw(st.sampled_from(("inputs", "outputs")))] = draw(st.sampled_from(([], "x", 3)))
             if draw(st.booleans()):
@@ -233,11 +238,11 @@ def _outcome(read, text):
      "schema_version": 1},
     {"schema_version": 1, "outputs": {"ch3": " 2/4", "ch2": "-0"}, "kind": "bound",
      "inputs": {"c2": "007"}},
-]}))
+], "schema_version": 1}))
 @example(json.dumps({"entries": [
     {"inputs": {"s": " 1/2"}, "kind": "bound", "outputs": {}, "schema_version": 1},
     {"inputs": {"s": " 1/2", "c2": "1/0"}, "kind": "bound", "outputs": {}, "schema_version": 1},
-]}))
+], "schema_version": 1}))
 def test_canonical_lines_match_parse_catalog(text):
     lines = _outcome(canonical_lines, text)
     assert lines == _outcome(lambda t: [serialize_entry(e) for e in parse_catalog(t)], text)

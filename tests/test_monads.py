@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from chowkit import monads
 from chowkit.chow import ChernCharacter, character_to_chern
 from chowkit.errors import InadmissibleParameterError, NotRealizableError
 from chowkit.monads import (
@@ -129,12 +130,10 @@ def test_monad_shape_hand_values():
 @pytest.mark.parametrize("offset", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (1, 2, 1)])
 def test_monad_shape_recheck_rejects_wrong_exponents(monkeypatch, offset):
     # (1, 2, 1) keeps rank and degree and moves only ch_2 by -1
-    original = MonadShape.from_exponents
-
     def shifted(v, w, u):
-        return original(v + offset[0], w + offset[1], u + offset[2])
+        return MonadShape(v + offset[0], w + offset[1], u + offset[2])
 
-    monkeypatch.setattr(MonadShape, "from_exponents", staticmethod(shifted))
+    monkeypatch.setattr(monads, "MonadShape", shifted)
     with pytest.raises(NotRealizableError, match="do not reproduce"):
         monad_shape(2, -1, F(-9, 2))
 
@@ -151,6 +150,13 @@ def test_monad_shape_identity_over_grid():
                 assert shape.chern_character() == ChernCharacter.of(2, r, d, ch2)
                 if d == 0:
                     assert (shape.v, shape.w, shape.u) == (c, r + 2 * c, c)
+
+
+def test_monad_shape_rejects_negative_exponents():
+    assert MonadShape(0, 0, 0).rank == 0
+    for exponents in ((-1, 3, 1), (1, -1, 0), (0, 2, -2)):
+        with pytest.raises(NotRealizableError, match="must be nonnegative"):
+            MonadShape(*exponents)
 
 
 def test_monad_shape_rejections():
@@ -247,6 +253,19 @@ def test_partition_types_match_multiset_oracle():
         expected = multiset_oracle(l) if l > 0 else {()}
         assert got == expected, l
         assert len(partition_types(l)) == len(expected)
+
+
+def test_partition_types_order():
+    """The output order is descending (size, entries), part by part."""
+
+    def key(parts):
+        return [(sum(p), p) for p in parts]
+
+    for l in range(0, 11):
+        expected = multiset_oracle(l) if l > 0 else {()}
+        canonical = [sorted(parts, key=lambda p: (sum(p), p), reverse=True) for parts in expected]
+        ordered = [tuple(parts) for parts in sorted(canonical, key=key, reverse=True)]
+        assert [p.parts for p in partition_types(l)] == ordered, l
 
 
 def test_partition_types_are_deterministic_and_unique():
