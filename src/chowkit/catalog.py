@@ -32,14 +32,7 @@ from .bounds import _c3_interval, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
 from .errors import DomainError, InadmissibleParameterError
 from .monads import monad_shape, partition_types
-from .resolutions import (
-    admissible_s,
-    c3_of,
-    _presentation,
-    presentation_report,
-    resolution_shapes,
-    verify_resolution_chern,
-)
+from .resolutions import admissible_s, presentation_report, verify_resolution_chern
 
 SCHEMA_VERSION = 1
 
@@ -323,17 +316,16 @@ def resolutions_catalog(c2_range: range) -> list[CatalogEntry]:
     entries = []
     for c2 in c2_range:
         for s in admissible_s(c2):
-            r_minus1, r_0 = resolution_shapes(c2, s)
-            report = _presentation(r_minus1, r_0)
+            report = presentation_report(c2, s)
             entries.append(
                 CatalogEntry(
                     kind="resolution",
                     inputs={"c2": c2, "s": s},
                     outputs={
-                        "c3": c3_of(c2, s),
-                        "r_minus1": str(r_minus1),
-                        "r0": str(r_0),
-                        "chern_consistent": verify_resolution_chern(c2, s),
+                        "c3": report.c3,
+                        "r_minus1": str(report.r_minus1),
+                        "r0": str(report.r0),
+                        "chern_consistent": verify_resolution_chern(report),
                         "dim_hom": report.dim_hom,
                         "dim_pv": report.dim_pv,
                         "dim_g": report.dim_g,
@@ -380,9 +372,17 @@ def strata_catalog(c2_range: range, l_range: range) -> list[CatalogEntry]:
     entries = []
     for c2 in c2_range:
         for s in admissible_s(c2):
-            c3 = c3_of(c2, s)
-            character = chern_to_character(ChernClasses(2, -1, c2, c3), 3)
             report = presentation_report(c2, s)
+            character = chern_to_character(ChernClasses(2, -1, c2, report.c3), 3)
+            # one map per (c2, s); CatalogEntry copies it into each entry
+            outputs = {
+                "c3": report.c3,
+                "ch2": character.ch2,
+                "ch3": character.ch3,
+                "dim_hom": report.dim_hom,
+                "dim_pv": report.dim_pv,
+                "dim_g": report.dim_g,
+            }
             for l, partitions in labels:
                 for partition in partitions:
                     entries.append(
@@ -394,14 +394,7 @@ def strata_catalog(c2_range: range, l_range: range) -> list[CatalogEntry]:
                                 "l": l,
                                 "partition": partition,
                             },
-                            outputs={
-                                "c3": c3,
-                                "ch2": character.ch2,
-                                "ch3": character.ch3,
-                                "dim_hom": report.dim_hom,
-                                "dim_pv": report.dim_pv,
-                                "dim_g": report.dim_g,
-                            },
+                            outputs=outputs,
                         )
                     )
     return entries

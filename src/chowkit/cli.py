@@ -11,8 +11,7 @@ one whose document or entry ``schema_version`` is unknown (reported as the
 same ``{"error": {...}}`` object, naming the file).  When the reader closes
 standard output early (``chowkit ... | head -1``), the ``chowkit`` command
 exits 141, as a writer killed by SIGPIPE would, with nothing on standard
-error; a JSON catalog is one write call, and a reader that closes during
-it goes unnoticed (exit 0).
+error.
 
 All rationals are printed as reduced "p/q" strings; no floating point is
 ever emitted, so byte-identical output for identical invocations is
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -51,12 +51,7 @@ from .chow import (
 )
 from .errors import DomainError, InadmissibleParameterError
 from .monads import monad_shape, partition_types
-from .resolutions import (
-    c3_of,
-    presentation_report,
-    resolution_shapes,
-    verify_resolution_chern,
-)
+from .resolutions import presentation_report, verify_resolution_chern
 from .splitting import (
     SplittingType,
     enumerate_splitting_types,
@@ -84,9 +79,15 @@ class UsageError(Exception):
 _NEGATIVE_VALUE = re.compile(r"^-\d+([/,.]?[-\d,./]*)?$")
 
 
-def _allow_negative_values(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    parser._negative_number_matcher = _NEGATIVE_VALUE
-    return parser
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``_NEGATIVE_VALUE`` tokens as values.
+
+    ``add_subparsers`` makes its subparsers of the parser's own class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +297,20 @@ def _cmd_splitting_types(args) -> tuple[int, dict]:
 
 
 def _cmd_resolution(args) -> tuple[int, dict]:
-    r_minus1, r_0 = resolution_shapes(args.c2, args.s)
     report = presentation_report(args.c2, args.s)
     payload = {
-        "c2": args.c2,
-        "s": args.s,
-        "c3": c3_of(args.c2, args.s),
-        "r_minus1": _shape_payload(r_minus1),
-        "r0": _shape_payload(r_0),
-        "display": f"0 -> {r_minus1} -> {r_0} -> F -> 0",
+        "c2": report.c2,
+        "s": report.s,
+        "c3": report.c3,
+        "r_minus1": _shape_payload(report.r_minus1),
+        "r0": _shape_payload(report.r0),
+        "display": f"0 -> {report.r_minus1} -> {report.r0} -> F -> 0",
         "dim_hom": report.dim_hom,
         "dim_pv": report.dim_pv,
         "dim_g": report.dim_g,
     }
     if args.verify:
-        payload["chern_consistent"] = verify_resolution_chern(args.c2, args.s)
+        payload["chern_consistent"] = verify_resolution_chern(report)
     return EXIT_OK, payload
 
 
@@ -339,12 +339,11 @@ def _cmd_partitions(args) -> tuple[int, dict]:
 
 
 def _cmd_catalog(args) -> tuple[int, dict | None]:
-    """The catalog ``args.generate`` builds from the flags named in ``args.params``."""
-    for name in args.params:
+    """The catalog ``args.generate`` builds from the flags in ``args.params``."""
+    for key, name, _ in args.params:
         if getattr(args, name) is None:
-            flag = name.replace("_", "-")
-            raise UsageError(f"--{flag} is required (flag or config file)")
-    entries = args.generate(*(getattr(args, name) for name in args.params))
+            raise UsageError(f"--{key} is required (flag or config file)")
+    entries = args.generate(*(getattr(args, name) for _, name, _ in args.params))
     if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -355,7 +354,11 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
     if args.format == "csv":
         # a row is the entry's own fields: kind, inputs, outputs, schema_version
         return EXIT_OK, {"entries": [vars(e) for e in entries]}
-    sys.stdout.write(cat.serialize_catalog(entries))
+    # In pieces: a reader that closes early makes a buffer flush raise
+    # BrokenPipeError, where one large write can end short without an error.
+    document = cat.serialize_catalog(entries)
+    for start in range(0, len(document), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(document[start:start + io.DEFAULT_BUFFER_SIZE])
     return EXIT_OK, None
 
 
@@ -387,12 +390,10 @@ def _cmd_diff(args) -> tuple[int, dict]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _allow_negative_values(
-        argparse.ArgumentParser(
-            prog="chowkit",
-            description="Exact Chern-character calculator and enumeration toolkit "
-            "for sheaf invariants on P^2 and P^3.",
-        )
+    parser = _Parser(
+        prog="chowkit",
+        description="Exact Chern-character calculator and enumeration toolkit "
+        "for sheaf invariants on P^2 and P^3.",
     )
     parser.add_argument(
         "--format", choices=("json", "csv"), default=None,
@@ -402,11 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", default=None, metavar="FILE",
         help="key=value file presetting grid ranges; flags override it",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True,
-                                       metavar="SUBCOMMAND")
-
-    def sub(name: str, **kwargs) -> argparse.ArgumentParser:
-        return _allow_negative_values(subparsers.add_parser(name, **kwargs))
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="SUBCOMMAND").add_parser
 
     p = sub("todd", help="Todd class of P^2 or P^3")
     p.add_argument("--dim", type=int, required=True)
@@ -475,11 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def kind(name: str, help_: str, generate, *flags: tuple[str, dict]) -> None:
         """A catalog kind whose ``generate`` takes the ``flags``' values in order."""
-        c = _allow_negative_values(catalog_sub.add_parser(name, help=help_))
+        c = catalog_sub.add_parser(name, help=help_)
         for flag, options in flags:
             c.add_argument(flag, **options)
         c.add_argument("--output", default=None, metavar="FILE")
-        params = tuple(flag[2:].replace("-", "_") for flag, _ in flags)
+        # (config key, attribute, type) of each flag; the key is the flag's name
+        params = tuple(
+            (flag[2:], flag[2:].replace("-", "_"), options["type"])
+            for flag, options in flags
+        )
         c.set_defaults(handler=_cmd_catalog, generate=generate, params=params)
 
     grid = {"type": _int_range, "default": None, "metavar": "A..B"}
@@ -493,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind("monads", "monad shapes over normalized data", cat.monads_catalog,
          ("--rank-max", {"type": int, "default": None}), ("--charge", grid))
 
-    c = _allow_negative_values(catalog_sub.add_parser("diff", help="compare two catalog files"))
+    c = catalog_sub.add_parser("diff", help="compare two catalog files")
     c.add_argument("catalog_a")
     c.add_argument("catalog_b")
     c.set_defaults(handler=_cmd_diff)
@@ -519,26 +521,15 @@ def _read_config(path: str) -> dict[str, str]:
     return config
 
 
-_CONFIG_RANGE_KEYS = ("c2", "l", "charge")
-
-
 def _apply_config(args: argparse.Namespace) -> None:
-    if args.config is None:
-        if args.format is None:
-            args.format = "json"
-        return
-    config = _read_config(args.config)
-    for key in _CONFIG_RANGE_KEYS:
-        if getattr(args, key, "absent") is None and key in config:
+    """Fill each unset catalog flag and the format from the config file."""
+    config = {} if args.config is None else _read_config(args.config)
+    for key, name, type_ in getattr(args, "params", ()):
+        if getattr(args, name) is None and key in config:
             try:
-                setattr(args, key, _int_range(config[key]))
+                setattr(args, name, type_(config[key]))
             except ValueError as exc:
                 raise UsageError(f"bad config value for {key}: {exc}")
-    if getattr(args, "rank_max", "absent") is None and "rank-max" in config:
-        try:
-            args.rank_max = int(config["rank-max"])
-        except ValueError as exc:
-            raise UsageError(f"bad config value for rank-max: {exc}")
     if args.format is None:
         fmt = config.get("format", "json")
         if fmt not in ("json", "csv"):
@@ -564,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE_ERROR
     except DomainError as exc:
-        _emit(_error_payload(exc), args.format or "json", sys.stdout)
+        _emit(_error_payload(exc), args.format, sys.stdout)
         return EXIT_DOMAIN_ERROR
     if payload is not None:
         _emit(payload, args.format, sys.stdout)

@@ -12,15 +12,17 @@ with fixed split terms
 
 This module enumerates the admissible parameters in pure integer
 arithmetic (the square-root condition is decided via the equivalent
-integer inequality, so boundary cases are exact), builds the shapes,
-verifies the Chern-character identity ch(R^0) - ch(R^-1) = ch(F), and
-computes the ambient dimensions of the presentation P(Hom(R^-1, R^0))
+integer inequality, so boundary cases are exact).  For each admissible
+pair, :func:`presentation_report` builds the resolution once: c_3, the two
+terms, and the ambient dimensions of the presentation P(Hom(R^-1, R^0))
 together with Aut(R^-1) x Aut(R^0).  The Quot factor of the presentation
 carries no closed dimension formula and is deliberately not reported.
+:func:`verify_resolution_chern` checks the Chern-character identity
+ch(R^0) - ch(R^-1) = ch(F) on a built resolution, without rebuilding it.
 
 Characters of split terms are computed in closed form: component i of
-ch(O(t_1)^e_1 + ...) is (sum e t^i) / i!.  The identity check runs on every
-call, in integers scaled by 3! = 6: it compares 6 (ch R^0 - ch R^-1) with
+ch(O(t_1)^e_1 + ...) is (sum e t^i) / i!.  The identity check runs in
+integers scaled by 3! = 6: it compares 6 (ch R^0 - ch R^-1) with
 6 ch(2, -1, c_2, c_3) = (12, -6, 3 (1 - 2 c_2), 3 c_2 + 3 c_3 - 1), so a
 wrong c_3 moves the last entry by a nonzero multiple of 3.  That the
 identity holds as a polynomial identity in (c_2, s), and that the scaled
@@ -159,26 +161,6 @@ def resolution_shapes(c2: int, s: int) -> tuple[ShapeDescriptor, ShapeDescriptor
     return r_minus1, r_0
 
 
-def verify_resolution_chern(c2: int, s: int, c3: int | None = None) -> bool:
-    """Check ch(R^0) - ch(R^-1) against the character of (2, -1, c2, c3).
-
-    Both sides are compared exactly as integer tuples scaled by 3! = 6
-    (see the module docstring).  With the default c3 = c3_of(c2, s) this
-    is an identity; passing a perturbed c3 lets callers confirm the check
-    really bites.
-    """
-    if c3 is None:
-        c3 = c3_of(c2, s)
-    r_minus1, r_0 = resolution_shapes(c2, s)
-    resolved = tuple(
-        a - b
-        for a, b in zip(
-            _scaled_character(r_0.summands, 3), _scaled_character(r_minus1.summands, 3)
-        )
-    )
-    return resolved == _scaled_target(c2, c3)
-
-
 def hom_dim(a: ShapeDescriptor, b: ShapeDescriptor, n: int) -> int:
     """Dimension of Hom(a, b) between split bundles on P^n.
 
@@ -193,26 +175,45 @@ def hom_dim(a: ShapeDescriptor, b: ShapeDescriptor, n: int) -> int:
 
 @dataclass(frozen=True)
 class PresentationReport:
-    """Ambient dimensions of the resolution presentation for one (c2, s).
+    """The resolution 0 -> R^-1 -> R^0 -> F -> 0 of one admissible (c2, s).
 
+    c3 is the sheaf's third Chern class and r_minus1, r0 the fixed terms.
     dim_hom is dim Hom(R^-1, R^0), dim_pv the dimension of its
     projectivization, and dim_g the dimension of Aut(R^-1) x Aut(R^0)
     (each automorphism group is open in the endomorphism space).  The
     Quot factor of the full presentation is symbolic and not included.
     """
 
+    c2: int
+    s: int
+    c3: int
+    r_minus1: ShapeDescriptor
+    r0: ShapeDescriptor
     dim_hom: int
     dim_pv: int
     dim_g: int
 
 
 def presentation_report(c2: int, s: int) -> PresentationReport:
-    """Dimensions of P(Hom(R^-1, R^0)) and of the automorphism group."""
-    return _presentation(*resolution_shapes(c2, s))
+    """The resolution of an admissible (c2, s), its terms built once."""
+    r_minus1, r0 = resolution_shapes(c2, s)
+    dim = hom_dim(r_minus1, r0, 3)
+    dim_g = hom_dim(r_minus1, r_minus1, 3) + hom_dim(r0, r0, 3)
+    return PresentationReport(c2, s, _c3_formula(c2, s), r_minus1, r0, dim, dim - 1, dim_g)
 
 
-def _presentation(r_minus1: ShapeDescriptor, r_0: ShapeDescriptor) -> PresentationReport:
-    """:func:`presentation_report` for resolution terms already built."""
-    dim = hom_dim(r_minus1, r_0, 3)
-    dim_g = hom_dim(r_minus1, r_minus1, 3) + hom_dim(r_0, r_0, 3)
-    return PresentationReport(dim_hom=dim, dim_pv=dim - 1, dim_g=dim_g)
+def verify_resolution_chern(report: PresentationReport) -> bool:
+    """Check ch(R^0) - ch(R^-1) against the character of (2, -1, c2, c3).
+
+    Both sides are compared exactly as integer tuples scaled by 3! = 6
+    (see the module docstring).  It holds for every built report, and fails
+    for one with a perturbed c3 (``dataclasses.replace(report, c3=...)``).
+    """
+    resolved = tuple(
+        a - b
+        for a, b in zip(
+            _scaled_character(report.r0.summands, 3),
+            _scaled_character(report.r_minus1.summands, 3),
+        )
+    )
+    return resolved == _scaled_target(report.c2, report.c3)

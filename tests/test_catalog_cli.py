@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowkit import catalog, cli, resolutions
 from chowkit.bounds import ch3_bound, enumerate_admissible_c3, euler_bound
 from chowkit.catalog import (
     KINDS,
@@ -28,6 +29,7 @@ from chowkit.catalog import (
 )
 from chowkit.cli import main
 from chowkit.errors import DomainError, InadmissibleParameterError
+from chowkit.resolutions import admissible_s
 
 F = Fraction
 
@@ -178,6 +180,36 @@ def test_resolutions_catalog_entries():
     pairs = [(e.inputs["c2"], e.inputs["s"]) for e in entries]
     assert pairs == [(5, 1), (6, 1), (7, 1), (8, 1), (8, 2), (9, 1), (9, 2), (10, 1), (10, 2)]
     assert all(e.outputs["chern_consistent"] is True for e in entries)
+
+
+@pytest.fixture
+def shape_builds(monkeypatch):
+    """The (c2, s) of every resolution_shapes call, through any module's name."""
+    calls = []
+    build = resolutions.resolution_shapes
+
+    def counting(c2, s):
+        calls.append((c2, s))
+        return build(c2, s)
+
+    for module in (resolutions, catalog, cli):
+        if getattr(module, "resolution_shapes", None) is build:
+            monkeypatch.setattr(module, "resolution_shapes", counting)
+    return calls
+
+
+def test_each_resolution_is_built_once(shape_builds, capsys):
+    entries = resolutions_catalog(range(5, 41))
+    assert shape_builds == [(e.inputs["c2"], e.inputs["s"]) for e in entries]
+
+    shape_builds.clear()
+    strata_catalog(range(5, 21), range(0, 3))
+    assert shape_builds == [(c2, s) for c2 in range(5, 21) for s in admissible_s(c2)]
+
+    shape_builds.clear()
+    code, _, _ = run_cli(["resolution", "--c2", "9", "--s", "2", "--verify"], capsys)
+    assert code == 0
+    assert shape_builds == [(9, 2)]
 
 
 def test_monads_catalog_entries():
@@ -611,14 +643,18 @@ def test_cli_subprocess_entry_point_is_deterministic(tmp_path):
     assert bad.returncode == 1
 
 
-def test_cli_closed_stdout_exits_141_quietly():
+# each output well above 1 MiB, the largest pipe buffer an unprivileged
+# process can ask Linux for by default: 1.7 MB of CSV, 2.8 MB of JSON
+@pytest.mark.parametrize("fmt, c2, first_line", [
+    ("csv", "5..60", b"inputs.c2,"),
+    ("json", "5..30", b"{\n"),
+], ids=["csv", "json"])
+def test_cli_closed_stdout_exits_141_quietly(fmt, c2, first_line):
     """A reader that stops early (``| head -1``) gets no traceback."""
-    # 1.7 MB, well above 1 MiB, the largest pipe buffer an unprivileged
-    # process can ask Linux for by default; CSV is written row by row
-    argv = [sys.executable, "-m", "chowkit", "--format", "csv",
-            "catalog", "strata", "--c2", "5..60", "--l", "0..6"]
+    argv = [sys.executable, "-m", "chowkit", "--format", fmt,
+            "catalog", "strata", "--c2", c2, "--l", "0..6"]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"inputs.c2,")
+    assert proc.stdout.readline().startswith(first_line)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

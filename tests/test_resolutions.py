@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -169,28 +170,30 @@ def test_verify_resolution_chern_specific_instance():
     resolved = sub(r_0.chern_character(3), r_minus1.chern_character(3))
     assert resolved == ChernCharacter.of(3, 2, -1, "-9/2", "71/6")
     assert chern_to_character(ChernClasses(2, -1, 5, 19), 3) == resolved
-    assert verify_resolution_chern(5, 1)
-    assert verify_resolution_chern(10, 2)
+    assert verify_resolution_chern(presentation_report(5, 1))
+    assert verify_resolution_chern(presentation_report(10, 2))
 
 
 def test_verify_resolution_chern_detects_perturbation():
     for c2, s in [(5, 1), (10, 2), (20, 3)]:
-        assert verify_resolution_chern(c2, s, c3=c3_of(c2, s) + 1) is False
+        report = presentation_report(c2, s)
+        assert verify_resolution_chern(replace(report, c3=report.c3 + 1)) is False
 
 
 def test_verify_resolution_chern_rejects_every_nearby_c3():
     for c2 in range(5, 61):
         for s in admissible_s(c2):
-            c3 = c3_of(c2, s)
-            assert verify_resolution_chern(c2, s, c3) is True
+            report = presentation_report(c2, s)
+            assert verify_resolution_chern(report) is True
             for k in (-2, -1, 1, 2):
-                assert verify_resolution_chern(c2, s, c3 + k) is False, (c2, s, k)
+                perturbed = replace(report, c3=report.c3 + k)
+                assert verify_resolution_chern(perturbed) is False, (c2, s, k)
 
 
 def test_verify_resolution_chern_full_range():
     for c2 in range(5, 31):
         for s in admissible_s(c2):
-            assert verify_resolution_chern(c2, s), (c2, s)
+            assert verify_resolution_chern(presentation_report(c2, s)), (c2, s)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +237,23 @@ def test_hom_dim_additive_under_concatenation():
 
 def test_presentation_report_hand_values():
     assert presentation_report(5, 1) == PresentationReport(
-        dim_hom=97, dim_pv=96, dim_g=66
+        c2=5,
+        s=1,
+        c3=19,
+        r_minus1=ShapeDescriptor.line_bundles(-3, -5),
+        r0=ShapeDescriptor.line_bundles(-2, -1, -2, -4),
+        dim_hom=97,
+        dim_pv=96,
+        dim_g=66,
     )
+
+
+def test_presentation_report_is_the_resolution():
+    for c2 in range(5, 61):
+        for s in admissible_s(c2):
+            report = presentation_report(c2, s)
+            assert (report.c2, report.s, report.c3) == (c2, s, c3_of(c2, s))
+            assert (report.r_minus1, report.r0) == resolution_shapes(c2, s)
 
 
 def test_presentation_report_matches_oracle():
