@@ -284,7 +284,7 @@ def p3_bounds(
     return _evaluate(rank.numerator, ch1.numerator, ch2, b, literal_mode)
 
 
-def _ch2_of_classes(r: int, c1: int, c2: int) -> Fraction:
+def _ch2_of_classes(c1: int, c2: int) -> Fraction:
     return Fraction(c1 * c1 - 2 * c2, 2)
 
 
@@ -298,7 +298,7 @@ def enumerate_admissible_c3(r: int, c1: int, c2: int) -> tuple[int, int]:
     """
     if r < 1:
         raise InadmissibleParameterError(f"rank must be >= 1, got {r}")
-    return _c3_interval(c1, c2, ch3_bound(r, c1, _ch2_of_classes(r, c1, c2)))
+    return _c3_interval(c1, c2, ch3_bound(r, c1, _ch2_of_classes(c1, c2)))
 
 
 def _c3_interval(c1: int, c2: int, bound: Fraction) -> tuple[int, int]:

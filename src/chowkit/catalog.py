@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
-from .bounds import _c3_interval, bound_report
+from .bounds import _c3_interval, _ch2_of_classes, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
 from .errors import DomainError, InadmissibleParameterError
 from .monads import monad_shape, partition_types
@@ -290,7 +290,7 @@ def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
     """One "bound" entry per c2: the ch_3 bound and the admissible c3 interval."""
     entries = []
     for c2 in c2_range:
-        ch2 = Fraction(c1 * c1 - 2 * c2, 2)
+        ch2 = _ch2_of_classes(c1, c2)
         report = bound_report(r, c1, ch2)
         # the interval of enumerate_admissible_c3, from the same ch_3 bound
         c3_min, c3_max = _c3_interval(c1, c2, report.ch3_bound)

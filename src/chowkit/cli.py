@@ -33,9 +33,10 @@ from fractions import Fraction
 from . import catalog as cat
 from .bounds import (
     BoundReport,
+    _c3_interval,
+    _ch2_of_classes,
     bound_report,
     ch3_bound,
-    enumerate_admissible_c3,
 )
 from .chow import (
     ChernCharacter,
@@ -270,14 +271,15 @@ def _cmd_bound(args) -> tuple[int, dict]:
 
 
 def _cmd_enumerate_c3(args) -> tuple[int, dict]:
-    c3_min, c3_max = enumerate_admissible_c3(args.rank, args.c1, args.c2)
-    ch2 = Fraction(args.c1 * args.c1 - 2 * args.c2, 2)
+    ch2 = _ch2_of_classes(args.c1, args.c2)
+    bound = ch3_bound(args.rank, args.c1, ch2)
+    c3_min, c3_max = _c3_interval(args.c1, args.c2, bound)
     return EXIT_OK, {
         "rank": args.rank,
         "c1": args.c1,
         "c2": args.c2,
         "ch2": ch2,
-        "ch3_bound": ch3_bound(args.rank, args.c1, ch2),
+        "ch3_bound": bound,
         "c3_min": c3_min,
         "c3_max": c3_max,
         "count": c3_max - c3_min + 1,

@@ -7,13 +7,10 @@ linear monad
     O(-1)^(d+c)  ->  O^(r+d+2c)  ->  O(1)^c.
 
 A monad shape is its three exponents (v, w, u); the terms are read off
-them.  This module computes the charge from (r, d, ch_2), builds the monad
-shape with the exact character identity re-checked on construction,
-dualizes it, and handles the c + d = 0 case where the sheaf is the kernel
-of a surjection O^(r+c) -> O(1)^c.  It also enumerates the partition-type
-labels of zero-dimensional quotient sheaves of length l (multisets of
-integer partitions of total l) and reports the group and Hom dimensions
-attached to a stratum label.
+them.  This module computes the charge from (r, d, ch_2) and builds the
+monad shape with the exact character identity re-checked on construction.
+It also enumerates the partition-type labels of zero-dimensional quotient
+sheaves of length l (multisets of integer partitions of total l).
 """
 
 from __future__ import annotations
@@ -21,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import ChernCharacter, RationalLike, as_rational, euler_characteristic, sub, twist
+from .chow import ChernCharacter, RationalLike, as_rational, euler_characteristic, twist
 from .errors import InadmissibleParameterError, NotRealizableError
-from .resolutions import ShapeDescriptor, hom_dim
+from .resolutions import ShapeDescriptor
 
 
 def is_normalized(r: int, d: int) -> bool:
@@ -81,12 +78,6 @@ class MonadShape:
     def degree(self) -> int:
         return self.v - self.u
 
-    def chern_character(self) -> ChernCharacter:
-        """Character of the middle cohomology: ch(middle) - ch(left) - ch(right)."""
-        middle = self.middle.chern_character(2)
-        outer = sub(middle, self.left.chern_character(2))
-        return sub(outer, self.right.chern_character(2))
-
     def __str__(self) -> str:
         return f"{self.left} -> {self.middle} -> {self.right}"
 
@@ -127,46 +118,6 @@ def monad_shape(r: int, d: int, ch2: RationalLike) -> MonadShape:
             f"monad exponents {(v, w, u)} do not reproduce ({r}, {d}, {ch2})"
         )
     return shape
-
-
-def dual_complex_shape(m: MonadShape) -> MonadShape:
-    """Shape of the dualized monad: the outer exponents u and v swap."""
-    return MonadShape(m.u, m.w, m.v)
-
-
-@dataclass(frozen=True)
-class KernelPresentation:
-    """The c + d = 0 presentation: F = ker(O^(r+c) -> O(1)^c).
-
-    ``surjection_source``/``surjection_target`` describe the defining
-    surjection; ``resolution_sub``/``resolution_quot`` the induced
-    resolution 0 -> O(-1)^c -> O^(r+c) -> F* -> 0 of the dual sheaf.
-    ``hom_dimension`` is dim Hom(O(-1)^c, O^(r+c)) = 3 c (r + c).
-    """
-
-    surjection_source: ShapeDescriptor
-    surjection_target: ShapeDescriptor
-    resolution_sub: ShapeDescriptor
-    resolution_quot: ShapeDescriptor
-    hom_dimension: int
-
-
-def kernel_presentation(r: int, c: int) -> KernelPresentation:
-    """Presentation data for a rank-r charge-c sheaf with c + d = 0."""
-    if r < 1:
-        raise InadmissibleParameterError(f"rank must be >= 1, got {r}")
-    if c < 0:
-        raise InadmissibleParameterError(f"charge must be >= 0, got {c}")
-    ambient = ShapeDescriptor.power(0, r + c)
-    target = ShapeDescriptor.power(1, c)
-    sub_term = ShapeDescriptor.power(-1, c)
-    return KernelPresentation(
-        surjection_source=ambient,
-        surjection_target=target,
-        resolution_sub=sub_term,
-        resolution_quot=ambient,
-        hom_dimension=hom_dim(sub_term, ambient, 2),
-    )
 
 
 @dataclass(frozen=True)
@@ -260,40 +211,3 @@ def partition_types(l: int) -> list[PartitionType]:
                 yield (piece, *rest)
 
     return [PartitionType(parts) for parts in generate(l, 0)]
-
-
-@dataclass(frozen=True)
-class StratumReport:
-    """Dimensions attached to a stratum label (r, c, partition type).
-
-    ``hom_dim`` is dim Hom(O^(r+c), Q) = l (r + c) for a length-l quotient
-    Q, ``proj_dim`` the dimension of its projectivization (None when
-    l = 0), and ``aut_dims`` the dimensions of Aut(O(-1)^c), Aut(O^(r+c)),
-    Aut(partition type) -- the last None when no formula is available.
-    """
-
-    hom_dim: int
-    proj_dim: int | None
-    aut_dims: tuple[int, int, int | None]
-
-    @property
-    def group_dim(self) -> int | None:
-        """Total dimension of the product group, when every factor is known."""
-        if self.aut_dims[2] is None:
-            return None
-        return sum(self.aut_dims)  # type: ignore[arg-type]
-
-
-def stratum_dims(r: int, c: int, ptype: PartitionType) -> StratumReport:
-    """Group and ambient dimensions for the stratum labelled by ptype."""
-    if r < 1:
-        raise InadmissibleParameterError(f"rank must be >= 1, got {r}")
-    if c < 0:
-        raise InadmissibleParameterError(f"charge must be >= 0, got {c}")
-    l = ptype.total
-    ambient = l * (r + c)
-    return StratumReport(
-        hom_dim=ambient,
-        proj_dim=ambient - 1 if l >= 1 else None,
-        aut_dims=(c * c, (r + c) * (r + c), ptype.aut_dimension()),
-    )

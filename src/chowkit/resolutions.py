@@ -20,9 +20,9 @@ carries no closed dimension formula and is deliberately not reported.
 :func:`verify_resolution_chern` checks the Chern-character identity
 ch(R^0) - ch(R^-1) = ch(F) on a built resolution, without rebuilding it.
 
-Characters of split terms are computed in closed form: component i of
-ch(O(t_1)^e_1 + ...) is (sum e t^i) / i!.  The identity check runs in
-integers scaled by 3! = 6: it compares 6 (ch R^0 - ch R^-1) with
+The character of a split term is kept only scaled by 3! = 6, as an
+integer tuple: entry i of 6 ch(O(t_1)^e_1 + ...) is (6 / i!) sum e t^i.
+The identity check compares 6 (ch R^0 - ch R^-1) with
 6 ch(2, -1, c_2, c_3) = (12, -6, 3 (1 - 2 c_2), 3 c_2 + 3 c_3 - 1), so a
 wrong c_3 moves the last entry by a nonzero multiple of 3.  That the
 identity holds as a polynomial identity in (c_2, s), and that the scaled
@@ -33,11 +33,9 @@ tuples are 6 times the rational characters, is proved symbolically in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, isqrt
 
 from .bounds import h0_line_bundle
-from .chow import ChernCharacter
 from .errors import InadmissibleParameterError, NotRealizableError
 
 
@@ -76,16 +74,6 @@ class ShapeDescriptor:
     def rank(self) -> int:
         return sum(e for _, e in self.summands)
 
-    def chern_character(self, n: int) -> ChernCharacter:
-        """Character on P^n: component i is (sum e t^i) / i!."""
-        return ChernCharacter(
-            n,
-            tuple(
-                Fraction(p, factorial(i))
-                for i, p in enumerate(_power_sums(self.summands, n))
-            ),
-        )
-
     def __add__(self, other: "ShapeDescriptor") -> "ShapeDescriptor":
         if not isinstance(other, ShapeDescriptor):
             return NotImplemented
@@ -101,16 +89,11 @@ class ShapeDescriptor:
         return " + ".join(parts)
 
 
-def _power_sums(summands, n: int) -> list:
-    """(sum e t^0, ..., sum e t^n) over (twist, exponent) pairs."""
-    return [sum(e * t**i for t, e in summands) for i in range(n + 1)]
-
-
 def _scaled_character(summands, n: int) -> tuple:
     """n! times the character of a split sheaf: entry i is (n!/i!) sum e t^i."""
     return tuple(
-        factorial(n) // factorial(i) * p
-        for i, p in enumerate(_power_sums(summands, n))
+        factorial(n) // factorial(i) * sum(e * t**i for t, e in summands)
+        for i in range(n + 1)
     )
 
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,7 +405,7 @@ def test_cli_catalog_files_and_diff(tmp_path, capsys):
             capsys,
         )
         assert code == 0
-    assert open(path_a, "rb").read() == open(path_b, "rb").read()
+    assert Path(path_a).read_bytes() == Path(path_b).read_bytes()
 
     code, out, _ = run_cli(["catalog", "diff", path_a, path_b], capsys)
     assert code == 0
@@ -691,6 +692,8 @@ GOLDEN_STDOUT = [
     ("csv", "bound --rank 3 --c1 2 --ch2 -7/2 --literal", 0, 217, "97d0910acecb85942b08e5b0a5297ebe373c0b9a074a0880cfdd1163fc69d4e7"),
     ("json", "enumerate-c3 --rank 2 --c1 -1 --c2 5", 0, 133, "aa95c8d7f5cd84878d5e4d2cce097b04260e2adf1f4e96296cfd71940a9583e3"),
     ("csv", "enumerate-c3 --rank 2 --c1 -1 --c2 5", 0, 88, "10165bde6d7c67206ff5405ac3f50d81c9f6e9235d19e3d524e9c364f6eddbbd"),
+    ("json", "enumerate-c3 --rank 0 --c1 -1 --c2 5", 1, 105, "4e8bd169174cd5cc9a0c0436539cdd3f67e63b450124d38bc1003a454a1584c7"),
+    ("csv", "enumerate-c3 --rank 0 --c1 -1 --c2 5", 1, 89, "3fbbdeb7663cf18ae72a69ba056f9c17f3fcec91ef977836aa70c5f964ff1b0a"),
     ("json", "splitting-types --rank 3 --c1 -1", 0, 225, "64ee7eaae24a3f6353feb298dbae5f4c2e526a3f0f8c1190da5f54611f03b08b"),
     ("csv", "splitting-types --rank 3 --c1 -1", 0, 174, "11c367d108af2f45fd581f1cc6363b3dee552cb3407600baacf92ae8c16b70c2"),
     ("json", "splitting-types --rank 2 --c1 0 --no-reflexive-gap", 0, 193, "3941d60ed1a3d96e241c64f63197cab0f141840f31677992b0a7763d5511e409"),

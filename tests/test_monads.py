@@ -1,4 +1,4 @@
-"""Tests for monad shapes, kernel presentations, and partition-type strata."""
+"""Tests for charges, monad shapes, and partition types."""
 
 import random
 from fractions import Fraction
@@ -6,23 +6,20 @@ from fractions import Fraction
 import pytest
 
 from chowkit import monads
-from chowkit.chow import ChernCharacter, character_to_chern
+from chowkit.chow import ChernCharacter, character_to_chern, sub
 from chowkit.errors import InadmissibleParameterError, NotRealizableError
 from chowkit.monads import (
     MonadShape,
     PartitionType,
-    StratumReport,
     charge,
-    dual_complex_shape,
     is_normalized,
-    kernel_presentation,
     monad_shape,
     partition_types,
-    stratum_dims,
 )
 from chowkit.resolutions import ShapeDescriptor
 
 from conftest import random_rational
+from test_resolutions import reference_chern_character
 
 F = Fraction
 
@@ -36,6 +33,14 @@ def distinct_partitions(n):
         for rest in distinct_partitions(n - first):
             out.add(tuple(sorted((first, *rest), reverse=True)))
     return out
+
+
+def monad_character_oracle(shape):
+    """Oracle: ch(middle) - ch(left) - ch(right), one line bundle at a time."""
+    middle, left, right = (
+        reference_chern_character(term, 2) for term in (shape.middle, shape.left, shape.right)
+    )
+    return sub(sub(middle, left), right)
 
 
 def multiset_oracle(l):
@@ -117,7 +122,7 @@ def test_monad_shape_hand_values():
     assert shape.middle == ShapeDescriptor.power(0, 11)
     assert shape.right == ShapeDescriptor.power(1, 5)
     # 11 - 4 - 5 = 2, 0 + 4 - 5 = -1, 0 - 2 - 5/2 = -9/2
-    assert shape.chern_character() == ChernCharacter.of(2, 2, -1, "-9/2")
+    assert monad_character_oracle(shape) == ChernCharacter.of(2, 2, -1, "-9/2")
 
     instanton = monad_shape(2, 0, F(-5))
     assert (instanton.v, instanton.w, instanton.u) == (5, 12, 5)
@@ -147,7 +152,7 @@ def test_monad_shape_identity_over_grid():
                 assert (shape.v, shape.w, shape.u) == (d + c, r + d + 2 * c, c)
                 assert shape.rank == r
                 assert shape.degree == d
-                assert shape.chern_character() == ChernCharacter.of(2, r, d, ch2)
+                assert monad_character_oracle(shape) == ChernCharacter.of(2, r, d, ch2)
                 if d == 0:
                     assert (shape.v, shape.w, shape.u) == (c, r + 2 * c, c)
 
@@ -170,50 +175,6 @@ def test_monad_shape_rejections():
         monad_shape(2, 0, F(1))  # negative charge
     with pytest.raises(NotRealizableError):
         monad_shape(3, -2, F(0))  # charge 1 but left exponent d + c = -1
-
-
-def test_dual_complex_shape():
-    shape = monad_shape(2, -1, F(-9, 2))
-    swapped = dual_complex_shape(shape)
-    assert (swapped.v, swapped.w, swapped.u) == (5, 11, 4)
-    assert dual_complex_shape(swapped) == shape
-    instanton = monad_shape(2, 0, F(-3))
-    assert dual_complex_shape(instanton) == instanton
-
-
-# ---------------------------------------------------------------------------
-# kernel presentations
-
-
-def test_kernel_presentation_hand_values():
-    pres = kernel_presentation(2, 1)
-    assert pres.surjection_source == ShapeDescriptor.power(0, 3)
-    assert pres.surjection_target == ShapeDescriptor.power(1, 1)
-    assert pres.resolution_sub == ShapeDescriptor.power(-1, 1)
-    assert pres.hom_dimension == 9
-
-    assert kernel_presentation(3, 2).hom_dimension == 30
-
-
-def test_kernel_presentation_formula():
-    for r in range(1, 6):
-        for c in range(0, 10):
-            assert kernel_presentation(r, c).hom_dimension == 3 * c * (r + c)
-
-
-def test_kernel_presentation_trivial_case():
-    pres = kernel_presentation(2, 0)
-    assert pres.surjection_target.rank == 0
-    assert pres.resolution_sub.rank == 0
-    assert pres.surjection_source == ShapeDescriptor.power(0, 2)
-    assert pres.hom_dimension == 0
-
-
-def test_kernel_presentation_rejections():
-    with pytest.raises(InadmissibleParameterError):
-        kernel_presentation(2, -1)
-    with pytest.raises(InadmissibleParameterError):
-        kernel_presentation(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,46 +248,3 @@ def test_aut_dimension():
     assert PartitionType(((1, 1), (1,))).aut_dimension() == 5
     assert PartitionType(((2,),)).aut_dimension() is None
     assert PartitionType(()).aut_dimension() == 0
-
-
-# ---------------------------------------------------------------------------
-# stratum dimensions
-
-
-def test_stratum_dims_hand_values():
-    report = stratum_dims(2, 1, PartitionType(((1,), (1,), (1,))))
-    assert report == StratumReport(hom_dim=9, proj_dim=8, aut_dims=(1, 9, 3))
-    assert report.group_dim == 13
-
-
-def test_stratum_dims_empty_quotient():
-    report = stratum_dims(2, 0, PartitionType(()))
-    assert report.hom_dim == 0
-    assert report.proj_dim is None
-    assert report.aut_dims == (0, 4, 0)
-
-
-def test_stratum_dims_unknown_aut():
-    report = stratum_dims(2, 1, PartitionType(((2,),)))
-    assert report.aut_dims[2] is None
-    assert report.group_dim is None
-    assert report.hom_dim == 6
-
-
-def test_stratum_dims_formula():
-    rng = random.Random(43)
-    for _ in range(50):
-        r, c = rng.randint(1, 5), rng.randint(0, 5)
-        l = rng.randint(0, 5)
-        for ptype in partition_types(l)[:3]:
-            report = stratum_dims(r, c, ptype)
-            assert report.hom_dim == l * (r + c)
-            assert report.aut_dims[0] == c * c
-            assert report.aut_dims[1] == (r + c) ** 2
-
-
-def test_stratum_dims_rejections():
-    with pytest.raises(InadmissibleParameterError):
-        stratum_dims(0, 1, PartitionType(()))
-    with pytest.raises(InadmissibleParameterError):
-        stratum_dims(2, -1, PartitionType(()))
