@@ -18,6 +18,11 @@ h^1 factor, 12n^2q^2 for the Euler and ch_3 bounds), and one Fraction is
 built per reported value.  ``tests/test_identities.py`` proves the scaled
 forms equal the rational formulas symbolically.
 
+The terms that depend on the splitting type alone (c_1, sum b_i^2 and the
+two P^3 section counts) are memoized per process, keyed by the immutable
+:class:`SplittingType` and bounded to the most recent ``_TYPE_CACHE_SIZE``
+types; errors are not cached.
+
 Factors that bound dimensions are clamped at 0 by default (a negative
 "bound" just means the cohomology vanishes); pass ``literal_mode=True``
 to reproduce the raw formulas for auditing.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .chow import (
@@ -40,7 +46,10 @@ from .errors import (
     IntegralityError,
     RankMismatchError,
 )
-from .splitting import SplittingType, splitting_radius
+from .splitting import SplittingType, magnitude_ok, splitting_radius, validate
+
+# distinct splitting types whose per-type terms stay computed
+_TYPE_CACHE_SIZE = 4096
 
 
 def h0_line_bundle(n: int, k: int) -> int:
@@ -123,7 +132,7 @@ def euler_bound(
     i.e. the splitting-type-dependent quantities evaluated at b_i = t.
     """
     _check_rank(n)
-    return _evaluate(n, c1, as_rational(ch2), None, literal_mode).euler_bound
+    return _evaluate(n, c1, as_rational(ch2), None, None, literal_mode).euler_bound
 
 
 def ch3_bound(
@@ -135,7 +144,7 @@ def ch3_bound(
     satisfies |ch_3| < ch3_bound(n, c1, ch2) strictly.
     """
     _check_rank(n)
-    return _evaluate(n, c1, as_rational(ch2), None, literal_mode).ch3_bound
+    return _evaluate(n, c1, as_rational(ch2), None, None, literal_mode).ch3_bound
 
 
 @dataclass(frozen=True)
@@ -195,6 +204,12 @@ def _scaled(
     return nt, den, h1_worst, h1, shift, sections, ch3_shift
 
 
+@lru_cache(maxsize=_TYPE_CACHE_SIZE)
+def _type_terms(b: SplittingType) -> tuple[int, int, int, int]:
+    """``(c_1, sum b_i^2, h^0 O(b), h^0 O(-b-4))`` of b on P^3."""
+    return (b.c1, b.square_sum, *extreme_bounds(b, 3))
+
+
 def _clamped_product(x: int, y: int, literal_mode: bool) -> int:
     if literal_mode or (x > 0 and y > 0):
         return x * y
@@ -202,22 +217,27 @@ def _clamped_product(x: int, y: int, literal_mode: bool) -> int:
 
 
 def _evaluate(
-    n: int, c1: int, ch2: Fraction, b: SplittingType | None, literal_mode: bool
+    n: int,
+    c1: int,
+    ch2: Fraction,
+    b: SplittingType | None,
+    terms: tuple[int, int, int, int] | None,
+    literal_mode: bool,
 ) -> BoundReport:
     """The report's fields from the numerators of :func:`_scaled`, one Fraction each.
 
-    The caller has checked the rank and, if b is given, its length.
+    ``terms`` is ``_type_terms(b)``, or None when b is.  The caller has
+    checked the rank and, if b is given, that it fits the invariants.
     """
     nt, den, h1_worst, h1, shift, sections, ch3_shift = _scaled(
-        n, abs(c1), ch2.numerator, ch2.denominator, None if b is None else b.square_sum
+        n, abs(c1), ch2.numerator, ch2.denominator, None if terms is None else terms[1]
     )
     wide = 3 * den * den
     euler = 6 * _clamped_product(h1_worst + shift, h1_worst, literal_mode) + sections
-    if b is None:
+    if terms is None:
         outer_low = outer_high = Fraction(sections, wide)
     else:
-        low, high = extreme_bounds(b, 3)
-        outer_low, outer_high = Fraction(low), Fraction(high)
+        outer_low, outer_high = Fraction(terms[2]), Fraction(terms[3])
     q_num = h1 + shift
     middle = Fraction(_clamped_product(q_num, h1, literal_mode), den * den)
     return BoundReport(
@@ -250,12 +270,27 @@ def bound_report(
     fields come from the same scaled-integer evaluation as
     :func:`euler_bound` and :func:`ch3_bound`, so they equal those functions
     exactly.
+
+    A given b must have length n, sum to c1 and keep every entry within
+    the splitting radius |c1|/n + n; otherwise this raises.
     """
     _check_rank(n)
     ch2 = as_rational(ch2)
-    if b is not None and b.rank != n:
-        raise RankMismatchError(f"splitting type length {b.rank} != rank {n}")
-    return _evaluate(n, c1, ch2, b, literal_mode)
+    terms = None
+    if b is not None:
+        if b.rank != n:
+            raise RankMismatchError(f"splitting type length {b.rank} != rank {n}")
+        if not validate(b, n, c1):
+            raise InadmissibleParameterError(
+                f"b = {b} is not a splitting type of rank {n} and c1 {c1}"
+            )
+        if not magnitude_ok(b, n, c1):
+            raise InadmissibleParameterError(
+                f"b = {b} has an entry of magnitude above the splitting radius "
+                f"{splitting_radius(n, c1)}"
+            )
+        terms = _type_terms(b)
+    return _evaluate(n, c1, ch2, b, terms, literal_mode)
 
 
 def p3_bounds(
@@ -266,7 +301,7 @@ def p3_bounds(
     h^0 and h^3 come from the section counts of O(b) and O(-b-4); h^1 and
     h^2 are bounded by Q * (-ch_2 + (1/2) sum b_i^2), where Q sees the rank,
     c_1 and ch_2 of the restriction to a hyperplane, i.e. of the character
-    itself with ch_3 dropped.
+    itself with ch_3 dropped.  The entries of b must sum to c_1.
     """
     if ch.ambient_dim != 3:
         raise DimensionMismatchError("p3_bounds expects a P^3 character")
@@ -281,7 +316,12 @@ def p3_bounds(
         raise RankMismatchError(
             f"character rank {ch.rank} != splitting type length {b.rank}"
         )
-    return _evaluate(rank.numerator, ch1.numerator, ch2, b, literal_mode)
+    terms = _type_terms(b)
+    if terms[0] != ch1:
+        raise InadmissibleParameterError(
+            f"splitting type {b} sums to {terms[0]}, not to c_1 = {ch1}"
+        )
+    return _evaluate(rank.numerator, ch1.numerator, ch2, b, terms, literal_mode)
 
 
 def _ch2_of_classes(c1: int, c2: int) -> Fraction:

@@ -50,16 +50,10 @@ from .chow import (
     restrict_to_hyperplane,
     todd,
 )
-from .errors import DomainError, InadmissibleParameterError
+from .errors import DomainError
 from .monads import monad_shape, partition_types
 from .resolutions import presentation_report, verify_resolution_chern
-from .splitting import (
-    SplittingType,
-    enumerate_splitting_types,
-    magnitude_ok,
-    splitting_radius,
-    validate,
-)
+from .splitting import SplittingType, enumerate_splitting_types, splitting_radius
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -254,18 +248,7 @@ def _cmd_restrict(args) -> tuple[int, dict]:
 
 
 def _cmd_bound(args) -> tuple[int, dict]:
-    b = None
-    if args.b is not None:
-        b = SplittingType(args.b)
-        if not validate(b, args.rank, args.c1):
-            raise InadmissibleParameterError(
-                f"--b {b} is not a splitting type of rank {args.rank} and c1 {args.c1}"
-            )
-        if not magnitude_ok(b, args.rank, args.c1):
-            radius = rational_str(splitting_radius(args.rank, args.c1))
-            raise InadmissibleParameterError(
-                f"--b {b} has an entry of magnitude above the splitting radius {radius}"
-            )
+    b = None if args.b is None else SplittingType(args.b)
     report = bound_report(args.rank, args.c1, args.ch2, b=b, literal_mode=args.literal)
     return EXIT_OK, _report_payload(report)
 

@@ -15,18 +15,27 @@ prunes the gap constraint while it generates the tuples, so it never
 builds a tuple it would then discard.  The gap constraint is a flag
 because the magnitude bound holds for all mu-semistable reflexive sheaves
 while the gap bound is specific to reflexive sheaves on P^3.
+
+Enumeration is memoized per process: the types of each (r, c1, gap flag)
+are built once and kept in a cache bounded to the most recent
+``_PAIR_CACHE_SIZE`` arguments.  Every call returns a new list, so a
+caller that changes it changes no later result; errors are not cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor
 from typing import Iterator, Sequence
 
 from .errors import InadmissibleParameterError
 
 IntSequence = Sequence[int]
+
+# distinct (r, c1, reflexive_gap) arguments whose types stay built
+_PAIR_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -174,8 +183,18 @@ def enumerate_splitting_types(
     Every returned type satisfies |b_i| <= |c1|/r + r; with `reflexive_gap`
     the gap <= 2 constraint is applied too, while the tuples are generated,
     so no tuple that violates it is ever built.  The result is finite, free
-    of duplicates, and sorted lexicographically descending.
+    of duplicates, and sorted lexicographically descending.  The types are
+    built once per process for each argument triple; the list is new on
+    every call.
     """
+    return list(_types(r, c1, reflexive_gap))
+
+
+# typed: a float rank raises, so it must not find an int rank's entry
+@lru_cache(maxsize=_PAIR_CACHE_SIZE, typed=True)
+def _types(r: int, c1: int, reflexive_gap: bool) -> tuple[SplittingType, ...]:
     hi = floor(splitting_radius(r, c1))
     gap = 2 if reflexive_gap else 2 * hi  # the box width constrains nothing
-    return [SplittingType(entries) for entries in _descending_tuples(r, c1, hi, -hi, -hi, gap)]
+    return tuple(
+        SplittingType(entries) for entries in _descending_tuples(r, c1, hi, -hi, -hi, gap)
+    )

@@ -20,14 +20,14 @@ from chowkit.bounds import (
     p3_bounds,
     vanishing_Q,
 )
-from chowkit.chow import ChernCharacter, ChernClasses, chern_to_character, twist
+from chowkit.chow import ChernCharacter, ChernClasses, chern_to_character, dual, twist
 from chowkit.errors import (
     DimensionMismatchError,
     InadmissibleParameterError,
     RankMismatchError,
 )
 from chowkit.resolutions import admissible_s, c3_of
-from chowkit.splitting import SplittingType
+from chowkit.splitting import SplittingType, enumerate_splitting_types, magnitude_ok
 
 from conftest import random_rational, random_splitting_type
 
@@ -132,6 +132,20 @@ def test_h1_invariant_bound_twist_and_dual_invariance():
             assert h1_invariant_bound(b.twisted(k), twisted.ch2) == base
         # dual: entries negate and reverse, ch2 stays
         assert h1_invariant_bound(b.dual(), ch2) == base
+
+
+@given(
+    st.lists(st.integers(-12, 12), min_size=1, max_size=7),
+    st.fractions(min_value=-200, max_value=200, max_denominator=12),
+    st.fractions(min_value=-200, max_value=200, max_denominator=12),
+    st.integers(-20, 20),
+)
+def test_h1_invariant_bound_is_twist_and_dual_invariant(entries, ch2, ch3, k):
+    b = SplittingType(tuple(entries))
+    ch = ChernCharacter(3, (F(b.rank), F(b.c1), ch2, ch3))
+    base = h1_invariant_bound(b, ch.ch2)
+    assert h1_invariant_bound(b.twisted(k), twist(ch, k).ch2) == base
+    assert h1_invariant_bound(b.dual(), dual(ch).ch2) == base
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +276,40 @@ def test_p3_bounds_rejects_bad_inputs():
         p3_bounds(SplittingType.of(0), ChernCharacter.of(3, 2, 0, 0, 0))
     with pytest.raises(DimensionMismatchError):
         p3_bounds(SplittingType.of(0), ChernCharacter.of(2, 1, 0, 0))
+    # the entries must sum to c_1
+    with pytest.raises(InadmissibleParameterError, match="sums to 10"):
+        p3_bounds(SplittingType.of(5, 5), ChernCharacter.of(3, 2, -1, "-9/2", "71/6"))
+
+
+@pytest.mark.parametrize(
+    "c1, entries, problem",
+    [
+        (-1, (5, 5), "is not a splitting type"),
+        (-1, (0, 0), "is not a splitting type"),
+        (0, (3, -3), "above the splitting radius 2"),
+        (-1, (3, -4), "above the splitting radius 5/2"),
+    ],
+)
+def test_bound_report_rejects_an_inconsistent_splitting_type(c1, entries, problem):
+    with pytest.raises(InadmissibleParameterError, match=problem):
+        bound_report(2, c1, F(-9, 2), SplittingType(entries))
+    with pytest.raises(RankMismatchError):
+        bound_report(3, c1, F(-9, 2), SplittingType(entries))
+
+
+def test_p3_bounds_on_cached_types_equal_fresh_types():
+    # enumerate twice so the second list is the memoized one, and evaluate
+    # twice so the per-type terms are read back too
+    for r in range(1, 8):
+        for c1 in range(-r + 1, 1):
+            enumerate_splitting_types(r, c1)
+            ch = chern_to_character(ChernClasses(r, c1, 3 * r, c1 - r), 3)
+            for b in enumerate_splitting_types(r, c1):
+                p3_bounds(b, ch)
+                report = p3_bounds(b, ch)
+                fresh = SplittingType(b.entries)
+                assert report == p3_bounds(fresh, ch)
+                assert report_fields(report) == reference_report(r, c1, ch.ch2, fresh, False)
 
 
 def test_default_reports_are_nonnegative():
@@ -270,7 +318,7 @@ def test_default_reports_are_nonnegative():
         n = rng.randint(1, 4)
         c1 = rng.randint(-6, 6)
         ch2 = random_rational(rng)
-        b = SplittingType(tuple(rng.randint(-5, 5) for _ in range(n)))
+        b = rng.choice(enumerate_splitting_types(n, c1, False))
         for report in (
             bound_report(n, c1, ch2),
             bound_report(n, c1, ch2, b=b),
@@ -296,9 +344,7 @@ def test_bound_report_fields_equal_the_standalone_bounds():
         n, c1 = rng.randint(1, 6), rng.randint(-8, 8)
         ch2 = random_rational(rng)
         literal = rng.random() < 0.3
-        b = random_splitting_type(rng) if rng.random() < 0.5 else None
-        if b is not None:
-            n = b.rank
+        b = rng.choice(enumerate_splitting_types(n, c1, False)) if rng.random() < 0.5 else None
         report = bound_report(n, c1, ch2, b=b, literal_mode=literal)
         assert report.euler_bound == euler_bound(n, c1, ch2, literal)
         assert report.ch3_bound == ch3_bound(n, c1, ch2, literal)
@@ -358,13 +404,21 @@ def assert_field_types(report):
 @example(1, 0, F(1), [0] * 7, True, False)
 def test_bounds_match_the_rational_formulas(n, c1, ch2, entries, literal, typed):
     b = SplittingType(tuple(entries[:n])) if typed else None
+    if b is not None:
+        c1 = b.c1  # the splitting type fixes c_1
     expected = reference_report(n, c1, ch2, b, literal)
     assert euler_bound(n, c1, ch2, literal) == expected[7]
     assert ch3_bound(n, c1, ch2, literal) == expected[8]
     assert type(euler_bound(n, c1, ch2, literal)) is F
     assert type(ch3_bound(n, c1, ch2, literal)) is F
-    reports = [bound_report(n, c1, ch2, b=b, literal_mode=literal)]
+    reports = []
+    if b is None or magnitude_ok(b, n, c1):
+        reports.append(bound_report(n, c1, ch2, b=b, literal_mode=literal))
+    else:
+        with pytest.raises(InadmissibleParameterError, match="above the splitting radius"):
+            bound_report(n, c1, ch2, b=b, literal_mode=literal)
     if b is not None:
+        # p3_bounds checks only the sum, so it takes entries outside the radius too
         ch = ChernCharacter(3, (F(n), F(c1), ch2, F(c1 - n, 6)))
         reports.append(p3_bounds(b, ch, literal_mode=literal))
     for report in reports:

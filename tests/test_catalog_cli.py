@@ -295,7 +295,11 @@ def test_cli_bound_report(capsys):
 
 @pytest.mark.parametrize(
     "b, problem",
-    [("5,-7", "is not a splitting type"), ("3,-3", "above the splitting radius")],
+    [
+        ("5,-7", "is not a splitting type"),
+        ("5,5", "is not a splitting type"),
+        ("3,-3", "above the splitting radius"),
+    ],
 )
 def test_cli_bound_rejects_bad_splitting_type(b, problem, capsys):
     code, out, err = run_cli(
@@ -305,6 +309,15 @@ def test_cli_bound_rejects_bad_splitting_type(b, problem, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "InadmissibleParameterError"
     assert problem in error["message"]
+    assert err == ""
+
+
+def test_cli_bound_rejects_a_splitting_type_of_another_rank(capsys):
+    code, out, err = run_cli(
+        ["bound", "--rank", "2", "--c1", "0", "--ch2", "0", "--b", "1,0,-1"], capsys
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "RankMismatchError"
     assert err == ""
 
 

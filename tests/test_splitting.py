@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chowkit.errors import InadmissibleParameterError
 from chowkit.splitting import (
@@ -84,8 +85,20 @@ def test_enumerate_without_gap_keeps_wide_types():
 
 
 def test_enumerate_rejects_bad_rank():
-    with pytest.raises(InadmissibleParameterError):
-        enumerate_splitting_types(0, 1, True)
+    # errors are not cached: the second call raises too
+    for _ in range(2):
+        with pytest.raises(InadmissibleParameterError):
+            enumerate_splitting_types(0, 1, True)
+
+
+def test_enumerate_returns_a_new_list_on_every_call():
+    first = enumerate_splitting_types(3, -1)
+    expected = list(first)
+    first.reverse()
+    first.append(SplittingType.of(9, -5, -5))
+    second = enumerate_splitting_types(3, -1)
+    assert second == expected
+    assert second is not enumerate_splitting_types(3, -1)
 
 
 @pytest.mark.parametrize("reflexive_gap", [True, False])
@@ -111,10 +124,12 @@ def test_enumerate_matches_combinations_oracle_and_order():
             box = by_box[hi].get(c1, [])
             gapped = [b for b in box if all(b[i] - b[i + 1] <= 2 for i in range(r - 1))]
             for reflexive_gap, expected in ((False, box), (True, gapped)):
-                got = [t.entries for t in enumerate_splitting_types(r, c1, reflexive_gap)]
-                assert got == expected, (r, c1, reflexive_gap)
-                assert got == sorted(got, reverse=True)
-                assert len(set(got)) == len(got)
+                # the second pass reads the types the first one built
+                for _ in range(2):
+                    got = [t.entries for t in enumerate_splitting_types(r, c1, reflexive_gap)]
+                    assert got == expected, (r, c1, reflexive_gap)
+                    assert got == sorted(got, reverse=True)
+                    assert len(set(got)) == len(got)
 
 
 def test_enumerated_types_pass_all_checks():
@@ -166,3 +181,20 @@ def test_equal_multisets_are_one_type():
         shuffled = entries[:]
         rng.shuffle(shuffled)
         assert SplittingType(tuple(entries)) == SplittingType(tuple(shuffled))
+
+
+splitting_types = st.lists(st.integers(-20, 20), min_size=1, max_size=8).map(
+    lambda entries: SplittingType(tuple(entries))
+)
+
+
+@given(splitting_types, st.integers(-30, 30))
+def test_twist_and_dual_are_group_actions(b, k):
+    assert b.twisted(k).twisted(-k) == b
+    assert b.dual().dual() == b
+    assert b.twisted(k).dual() == b.dual().twisted(-k)
+
+
+@given(splitting_types, st.integers(-30, 30))
+def test_square_sum_under_twist(b, k):
+    assert b.twisted(k).square_sum == b.square_sum + 2 * k * b.c1 + b.rank * k * k
