@@ -18,7 +18,8 @@ Reading goes through one value decoder, which maps each raw JSON value to
 its value and its canonical JSON text.  :func:`parse_catalog` builds
 entries from the values; :func:`canonical_lines` joins the texts into each
 entry's canonical line without building the entry, and ``catalog diff``
-compares those lines.
+compares those lines and prints the differing ones with the same encoder
+(:func:`diff_document`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
 from .bounds import _c3_interval, _ch2_of_classes, bound_report
@@ -55,7 +57,14 @@ def _check_tags(kind: Any, schema_version: Any) -> None:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One computed record: a kind tag plus input and output maps."""
+    """One computed record: a kind tag plus input and output maps.
+
+    The maps are read-only ``types.MappingProxyType`` views.  Any other
+    mapping is copied into a new one, so changing the caller's dict later
+    changes no entry; a ``MappingProxyType`` is kept as it is, so entries
+    built from one share it rather than copy it (``strata_catalog`` gives
+    all the entries of one (c2, s) the same outputs map).
+    """
 
     kind: str
     inputs: Mapping[str, Any]
@@ -64,8 +73,8 @@ class CatalogEntry:
 
     def __post_init__(self) -> None:
         _check_tags(self.kind, self.schema_version)
-        object.__setattr__(self, "inputs", dict(self.inputs))
-        object.__setattr__(self, "outputs", dict(self.outputs))
+        object.__setattr__(self, "inputs", _read_only(self.inputs))
+        object.__setattr__(self, "outputs", _read_only(self.outputs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatalogEntry):
@@ -74,12 +83,23 @@ class CatalogEntry:
         # the serialized forms so equality matches byte-level identity.
         return serialize_entry(self) == serialize_entry(other)
 
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor deep-copies; plain dicts do
+        args = (self.kind, dict(self.inputs), dict(self.outputs), self.schema_version)
+        return CatalogEntry, args
+
+
+def _read_only(mapping: Mapping[str, Any]) -> MappingProxyType:
+    if type(mapping) is MappingProxyType:
+        return mapping
+    return MappingProxyType(dict(mapping))
+
 
 # ---------------------------------------------------------------------------
-# encoding: each entry is encoded once, into JSON text pieces that both the
-# compact canonical line and the indented document block are joined from.
-# The output is byte-identical to ``json.dumps(..., sort_keys=True)`` with
-# ``separators=(",", ":")`` (one entry) or ``indent=2`` (the document).
+# encoding: each map is encoded once, into (key, value) JSON text pairs that
+# both the compact canonical line and the indented document block are joined
+# from.  The output is byte-identical to ``json.dumps(..., sort_keys=True)``
+# with ``separators=(",", ":")`` (one entry) or ``indent=2`` (the document).
 
 _json_str = json.encoder.encode_basestring_ascii
 
@@ -111,23 +131,15 @@ def _encode_map(mapping: Mapping[str, Any]) -> list[tuple[str, str]]:
         raise DomainError(f"catalog keys must be strings: {exc}") from exc
 
 
-def _encode_pieces(entry: CatalogEntry) -> tuple:
-    """JSON text of the entry's fields in key order: inputs, kind, outputs, version."""
-    return (
-        _encode_map(entry.inputs),
-        _json_str(entry.kind),
-        _encode_map(entry.outputs),
-        int.__repr__(entry.schema_version),
-    )
+def _compact_map(pairs: list[tuple[str, str]]) -> str:
+    return "{" + ",".join([k + ":" + v for k, v in pairs]) + "}"
 
 
-def _compact_line(pieces: tuple) -> str:
-    inputs, kind, outputs, version = pieces
+def _compact_line(inputs: str, kind: str, outputs: str, version: str) -> str:
+    """One entry's canonical line, from its fields' compact JSON texts."""
     return (
-        '{"inputs":{' + ",".join([k + ":" + v for k, v in inputs])
-        + '},"kind":' + kind
-        + ',"outputs":{' + ",".join([k + ":" + v for k, v in outputs])
-        + '},"schema_version":' + version + "}"
+        '{"inputs":' + inputs + ',"kind":' + kind + ',"outputs":' + outputs
+        + ',"schema_version":' + version + "}"
     )
 
 
@@ -138,15 +150,27 @@ def _indented_map(pairs: list[tuple[str, str]]) -> str:
     return "{\n        " + items + "\n      }"
 
 
-def _indented_block(pieces: tuple) -> str:
+def _indented_block(inputs: str, kind: str, outputs: str, version: str) -> str:
     """One entry as it appears, two levels deep, in the catalog document."""
-    inputs, kind, outputs, version = pieces
     return (
-        '    {\n      "inputs": ' + _indented_map(inputs)
+        '    {\n      "inputs": ' + inputs
         + ',\n      "kind": ' + kind
-        + ',\n      "outputs": ' + _indented_map(outputs)
+        + ',\n      "outputs": ' + outputs
         + ',\n      "schema_version": ' + version + "\n    }"
     )
+
+
+def _indented_list(head: str, blocks: list[str], tail: str) -> str:
+    """``head``, a list of entry blocks one level deep in a document, ``tail``.
+
+    The text is joined in one pass, with no second copy of the (large)
+    list; ``blocks`` is used up: its first and last items are replaced.
+    """
+    if not blocks:
+        return head + "[]" + tail
+    blocks[0] = head + "[\n" + blocks[0]
+    blocks[-1] += "\n  ]" + tail
+    return ",\n".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +237,20 @@ def _decoded_entry(data: Mapping[str, Any], decode: Callable) -> CatalogEntry:
     )
 
 
-def _decoded_line(data: Mapping[str, Any], decode: Callable) -> str:
+def _decoded_pieces(data: Mapping[str, Any], decode: Callable) -> tuple:
+    """Of one raw entry: the JSON text pairs of inputs, kind, outputs, version."""
     kind, inputs, outputs, version = _decode_entry(data, decode)
-    return _compact_line((
+    return (
         [(_json_str(k), inputs[k][1]) for k in sorted(inputs)],
         _json_str(kind),
         [(_json_str(k), outputs[k][1]) for k in sorted(outputs)],
         int.__repr__(version),
-    ))
+    )
+
+
+def _decoded_line(data: Mapping[str, Any], decode: Callable) -> str:
+    inputs, kind, outputs, version = _decoded_pieces(data, decode)
+    return _compact_line(_compact_map(inputs), kind, _compact_map(outputs), version)
 
 
 def _read_document(text: str, read_entry: Callable) -> list:
@@ -239,7 +269,12 @@ def _read_document(text: str, read_entry: Callable) -> list:
 
 def serialize_entry(entry: CatalogEntry) -> str:
     """Canonical single-line JSON for one entry."""
-    return _compact_line(_encode_pieces(entry))
+    return _compact_line(
+        _compact_map(_encode_map(entry.inputs)),
+        _json_str(entry.kind),
+        _compact_map(_encode_map(entry.outputs)),
+        int.__repr__(entry.schema_version),
+    )
 
 
 def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
@@ -247,17 +282,28 @@ def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
 
     The layout is ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
     trailing newline, where ``doc`` holds the entries and the schema version.
+
+    Consecutive entries that share one outputs map (the same object, as
+    ``strata_catalog`` builds them) encode it once: the texts of the last
+    outputs map are kept and reused while the next entry's map ``is`` it.
+    Nothing else is remembered, so a map must not change while its
+    entries are being serialized.
     """
     pairs = []
+    last = None  # the last outputs map; its compact and indented texts follow
     for entry in entries:
-        pieces = _encode_pieces(entry)
-        pairs.append((_compact_line(pieces), _indented_block(pieces)))
+        inputs = _encode_map(entry.inputs)
+        if entry.outputs is not last:
+            encoded = _encode_map(entry.outputs)
+            last, compact, indented = entry.outputs, _compact_map(encoded), _indented_map(encoded)
+        kind, version = _json_str(entry.kind), int.__repr__(entry.schema_version)
+        pairs.append((
+            _compact_line(_compact_map(inputs), kind, compact, version),
+            _indented_block(_indented_map(inputs), kind, indented, version),
+        ))
     pairs.sort()
-    version = int.__repr__(SCHEMA_VERSION)
-    if not pairs:
-        return '{\n  "entries": [],\n  "schema_version": ' + version + "\n}\n"
-    blocks = ",\n".join([block for _, block in pairs])
-    return '{\n  "entries": [\n' + blocks + '\n  ],\n  "schema_version": ' + version + "\n}\n"
+    tail = ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
+    return _indented_list('{\n  "entries": ', [block for _, block in pairs], tail)
 
 
 def parse_catalog(text: str) -> list[CatalogEntry]:
@@ -284,6 +330,31 @@ def diff_lines(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
     """Set difference of two collections of canonical lines, each sorted."""
     a, b = set(a), set(b)
     return {"only_in_a": sorted(a - b), "only_in_b": sorted(b - a)}
+
+
+def diff_document(delta: Mapping[str, list[str]]) -> str:
+    """The JSON text ``catalog diff`` prints for a :func:`diff_lines` result.
+
+    ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, where
+    the payload holds ``identical`` and the entries of ``only_in_a`` and
+    ``only_in_b``.  Each entry is written from its canonical line's texts,
+    in the block layout of a catalog document.
+    """
+    decode = _value_decoder()
+
+    def blocks(lines: list[str]) -> list[str]:
+        pieces = [_decoded_pieces(json.loads(line), decode) for line in lines]
+        return [
+            _indented_block(_indented_map(inputs), kind, _indented_map(outputs), version)
+            for inputs, kind, outputs, version in pieces
+        ]
+
+    a, b = delta["only_in_a"], delta["only_in_b"]
+    head = '{\n  "identical": ' + ("false" if a or b else "true") + ',\n  "only_in_a": '
+    return (
+        _indented_list(head, blocks(a), ',\n  "only_in_b": ')
+        + _indented_list("", blocks(b), "\n}\n")
+    )
 
 
 def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
@@ -374,15 +445,16 @@ def strata_catalog(c2_range: range, l_range: range) -> list[CatalogEntry]:
         for s in admissible_s(c2):
             report = presentation_report(c2, s)
             character = chern_to_character(ChernClasses(2, -1, c2, report.c3), 3)
-            # one map per (c2, s); CatalogEntry copies it into each entry
-            outputs = {
+            # one read-only map per (c2, s), shared by all its entries, so
+            # serialize_catalog encodes it once per (c2, s)
+            outputs = MappingProxyType({
                 "c3": report.c3,
                 "ch2": character.ch2,
                 "ch3": character.ch3,
                 "dim_hom": report.dim_hom,
                 "dim_pv": report.dim_pv,
                 "dim_g": report.dim_g,
-            }
+            })
             for l, partitions in labels:
                 for partition in partitions:
                     entries.append(

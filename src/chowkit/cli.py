@@ -27,6 +27,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import fields
 from fractions import Fraction
 
@@ -132,7 +133,7 @@ def _rational_default(value) -> str:
 
 
 def _flatten(value, prefix: str, into: dict) -> None:
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):  # a dict, or an entry's read-only map
         for k, v in sorted(value.items()):
             _flatten(v, f"{prefix}.{k}" if prefix else str(k), into)
     elif isinstance(value, (list, tuple)):
@@ -339,15 +340,18 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
     if args.format == "csv":
         # a row is the entry's own fields: kind, inputs, outputs, schema_version
         return EXIT_OK, {"entries": [vars(e) for e in entries]}
-    # In pieces: a reader that closes early makes a buffer flush raise
-    # BrokenPipeError, where one large write can end short without an error.
-    document = cat.serialize_catalog(entries)
-    for start in range(0, len(document), io.DEFAULT_BUFFER_SIZE):
-        sys.stdout.write(document[start:start + io.DEFAULT_BUFFER_SIZE])
+    _write(cat.serialize_catalog(entries))
     return EXIT_OK, None
 
 
-def _cmd_diff(args) -> tuple[int, dict]:
+def _write(document: str) -> None:
+    # In pieces: a reader that closes early makes a buffer flush raise
+    # BrokenPipeError, where one large write can end short without an error.
+    for start in range(0, len(document), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(document[start:start + io.DEFAULT_BUFFER_SIZE])
+
+
+def _cmd_diff(args) -> tuple[int, dict | None]:
     line_sets = []
     for path in (args.catalog_a, args.catalog_b):
         try:
@@ -362,12 +366,15 @@ def _cmd_diff(args) -> tuple[int, dict]:
         return EXIT_DIFF_TROUBLE, _error_payload(DomainError(problem))
     delta = cat.diff_lines(*line_sets)
     identical = not delta["only_in_a"] and not delta["only_in_b"]
-    payload = {
-        "identical": identical,
-        "only_in_a": [json.loads(line) for line in delta["only_in_a"]],
-        "only_in_b": [json.loads(line) for line in delta["only_in_b"]],
-    }
-    return (EXIT_OK if identical else EXIT_DIFFERENT), payload
+    code = EXIT_OK if identical else EXIT_DIFFERENT
+    if args.format == "csv":
+        return code, {
+            "identical": identical,
+            "only_in_a": [json.loads(line) for line in delta["only_in_a"]],
+            "only_in_b": [json.loads(line) for line in delta["only_in_b"]],
+        }
+    _write(cat.diff_document(delta))
+    return code, None
 
 
 # ---------------------------------------------------------------------------

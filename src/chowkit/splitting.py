@@ -17,16 +17,19 @@ because the magnitude bound holds for all mu-semistable reflexive sheaves
 while the gap bound is specific to reflexive sheaves on P^3.
 
 Enumeration is memoized per process: the types of each (r, c1, gap flag)
-are built once and kept in a cache bounded to the most recent
-``_PAIR_CACHE_SIZE`` arguments.  Every call returns a new list, so a
-caller that changes it changes no later result; errors are not cached.
+are built once and kept while the cache holds at most ``_CACHE_TYPES``
+types in all, the least recently used enumeration leaving first.  An
+enumeration larger than that is built on every call and never kept.
+Every call returns a new list, so a caller that changes it changes no
+later result; errors are not cached.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import floor
 from typing import Iterator, Sequence
 
@@ -34,8 +37,8 @@ from .errors import InadmissibleParameterError
 
 IntSequence = Sequence[int]
 
-# distinct (r, c1, reflexive_gap) arguments whose types stay built
-_PAIR_CACHE_SIZE = 256
+# the most splitting types the enumeration cache keeps, over all arguments
+_CACHE_TYPES = 20_000
 
 
 @dataclass(frozen=True)
@@ -187,14 +190,60 @@ def enumerate_splitting_types(
     built once per process for each argument triple; the list is new on
     every call.
     """
-    return list(_types(r, c1, reflexive_gap))
+    # typed: a float rank raises, so it must not find an int rank's entry
+    key = (r, c1, reflexive_gap, type(r), type(c1), type(reflexive_gap))
+    types = _cache.get(key)
+    if types is None:  # an error raised here leaves nothing cached
+        types = _cache.keep(key, _build_types(r, c1, reflexive_gap))
+    return list(types)
 
 
-# typed: a float rank raises, so it must not find an int rank's entry
-@lru_cache(maxsize=_PAIR_CACHE_SIZE, typed=True)
-def _types(r: int, c1: int, reflexive_gap: bool) -> tuple[SplittingType, ...]:
+def _build_types(r: int, c1: int, reflexive_gap: bool) -> tuple[SplittingType, ...]:
     hi = floor(splitting_radius(r, c1))
     gap = 2 if reflexive_gap else 2 * hi  # the box width constrains nothing
     return tuple(
         SplittingType(entries) for entries in _descending_tuples(r, c1, hi, -hi, -hi, gap)
     )
+
+
+class _TypeCache:
+    """Enumerations by argument key, holding at most ``limit`` types in all.
+
+    The least recently used enumeration is evicted first; one larger than
+    ``limit`` is returned without being kept.  ``count`` is the number of
+    types held.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.count = 0
+        self._kept: OrderedDict[tuple, tuple[SplittingType, ...]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple[SplittingType, ...] | None:
+        """The kept types of ``key``, now the most recently used, or None.
+
+        Takes no lock: each of the two dict calls is atomic, and the types
+        found stay valid when ``keep`` evicts them in between.
+        """
+        types = self._kept.get(key)
+        if types is not None:
+            try:
+                self._kept.move_to_end(key)
+            except KeyError:  # evicted by another thread since the lookup
+                pass
+        return types
+
+    def keep(self, key: tuple, types: tuple[SplittingType, ...]) -> tuple[SplittingType, ...]:
+        """Keep ``types`` under ``key`` if they fit, evicting as needed; returns them."""
+        if len(types) <= self.limit:
+            with self._lock:
+                if key not in self._kept:
+                    self._kept[key] = types
+                    self.count += len(types)
+                    while self.count > self.limit:
+                        self.count -= len(self._kept.popitem(last=False)[1])
+        return types
+
+
+_cache = _TypeCache(_CACHE_TYPES)

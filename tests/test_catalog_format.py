@@ -6,10 +6,13 @@ emitter with the plain ``json.dumps`` layout it is documented to write,
 and the canonical-line reader with ``parse_catalog`` on raw documents.
 """
 
+import copy
 import hashlib
 import json
+import pickle
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +23,8 @@ from chowkit.catalog import (
     CatalogEntry,
     bounds_catalog,
     canonical_lines,
+    diff_document,
+    diff_lines,
     monads_catalog,
     parse_catalog,
     resolutions_catalog,
@@ -27,6 +32,7 @@ from chowkit.catalog import (
     serialize_entry,
     strata_catalog,
 )
+from chowkit import catalog as catalog_module
 from chowkit.cli import main
 from chowkit.errors import DomainError, InadmissibleParameterError
 
@@ -131,18 +137,51 @@ entries = st.builds(
 )
 
 
+# a run of entries sharing one read-only outputs map, as strata_catalog
+# builds them; the emitter encodes such a map once per run
+shared_runs = st.builds(
+    lambda kind, outputs, inputs: [CatalogEntry(kind, i, outputs) for i in inputs],
+    st.sampled_from(KINDS),
+    maps.map(MappingProxyType),
+    st.lists(maps, min_size=1, max_size=3),
+)
+
+
 @st.composite
 def catalogs(draw):
-    """Lists of entries, possibly empty, in which entries may repeat."""
+    """Lists of entries, possibly empty, in which entries may repeat and
+    runs of consecutive entries may share one outputs map."""
     distinct = draw(st.lists(entries, max_size=4))
-    if not distinct:
-        return []
-    return draw(st.lists(st.sampled_from(distinct), max_size=8))
+    pieces = draw(st.lists(shared_runs, max_size=2))
+    if distinct:
+        pieces += [[e] for e in draw(st.lists(st.sampled_from(distinct), max_size=8))]
+    return [e for piece in draw(st.permutations(pieces)) for e in piece]
+
+
+def reference_diff(only_in_a, only_in_b):
+    """The ``catalog diff`` payload as ``json.dumps`` writes it."""
+    payload = {
+        "identical": not only_in_a and not only_in_b,
+        "only_in_a": [json.loads(line) for line in only_in_a],
+        "only_in_b": [json.loads(line) for line in only_in_b],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @settings(max_examples=80, deadline=None)
 @given(catalogs())
 @example([CatalogEntry("bound", {"c2": 12}, {}), CatalogEntry("bound", {"c2": 1}, {})])
+# neighbours whose outputs are equal (1 == True == Fraction(1)) but encode
+# differently: reusing a text for an equal map, not the same map, fails here
+@example([
+    CatalogEntry("bound", {"c2": 1}, {"x": 1}),
+    CatalogEntry("bound", {"c2": 2}, {"x": True}),
+    CatalogEntry("bound", {"c2": 3}, {"x": Fraction(1)}),
+])
+@example([
+    CatalogEntry("monad", {"c2": c2}, MappingProxyType(outputs))
+    for c2, outputs in ((1, {"x": 1}), (2, {"x": True}), (3, {"x": Fraction(1)}))
+])
 def test_emitters_match_reference_and_round_trip(catalog):
     for entry in catalog:
         assert serialize_entry(entry) == reference_entry(entry)
@@ -151,6 +190,60 @@ def test_emitters_match_reference_and_round_trip(catalog):
     parsed = parse_catalog(document)
     assert parsed == sorted(catalog, key=reference_entry)
     assert serialize_catalog(parsed) == document
+    lines = [reference_entry(e) for e in catalog]
+    half = len(lines) // 2
+    delta = diff_lines(lines[:half], lines[half:])
+    assert diff_document(delta) == reference_diff(delta["only_in_a"], delta["only_in_b"])
+
+
+# ---------------------------------------------------------------------------
+# entries: read-only maps, shared when given as one, and still picklable
+
+
+def test_entry_maps_are_read_only_copies():
+    inputs, outputs = {"c2": 5}, {"c3": 19}
+    entry = CatalogEntry("stratum", inputs, outputs)
+    with pytest.raises(TypeError):
+        entry.inputs["c2"] = 0
+    with pytest.raises(TypeError):
+        entry.outputs["c3"] = 0
+    inputs["c2"], outputs["c3"] = 0, 0
+    inputs["s"] = 1
+    assert dict(entry.inputs) == {"c2": 5}
+    assert dict(entry.outputs) == {"c3": 19}
+    shared = MappingProxyType({"c3": 19})
+    pair = [CatalogEntry("stratum", {"l": l}, shared) for l in range(2)]
+    assert pair[0].outputs is pair[1].outputs is shared
+
+
+def test_entries_pickle_and_deepcopy():
+    shared = MappingProxyType({"ch2": Fraction(-9, 2), "ok": True})
+    entries = [CatalogEntry("stratum", {"c2": 5, "l": l}, shared) for l in range(2)]
+    entries.append(CatalogEntry("monad", {}, {"label": "O(-1)^4"}))
+    for entry in entries:
+        for copied in (pickle.loads(pickle.dumps(entry)), copy.deepcopy(entry)):
+            assert copied == entry
+            assert type(copied.inputs) is type(copied.outputs) is MappingProxyType
+    assert copy.deepcopy(entries) == entries
+
+
+def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
+    encoded = []
+    encode = catalog_module._encode_map
+
+    def counting(mapping):
+        encoded.append(mapping)
+        return encode(mapping)
+
+    entries = strata_catalog(range(5, 13), range(0, 4))
+    monkeypatch.setattr(catalog_module, "_encode_map", counting)
+    serialize_catalog(entries)
+    pairs = sorted({(e.inputs["c2"], e.inputs["s"]) for e in entries})
+    assert (len(entries), len(pairs)) == (143, 13)
+    outputs = [m for m in encoded if "c3" in m]
+    assert [m for m in encoded if "partition" in m] == [e.inputs for e in entries]
+    assert len(outputs) == len(encoded) - len(entries) == len(pairs)
+    assert len({id(m) for m in outputs}) == len(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from chowkit import splitting
 from chowkit.errors import InadmissibleParameterError
 from chowkit.splitting import (
     SplittingType,
@@ -99,6 +102,91 @@ def test_enumerate_returns_a_new_list_on_every_call():
     second = enumerate_splitting_types(3, -1)
     assert second == expected
     assert second is not enumerate_splitting_types(3, -1)
+
+
+def test_enumerate_cache_is_typed():
+    assert len(enumerate_splitting_types(2, 0)) == 2
+    # a float rank finds no int rank's entry: it raises, as on a cold cache
+    with pytest.raises(TypeError):
+        enumerate_splitting_types(2.0, 0)
+
+
+def _kept(types_a, types_b):
+    """True when two calls returned the very same type objects (a cache hit)."""
+    return len(types_a) == len(types_b) and all(a is b for a, b in zip(types_a, types_b))
+
+
+def test_enumerate_cache_keeps_every_bound_sweep_pair(monkeypatch):
+    cache = splitting._TypeCache(splitting._CACHE_TYPES)
+    monkeypatch.setattr(splitting, "_cache", cache)
+    # the (r, c1) pairs a bound_sweep block queries: r 2..6, c1 -r+1..0
+    pairs = [(r, c1) for r in range(2, 7) for c1 in range(-r + 1, 1)]
+    first = [enumerate_splitting_types(r, c1) for r, c1 in pairs]
+    assert len(pairs) == 20
+    assert cache.count == sum(len(types) for types in first) == 363
+    for (r, c1), types in zip(pairs, first):
+        assert _kept(enumerate_splitting_types(r, c1), types), (r, c1)
+    assert cache.count == 363
+
+
+def test_enumerate_cache_is_bounded_by_its_type_count(monkeypatch):
+    cache = splitting._TypeCache(20)
+    monkeypatch.setattr(splitting, "_cache", cache)
+    a, b = enumerate_splitting_types(4, -1), enumerate_splitting_types(4, 0)
+    assert (len(a), len(b), cache.count) == (6, 8, 14)
+    # using (4, -1) again leaves (4, 0) the least recently used
+    assert _kept(enumerate_splitting_types(4, -1), a)
+    c = enumerate_splitting_types(3, 0)
+    assert cache.count == 17
+    enumerate_splitting_types(4, -2)  # 7 more types: 24 > 20 evicts (4, 0) only
+    assert cache.count == 16
+    assert _kept(enumerate_splitting_types(4, -1), a)
+    assert _kept(enumerate_splitting_types(3, 0), c)
+    # built again and kept, which evicts (4, -2), now the least recently used
+    assert not _kept(enumerate_splitting_types(4, 0), b)
+    assert cache.count == 17
+    # an enumeration above the bound is returned whole, every time, but not kept
+    before = cache.count
+    wide = enumerate_splitting_types(5, 0, False)
+    assert len(wide) == 141
+    assert [t.entries for t in wide] == box_brute_force(5, 0, False)
+    assert cache.count == before
+    assert not _kept(enumerate_splitting_types(5, 0, False), wide)
+    assert enumerate_splitting_types(5, 0, False) == wide
+
+
+def test_enumerate_cache_under_threads(monkeypatch):
+    # 13 types over these pairs against a bound of 5: threads keep evicting
+    cache = splitting._TypeCache(5)
+    monkeypatch.setattr(splitting, "_cache", cache)
+    pairs = [(r, c1) for r in range(1, 4) for c1 in range(-r + 1, 1)]
+    expected = {pair: splitting._build_types(*pair, True) for pair in pairs}
+    results, problems = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(3000):
+                pair = rng.choice(pairs)
+                results.append((pair, enumerate_splitting_types(*pair)))
+        except Exception as exc:  # a thread's error would otherwise go unseen
+            problems.append(exc)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert problems == []
+    assert len(results) == 12000
+    assert all(tuple(types) == expected[pair] for pair, types in results)
+    assert cache.count == sum(len(types) for types in cache._kept.values()) <= 5
 
 
 @pytest.mark.parametrize("reflexive_gap", [True, False])
