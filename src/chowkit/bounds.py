@@ -1,4 +1,4 @@
-"""Explicit cohomology, Euler-characteristic, and ch_3 bounds.
+"""Explicit cohomology, Euler-characteristic, and ch_3 bounds on P^3.
 
 All bounds are driven by two exact quantities attached to a rank-n sheaf
 with first Chern class c_1, second character ch_2, and splitting type b:
@@ -6,22 +6,34 @@ with first Chern class c_1, second character ch_2, and splitting type b:
 * the splitting radius  t = |c_1|/n + n,  which boxes every b_i, and
 * the twist- and dual-invariant h^1 bound  -ch_2 + (1/2) * sum b_i^2.
 
-From these the vanishing constant Q, the per-degree cohomology bounds on
-P^2 and P^3, the worst-case Euler bound, and the ch_3 bound are assembled
-exactly as rational numbers.  Worst-case variants substitute b_i = t;
+From these the vanishing constant Q, the per-degree cohomology bounds,
+the worst-case Euler bound, and the ch_3 bound are assembled exactly as
+rational numbers.  Worst-case variants substitute b_i = t;
 per-splitting-type variants keep the sharper sum of squares.
 
-The P^3 bounds are evaluated exactly in scaled integers: with
+The bounds are evaluated exactly in scaled integers: with
 t = (|c_1| + n^2)/n and ch_2 = p/q, each one is an integer polynomial in
 n, |c_1|, p, q and sum b_i^2 over a fixed denominator (2nq for Q and the
 h^1 factor, 12n^2q^2 for the Euler and ch_3 bounds), and one Fraction is
 built per reported value.  ``tests/test_identities.py`` proves the scaled
 forms equal the rational formulas symbolically.
 
-The terms that depend on the splitting type alone (c_1, sum b_i^2 and the
-two P^3 section counts) are memoized per process, keyed by the immutable
-:class:`SplittingType` and bounded to the most recent ``_TYPE_CACHE_SIZE``
-types; errors are not cached.
+Two per-process memo caches split every evaluation in two, so each value
+is built once:
+
+* The character part -- the splitting radius, the worst-case section
+  term, the Euler and ch_3 bounds and the integers Q and the h^1 factor
+  are built from -- depends on (n, c_1, ch_2, mode) alone.  It is keyed by
+  the ints ``(n, c_1, p, q, literal_mode)`` and keeps the most recent
+  ``_CHARACTER_CACHE_SIZE`` characters, so every splitting type of one
+  character, and the entry points without a type, read one entry.
+* The splitting-type part -- c_1, sum b_i^2 and the two section counts --
+  is keyed by the immutable :class:`SplittingType` and keeps the most
+  recent ``_TYPE_CACHE_SIZE`` types.
+
+Only Q and the middle bounds are built per call.  The inputs are checked
+before either cache is read, so errors are never cached: a rejected input
+raises on every call.
 
 Factors that bound dimensions are clamped at 0 by default (a negative
 "bound" just means the cohomology vanishes); pass ``literal_mode=True``
@@ -34,12 +46,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
-from .chow import (
-    ChernCharacter,
-    RationalLike,
-    as_rational,
-)
+from .chow import ChernCharacter, RationalLike, as_rational
 from .errors import (
     DimensionMismatchError,
     InadmissibleParameterError,
@@ -50,6 +59,8 @@ from .splitting import SplittingType, magnitude_ok, splitting_radius, validate
 
 # distinct splitting types whose per-type terms stay computed
 _TYPE_CACHE_SIZE = 4096
+# distinct (n, c_1, ch_2, mode) whose character terms stay computed
+_CHARACTER_CACHE_SIZE = 256
 
 
 def h0_line_bundle(n: int, k: int) -> int:
@@ -74,50 +85,15 @@ def extreme_bounds(b: SplittingType, N: int) -> tuple[int, int]:
     return low, high
 
 
-def _paired_section_bound(entry: int) -> Fraction:
-    # (b+1)(b+2)/2 equals whichever of h^0 O(b), h^0 O(-b-3) is positive on P^2
-    return Fraction((entry + 1) * (entry + 2), 2)
+def _check_integer(name: str, value: object) -> None:
+    # a float or a bool would reach the int-keyed cache entry of its value
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise IntegralityError(f"{name} must be an integer, got {value!r}")
 
 
-def p2_bounds(
-    b: SplittingType, ch: ChernCharacter
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Per-degree bounds (h^0, h^1, h^2) for a sheaf on P^2.
-
-    h^0 and h^2 are bounded by sum_i C(b_i + 2, 2); h^1 by the same sum
-    minus the Euler characteristic n + (3/2) c_1 + ch_2.  The values are
-    returned verbatim (no clamping).
-    """
-    if ch.ambient_dim != 2:
-        raise DimensionMismatchError("p2_bounds expects a P^2 character")
-    if ch.rank != b.rank:
-        raise RankMismatchError(
-            f"character rank {ch.rank} != splitting type length {b.rank}"
-        )
-    section_sum = sum((_paired_section_bound(entry) for entry in b), Fraction(0))
-    chi = ch.ch0 + Fraction(3, 2) * ch.ch1 + ch.ch2
-    return section_sum, -chi + section_sum, section_sum
-
-
-def h1_invariant_bound(b: SplittingType, ch2: RationalLike) -> Fraction:
-    """The twist- and dual-invariant h^1 bound: -ch_2 + (1/2) sum b_i^2."""
-    return -as_rational(ch2) + Fraction(b.square_sum, 2)
-
-
-def vanishing_Q(n: int, c1: int, ch2: RationalLike, b: SplittingType) -> Fraction:
-    """The vanishing constant Q = |c_1|/n + n + 4 - ch_2 + (1/2) sum b_i^2.
-
-    For k >= Q all four of h^1 F(k), h^2 F(k), h^0 F(-k), h^1 F(-k) vanish
-    on P^2.  Q subsumes the four per-step vanishing thresholds (k above
-    b_max, -b_min - 3, -b_min + inv and b_max + 3 + inv, with inv the
-    invariant h^1 bound) via the magnitude bound on b_max and b_min.
-    """
-    if b.rank != n:
-        raise RankMismatchError(f"splitting type length {b.rank} != rank {n}")
-    return splitting_radius(n, c1) + 4 + h1_invariant_bound(b, ch2)
-
-
-def _check_rank(n: int) -> None:
+def _check_rank(n: int, c1: int) -> None:
+    _check_integer("rank", n)
+    _check_integer("c_1", c1)
     if n < 1:
         raise InadmissibleParameterError(f"rank must be >= 1, got {n}")
 
@@ -131,8 +107,8 @@ def euler_bound(
     2 (t + 4 - ch_2 + n t^2 / 2)(-ch_2 + n t^2 / 2) + (n/6)(t + 3)^3,
     i.e. the splitting-type-dependent quantities evaluated at b_i = t.
     """
-    _check_rank(n)
-    return _evaluate(n, c1, as_rational(ch2), None, None, literal_mode).euler_bound
+    _check_rank(n, c1)
+    return _character(n, c1, as_rational(ch2), literal_mode).euler_bound
 
 
 def ch3_bound(
@@ -143,8 +119,8 @@ def ch3_bound(
     Equals the Euler bound plus 2|ch_2| + (11/6)|c_1| + n; any such sheaf
     satisfies |ch_3| < ch3_bound(n, c1, ch2) strictly.
     """
-    _check_rank(n)
-    return _evaluate(n, c1, as_rational(ch2), None, None, literal_mode).ch3_bound
+    _check_rank(n, c1)
+    return _character(n, c1, as_rational(ch2), literal_mode).ch3_bound
 
 
 @dataclass(frozen=True)
@@ -156,6 +132,12 @@ class BoundReport:
     share the joint section bound (n/6)(t + 3)^3, which dominates each of
     them separately.  ``euler_bound`` and ``ch3_bound`` always refer to the
     worst-case formulas, which depend on the invariants only.
+
+    Reports may share their ``Fraction`` objects: the reports of one
+    character read while its cache entry lives hold the same
+    ``splitting_radius``, ``euler_bound`` and ``ch3_bound``, and the
+    reports of one splitting type the same outer section bounds.  A
+    ``Fraction`` is immutable, so only ``is`` can tell.
     """
 
     rank: int
@@ -197,17 +179,16 @@ def _scaled(
     nt = a + n * n
     den = 2 * n * q
     h1_worst = q * nt * nt - 2 * n * p
-    h1 = h1_worst if square_sum is None else n * (q * square_sum - 2 * p)
+    h1 = h1_worst if square_sum is None else _typed_h1(n, p, q, square_sum)
     shift = 2 * q * (nt + 4 * n)
     sections = 2 * q * q * (nt + 3 * n) ** 3
     ch3_shift = 2 * n * n * q * (12 * abs(p) + q * (11 * a + 6 * n))
     return nt, den, h1_worst, h1, shift, sections, ch3_shift
 
 
-@lru_cache(maxsize=_TYPE_CACHE_SIZE)
-def _type_terms(b: SplittingType) -> tuple[int, int, int, int]:
-    """``(c_1, sum b_i^2, h^0 O(b), h^0 O(-b-4))`` of b on P^3."""
-    return (b.c1, b.square_sum, *extreme_bounds(b, 3))
+def _typed_h1(n: int, p: int, q: int, square_sum: int) -> int:
+    """The h^1 factor -ch_2 + square_sum / 2 of :func:`_scaled`, over 2nq."""
+    return n * (q * square_sum - 2 * p)
 
 
 def _clamped_product(x: int, y: int, literal_mode: bool) -> int:
@@ -216,40 +197,87 @@ def _clamped_product(x: int, y: int, literal_mode: bool) -> int:
     return 0
 
 
+class _CharacterTerms(NamedTuple):
+    """What every report of one character and mode shares.
+
+    The ints of :func:`_scaled` that Q and the h^1 factor are built from,
+    and the Fractions t, (n/6)(t + 3)^3 and the two worst-case bounds.
+    """
+
+    den: int
+    h1_worst: int
+    shift: int
+    splitting_radius: Fraction
+    sections: Fraction
+    euler_bound: Fraction
+    ch3_bound: Fraction
+
+
+@lru_cache(maxsize=_CHARACTER_CACHE_SIZE)
+def _character_terms(n: int, c1: int, p: int, q: int, literal_mode: bool) -> _CharacterTerms:
+    """The shared terms of (n, c_1, ch_2 = p/q) in one mode."""
+    nt, den, h1_worst, _, shift, sections, ch3_shift = _scaled(n, abs(c1), p, q, None)
+    wide = 3 * den * den
+    euler = 6 * _clamped_product(h1_worst + shift, h1_worst, literal_mode) + sections
+    return _CharacterTerms(
+        den,
+        h1_worst,
+        shift,
+        Fraction(nt, n),
+        Fraction(sections, wide),
+        Fraction(euler, wide),
+        Fraction(euler + ch3_shift, wide),
+    )
+
+
+def _character(n: int, c1: int, ch2: Fraction, literal_mode: bool) -> _CharacterTerms:
+    """The cached character part, keyed by ints so that no Fraction is hashed.
+
+    The caller has checked that n and c1 are ints: a float would read the
+    entry of the int it equals.
+    """
+    return _character_terms(n, c1, ch2.numerator, ch2.denominator, bool(literal_mode))
+
+
+@lru_cache(maxsize=_TYPE_CACHE_SIZE)
+def _type_terms(b: SplittingType) -> tuple[int, int, Fraction, Fraction]:
+    """``(c_1, sum b_i^2, h^0 O(b), h^0 O(-b-4))`` of b on P^3."""
+    low, high = extreme_bounds(b, 3)
+    return b.c1, b.square_sum, Fraction(low), Fraction(high)
+
+
 def _evaluate(
     n: int,
     c1: int,
     ch2: Fraction,
     b: SplittingType | None,
-    terms: tuple[int, int, int, int] | None,
+    terms: tuple[int, int, Fraction, Fraction] | None,
     literal_mode: bool,
 ) -> BoundReport:
-    """The report's fields from the numerators of :func:`_scaled`, one Fraction each.
+    """The report: its character part from the cache, Q and the middle bounds built here.
 
     ``terms`` is ``_type_terms(b)``, or None when b is.  The caller has
-    checked the rank and, if b is given, that it fits the invariants.
+    checked the rank and c1 and, if b is given, that it fits them.
     """
-    nt, den, h1_worst, h1, shift, sections, ch3_shift = _scaled(
-        n, abs(c1), ch2.numerator, ch2.denominator, None if terms is None else terms[1]
-    )
-    wide = 3 * den * den
-    euler = 6 * _clamped_product(h1_worst + shift, h1_worst, literal_mode) + sections
+    den, h1_worst, shift, radius, sections, euler, ch3 = _character(n, c1, ch2, literal_mode)
     if terms is None:
-        outer_low = outer_high = Fraction(sections, wide)
+        h1 = h1_worst
+        outer_low = outer_high = sections
     else:
-        outer_low, outer_high = Fraction(terms[2]), Fraction(terms[3])
+        h1 = _typed_h1(n, ch2.numerator, ch2.denominator, terms[1])
+        outer_low, outer_high = terms[2], terms[3]
     q_num = h1 + shift
     middle = Fraction(_clamped_product(q_num, h1, literal_mode), den * den)
     return BoundReport(
         rank=n,
         c1=c1,
         ch2=ch2,
-        splitting_radius=Fraction(nt, n),
+        splitting_radius=radius,
         q=Fraction(q_num, den),
         q_int=-(-q_num // den),
         h_bounds=(outer_low, middle, middle, outer_high),
-        euler_bound=Fraction(euler, wide),
-        ch3_bound=Fraction(euler + ch3_shift, wide),
+        euler_bound=euler,
+        ch3_bound=ch3,
         literal_mode=literal_mode,
         splitting_type=b,
     )
@@ -274,7 +302,7 @@ def bound_report(
     A given b must have length n, sum to c1 and keep every entry within
     the splitting radius |c1|/n + n; otherwise this raises.
     """
-    _check_rank(n)
+    _check_rank(n, c1)
     ch2 = as_rational(ch2)
     terms = None
     if b is not None:
@@ -306,22 +334,24 @@ def p3_bounds(
     if ch.ambient_dim != 3:
         raise DimensionMismatchError("p3_bounds expects a P^3 character")
     rank, ch1, ch2 = ch.components[:3]
-    if rank < 1:
+    n = rank.numerator  # ch_0 is an integer
+    if n < 1:
         raise InadmissibleParameterError(
-            f"bounds require an honest sheaf rank >= 1, got {ch.rank}"
+            f"bounds require an honest sheaf rank >= 1, got {n}"
         )
     if ch1.denominator != 1:
         raise IntegralityError(f"c_1 must be an integer, got {ch1}")
-    if rank != b.rank:
+    c1 = ch1.numerator
+    if n != b.rank:
         raise RankMismatchError(
-            f"character rank {ch.rank} != splitting type length {b.rank}"
+            f"character rank {n} != splitting type length {b.rank}"
         )
     terms = _type_terms(b)
-    if terms[0] != ch1:
+    if terms[0] != c1:
         raise InadmissibleParameterError(
-            f"splitting type {b} sums to {terms[0]}, not to c_1 = {ch1}"
+            f"splitting type {b} sums to {terms[0]}, not to c_1 = {c1}"
         )
-    return _evaluate(rank.numerator, ch1.numerator, ch2, b, terms, literal_mode)
+    return _evaluate(n, c1, ch2, b, terms, literal_mode)
 
 
 def _ch2_of_classes(c1: int, c2: int) -> Fraction:
@@ -336,9 +366,9 @@ def enumerate_admissible_c3(r: int, c1: int, c2: int) -> tuple[int, int]:
     c3_min - 1 and c3_max + 1.  Since ch_3 moves by 1/2 per unit of c_3,
     the interval is finite.
     """
-    if r < 1:
-        raise InadmissibleParameterError(f"rank must be >= 1, got {r}")
-    return _c3_interval(c1, c2, ch3_bound(r, c1, _ch2_of_classes(c1, c2)))
+    _check_rank(r, c1)
+    _check_integer("c_2", c2)
+    return _c3_interval(c1, c2, _character(r, c1, _ch2_of_classes(c1, c2), False).ch3_bound)
 
 
 def _c3_interval(c1: int, c2: int, bound: Fraction) -> tuple[int, int]:

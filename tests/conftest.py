@@ -26,3 +26,8 @@ def random_character(rng: random.Random, dim: int, span: int = 60) -> ChernChara
 def random_splitting_type(rng: random.Random, max_rank: int = 5, span: int = 6) -> SplittingType:
     rank = rng.randint(1, max_rank)
     return SplittingType(tuple(rng.randint(-span, span) for _ in range(rank)))
+
+
+def h1_invariant_bound(b: SplittingType, ch2: Fraction) -> Fraction:
+    """Oracle: the twist- and dual-invariant h^1 bound -ch_2 + (1/2) sum b_i^2."""
+    return -Fraction(ch2) + Fraction(b.square_sum, 2)

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from chowkit.bounds import ch3_bound, enumerate_admissible_c3, h1_invariant_bound
+from chowkit.bounds import ch3_bound, enumerate_admissible_c3
 from chowkit.catalog import parse_catalog, serialize_catalog, serialize_entry, strata_catalog
 from chowkit.chow import (
     ChernCharacter,
@@ -30,7 +30,12 @@ from chowkit.monads import monad_shape, partition_types
 from chowkit.resolutions import admissible_s, c3_of, resolution_shapes
 from chowkit.splitting import enumerate_splitting_types
 
-from conftest import random_character, random_rational, random_splitting_type
+from conftest import (
+    h1_invariant_bound,
+    random_character,
+    random_rational,
+    random_splitting_type,
+)
 from test_catalog_cli import random_entry
 from test_monads import monad_character_oracle, multiset_oracle
 from test_resolutions import reference_chern_character

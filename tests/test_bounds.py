@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import ceil, comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chowkit import bounds
 from chowkit.bounds import (
     bound_report,
     ch3_bound,
@@ -15,23 +18,33 @@ from chowkit.bounds import (
     euler_bound,
     extreme_bounds,
     h0_line_bundle,
-    h1_invariant_bound,
-    p2_bounds,
     p3_bounds,
-    vanishing_Q,
 )
 from chowkit.chow import ChernCharacter, ChernClasses, chern_to_character, dual, twist
 from chowkit.errors import (
     DimensionMismatchError,
     InadmissibleParameterError,
+    IntegralityError,
     RankMismatchError,
 )
 from chowkit.resolutions import admissible_s, c3_of
 from chowkit.splitting import SplittingType, enumerate_splitting_types, magnitude_ok
 
-from conftest import random_rational, random_splitting_type
+from conftest import h1_invariant_bound, random_rational, random_splitting_type
 
 F = Fraction
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def vanishing_Q(n, c1, ch2, b):
+    """Oracle: the vanishing constant Q = |c_1|/n + n + 4 - ch_2 + (1/2) sum b_i^2.
+
+    For k >= Q all four of h^1 F(k), h^2 F(k), h^0 F(-k), h^1 F(-k) vanish
+    on P^2.  Q subsumes the four per-step vanishing thresholds (k above
+    b_max, -b_min - 3, -b_min + inv and b_max + 3 + inv, with inv the
+    invariant h^1 bound) via the magnitude bound on b_max and b_min.
+    """
+    return F(abs(c1), n) + n + 4 + h1_invariant_bound(b, ch2)
 
 
 def monomial_count(n, k):
@@ -83,36 +96,20 @@ def test_extreme_bounds_against_direct_sums():
 
 
 # ---------------------------------------------------------------------------
-# P^2 bounds and the invariant h^1 bound
+# the invariant h^1 bound
 
 
-def test_p2_bounds_hand_values():
-    h0, h1, h2 = p2_bounds(SplittingType.of(0, 0), ChernCharacter.of(2, 2, 0, -5))
-    assert (h0, h1, h2) == (2, 5, 2)
-    h0, h1, h2 = p2_bounds(
-        SplittingType.of(0, -1), ChernCharacter.of(2, 2, -1, "-9/2")
-    )
-    assert (h0, h1, h2) == (1, 5, 1)
-    h0, h1, h2 = p2_bounds(SplittingType.of(0), ChernCharacter.of(2, 1, 0, 0))
-    assert (h0, h1, h2) == (1, 0, 1)
-
-
-def test_p2_bounds_rejects_rank_mismatch():
-    with pytest.raises(RankMismatchError):
-        p2_bounds(SplittingType.of(0), ChernCharacter.of(2, 2, 0, 0))
-    with pytest.raises(DimensionMismatchError):
-        p2_bounds(SplittingType.of(0), ChernCharacter.of(3, 1, 0, 0, 0))
-
-
-def test_p2_h1_bound_equals_invariant_form():
-    # when c1 = sum of the b_i the two h^1 expressions agree
+def test_p3_h1_bound_equals_invariant_form():
+    # the literal middle bound is Q times the invariant h^1 bound, whatever
+    # the entries' magnitudes (p3_bounds checks only their sum)
     rng = random.Random(22)
     for _ in range(200):
         b = random_splitting_type(rng)
         ch2 = random_rational(rng)
-        ch = ChernCharacter.of(2, b.rank, b.c1, ch2)
-        _, h1, _ = p2_bounds(b, ch)
-        assert h1 == h1_invariant_bound(b, ch2)
+        ch = ChernCharacter.of(3, b.rank, b.c1, ch2, 0)
+        report = p3_bounds(b, ch, literal_mode=True)
+        inv = h1_invariant_bound(b, ch2)
+        assert report.h_bounds[1] == report.h_bounds[2] == vanishing_Q(b.rank, b.c1, ch2, b) * inv
 
 
 def test_h1_invariant_bound_hand_values():
@@ -153,14 +150,21 @@ def test_h1_invariant_bound_is_twist_and_dual_invariant(entries, ch2, ch3, k):
 
 
 def test_vanishing_q_hand_values():
-    assert vanishing_Q(2, -1, F(-9, 2), SplittingType.of(0, -1)) == F(23, 2)
-    assert vanishing_Q(1, 0, F(0), SplittingType.of(0)) == 5
-    assert vanishing_Q(2, 0, F(-5), SplittingType.of(0, 0)) == 11
+    for n, c1, ch2, b, expected in [
+        (2, -1, F(-9, 2), SplittingType.of(0, -1), F(23, 2)),
+        (1, 0, F(0), SplittingType.of(0), 5),
+        (2, 0, F(-5), SplittingType.of(0, 0), 11),
+    ]:
+        assert vanishing_Q(n, c1, ch2, b) == expected
+        assert bound_report(n, c1, ch2, b).q == expected
 
 
 def test_vanishing_q_rejects_rank_mismatch():
+    # the library's Q comes with a report, which checks the type's length
     with pytest.raises(RankMismatchError):
-        vanishing_Q(3, 0, F(0), SplittingType.of(0, 0))
+        bound_report(3, 0, F(0), SplittingType.of(0, 0))
+    with pytest.raises(RankMismatchError):
+        p3_bounds(SplittingType.of(0, 0), ChernCharacter.of(3, 3, 0, 0, 0))
 
 
 def step_thresholds(b, ch2):
@@ -424,6 +428,84 @@ def test_bounds_match_the_rational_formulas(n, c1, ch2, entries, literal, typed)
     for report in reports:
         assert report_fields(report) == expected
         assert_field_types(report)
+
+
+# ---------------------------------------------------------------------------
+# the per-character cache
+
+
+def test_p3_bounds_of_one_character_fill_one_cache_entry():
+    types = enumerate_splitting_types(5, -2)
+    # a ch_2 no other test uses, so the first call is a miss
+    ch = ChernCharacter.of(3, 5, -2, F(-100003, 7), 0)
+    before = bounds._character_terms.cache_info()
+    reports = [p3_bounds(b, ch) for b in types]
+    after = bounds._character_terms.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == len(types) - 1
+    assert len({id(report.euler_bound) for report in reports}) == 1
+    assert len({id(report.ch3_bound) for report in reports}) == 1
+    for b, report in zip(types, reports):
+        assert report_fields(report) == reference_report(5, -2, ch.ch2, b, False)
+
+
+def test_literal_and_clamped_modes_do_not_share_an_entry():
+    # positive ch_2 makes both worst-case factors negative, so only the
+    # literal product is nonzero; each order of the modes is tried
+    for ch2, modes in ((F(20), (False, True)), (F(21), (True, False))):
+        values = [euler_bound(2, 0, ch2, mode) for mode in modes]
+        assert values == [reference_report(2, 0, ch2, None, mode)[7] for mode in modes]
+        assert values[0] != values[1]
+
+
+def test_interleaved_characters_give_fresh_reports():
+    characters = [(4, -1, F(-57, 4), False), (4, -3, F(-57, 4), False), (4, -1, F(-57, 4), True)]
+    types = {c1: enumerate_splitting_types(4, c1) for c1 in (-1, -3)}
+    for i in range(max(len(t) for t in types.values())):
+        for n, c1, ch2, literal in characters:
+            if i >= len(types[c1]):
+                continue
+            b = types[c1][i]
+            ch = ChernCharacter.of(3, n, c1, ch2, 0)
+            expected = reference_report(n, c1, ch2, b, literal)
+            assert report_fields(p3_bounds(b, ch, literal)) == expected
+            assert report_fields(bound_report(n, c1, ch2, b, literal)) == expected
+            assert euler_bound(n, c1, ch2, literal) == expected[7]
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (bound_report, (2, -1.0, 0)),
+        (euler_bound, (2, -1.0, 0)),
+        (ch3_bound, (2, F(-1), 0)),
+        (enumerate_admissible_c3, (2.0, -1, 3)),
+        (enumerate_admissible_c3, (2, -1, 3.0)),
+        (enumerate_admissible_c3, (2, True, 3)),
+        (ch3_bound, (True, 0, 0)),
+        (bound_report, (True, 0, 0)),
+        (euler_bound, (2, False, 0)),
+        (enumerate_admissible_c3, (2, -1, F(3))),
+    ],
+)
+def test_bounds_reject_a_rank_or_chern_class_that_is_not_an_int(call, args):
+    # the int of the same value is cached first, so a lookup by value
+    # would answer silently
+    call(*(int(x) for x in args))
+    with pytest.raises(IntegralityError, match="must be an integer"):
+        call(*args)
+
+
+def test_the_benchmark_sweep_block_still_has_its_recorded_digest(monkeypatch):
+    # the bound_sweep workload's own output check, on its full-size block 0;
+    # perfbench/ is only read, so no bytecode is written there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import sweep
+
+    queries = sweep.make_queries(sweep.RECORDED_SEED, 0, sweep.FULL)
+    answers, _ = sweep.run_block(queries)
+    assert sweep.digest(queries, answers) == sweep.RECORDED_BLOCK0[sweep.FULL]
 
 
 # ---------------------------------------------------------------------------
