@@ -54,6 +54,7 @@ from .errors import (
     InadmissibleParameterError,
     IntegralityError,
     RankMismatchError,
+    check_integer,
 )
 from .splitting import SplittingType, magnitude_ok, splitting_radius, validate
 
@@ -85,15 +86,9 @@ def extreme_bounds(b: SplittingType, N: int) -> tuple[int, int]:
     return low, high
 
 
-def _check_integer(name: str, value: object) -> None:
-    # a float or a bool would reach the int-keyed cache entry of its value
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise IntegralityError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_rank(n: int, c1: int) -> None:
-    _check_integer("rank", n)
-    _check_integer("c_1", c1)
+    check_integer("rank", n)
+    check_integer("c_1", c1)
     if n < 1:
         raise InadmissibleParameterError(f"rank must be >= 1, got {n}")
 
@@ -367,7 +362,7 @@ def enumerate_admissible_c3(r: int, c1: int, c2: int) -> tuple[int, int]:
     the interval is finite.
     """
     _check_rank(r, c1)
-    _check_integer("c_2", c2)
+    check_integer("c_2", c2)
     return _c3_interval(c1, c2, _character(r, c1, _ch2_of_classes(c1, c2), False).ch3_bound)
 
 

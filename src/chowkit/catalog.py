@@ -414,7 +414,7 @@ def monads_catalog(r_max: int, charge_range: range) -> list[CatalogEntry]:
             for c in charge_range:
                 if c < 0 or d + c < 0:
                     continue
-                ch2 = -Fraction(c) - Fraction(d, 2)
+                ch2 = Fraction(-2 * c - d, 2)
                 shape = monad_shape(r, d, ch2)
                 entries.append(
                     CatalogEntry(

@@ -15,20 +15,33 @@ Chern classes and Chern characters.
 P^2 and P^3 values never mix: the ambient dimension is carried on every
 value and checked by every binary operation.  Restriction P^3 -> P^2 is
 the only bridge between the two rings.
+
+The per-entry kernels of the family catalogs -- :func:`twist`,
+:func:`euler_characteristic` and :func:`chern_to_character` -- run in
+integers.  They put the input components over one common denominator,
+combine the integer numerators with fixed n!-scaled weights (n!/i! for
+the coefficients of ch(O(k)), n! td for Riemann-Roch), and make one
+``Fraction`` per output component from the integer sum and the common
+denominator.  Their results skip the coercion in the constructor, since
+every component is already an exact ``Fraction`` and ch_0 stays an
+integer.  Each equals its definition through :func:`mul` and the Todd
+class; ``tests/test_chow.py`` checks that with hypothesis.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Union
 
 from .errors import (
     DimensionMismatchError,
     IntegralityError,
     UnsupportedDimensionError,
+    check_integer,
 )
 
 RationalLike = Union[int, Fraction, str]
@@ -40,6 +53,18 @@ _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _TODD_COMPONENTS = {
     2: (Fraction(1), Fraction(3, 2), Fraction(1)),
     3: (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1)),
+}
+
+# n!/i! for i = 0..n: n! times the H^i coefficient k^i/i! of ch(O(k)), per k^i
+_FACTORIAL_SCALES = {
+    n: tuple(factorial(n) // factorial(i) for i in range(n + 1)) for n in SUPPORTED_DIMENSIONS
+}
+
+# n! td_(n-i) for i = 0..n, the Riemann-Roch weight of ch_i scaled by n!:
+# (2, 3, 2) on P^2 and (6, 11, 12, 6) on P^3
+_RIEMANN_ROCH_WEIGHTS = {
+    n: tuple(int(factorial(n) * td[n - i]) for i in range(n + 1))
+    for n, td in _TODD_COMPONENTS.items()
 }
 
 
@@ -132,7 +157,7 @@ class ChernCharacter:
 
     def __post_init__(self) -> None:
         _check_dimension(self.ambient_dim)
-        comps = tuple(as_rational(c) for c in self.components)
+        comps = tuple(map(as_rational, self.components))
         object.__setattr__(self, "components", comps)
         if len(comps) != self.ambient_dim + 1:
             raise DimensionMismatchError(
@@ -186,6 +211,25 @@ class ChernCharacter:
 
     def __str__(self) -> str:
         return "(" + ", ".join(rational_str(c) for c in self.components) + ")"
+
+
+def _exact_character(n: int, components: tuple[Fraction, ...]) -> ChernCharacter:
+    """A character whose components are already exact, with an integer ch_0.
+
+    Skips the coercion and checks of ``ChernCharacter.__post_init__``; only
+    for results built here from values that passed them.
+    """
+    x = object.__new__(ChernCharacter)
+    object.__setattr__(x, "ambient_dim", n)
+    object.__setattr__(x, "components", components)
+    return x
+
+
+def _common_numerators(components: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """The components over their least common denominator: (numerators, den)."""
+    denominators = [c.denominator for c in components]
+    den = lcm(*denominators)
+    return [c.numerator * (den // q) for c, q in zip(components, denominators)], den
 
 
 @dataclass(frozen=True)
@@ -245,8 +289,23 @@ def sub(a: ChernCharacter, b: ChernCharacter) -> ChernCharacter:
 
 
 def twist(x: ChernCharacter, k: int) -> ChernCharacter:
-    """Character of x tensored with O(k); equals mul(x, ch_line_bundle(n, k))."""
-    return mul(x, ch_line_bundle(x.ambient_dim, k))
+    """Character of x tensored with O(k); equals mul(x, ch_line_bundle(n, k)).
+
+    Evaluated in integers: with x_i = a_i / den, component d of the product
+    is sum_j a_(d-j) (n!/j!) k^j over n! den.
+    """
+    check_integer("the twist k of O(k)", k)
+    n = x.ambient_dim
+    numerators, den = _common_numerators(x.components)
+    scales = _FACTORIAL_SCALES[n]
+    powers, power = [], 1  # powers[j] = (n!/j!) k^j
+    for scale in scales:
+        powers.append(scale * power)
+        power *= k
+    den *= scales[0]
+    return _exact_character(n, tuple(
+        Fraction(sum(map(operator.mul, numerators[d::-1], powers)), den) for d in range(n + 1)
+    ))
 
 
 def dual(x: ChernCharacter) -> ChernCharacter:
@@ -261,11 +320,14 @@ def euler_characteristic(x: ChernCharacter) -> Fraction:
     """Euler characteristic via Riemann-Roch: the H^n coefficient of x * td(P^n).
 
     Expands to ch_0 + 3/2 ch_1 + ch_2 on P^2 and to
-    ch_0 + 11/6 ch_1 + 2 ch_2 + ch_3 on P^3, always exactly.
+    ch_0 + 11/6 ch_1 + 2 ch_2 + ch_3 on P^3, always exactly: with
+    x_i = a_i / den it is (2 a_0 + 3 a_1 + 2 a_2) / (2 den), respectively
+    (6 a_0 + 11 a_1 + 12 a_2 + 6 a_3) / (6 den).
     """
     n = x.ambient_dim
-    td = _TODD_COMPONENTS[n]
-    return sum((x.components[i] * td[n - i] for i in range(n + 1)), Fraction(0))
+    numerators, den = _common_numerators(x.components)
+    weights = _RIEMANN_ROCH_WEIGHTS[n]
+    return Fraction(sum(map(operator.mul, numerators, weights)), den * _FACTORIAL_SCALES[n][0])
 
 
 def restrict_to_hyperplane(x: ChernCharacter) -> ChernCharacter:
@@ -301,12 +363,12 @@ def chern_to_character(c: ChernClasses, n: int) -> ChernCharacter:
         raise DimensionMismatchError(
             "c3 must be given exactly when converting on P^3"
         )
-    ch1 = Fraction(c.c1)
-    ch2 = Fraction(c.c1**2 - 2 * c.c2, 2)
-    comps = [Fraction(c.rank), ch1, ch2]
-    if n == 3:
-        comps.append(Fraction(c.c1**3 - 3 * c.c1 * c.c2 + 3 * c.c3, 6))
-    return ChernCharacter(n, tuple(comps))
+    c1, c2 = c.c1, c.c2
+    ch2 = Fraction(c1 * c1 - 2 * c2, 2)
+    if n == 2:
+        return _exact_character(2, (Fraction(c.rank), Fraction(c1), ch2))
+    ch3 = Fraction(c1**3 - 3 * c1 * c2 + 3 * c.c3, 6)
+    return _exact_character(3, (Fraction(c.rank), Fraction(c1), ch2, ch3))
 
 
 def character_to_chern(x: ChernCharacter) -> ChernClasses:

@@ -6,6 +6,8 @@ outside the supported range, inconsistent inputs) derives from
 end -- can distinguish domain failures from usage mistakes.
 """
 
+from __future__ import annotations
+
 
 class DomainError(ValueError):
     """Base class for invalid mathematical input; maps to CLI exit code 1."""
@@ -21,6 +23,17 @@ class DimensionMismatchError(DomainError):
 
 class IntegralityError(DomainError):
     """A quantity that must be an integer (rank, Chern class) is not."""
+
+
+def check_integer(name: str, value: object) -> None:
+    """Raise :class:`IntegralityError` unless value is an int (a bool is not).
+
+    Called before any arithmetic: a float would otherwise reach a closed
+    form or an int-keyed cache entry of its value, and a bool would pass
+    silently as 0 or 1.
+    """
+    if type(value) is not int:
+        raise IntegralityError(f"{name} must be an integer, got {value!r}")
 
 
 class RankMismatchError(DomainError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chow import ChernCharacter, RationalLike, as_rational, euler_characteristic, twist
-from .errors import InadmissibleParameterError, NotRealizableError
+from .errors import InadmissibleParameterError, NotRealizableError, check_integer
 from .resolutions import ShapeDescriptor
 
 
@@ -35,7 +35,15 @@ def charge(r: int, d: int, ch2: RationalLike) -> Fraction:
 
     Computed through Riemann-Roch on the twisted character; it closes to
     -ch_2 - d/2, which ``tests/test_identities.py`` proves symbolically.
+    The closed form is not used yet: this is the only call of
+    :func:`chowkit.chow.twist` and :func:`chowkit.chow.euler_characteristic`
+    on the catalog paths, and the benchmark's traced run times those two
+    kernels on the inputs this call passes them.  A probe with no recorded
+    inputs stops that run, so the switch waits for the benchmark to report
+    such a probe as absent instead.
     """
+    check_integer("rank", r)
+    check_integer("degree", d)
     character = ChernCharacter.of(2, r, d, ch2)
     return -euler_characteristic(twist(character, -1))
 
@@ -99,6 +107,8 @@ def monad_shape(r: int, d: int, ch2: RationalLike) -> MonadShape:
     assumptions on the sheaf itself; they cannot be checked from the
     numeric data and are not checked here.
     """
+    check_integer("rank", r)
+    check_integer("degree", d)
     ch2 = as_rational(ch2)
     if not is_normalized(r, d):
         raise NotRealizableError(
@@ -111,9 +121,10 @@ def monad_shape(r: int, d: int, ch2: RationalLike) -> MonadShape:
     if d + c < 0:
         raise NotRealizableError(f"left exponent d + c = {d + c} is negative")
     shape = MonadShape(d + c, r + d + 2 * c, c)
-    # exact re-check of the character identity; survives python -O
+    # exact re-check of the character identity, with ch_2 = -(v + u)/2
+    # cross-multiplied in integers; survives python -O
     v, w, u = shape.v, shape.w, shape.u
-    if (w - v - u, v - u, Fraction(-(v + u), 2)) != (r, d, ch2):
+    if (w - v - u, v - u, -(v + u) * ch2.denominator) != (r, d, 2 * ch2.numerator):
         raise NotRealizableError(
             f"monad exponents {(v, w, u)} do not reproduce ({r}, {d}, {ch2})"
         )
@@ -193,6 +204,7 @@ def partition_types(l: int) -> list[PartitionType]:
     order, so each multiset appears exactly once.  Output order follows
     the same descending order, hence is deterministic.
     """
+    check_integer("length", l)
     if l < 0:
         raise InadmissibleParameterError(f"length must be >= 0, got {l}")
     # _partitions(k) is reverse-lexicographic and k runs downward, so the

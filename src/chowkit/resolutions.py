@@ -20,6 +20,13 @@ carries no closed dimension formula and is deliberately not reported.
 :func:`verify_resolution_chern` checks the Chern-character identity
 ch(R^0) - ch(R^-1) = ch(F) on a built resolution, without rebuilding it.
 
+Both dimensions are closed-form cubics in (c_2, s), evaluated in integers
+over 6.  On the admissible region every twist difference in
+Hom(R^-1, R^0), End R^-1 and End R^0 has a fixed sign, so each h^0 is
+either the cubic binomial C(t + 3, 3) or 0; the one exception is the
+difference 1 - s in End R^0, which adds h^0(O) = 1 at s = 1 only.
+``tests/test_identities.py`` proves the sign conditions and both cubics.
+
 The character of a split term is kept only scaled by 3! = 6, as an
 integer tuple: entry i of 6 ch(O(t_1)^e_1 + ...) is (6 / i!) sum e t^i.
 The identity check compares 6 (ch R^0 - ch R^-1) with
@@ -33,10 +40,10 @@ tuples are 6 times the rational characters, is proved symbolically in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isqrt
+from math import isqrt
 
-from .bounds import h0_line_bundle
-from .errors import InadmissibleParameterError, NotRealizableError
+from .chow import _FACTORIAL_SCALES
+from .errors import InadmissibleParameterError, NotRealizableError, check_integer
 
 
 @dataclass(frozen=True)
@@ -91,10 +98,13 @@ class ShapeDescriptor:
 
 def _scaled_character(summands, n: int) -> tuple:
     """n! times the character of a split sheaf: entry i is (n!/i!) sum e t^i."""
-    return tuple(
-        factorial(n) // factorial(i) * sum(e * t**i for t, e in summands)
-        for i in range(n + 1)
-    )
+    sums = [0] * (n + 1)
+    for t, e in summands:
+        term = e  # e t^i
+        for i in range(n + 1):
+            sums[i] += term
+            term *= t
+    return tuple(scale * x for scale, x in zip(_FACTORIAL_SCALES[n], sums))
 
 
 def _scaled_target(c2: int, c3: int) -> tuple:
@@ -106,12 +116,29 @@ def _c3_formula(c2: int, s: int) -> int:
     return c2 * c2 - 2 * s * c2 + 2 * s * (s + 1)
 
 
+def _scaled_dims(c2: int, s: int) -> tuple[int, int]:
+    """6 dim Hom(R^-1, R^0), and 6 (dim End R^-1 + dim End R^0) less its [s = 1] term.
+
+    Each is a sum of binomials C(t + 3, 3), so both are divisible by 6.
+    """
+    hom = (
+        3 * c2**3 - 12 * c2**2 * s + 15 * c2**2 + 18 * c2 * s**2 - 42 * c2 * s
+        + 24 * c2 - 8 * s**3 + 48 * s**2 + 2 * s + 90
+    )
+    end = (
+        4 * c2**3 - 18 * c2**2 * s + 9 * c2**2 + 30 * c2 * s**2 - 30 * c2 * s
+        + 5 * c2 - 16 * s**3 + 36 * s**2 + 4 * s + 66
+    )
+    return hom, end
+
+
 def max_admissible_s(c2: int) -> int:
     """Largest admissible s for c2, or 0 when there is none.
 
     Decided entirely in integers: s is admissible iff (2s+1)^2 <= 4 c2 - 7
     (equivalent to s <= (-1 + sqrt(4 c2 - 7))/2) and c2 > 4.
     """
+    check_integer("c2", c2)
     if c2 <= 4:
         return 0
     return (isqrt(4 * c2 - 7) - 1) // 2
@@ -123,17 +150,13 @@ def admissible_s(c2: int) -> list[int]:
 
 
 def _check_admissible(c2: int, s: int) -> None:
-    if s < 1 or s > max_admissible_s(c2):
+    check_integer("s", s)
+    s_max = max_admissible_s(c2)  # checks c2 first
+    if s < 1 or s > s_max:
         raise InadmissibleParameterError(
             f"s = {s} is not admissible for c2 = {c2} "
             f"(need c2 > 4 and (2s+1)^2 <= 4 c2 - 7)"
         )
-
-
-def c3_of(c2: int, s: int) -> int:
-    """Third Chern class c_2^2 - 2 s c_2 + 2 s (s + 1) of the (c2, s) sheaf."""
-    _check_admissible(c2, s)
-    return _c3_formula(c2, s)
 
 
 def resolution_shapes(c2: int, s: int) -> tuple[ShapeDescriptor, ShapeDescriptor]:
@@ -142,18 +165,6 @@ def resolution_shapes(c2: int, s: int) -> tuple[ShapeDescriptor, ShapeDescriptor
     r_minus1 = ShapeDescriptor.line_bundles(-s - 2, s - 1 - c2)
     r_0 = ShapeDescriptor.line_bundles(-s - 1, -1, -2, s - c2)
     return r_minus1, r_0
-
-
-def hom_dim(a: ShapeDescriptor, b: ShapeDescriptor, n: int) -> int:
-    """Dimension of Hom(a, b) between split bundles on P^n.
-
-    Hom(O(p)^e, O(q)^f) contributes e * f * h^0 O(q - p).
-    """
-    return sum(
-        ea * eb * h0_line_bundle(n, tb - ta)
-        for ta, ea in a.summands
-        for tb, eb in b.summands
-    )
 
 
 @dataclass(frozen=True)
@@ -165,6 +176,12 @@ class PresentationReport:
     projectivization, and dim_g the dimension of Aut(R^-1) x Aut(R^0)
     (each automorphism group is open in the endomorphism space).  The
     Quot factor of the full presentation is symbolic and not included.
+
+    dim_g is the dimension of that group and nothing more: it is not a
+    correction to subtract from dim_hom to get the stratum's dimension
+    (dim_hom - dim_g is already negative at (c2, s) = (12, 1)).  Both
+    dimensions are closed-form cubics in (c2, s), proved in
+    ``tests/test_identities.py``.
     """
 
     c2: int
@@ -180,8 +197,10 @@ class PresentationReport:
 def presentation_report(c2: int, s: int) -> PresentationReport:
     """The resolution of an admissible (c2, s), its terms built once."""
     r_minus1, r0 = resolution_shapes(c2, s)
-    dim = hom_dim(r_minus1, r0, 3)
-    dim_g = hom_dim(r_minus1, r_minus1, 3) + hom_dim(r0, r0, 3)
+    hom, end = _scaled_dims(c2, s)
+    dim = hom // 6
+    # End R^0 holds Hom(O(-2), O(-s-1)), nonzero only at s = 1
+    dim_g = end // 6 + (1 if s == 1 else 0)
     return PresentationReport(c2, s, _c3_formula(c2, s), r_minus1, r0, dim, dim - 1, dim_g)
 
 

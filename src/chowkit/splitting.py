@@ -120,12 +120,6 @@ def validate(b: "SplittingType | IntSequence", r: int, c1: int) -> bool:
     return all(entries[i] >= entries[i + 1] for i in range(len(entries) - 1))
 
 
-def gap_ok(b: "SplittingType | IntSequence") -> bool:
-    """True iff consecutive entries differ by at most 2."""
-    entries = _entries(b)
-    return all(entries[i] - entries[i + 1] <= 2 for i in range(len(entries) - 1))
-
-
 def splitting_radius(r: int, c1: int) -> Fraction:
     """The magnitude bound |c_1|/r + r, as an exact rational."""
     if r <= 0:

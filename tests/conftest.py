@@ -28,6 +28,11 @@ def random_splitting_type(rng: random.Random, max_rank: int = 5, span: int = 6) 
     return SplittingType(tuple(rng.randint(-span, span) for _ in range(rank)))
 
 
+def c3_oracle(c2: int, s: int) -> int:
+    """Oracle: the third Chern class c_2^2 - 2 s c_2 + 2 s (s + 1) of the (c2, s) sheaf."""
+    return c2 * c2 - 2 * s * c2 + 2 * s * (s + 1)
+
+
 def h1_invariant_bound(b: SplittingType, ch2: Fraction) -> Fraction:
     """Oracle: the twist- and dual-invariant h^1 bound -ch_2 + (1/2) sum b_i^2."""
     return -Fraction(ch2) + Fraction(b.square_sum, 2)

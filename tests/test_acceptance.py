@@ -27,10 +27,11 @@ from chowkit.chow import (
 from chowkit.chow import ChernClasses
 from chowkit.cli import main
 from chowkit.monads import monad_shape, partition_types
-from chowkit.resolutions import admissible_s, c3_of, resolution_shapes
+from chowkit.resolutions import admissible_s, presentation_report, resolution_shapes
 from chowkit.splitting import enumerate_splitting_types
 
 from conftest import (
+    c3_oracle,
     h1_invariant_bound,
     random_character,
     random_rational,
@@ -114,7 +115,7 @@ def test_criterion_5_resolution_consistency():
     seen = 0
     for c2 in range(5, 31):
         for s in admissible_s(c2):
-            c3 = c3_of(c2, s)
+            c3 = c3_oracle(c2, s)
             r_minus1, r_0 = resolution_shapes(c2, s)
             resolved = sub(
                 reference_chern_character(r_0, 3), reference_chern_character(r_minus1, 3)
@@ -122,7 +123,7 @@ def test_criterion_5_resolution_consistency():
             assert resolved == chern_to_character(ChernClasses(2, -1, c2, c3), 3)
             seen += 1
     assert seen > 0
-    assert c3_of(5, 1) == 19
+    assert presentation_report(5, 1).c3 == c3_oracle(5, 1) == 19
     resolved = chern_to_character(ChernClasses(2, -1, 5, 19), 3)
     assert resolved == ChernCharacter.of(3, 2, -1, "-9/2", "71/6")
 
@@ -133,7 +134,7 @@ def test_criterion_6_bound_containment():
         ch2 = F(1 - 2 * c2, 2)
         bound = ch3_bound(2, -1, ch2)
         for s in admissible_s(c2):
-            ch3 = chern_to_character(ChernClasses(2, -1, c2, c3_of(c2, s)), 3).ch3
+            ch3 = chern_to_character(ChernClasses(2, -1, c2, c3_oracle(c2, s)), 3).ch3
             assert abs(ch3) < bound, (c2, s)
 
 

@@ -27,10 +27,10 @@ from chowkit.errors import (
     IntegralityError,
     RankMismatchError,
 )
-from chowkit.resolutions import admissible_s, c3_of
+from chowkit.resolutions import admissible_s
 from chowkit.splitting import SplittingType, enumerate_splitting_types, magnitude_ok
 
-from conftest import h1_invariant_bound, random_rational, random_splitting_type
+from conftest import c3_oracle, h1_invariant_bound, random_rational, random_splitting_type
 
 F = Fraction
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -546,5 +546,5 @@ def test_ch3_bound_contains_all_resolved_sheaves():
         ch2 = F(1 - 2 * c2, 2)
         bound = ch3_bound(2, -1, ch2)
         for s in admissible_s(c2):
-            ch3 = chern_to_character(ChernClasses(2, -1, c2, c3_of(c2, s)), 3).ch3
+            ch3 = chern_to_character(ChernClasses(2, -1, c2, c3_oracle(c2, s)), 3).ch3
             assert abs(ch3) < bound, (c2, s)

@@ -204,6 +204,52 @@ def test_euler_is_top_coefficient_of_todd_product():
         assert euler_characteristic(x) == mul(x, td).components[dim]
 
 
+@st.composite
+def characters(draw):
+    n = draw(st.sampled_from((2, 3)))
+    rank = draw(st.integers(-9, 9))
+    rational = st.builds(F, st.integers(-10**4, 10**4), st.integers(1, 720))
+    rest = draw(st.lists(rational, min_size=n, max_size=n))
+    return ChernCharacter(n, (F(rank), *rest))
+
+
+@given(x=characters(), a=st.integers(-40, 40), b=st.integers(-40, 40))
+def test_integer_kernels_equal_their_fraction_definitions(x, a, b):
+    # twist and euler_characteristic run over a common denominator; their
+    # definitions are the Fraction product and the Todd-class sum
+    n = x.ambient_dim
+    twisted = twist(x, a)
+    assert twisted == mul(x, ch_line_bundle(n, a))
+    assert twist(twisted, b) == twist(x, a + b)
+    td = todd(n).components
+    chi = euler_characteristic(x)
+    assert chi == sum((x.components[i] * td[n - i] for i in range(n + 1)), F(0))
+    # the catalog encoder tells int and Fraction apart
+    for value in (*twisted.components, *twist(twisted, b).components, chi):
+        assert type(value) is F
+
+
+@given(
+    rank=st.integers(-9, 9),
+    c1=st.integers(-10**3, 10**3),
+    c2=st.integers(-10**4, 10**4),
+    c3=st.integers(-10**5, 10**5),
+)
+def test_chern_to_character_builds_exact_fractions(rank, c1, c2, c3):
+    for n, classes in ((2, ChernClasses(rank, c1, c2)), (3, ChernClasses(rank, c1, c2, c3))):
+        x = chern_to_character(classes, n)
+        assert x == ChernCharacter(n, x.components)
+        assert all(type(value) is F for value in x.components)
+        assert character_to_chern(x) == classes
+
+
+def test_twist_rejects_a_k_that_is_not_an_int():
+    x = ChernCharacter.of(2, 2, 0, -5)
+    for k in (1.0, F(1), True):
+        with pytest.raises(IntegralityError, match="must be an integer"):
+            twist(x, k)
+
+
 # ---------------------------------------------------------------------------
 # restriction and pushforward
 

@@ -5,6 +5,9 @@ sympy expansion proves it for every input:
 
 * the resolution ch(R^0) - ch(R^-1) = ch(2, -1, c_2, c_3(c_2, s)) on P^3,
   in (c_2, s);
+* the closed forms of dim Hom(R^-1, R^0) and dim End R^-1 + dim End R^0,
+  in (c_2, s), under sign conditions that are proved for the whole
+  admissible region;
 * the monad ch(O^w) - ch(O(-1)^v) - ch(O(1)^u) = (r, d, -c - d/2) on P^2,
   with (v, w, u) = (d + c, r + d + 2c, c), in (r, d, c);
 * the charge -chi(F(-1)) = -ch_2 - d/2, by Riemann-Roch with td(P^2);
@@ -78,6 +81,72 @@ def test_symbolic_terms_are_the_library_terms():
         for symbolic, shape in ((R_MINUS1, r_minus1), (R_0, r_0)):
             numeric = [(int(sp.sympify(t).subs(values)), e) for t, e in symbolic]
             assert resolutions.ShapeDescriptor(tuple(numeric)) == shape
+
+
+# The admissible region s >= 1, c2 >= s^2 + s + 2, c2 >= 5, as two branches in
+# nonnegative integers a, b.  The last bound only matters at s = 1, where
+# s^2 + s + 2 = 4 would put the difference 2s + 2 - c2 at 0.
+A, B = sp.symbols("a b", integer=True, nonnegative=True)
+ADMISSIBLE = (
+    {S: 1, C2: 5 + B},
+    {S: 2 + A, C2: (2 + A) ** 2 + (2 + A) + 2 + B},
+)
+
+
+def certified_nonnegative(expr):
+    """True if expr is a polynomial with nonnegative coefficients in (a, b) on each branch."""
+    return all(
+        all(coeff >= 0 for coeff in sp.Poly(sp.expand(expr.subs(branch)), A, B).coeffs())
+        for branch in ADMISSIBLE
+    )
+
+
+def sections_of_hom(source, target):
+    """dim Hom(source, target) on P^3 over the admissible region, as a polynomial.
+
+    Each twist difference t must be certified t >= 0 (it adds C(t + 3, 3))
+    or t <= -1 (it adds 0).  1 - s is the one difference with no fixed
+    sign; it is returned apart, as its exponent product.
+    """
+    total, exceptions = sp.Integer(0), 0
+    for ta, ea in source:
+        for tb, eb in target:
+            t = sp.expand(tb - ta)
+            if t == 1 - S:
+                exceptions += ea * eb
+            elif certified_nonnegative(t):
+                total += ea * eb * (t + 1) * (t + 2) * (t + 3) / 6
+            else:
+                assert certified_nonnegative(-t - 1), t
+    return sp.expand(total), exceptions
+
+
+def test_presentation_dimensions_are_the_closed_forms():
+    dim_hom, hom_exceptions = sections_of_hom(R_MINUS1, R_0)
+    end_minus1, minus1_exceptions = sections_of_hom(R_MINUS1, R_MINUS1)
+    end_0, end_0_exceptions = sections_of_hom(R_0, R_0)
+    assert (hom_exceptions, minus1_exceptions, end_0_exceptions) == (0, 0, 1)
+    # 1 - s: h^0(O) = 1 at s = 1, and 1 - s <= -1 on the branch s >= 2
+    assert (1 - S).subs(ADMISSIBLE[0]) == 0
+    assert sp.expand(-(1 - S).subs(ADMISSIBLE[1]) - 1) == A
+    hom, end = resolutions._scaled_dims(C2, S)
+    assert sp.expand(hom - 6 * dim_hom) == 0
+    assert sp.expand(end - 6 * (end_minus1 + end_0)) == 0
+    # the polynomials of the module docstring, over 6
+    assert sp.expand(hom / 6 - (
+        C2**3 / 2 - 2 * C2**2 * S + sp.Rational(5, 2) * C2**2 + 3 * C2 * S**2
+        - 7 * C2 * S + 4 * C2 - sp.Rational(4, 3) * S**3 + 8 * S**2 + S / 3 + 15
+    )) == 0
+    assert sp.expand(end / 6 - (
+        sp.Rational(2, 3) * C2**3 - 3 * C2**2 * S + sp.Rational(3, 2) * C2**2
+        + 5 * C2 * S**2 - 5 * C2 * S + sp.Rational(5, 6) * C2
+        - sp.Rational(8, 3) * S**3 + 6 * S**2 + sp.Rational(2, 3) * S + 11
+    )) == 0
+    # the region the branches cover is the admissible one of the library
+    for c2 in range(0, 60):
+        for s in range(0, 10):
+            covered = s >= 1 and c2 >= max(5, s * s + s + 2)
+            assert covered == (1 <= s <= resolutions.max_admissible_s(c2)), (c2, s)
 
 
 def test_monad_character_identity():

@@ -7,7 +7,7 @@ import pytest
 
 from chowkit import monads
 from chowkit.chow import ChernCharacter, character_to_chern, sub
-from chowkit.errors import InadmissibleParameterError, NotRealizableError
+from chowkit.errors import InadmissibleParameterError, IntegralityError, NotRealizableError
 from chowkit.monads import (
     MonadShape,
     PartitionType,
@@ -175,6 +175,27 @@ def test_monad_shape_rejections():
         monad_shape(2, 0, F(1))  # negative charge
     with pytest.raises(NotRealizableError):
         monad_shape(3, -2, F(0))  # charge 1 but left exponent d + c = -1
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (monad_shape, (2.0, 0, 0)),
+        (monad_shape, (2, -1.0, F(-9, 2))),
+        (monad_shape, (True, 0, 0)),
+        (monad_shape, (2, False, 0)),
+        (monad_shape, (F(2), 0, 0)),
+        (charge, (2, -1.0, 0)),
+        (charge, (True, 0, 0)),
+        (partition_types, (2.0,)),
+        (partition_types, (True,)),
+        (partition_types, (-1.0,)),
+    ],
+)
+def test_family_paths_reject_a_rank_degree_or_length_that_is_not_an_int(call, args):
+    # partition_types(True) used to answer for l = 1
+    with pytest.raises(IntegralityError, match="must be an integer"):
+        call(*args)
 
 
 # ---------------------------------------------------------------------------

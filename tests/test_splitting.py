@@ -14,7 +14,6 @@ from chowkit.errors import InadmissibleParameterError
 from chowkit.splitting import (
     SplittingType,
     enumerate_splitting_types,
-    gap_ok,
     magnitude_ok,
     splitting_radius,
     validate,
@@ -45,12 +44,6 @@ def test_validate_examples():
     assert validate((-1, 0), 2, -1) is False  # ordering
     assert validate((1, 1), 2, -1) is False  # sum
     assert validate((1, 1), 3, 2) is False  # length
-
-
-def test_gap_examples():
-    assert gap_ok((0, -1)) is True
-    assert gap_ok((1, -2)) is False
-    assert gap_ok((2, 0, -2)) is True
 
 
 def test_magnitude_examples():
@@ -226,7 +219,7 @@ def test_enumerated_types_pass_all_checks():
             for t in enumerate_splitting_types(r, c1, True):
                 assert validate(t, r, c1)
                 assert magnitude_ok(t, r, c1)
-                assert gap_ok(t)
+                assert all(a - b <= 2 for a, b in zip(t.entries, t.entries[1:]))
 
 
 def test_enumerate_negation_symmetry():
