@@ -14,6 +14,12 @@ Value encoding inside the ``inputs``/``outputs`` maps:
 * any other string stays a string, provided it cannot be mistaken for a
   rational (the serializer enforces this).
 
+Writing streams: :func:`write_catalog` encodes each entry once into a sort
+row, sorts the rows and writes the document piece by piece in canonical
+order, so its peak memory is the sort rows (about the size of the
+document), never a copy of the whole document.  :func:`serialize_catalog`
+joins the same pieces into one string.
+
 Reading goes through one value decoder, which maps each raw JSON value to
 its value and its canonical JSON text.  :func:`parse_catalog` builds
 entries from the values; :func:`canonical_lines` joins the texts into each
@@ -28,7 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from .bounds import _c3_interval, _ch2_of_classes, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
@@ -173,6 +179,50 @@ def _indented_list(head: str, blocks: list[str], tail: str) -> str:
     return ",\n".join(blocks)
 
 
+# one text per kind, shared by every sort row of that kind
+_KIND_TEXT = {kind: _json_str(kind) for kind in KINDS}
+
+
+def _document_pieces(entries: Iterable[CatalogEntry]) -> Iterator[str]:
+    """The canonical catalog document of ``entries``, piece by piece.
+
+    Each entry is encoded once, into a sort row: the compact texts its
+    canonical line is joined from (inputs, kind, outputs, version, in the
+    line's order) and the indented texts of its inputs and outputs.
+    Consecutive entries that share one outputs map (the same object, as
+    ``strata_catalog`` builds them) share its texts: the texts of the last
+    outputs map are reused while the next entry's map ``is`` it.  Nothing
+    else is remembered, so a map must not change while its entries are
+    being encoded.
+
+    The first piece comes only after every entry is encoded and the rows
+    are sorted, so an error in generating or encoding any entry is raised
+    before anything is yielded.  The pieces are the head, one per entry,
+    and the tail; each row is dropped once its piece is made.
+    """
+    rows = []
+    last = None  # the last outputs map; its compact and indented texts follow
+    for entry in entries:
+        inputs = _encode_map(entry.inputs)
+        if entry.outputs is not last:
+            encoded = _encode_map(entry.outputs)
+            last, compact, indented = entry.outputs, _compact_map(encoded), _indented_map(encoded)
+        kind, version = _KIND_TEXT[entry.kind], int.__repr__(entry.schema_version)
+        rows.append((_compact_map(inputs), kind, compact, version, _indented_map(inputs), indented))
+    # No JSON object or string text is a proper prefix of another, and the
+    # version is one constant, so the rows sort as their canonical lines do.
+    # Descending, so that popping from the end takes them in order.
+    rows.sort(reverse=True)
+    yield '{\n  "entries": ['
+    separator = "\n"
+    while rows:
+        _, kind, _, version, inputs, outputs = rows.pop()
+        yield separator + _indented_block(inputs, kind, outputs, version)
+        separator = ",\n"
+    close = "]" if separator == "\n" else "\n  ]"
+    yield close + ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
+
+
 # ---------------------------------------------------------------------------
 # decoding: one value decoder turns each raw JSON value into its value and
 # its canonical JSON text; the checks on each raw entry are made in one place.
@@ -282,28 +332,30 @@ def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
 
     The layout is ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
     trailing newline, where ``doc`` holds the entries and the schema version.
-
-    Consecutive entries that share one outputs map (the same object, as
-    ``strata_catalog`` builds them) encode it once: the texts of the last
-    outputs map are kept and reused while the next entry's map ``is`` it.
-    Nothing else is remembered, so a map must not change while its
-    entries are being serialized.
+    The text is joined from the pieces that :func:`write_catalog` streams
+    in canonical order; a large catalog is better written with that.
     """
-    pairs = []
-    last = None  # the last outputs map; its compact and indented texts follow
-    for entry in entries:
-        inputs = _encode_map(entry.inputs)
-        if entry.outputs is not last:
-            encoded = _encode_map(entry.outputs)
-            last, compact, indented = entry.outputs, _compact_map(encoded), _indented_map(encoded)
-        kind, version = _json_str(entry.kind), int.__repr__(entry.schema_version)
-        pairs.append((
-            _compact_line(_compact_map(inputs), kind, compact, version),
-            _indented_block(_indented_map(inputs), kind, indented, version),
-        ))
-    pairs.sort()
-    tail = ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
-    return _indented_list('{\n  "entries": ', [block for _, block in pairs], tail)
+    return "".join(_document_pieces(entries))
+
+
+def write_catalog(entries: Iterable[CatalogEntry], handle: TextIO) -> int:
+    """Write the :func:`serialize_catalog` document to ``handle``; the entry count.
+
+    The document streams out in canonical order, and no copy of it is
+    built: peak memory is one sort row per entry, about the size of the
+    document, not the document itself.  Consecutive entries that share one
+    outputs map (the same object) encode it once.  ``entries`` may be a
+    generator, whose entries are then freed as they are encoded.
+
+    Nothing is written until every entry is generated, encoded and
+    sorted, so any error in those steps is raised before the first write:
+    a ``handle`` that opens its file on the first write leaves no file.
+    """
+    count = -2  # the head and the tail piece hold no entry
+    for piece in _document_pieces(entries):
+        handle.write(piece)
+        count += 1
+    return count
 
 
 def parse_catalog(text: str) -> list[CatalogEntry]:
@@ -359,56 +411,59 @@ def diff_document(delta: Mapping[str, list[str]]) -> str:
 
 def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
     """One "bound" entry per c2: the ch_3 bound and the admissible c3 interval."""
-    entries = []
+    return list(_bounds_entries(r, c1, c2_range))
+
+
+def _bounds_entries(r: int, c1: int, c2_range: range) -> Iterator[CatalogEntry]:
     for c2 in c2_range:
         ch2 = _ch2_of_classes(c1, c2)
         report = bound_report(r, c1, ch2)
         # the interval of enumerate_admissible_c3, from the same ch_3 bound
         c3_min, c3_max = _c3_interval(c1, c2, report.ch3_bound)
-        entries.append(
-            CatalogEntry(
-                kind="bound",
-                inputs={"rank": r, "c1": c1, "c2": c2},
-                outputs={
-                    "ch2": ch2,
-                    "ch3_bound": report.ch3_bound,
-                    "euler_bound": report.euler_bound,
-                    "q": report.q,
-                    "c3_min": c3_min,
-                    "c3_max": c3_max,
-                },
-            )
+        yield CatalogEntry(
+            kind="bound",
+            inputs={"rank": r, "c1": c1, "c2": c2},
+            outputs={
+                "ch2": ch2,
+                "ch3_bound": report.ch3_bound,
+                "euler_bound": report.euler_bound,
+                "q": report.q,
+                "c3_min": c3_min,
+                "c3_max": c3_max,
+            },
         )
-    return entries
 
 
 def resolutions_catalog(c2_range: range) -> list[CatalogEntry]:
     """One "resolution" entry per admissible (c2, s)."""
-    entries = []
+    return list(_resolutions_entries(c2_range))
+
+
+def _resolutions_entries(c2_range: range) -> Iterator[CatalogEntry]:
     for c2 in c2_range:
         for s in admissible_s(c2):
             report = presentation_report(c2, s)
-            entries.append(
-                CatalogEntry(
-                    kind="resolution",
-                    inputs={"c2": c2, "s": s},
-                    outputs={
-                        "c3": report.c3,
-                        "r_minus1": str(report.r_minus1),
-                        "r0": str(report.r0),
-                        "chern_consistent": verify_resolution_chern(report),
-                        "dim_hom": report.dim_hom,
-                        "dim_pv": report.dim_pv,
-                        "dim_g": report.dim_g,
-                    },
-                )
+            yield CatalogEntry(
+                kind="resolution",
+                inputs={"c2": c2, "s": s},
+                outputs={
+                    "c3": report.c3,
+                    "r_minus1": str(report.r_minus1),
+                    "r0": str(report.r0),
+                    "chern_consistent": verify_resolution_chern(report),
+                    "dim_hom": report.dim_hom,
+                    "dim_pv": report.dim_pv,
+                    "dim_g": report.dim_g,
+                },
             )
-    return entries
 
 
 def monads_catalog(r_max: int, charge_range: range) -> list[CatalogEntry]:
     """One "monad" entry per normalized (r, d) and integer charge."""
-    entries = []
+    return list(_monads_entries(r_max, charge_range))
+
+
+def _monads_entries(r_max: int, charge_range: range) -> Iterator[CatalogEntry]:
     for r in range(1, r_max + 1):
         for d in range(-r + 1, 1):
             for c in charge_range:
@@ -416,19 +471,11 @@ def monads_catalog(r_max: int, charge_range: range) -> list[CatalogEntry]:
                     continue
                 ch2 = Fraction(-2 * c - d, 2)
                 shape = monad_shape(r, d, ch2)
-                entries.append(
-                    CatalogEntry(
-                        kind="monad",
-                        inputs={"rank": r, "degree": d, "charge": c},
-                        outputs={
-                            "ch2": ch2,
-                            "v": shape.v,
-                            "w": shape.w,
-                            "u": shape.u,
-                        },
-                    )
+                yield CatalogEntry(
+                    kind="monad",
+                    inputs={"rank": r, "degree": d, "charge": c},
+                    outputs={"ch2": ch2, "v": shape.v, "w": shape.w, "u": shape.u},
                 )
-    return entries
 
 
 def strata_catalog(c2_range: range, l_range: range) -> list[CatalogEntry]:
@@ -438,15 +485,18 @@ def strata_catalog(c2_range: range, l_range: range) -> list[CatalogEntry]:
     length-l partition types of the zero-dimensional quotient; ch_3 of the
     reflexive part and the ambient presentation dimensions are recorded.
     """
+    return list(_strata_entries(c2_range, l_range))
+
+
+def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
     # The labels depend on l alone; partition_types also rejects l < 0.
     labels = [(l, [str(ptype) for ptype in partition_types(l)]) for l in l_range]
-    entries = []
     for c2 in c2_range:
         for s in admissible_s(c2):
             report = presentation_report(c2, s)
             character = chern_to_character(ChernClasses(2, -1, c2, report.c3), 3)
             # one read-only map per (c2, s), shared by all its entries, so
-            # serialize_catalog encodes it once per (c2, s)
+            # the writer encodes it once per (c2, s)
             outputs = MappingProxyType({
                 "c3": report.c3,
                 "ch2": character.ch2,
@@ -457,16 +507,8 @@ def strata_catalog(c2_range: range, l_range: range) -> list[CatalogEntry]:
             })
             for l, partitions in labels:
                 for partition in partitions:
-                    entries.append(
-                        CatalogEntry(
-                            kind="stratum",
-                            inputs={
-                                "c2": c2,
-                                "s": s,
-                                "l": l,
-                                "partition": partition,
-                            },
-                            outputs=outputs,
-                        )
+                    yield CatalogEntry(
+                        kind="stratum",
+                        inputs={"c2": c2, "s": s, "l": l, "partition": partition},
+                        outputs=outputs,
                     )
-    return entries

@@ -243,10 +243,9 @@ class ChernClasses:
 
     def __post_init__(self) -> None:
         for name in ("rank", "c1", "c2"):
-            if not isinstance(getattr(self, name), int):
-                raise IntegralityError(f"{name} must be an integer")
-        if self.c3 is not None and not isinstance(self.c3, int):
-            raise IntegralityError("c3 must be an integer")
+            check_integer(name, getattr(self, name))
+        if self.c3 is not None:
+            check_integer("c3", self.c3)
 
 
 def ch_line_bundle(n: int, k: int) -> ChernCharacter:

@@ -21,13 +21,14 @@ guaranteed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import re
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import fields
 from fractions import Fraction
 
@@ -325,30 +326,65 @@ def _cmd_partitions(args) -> tuple[int, dict]:
 
 
 def _cmd_catalog(args) -> tuple[int, dict | None]:
-    """The catalog ``args.generate`` builds from the flags in ``args.params``."""
+    """The catalog ``args.generate`` yields from the flags in ``args.params``."""
     for key, name, _ in args.params:
         if getattr(args, name) is None:
             raise UsageError(f"--{key} is required (flag or config file)")
     entries = args.generate(*(getattr(args, name) for _, name, _ in args.params))
     if args.output is not None:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(cat.serialize_catalog(entries))
+            with contextlib.closing(_OpenOnWrite(args.output)) as handle:
+                count = cat.write_catalog(entries, handle)
         except OSError as exc:
             raise DomainError(f"cannot write catalog to {args.output!r}: {exc}")
-        return EXIT_OK, {"path": args.output, "entries": len(entries)}
+        return EXIT_OK, {"path": args.output, "entries": count}
     if args.format == "csv":
         # a row is the entry's own fields: kind, inputs, outputs, schema_version
         return EXIT_OK, {"entries": [vars(e) for e in entries]}
-    _write(cat.serialize_catalog(entries))
+    _write(cat._document_pieces(entries))
     return EXIT_OK, None
 
 
-def _write(document: str) -> None:
-    # In pieces: a reader that closes early makes a buffer flush raise
-    # BrokenPipeError, where one large write can end short without an error.
-    for start in range(0, len(document), io.DEFAULT_BUFFER_SIZE):
-        sys.stdout.write(document[start:start + io.DEFAULT_BUFFER_SIZE])
+class _OpenOnWrite:
+    """A text file that the first ``write`` creates (or truncates).
+
+    ``catalog.write_catalog`` writes only once every entry is generated and
+    encoded, so a catalog that fails leaves an existing file untouched and
+    creates none.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path, self.file = path, None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8")
+        return self.file.write(text)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to stdout in chunks of ``io.DEFAULT_BUFFER_SIZE``.
+
+    A reader that closes early makes a buffer flush raise BrokenPipeError,
+    where one large write can end short without an error; and on an
+    unbuffered stdout each small piece would be a system call of its own.
+    """
+    size = io.DEFAULT_BUFFER_SIZE
+    batch, length = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        length += len(piece)
+        if length >= size:
+            text = "".join(batch)
+            end = len(text) - len(text) % size
+            for start in range(0, end, size):
+                sys.stdout.write(text[start:start + size])
+            batch, length = [text[end:]], len(text) - end
+    sys.stdout.write("".join(batch))
 
 
 def _cmd_diff(args) -> tuple[int, dict | None]:
@@ -373,7 +409,7 @@ def _cmd_diff(args) -> tuple[int, dict | None]:
             "only_in_a": [json.loads(line) for line in delta["only_in_a"]],
             "only_in_b": [json.loads(line) for line in delta["only_in_b"]],
         }
-    _write(cat.diff_document(delta))
+    _write([cat.diff_document(delta)])
     return code, None
 
 
@@ -477,14 +513,16 @@ def build_parser() -> argparse.ArgumentParser:
         c.set_defaults(handler=_cmd_catalog, generate=generate, params=params)
 
     grid = {"type": _int_range, "default": None, "metavar": "A..B"}
-    kind("strata", "stratum labels over a (c2, l) grid", cat.strata_catalog,
+    # the generators, not the list-building *_catalog functions: each entry
+    # is freed once write_catalog has encoded it
+    kind("strata", "stratum labels over a (c2, l) grid", cat._strata_entries,
          ("--c2", grid), ("--l", grid))
-    kind("bounds", "ch_3 bounds and c3 intervals over a c2 grid", cat.bounds_catalog,
+    kind("bounds", "ch_3 bounds and c3 intervals over a c2 grid", cat._bounds_entries,
          ("--rank", {"type": int, "default": 2}), ("--c1", {"type": int, "default": -1}),
          ("--c2", grid))
-    kind("resolutions", "resolution shapes over a c2 grid", cat.resolutions_catalog,
+    kind("resolutions", "resolution shapes over a c2 grid", cat._resolutions_entries,
          ("--c2", grid))
-    kind("monads", "monad shapes over normalized data", cat.monads_catalog,
+    kind("monads", "monad shapes over normalized data", cat._monads_entries,
          ("--rank-max", {"type": int, "default": None}), ("--charge", grid))
 
     c = catalog_sub.add_parser("diff", help="compare two catalog files")

@@ -7,6 +7,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -560,6 +561,41 @@ def test_cli_catalog_unwritable_output(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_cli_failed_catalog_leaves_no_output_file(tmp_path, capsys):
+    argv = ["catalog", "strata", "--c2", "5..5", "--l", "-1..0", "--output"]
+    error = {"error": {
+        "message": "length must be >= 0, got -1",
+        "type": "InadmissibleParameterError",
+    }}
+    existing = tmp_path / "existing.json"
+    existing.write_bytes(b"not replaced\n")
+    code, out, _ = run_cli([*argv, str(existing)], capsys)
+    assert (code, json.loads(out)) == (1, error)
+    assert existing.read_bytes() == b"not replaced\n"
+    absent = tmp_path / "absent.json"
+    code, out, _ = run_cli([*argv, str(absent)], capsys)
+    assert (code, json.loads(out)) == (1, error)
+    assert not absent.exists()
+
+
+def test_cli_catalog_write_peaks_below_twice_the_document(tmp_path, capsys):
+    """The catalog streams to its file: no whole-document copy is built."""
+    path = tmp_path / "strata.json"
+    # a first, one-entry run, so that one-time costs (lazy imports, the
+    # caches of the library's enumerators) are not counted
+    assert main(["catalog", "strata", "--c2", "5..5", "--l", "0..0", "--output", str(path)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["catalog", "strata", "--c2", "5..12", "--l", "0..6",
+                     "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    capsys.readouterr()
+    assert peak < 2 * path.stat().st_size
 
 
 def test_cli_config_presets_ranges(tmp_path, capsys):

@@ -8,6 +8,7 @@ and the canonical-line reader with ``parse_catalog`` on raw documents.
 
 import copy
 import hashlib
+import io
 import json
 import pickle
 import re
@@ -31,6 +32,7 @@ from chowkit.catalog import (
     serialize_catalog,
     serialize_entry,
     strata_catalog,
+    write_catalog,
 )
 from chowkit import catalog as catalog_module
 from chowkit.cli import main
@@ -187,6 +189,10 @@ def test_emitters_match_reference_and_round_trip(catalog):
         assert serialize_entry(entry) == reference_entry(entry)
     document = serialize_catalog(catalog)
     assert document == reference_catalog(catalog)
+    # the streamed writer gives the same text, from a one-pass iterator too
+    written = io.StringIO()
+    assert write_catalog(iter(catalog), written) == len(catalog)
+    assert written.getvalue() == document
     parsed = parse_catalog(document)
     assert parsed == sorted(catalog, key=reference_entry)
     assert serialize_catalog(parsed) == document

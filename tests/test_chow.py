@@ -344,6 +344,14 @@ def test_chern_roundtrip_on_integer_classes():
         assert character_to_chern(chern_to_character(flat, 2)) == flat
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, F(1)], ids=["bool", "float", "fraction"])
+@pytest.mark.parametrize("field", ["rank", "c1", "c2", "c3"])
+def test_chern_classes_reject_a_non_int(field, bad):
+    values = {"rank": 2, "c1": -1, "c2": 5, "c3": 19, field: bad}
+    with pytest.raises(IntegralityError, match=f"{field} must be an integer"):
+        ChernClasses(**values)
+
+
 def test_chern_conversion_requires_matching_c3():
     with pytest.raises(DimensionMismatchError):
         chern_to_character(ChernClasses(2, 0, 1), 3)
