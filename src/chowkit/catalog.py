@@ -20,6 +20,9 @@ order, so its peak memory is the sort rows (about the size of the
 document), never a copy of the whole document.  :func:`serialize_catalog`
 joins the same pieces into one string.
 
+Generation: :data:`CATALOG_KINDS` is the table of the kinds ``chowkit
+catalog <kind>`` builds; the ``*_catalog`` functions list the same entries.
+
 Reading goes through one value decoder, which maps each raw JSON value to
 its value and its canonical JSON text.  :func:`parse_catalog` builds
 entries from the values; :func:`canonical_lines` joins the texts into each
@@ -34,7 +37,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .bounds import _c3_interval, _ch2_of_classes, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
@@ -183,8 +186,8 @@ def _indented_list(head: str, blocks: list[str], tail: str) -> str:
 _KIND_TEXT = {kind: _json_str(kind) for kind in KINDS}
 
 
-def _document_pieces(entries: Iterable[CatalogEntry]) -> Iterator[str]:
-    """The canonical catalog document of ``entries``, piece by piece.
+def _document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]]:
+    """The entry count and the canonical catalog document of ``entries``, in pieces.
 
     Each entry is encoded once, into a sort row: the compact texts its
     canonical line is joined from (inputs, kind, outputs, version, in the
@@ -195,10 +198,10 @@ def _document_pieces(entries: Iterable[CatalogEntry]) -> Iterator[str]:
     else is remembered, so a map must not change while its entries are
     being encoded.
 
-    The first piece comes only after every entry is encoded and the rows
-    are sorted, so an error in generating or encoding any entry is raised
-    before anything is yielded.  The pieces are the head, one per entry,
-    and the tail; each row is dropped once its piece is made.
+    This returns only once every entry is encoded and the rows are sorted,
+    so an error in generating or encoding any entry is raised before any
+    piece exists.  The pieces are the head, one per entry, and the tail;
+    each row is dropped once its piece is made.
     """
     rows = []
     last = None  # the last outputs map; its compact and indented texts follow
@@ -213,14 +216,18 @@ def _document_pieces(entries: Iterable[CatalogEntry]) -> Iterator[str]:
     # version is one constant, so the rows sort as their canonical lines do.
     # Descending, so that popping from the end takes them in order.
     rows.sort(reverse=True)
-    yield '{\n  "entries": ['
-    separator = "\n"
-    while rows:
-        _, kind, _, version, inputs, outputs = rows.pop()
-        yield separator + _indented_block(inputs, kind, outputs, version)
-        separator = ",\n"
-    close = "]" if separator == "\n" else "\n  ]"
-    yield close + ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
+
+    def pieces() -> Iterator[str]:
+        yield '{\n  "entries": ['
+        separator = "\n"
+        while rows:
+            _, kind, _, version, inputs, outputs = rows.pop()
+            yield separator + _indented_block(inputs, kind, outputs, version)
+            separator = ",\n"
+        close = "]" if separator == "\n" else "\n  ]"
+        yield close + ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
+
+    return len(rows), pieces()
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +342,20 @@ def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
     The text is joined from the pieces that :func:`write_catalog` streams
     in canonical order; a large catalog is better written with that.
     """
-    return "".join(_document_pieces(entries))
+    return "".join(_document_pieces(entries)[1])
 
 
 def write_catalog(entries: Iterable[CatalogEntry], handle: TextIO) -> int:
     """Write the :func:`serialize_catalog` document to ``handle``; the entry count.
 
-    The document streams out in canonical order, and no copy of it is
-    built: peak memory is one sort row per entry, about the size of the
-    document, not the document itself.  Consecutive entries that share one
-    outputs map (the same object) encode it once.  ``entries`` may be a
-    generator, whose entries are then freed as they are encoded.
-
-    Nothing is written until every entry is generated, encoded and
-    sorted, so any error in those steps is raised before the first write:
-    a ``handle`` that opens its file on the first write leaves no file.
+    No copy of the document is built: peak memory is one sort row per
+    entry, about the document's size.  ``entries`` may be a generator, whose
+    entries are then freed as they are encoded.  All are generated, encoded
+    and sorted before the first write, so an error in those steps is raised
+    with nothing written.
     """
-    count = -2  # the head and the tail piece hold no entry
-    for piece in _document_pieces(entries):
-        handle.write(piece)
-        count += 1
+    count, pieces = _document_pieces(entries)
+    handle.writelines(pieces)
     return count
 
 
@@ -512,3 +513,26 @@ def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
                         inputs={"c2": c2, "s": s, "l": l, "partition": partition},
                         outputs=outputs,
                     )
+
+
+class CatalogKind(NamedTuple):
+    """One ``catalog <kind>``.  ``params`` are ``generate``'s arguments in order,
+    each (name, type, default): the flag and config key, ``int`` or ``range``
+    (an "a..b" grid), and the default, None when the value must be given."""
+
+    help: str
+    params: tuple[tuple[str, type, Any], ...]
+    generate: Callable[..., Iterator[CatalogEntry]]
+
+
+# keyed by subcommand name, in the order ``catalog --help`` lists them
+_C2_GRID = ("c2", range, None)
+CATALOG_KINDS = {
+    "strata": CatalogKind("stratum labels over a (c2, l) grid",
+                          (_C2_GRID, ("l", range, None)), _strata_entries),
+    "bounds": CatalogKind("ch_3 bounds and c3 intervals over a c2 grid",
+                          (("rank", int, 2), ("c1", int, -1), _C2_GRID), _bounds_entries),
+    "resolutions": CatalogKind("resolution shapes over a c2 grid", (_C2_GRID,), _resolutions_entries),
+    "monads": CatalogKind("monad shapes over normalized data",
+                          (("rank-max", int, None), ("charge", range, None)), _monads_entries),
+}

@@ -21,16 +21,16 @@ guaranteed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
 import os
 import re
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import catalog as cat
 from .bounds import (
@@ -146,30 +146,11 @@ def _flatten(value, prefix: str, into: dict) -> None:
         into[prefix] = "" if value is None else json.dumps(value) if isinstance(value, bool) else str(value)
 
 
-def _emit_csv(payload: dict, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    entries = payload.get("entries")
-    if isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries):
-        flat_rows = []
-        for entry in entries:
-            flat: dict = {}
-            _flatten(entry, "", flat)
-            flat_rows.append(flat)
-        columns = sorted(set().union(*(row.keys() for row in flat_rows)))
-        writer.writerow(columns)
-        for row in flat_rows:
-            writer.writerow([row.get(col, "") for col in columns])
-        return
-    flat = {}
-    _flatten(payload, "", flat)
-    writer.writerow(["key", "value"])
-    for key in sorted(flat):
-        writer.writerow([key, flat[key]])
-
-
 def _emit(payload: dict, fmt: str, stream) -> None:
     if fmt == "csv":
-        _emit_csv(payload, stream)
+        flat: dict = {}
+        _flatten(payload, "", flat)
+        csv.writer(stream, lineterminator="\n").writerows([("key", "value"), *sorted(flat.items())])
     else:
         json.dump(payload, stream, sort_keys=True, indent=2, default=_rational_default)
         stream.write("\n")
@@ -325,45 +306,57 @@ def _cmd_partitions(args) -> tuple[int, dict]:
     }
 
 
+# each catalog parameter type: how a flag or config value is read, and its metavar
+_READERS = {int: (int, None), range: (_int_range, "A..B")}
+
+
 def _cmd_catalog(args) -> tuple[int, dict | None]:
-    """The catalog ``args.generate`` yields from the flags in ``args.params``."""
-    for key, name, _ in args.params:
-        if getattr(args, name) is None:
+    """The catalog of kind ``args.catalog_command``, on stdout or to ``--output``."""
+    kind = cat.CATALOG_KINDS[args.catalog_command]
+    values = []
+    for key, type_, default in kind.params:  # the flag, else the config, else the default
+        value = getattr(args, key.replace("-", "_"))
+        if value is None and key in args.presets:
+            try:
+                value = _READERS[type_][0](args.presets[key])
+            except ValueError as exc:
+                raise UsageError(f"bad config value for {key}: {exc}")
+        if value is None and default is None:
             raise UsageError(f"--{key} is required (flag or config file)")
-    entries = args.generate(*(getattr(args, name) for _, name, _ in args.params))
-    if args.output is not None:
-        try:
-            with contextlib.closing(_OpenOnWrite(args.output)) as handle:
-                count = cat.write_catalog(entries, handle)
-        except OSError as exc:
-            raise DomainError(f"cannot write catalog to {args.output!r}: {exc}")
-        return EXIT_OK, {"path": args.output, "entries": count}
-    if args.format == "csv":
-        # a row is the entry's own fields: kind, inputs, outputs, schema_version
-        return EXIT_OK, {"entries": [vars(e) for e in entries]}
-    _write(cat._document_pieces(entries))
-    return EXIT_OK, None
+        values.append(default if value is None else value)
+    entries = kind.generate(*values)
+    if args.output is None and args.format == "csv":
+        _write(_csv_lines(entries))
+        return EXIT_OK, None
+    # every entry is generated, encoded and sorted before any output is
+    # opened, so a failed run leaves an existing file untouched and creates none
+    count, pieces = cat._document_pieces(entries)
+    if args.output is None:
+        _write(pieces)
+        return EXIT_OK, None
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
+    except OSError as exc:
+        raise DomainError(f"cannot write catalog to {args.output!r}: {exc}")
+    return EXIT_OK, {"path": args.output, "entries": count}
 
 
-class _OpenOnWrite:
-    """A text file that the first ``write`` creates (or truncates).
-
-    ``catalog.write_catalog`` writes only once every entry is generated and
-    encoded, so a catalog that fails leaves an existing file untouched and
-    creates none.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path, self.file = path, None
-
-    def write(self, text: str) -> int:
-        if self.file is None:
-            self.file = open(self.path, "w", encoding="utf-8")
-        return self.file.write(text)
-
-    def close(self) -> None:
-        if self.file is not None:
-            self.file.close()
+def _csv_lines(entries: Iterable[cat.CatalogEntry]) -> Iterator[str]:
+    """A catalog's CSV lines in generation order.  A row is an entry's flattened
+    fields; all entries of one catalog have the same, so the first gives the header."""
+    # writerow returns what its file's write returns: here, the line itself
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    columns = None
+    for entry in entries:
+        flat: dict = {}
+        _flatten(vars(entry), "", flat)
+        if columns is None:
+            columns = sorted(flat)
+            yield line(columns)
+        yield line([flat.get(col, "") for col in columns])
+    if columns is None:  # an empty catalog: the header of an empty payload
+        yield line(["key", "value"])
 
 
 def _write(pieces: Iterable[str]) -> None:
@@ -499,31 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     catalog_sub = p.add_subparsers(dest="catalog_command", required=True,
                                    metavar="KIND")
 
-    def kind(name: str, help_: str, generate, *flags: tuple[str, dict]) -> None:
-        """A catalog kind whose ``generate`` takes the ``flags``' values in order."""
-        c = catalog_sub.add_parser(name, help=help_)
-        for flag, options in flags:
-            c.add_argument(flag, **options)
-        c.add_argument("--output", default=None, metavar="FILE")
-        # (config key, attribute, type) of each flag; the key is the flag's name
-        params = tuple(
-            (flag[2:], flag[2:].replace("-", "_"), options["type"])
-            for flag, options in flags
-        )
-        c.set_defaults(handler=_cmd_catalog, generate=generate, params=params)
-
-    grid = {"type": _int_range, "default": None, "metavar": "A..B"}
-    # the generators, not the list-building *_catalog functions: each entry
-    # is freed once write_catalog has encoded it
-    kind("strata", "stratum labels over a (c2, l) grid", cat._strata_entries,
-         ("--c2", grid), ("--l", grid))
-    kind("bounds", "ch_3 bounds and c3 intervals over a c2 grid", cat._bounds_entries,
-         ("--rank", {"type": int, "default": 2}), ("--c1", {"type": int, "default": -1}),
-         ("--c2", grid))
-    kind("resolutions", "resolution shapes over a c2 grid", cat._resolutions_entries,
-         ("--c2", grid))
-    kind("monads", "monad shapes over normalized data", cat._monads_entries,
-         ("--rank-max", {"type": int, "default": None}), ("--charge", grid))
+    for name, kind in cat.CATALOG_KINDS.items():
+        c = catalog_sub.add_parser(name, help=kind.help)
+        for key, type_, _ in kind.params:
+            read, metavar = _READERS[type_]
+            c.add_argument("--" + key, type=read, metavar=metavar)
+        c.add_argument("--output", metavar="FILE")
+        c.set_defaults(handler=_cmd_catalog)
 
     c = catalog_sub.add_parser("diff", help="compare two catalog files")
     c.add_argument("catalog_a")
@@ -531,6 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(handler=_cmd_diff)
 
     return parser
+
+
+# the format and every catalog kind's parameters, so one file serves every kind
+_CONFIG_KEYS = {"format", *(key for kind in cat.CATALOG_KINDS.values() for key, _, _ in kind.params)}
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -546,22 +525,18 @@ def _read_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"malformed config line: {line!r}")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"unknown config key {key!r} in {path!r}")
+        config[key] = value
     return config
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill each unset catalog flag and the format from the config file."""
-    config = {} if args.config is None else _read_config(args.config)
-    for key, name, type_ in getattr(args, "params", ()):
-        if getattr(args, name) is None and key in config:
-            try:
-                setattr(args, name, type_(config[key]))
-            except ValueError as exc:
-                raise UsageError(f"bad config value for {key}: {exc}")
+    """Read the config file into ``args.presets``; fill an unset format from it."""
+    args.presets = {} if args.config is None else _read_config(args.config)
     if args.format is None:
-        fmt = config.get("format", "json")
+        fmt = args.presets.get("format", "json")
         if fmt not in ("json", "csv"):
             raise UsageError(f"bad config format {fmt!r}")
         args.format = fmt

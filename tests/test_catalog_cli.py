@@ -580,16 +580,28 @@ def test_cli_failed_catalog_leaves_no_output_file(tmp_path, capsys):
     assert not absent.exists()
 
 
-def test_cli_catalog_write_peaks_below_twice_the_document(tmp_path, capsys):
-    """The catalog streams to its file: no whole-document copy is built."""
-    path = tmp_path / "strata.json"
+# the CSV is about a seventh of the JSON, so its grid is larger, to keep the
+# fixed costs of a run (the parsers, the partition labels) small beside it
+@pytest.mark.parametrize("fmt, to_file, c2", [("json", True, "5..12"), ("csv", False, "5..30")],
+                         ids=["json-output-file", "csv-stdout"])
+def test_cli_catalog_write_peaks_below_twice_the_document(fmt, to_file, c2, tmp_path, capsys):
+    """The catalog streams to its file or stdout: no whole-document copy is built."""
+    path = tmp_path / "strata.txt"
+
+    def run(c2, l):
+        argv = ["--format", fmt, "catalog", "strata", "--c2", c2, "--l", l]
+        if to_file:
+            return main([*argv, "--output", str(path)])
+        # stdout goes to the file, so the captured text is not counted
+        with open(path, "w", encoding="utf-8") as stdout, contextlib.redirect_stdout(stdout):
+            return main(argv)
+
     # a first, one-entry run, so that one-time costs (lazy imports, the
     # caches of the library's enumerators) are not counted
-    assert main(["catalog", "strata", "--c2", "5..5", "--l", "0..0", "--output", str(path)]) == 0
+    assert run("5..5", "0..0") == 0
     tracemalloc.start()
     try:
-        code = main(["catalog", "strata", "--c2", "5..12", "--l", "0..6",
-                     "--output", str(path)])
+        code = run(c2, "0..6")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,6 +630,35 @@ def test_cli_config_presets_ranges(tmp_path, capsys):
     code, _, err = run_cli(["catalog", "strata", "--c2", "5..6"], capsys)
     assert code == 2
     assert "usage error" in err
+
+
+def test_cli_config_sets_bounds_rank_and_c1(tmp_path, capsys):
+    """A config file's rank and c1 apply to catalog bounds, as the flags do."""
+    config = tmp_path / "bounds.cfg"
+    config.write_text("rank=3\nc1=0\nc2=5..5\n", encoding="utf-8")
+    code, out_config, _ = run_cli(["--config", str(config), "catalog", "bounds"], capsys)
+    assert code == 0
+    code, out_flags, _ = run_cli(
+        ["catalog", "bounds", "--rank", "3", "--c1", "0", "--c2", "5..5"], capsys
+    )
+    assert out_config == out_flags
+    assert parse_catalog(out_config)[0].inputs == {"rank": 3, "c1": 0, "c2": 5}
+
+
+def test_cli_config_unknown_key_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "typo.cfg"
+    config.write_text("c22=5..6\n", encoding="utf-8")
+    for argv in (["catalog", "strata", "--c2", "5..5", "--l", "0..0"], ["todd", "--dim", "2"]):
+        code, out, err = run_cli(["--config", str(config), *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ")
+        assert "'c22'" in err and repr(str(config)) in err
+    # a key of another catalog kind is allowed: one file serves every kind
+    shared = tmp_path / "shared.cfg"
+    shared.write_text("c2=5..6\nl=0..1\n", encoding="utf-8")
+    code, out, _ = run_cli(["--config", str(shared), "catalog", "resolutions"], capsys)
+    assert code == 0
+    assert out == run_cli(["catalog", "resolutions", "--c2", "5..6"], capsys)[1]
 
 
 def test_cli_config_not_utf8_is_a_usage_error(tmp_path, capsys):
@@ -805,6 +846,32 @@ def test_cli_golden_stdout(fmt, argv, code, size, sha256, golden_dir, monkeypatc
         assert main(["--format", fmt, *argv.split()]) == code
     payload = out.getvalue().encode("utf-8")
     assert (len(payload), hashlib.sha256(payload).hexdigest()) == (size, sha256)
+
+
+# (argv, stdout bytes, stdout sha256) of the help texts that the catalog
+# kind table builds, at 80 columns, recorded from the code before that table;
+# splitting-types is left out: on Python 3.10 its BooleanOptionalAction help
+# ends in "(default: True)"
+GOLDEN_HELP = [
+    ("--help", 1129, "d7ce58c5a8b78edcad4be33fc3364043baa976da9f4ab96afce6f926955dcc08"),
+    ("catalog --help", 387, "12306b7b729b3a51f3e5381684fd3036a5b74d74f9f4802c4e1a3c942964cf5b"),
+    ("catalog strata --help", 172, "6e61385e8292cce3cdfafcbd448890fe7e120956b693ae15ca0dbbee7636786a"),
+    ("catalog bounds --help", 228, "5c7bf57929d29ea090f7b95c1d97943c5aa32f2be0f02db6b4d750729e4db273"),
+    ("catalog resolutions --help", 155, "9dc8d2217af111a25a2bdf5192c6bbd416f8c3d8ab42374c99e383ac02aab285"),
+    ("catalog monads --help", 238, "04bf6ef82b6d7f333eeaae2c397eefd65ddafe7370ed0266c02eb98f76830f61"),
+    ("catalog diff --help", 156, "26883c302566e88bf4751f3132779ce35cdec5b060bcc169615abf85e0765ec7"),
+]
+
+
+@pytest.mark.parametrize("argv, size, sha256", GOLDEN_HELP,
+                         ids=[argv for argv, *_ in GOLDEN_HELP])
+def test_cli_golden_help(argv, size, sha256, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split()) == 0
+    text = out.getvalue().encode("utf-8")
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (size, sha256)
 
 
 # ---------------------------------------------------------------------------
