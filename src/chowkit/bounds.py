@@ -42,7 +42,6 @@ to reproduce the raw formulas for auditing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -118,8 +117,7 @@ def ch3_bound(
     return _character(n, c1, as_rational(ch2), literal_mode).ch3_bound
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Bundle of every explicit bound for fixed invariants (and type, if any).
 
     ``h_bounds`` lists upper bounds for h^0 .. h^3.  When no splitting type

@@ -41,9 +41,9 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextI
 
 from .bounds import _c3_interval, _ch2_of_classes, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
-from .errors import DomainError, InadmissibleParameterError
+from .errors import DomainError, InadmissibleParameterError, check_integer
 from .monads import monad_shape, partition_types
-from .resolutions import admissible_s, presentation_report, verify_resolution_chern
+from .resolutions import admissible_s, format_term, presentation_report, verify_resolution_chern
 
 SCHEMA_VERSION = 1
 
@@ -449,8 +449,8 @@ def _resolutions_entries(c2_range: range) -> Iterator[CatalogEntry]:
                 inputs={"c2": c2, "s": s},
                 outputs={
                     "c3": report.c3,
-                    "r_minus1": str(report.r_minus1),
-                    "r0": str(report.r0),
+                    "r_minus1": format_term(report.r_minus1),
+                    "r0": format_term(report.r0),
                     "chern_consistent": verify_resolution_chern(report),
                     "dim_hom": report.dim_hom,
                     "dim_pv": report.dim_pv,
@@ -465,6 +465,7 @@ def monads_catalog(r_max: int, charge_range: range) -> list[CatalogEntry]:
 
 
 def _monads_entries(r_max: int, charge_range: range) -> Iterator[CatalogEntry]:
+    check_integer("rank-max", r_max)
     for r in range(1, r_max + 1):
         for d in range(-r + 1, 1):
             for c in charge_range:

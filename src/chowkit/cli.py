@@ -28,7 +28,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import fields
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -54,7 +53,7 @@ from .chow import (
 )
 from .errors import DomainError
 from .monads import monad_shape, partition_types
-from .resolutions import presentation_report, verify_resolution_chern
+from .resolutions import format_term, presentation_report, verify_resolution_chern
 from .splitting import SplittingType, enumerate_splitting_types, splitting_radius
 
 EXIT_OK = 0
@@ -156,12 +155,8 @@ def _emit(payload: dict, fmt: str, stream) -> None:
         stream.write("\n")
 
 
-def _shape_payload(shape) -> list[list[int]]:
-    return [[t, e] for t, e in shape.summands]
-
-
 def _report_payload(report: BoundReport) -> dict:
-    payload = {field.name: getattr(report, field.name) for field in fields(report)}
+    payload = report._asdict()
     if report.splitting_type is not None:
         payload["splitting_type"] = list(report.splitting_type.entries)
     return payload
@@ -270,9 +265,9 @@ def _cmd_resolution(args) -> tuple[int, dict]:
         "c2": report.c2,
         "s": report.s,
         "c3": report.c3,
-        "r_minus1": _shape_payload(report.r_minus1),
-        "r0": _shape_payload(report.r0),
-        "display": f"0 -> {report.r_minus1} -> {report.r0} -> F -> 0",
+        "r_minus1": report.r_minus1,
+        "r0": report.r0,
+        "display": f"0 -> {format_term(report.r_minus1)} -> {format_term(report.r0)} -> F -> 0",
         "dim_hom": report.dim_hom,
         "dim_pv": report.dim_pv,
         "dim_g": report.dim_g,
@@ -289,9 +284,9 @@ def _cmd_monad(args) -> tuple[int, dict]:
         "degree": args.degree,
         "ch2": args.ch2,
         "charge": shape.u,
-        "left": _shape_payload(shape.left),
-        "middle": _shape_payload(shape.middle),
-        "right": _shape_payload(shape.right),
+        "left": shape.left,
+        "middle": shape.middle,
+        "right": shape.right,
         "exponents": {"v": shape.v, "w": shape.w, "u": shape.u},
         "display": str(shape),
     }

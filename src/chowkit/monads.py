@@ -6,9 +6,10 @@ linear monad
 
     O(-1)^(d+c)  ->  O^(r+d+2c)  ->  O(1)^c.
 
-A monad shape is its three exponents (v, w, u); the terms are read off
-them.  This module computes the charge from (r, d, ch_2) and builds the
-monad shape with the exact character identity re-checked on construction.
+A monad shape is its three exponents (v, w, u); each term is read off
+them as its (twist, exponent) pairs, ((t, e),), or () when e = 0.  This
+module computes the charge from (r, d, ch_2) and builds the monad shape
+with the exact character identity re-checked on construction.
 It also enumerates the partition-type labels of zero-dimensional quotient
 sheaves of length l (multisets of integer partitions of total l).
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from .chow import ChernCharacter, RationalLike, as_rational, euler_characteristic, twist
 from .errors import InadmissibleParameterError, NotRealizableError, check_integer
-from .resolutions import ShapeDescriptor
+from .resolutions import Term, format_term
 
 
 def is_normalized(r: int, d: int) -> bool:
@@ -61,22 +62,25 @@ class MonadShape:
     u: int
 
     def __post_init__(self) -> None:
+        check_integer("v", self.v)
+        check_integer("w", self.w)
+        check_integer("u", self.u)
         if min(self.v, self.w, self.u) < 0:
             raise NotRealizableError(
                 f"monad exponents {(self.v, self.w, self.u)} must be nonnegative"
             )
 
     @property
-    def left(self) -> ShapeDescriptor:
-        return ShapeDescriptor.power(-1, self.v)
+    def left(self) -> Term:
+        return ((-1, self.v),) if self.v else ()
 
     @property
-    def middle(self) -> ShapeDescriptor:
-        return ShapeDescriptor.power(0, self.w)
+    def middle(self) -> Term:
+        return ((0, self.w),) if self.w else ()
 
     @property
-    def right(self) -> ShapeDescriptor:
-        return ShapeDescriptor.power(1, self.u)
+    def right(self) -> Term:
+        return ((1, self.u),) if self.u else ()
 
     @property
     def rank(self) -> int:
@@ -87,7 +91,7 @@ class MonadShape:
         return self.v - self.u
 
     def __str__(self) -> str:
-        return f"{self.left} -> {self.middle} -> {self.right}"
+        return " -> ".join(map(format_term, (self.left, self.middle, self.right)))
 
 
 def monad_shape(r: int, d: int, ch2: RationalLike) -> MonadShape:

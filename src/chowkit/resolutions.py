@@ -10,6 +10,12 @@ with fixed split terms
     R^-1 = O(-s-2) + O(s-1-c_2),
     R^0  = O(-s-1) + O(-1) + O(-2) + O(s-c_2).
 
+A term is its (twist, exponent) pairs, twists strictly descending, written
+straight from these closed forms; at s = 1 the summands O(-s-1) and O(-2)
+merge into O(-2)^2.  The order holds on the whole admissible region, where
+c_2 >= s^2 + s + 2 > 2s + 1 (``tests/test_identities.py`` proves it).
+:func:`format_term` writes a term as text.
+
 This module enumerates the admissible parameters in pure integer
 arithmetic (the square-root condition is decided via the equivalent
 integer inequality, so boundary cases are exact).  For each admissible
@@ -43,57 +49,20 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .chow import _FACTORIAL_SCALES
-from .errors import InadmissibleParameterError, NotRealizableError, check_integer
+from .errors import InadmissibleParameterError, check_integer
 
 
-@dataclass(frozen=True)
-class ShapeDescriptor:
-    """A direct sum of line bundles, as (twist, exponent) pairs.
+# a split term: (twist, exponent) pairs, twists strictly descending
+Term = tuple[tuple[int, int], ...]
 
-    Canonical form: twists strictly descending, exponents positive, equal
-    twists merged; the empty descriptor is the zero sheaf.
-    """
 
-    summands: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        merged: dict[int, int] = {}
-        for twist_, exponent in self.summands:
-            if exponent < 0:
-                raise NotRealizableError(f"negative exponent {exponent} for O({twist_})")
-            merged[twist_] = merged.get(twist_, 0) + exponent
-        canonical = tuple(
-            (t, e) for t, e in sorted(merged.items(), reverse=True) if e > 0
-        )
-        object.__setattr__(self, "summands", canonical)
-
-    @classmethod
-    def line_bundles(cls, *twists: int) -> "ShapeDescriptor":
-        """Shape of O(t_1) + ... + O(t_k), one summand per argument."""
-        return cls(tuple((t, 1) for t in twists))
-
-    @classmethod
-    def power(cls, twist_: int, exponent: int) -> "ShapeDescriptor":
-        """Shape of O(twist)^exponent."""
-        return cls(((twist_, exponent),))
-
-    @property
-    def rank(self) -> int:
-        return sum(e for _, e in self.summands)
-
-    def __add__(self, other: "ShapeDescriptor") -> "ShapeDescriptor":
-        if not isinstance(other, ShapeDescriptor):
-            return NotImplemented
-        return ShapeDescriptor(self.summands + other.summands)
-
-    def __str__(self) -> str:
-        if not self.summands:
-            return "0"
-        parts = []
-        for t, e in self.summands:
-            bundle = "O" if t == 0 else f"O({t})"
-            parts.append(bundle if e == 1 else f"{bundle}^{e}")
-        return " + ".join(parts)
+def format_term(term: Term) -> str:
+    """The text of a split term, "O(-1) + O(-2)^2 + O(-4)", or "0" when it is empty."""
+    if not term:
+        return "0"
+    return " + ".join(
+        ("O" if t == 0 else f"O({t})") + ("" if e == 1 else f"^{e}") for t, e in term
+    )
 
 
 def _scaled_character(summands, n: int) -> tuple:
@@ -159,12 +128,13 @@ def _check_admissible(c2: int, s: int) -> None:
         )
 
 
-def resolution_shapes(c2: int, s: int) -> tuple[ShapeDescriptor, ShapeDescriptor]:
+def resolution_shapes(c2: int, s: int) -> tuple[Term, Term]:
     """The fixed resolution terms (R^-1, R^0) for an admissible (c2, s)."""
     _check_admissible(c2, s)
-    r_minus1 = ShapeDescriptor.line_bundles(-s - 2, s - 1 - c2)
-    r_0 = ShapeDescriptor.line_bundles(-s - 1, -1, -2, s - c2)
-    return r_minus1, r_0
+    r_minus1 = ((-s - 2, 1), (s - 1 - c2, 1))
+    if s == 1:  # O(-s-1) = O(-2)
+        return r_minus1, ((-1, 1), (-2, 2), (1 - c2, 1))
+    return r_minus1, ((-1, 1), (-2, 1), (-s - 1, 1), (s - c2, 1))
 
 
 @dataclass(frozen=True)
@@ -187,8 +157,8 @@ class PresentationReport:
     c2: int
     s: int
     c3: int
-    r_minus1: ShapeDescriptor
-    r0: ShapeDescriptor
+    r_minus1: Term
+    r0: Term
     dim_hom: int
     dim_pv: int
     dim_g: int
@@ -214,8 +184,8 @@ def verify_resolution_chern(report: PresentationReport) -> bool:
     resolved = tuple(
         a - b
         for a, b in zip(
-            _scaled_character(report.r0.summands, 3),
-            _scaled_character(report.r_minus1.summands, 3),
+            _scaled_character(report.r0, 3),
+            _scaled_character(report.r_minus1, 3),
         )
     )
     return resolved == _scaled_target(report.c2, report.c3)

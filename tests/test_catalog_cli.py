@@ -790,8 +790,16 @@ GOLDEN_STDOUT = [
     ("csv", "splitting-types --rank 2 --c1 0 --no-reflexive-gap", 0, 133, "4d95976dcc5a7c94830ce8b4469b79028b453166007238b04d550a8dec3d08cc"),
     ("json", "resolution --c2 9 --s 2 --verify", 0, 413, "482aabf1090394e21afd5d0996d170dce0f71075d93471543c19d32c900c6e4a"),
     ("csv", "resolution --c2 9 --s 2 --verify", 0, 288, "5b387fdb3525cb13eca8846b06e844ec4324c544819fa13d6f5ae7852695b914"),
+    # s = 1: the only merged summand, O(-2)^2 in R^0
+    ("json", "resolution --c2 5 --s 1 --verify", 0, 373, "3939b794709e99a526249c3d4709d28a9c247059a97f8b946847137c8c23a768"),
+    ("csv", "resolution --c2 5 --s 1 --verify", 0, 260, "d9779d6eac10d8694f5676973e130544ea3e20362b651a88e98c77aa9131859f"),
     ("json", "monad --rank 2 --degree -1 --ch2 -9/2", 0, 307, "4ded3a94a6cc3baa176ac8ee9c36aa9561a879b26934d1e7df7a6242361952de"),
     ("csv", "monad --rank 2 --degree -1 --ch2 -9/2", 0, 196, "b62177279ed656c204146ce5619117562a06dc505c5f615e906369beb9bca9c7"),
+    # empty terms: v = 0 gives "left": [] and the display 0 -> O^4 -> O(1)
+    ("json", "monad --rank 3 --degree -1 --ch2 -1/2", 0, 263, "5abebac2574bc9651fa49998c79a3bcd6239eef45416b2477a412e4197bf6a8a"),
+    ("csv", "monad --rank 3 --degree -1 --ch2 -1/2", 0, 162, "9cf60c40b65411c90159667ed1bb0fe58b4ca6bb7e0c4e34c6f6959342791d82"),
+    ("json", "monad --rank 2 --degree 0 --ch2 0", 0, 224, "8080777d545b29ef0f383c1073bc3d94d0c26a39a89be4056b04d67f27e5d5e3"),
+    ("csv", "monad --rank 2 --degree 0 --ch2 0", 0, 131, "011d03d1d48659fd5a595809f7b8831035b56f274a51f46e3999f2e47810c49f"),
     ("json", "partitions --total 4", 0, 283, "44a5f4b14dee87bdc594896127a07f3d06044d45a540b99d163d7e1c0975238b"),
     ("csv", "partitions --total 4", 0, 279, "8cb5af3d3b8f3136334f9420cd123bff34d2864c135930392d622a298f171b26"),
     ("json", "catalog strata --c2 5..8 --l 0..2", 0, 8285, "5f117e4e4a866a5c04ef5fde0f97168074f839a9d4c99fdd79a77bf8319c178c"),

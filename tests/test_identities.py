@@ -62,9 +62,11 @@ def assert_identity(lhs, rhs):
         assert sp.expand(a - b) == 0, (a, b)
 
 
-# the resolution terms of the (c2, s) sheaf, as in resolution_shapes
+# the resolution terms of the (c2, s) sheaf, as in resolution_shapes; at
+# s = 1, -s - 1 = -2 and R^0 has the one merged summand O(-2)^2
 R_MINUS1 = [(-S - 2, 1), (S - 1 - C2, 1)]
-R_0 = [(-S - 1, 1), (-1, 1), (-2, 1), (S - C2, 1)]
+R_0 = [(-1, 1), (-2, 1), (-S - 1, 1), (S - C2, 1)]
+R_0_AT_S1 = [(-1, 1), (-2, 2), (1 - C2, 1)]
 C3_OF = C2**2 - 2 * S * C2 + 2 * S * (S + 1)
 
 
@@ -75,12 +77,17 @@ def test_resolution_character_identity():
 
 def test_symbolic_terms_are_the_library_terms():
     assert sp.expand(resolutions._c3_formula(C2, S) - C3_OF) == 0
-    for c2, s in [(5, 1), (20, 3), (60, 7)]:
+    # R_0_AT_S1 is R_0 at s = 1 with its equal twists merged
+    merged = {}
+    for t, e in R_0:
+        t = sp.sympify(t).subs(S, 1)
+        merged[t] = merged.get(t, 0) + e
+    assert merged == {sp.sympify(t): e for t, e in R_0_AT_S1}
+    for c2, s in [(5, 1), (20, 1), (20, 3), (60, 7)]:
         values = {C2: c2, S: s}
-        r_minus1, r_0 = resolutions.resolution_shapes(c2, s)
-        for symbolic, shape in ((R_MINUS1, r_minus1), (R_0, r_0)):
-            numeric = [(int(sp.sympify(t).subs(values)), e) for t, e in symbolic]
-            assert resolutions.ShapeDescriptor(tuple(numeric)) == shape
+        r_0 = R_0_AT_S1 if s == 1 else R_0
+        for symbolic, term in zip((R_MINUS1, r_0), resolutions.resolution_shapes(c2, s)):
+            assert tuple((int(sp.sympify(t).subs(values)), e) for t, e in symbolic) == term
 
 
 # The admissible region s >= 1, c2 >= s^2 + s + 2, c2 >= 5, as two branches in
@@ -99,6 +106,14 @@ def certified_nonnegative(expr):
         all(coeff >= 0 for coeff in sp.Poly(sp.expand(expr.subs(branch)), A, B).coeffs())
         for branch in ADMISSIBLE
     )
+
+
+def test_library_terms_are_strictly_descending():
+    # s - 1 - c2 < -s - 2 and s - c2 < -s - 1 on the whole admissible region
+    assert certified_nonnegative((-S - 2) - (S - 1 - C2) - 1)
+    assert certified_nonnegative((-S - 1) - (S - C2) - 1)
+    # -s - 1 < -2 on the branch s >= 2; at s = 1 the two merge
+    assert sp.expand((-2 - (-S - 1) - 1).subs(ADMISSIBLE[1])) == A
 
 
 def sections_of_hom(source, target):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chowkit import monads
+from chowkit.catalog import monads_catalog
 from chowkit.chow import ChernCharacter, character_to_chern, sub
 from chowkit.errors import InadmissibleParameterError, IntegralityError, NotRealizableError
 from chowkit.monads import (
@@ -16,7 +17,6 @@ from chowkit.monads import (
     monad_shape,
     partition_types,
 )
-from chowkit.resolutions import ShapeDescriptor
 
 from conftest import random_rational
 from test_resolutions import reference_chern_character
@@ -118,9 +118,8 @@ def test_charge_equals_c2_for_normalized_rank_two():
 def test_monad_shape_hand_values():
     shape = monad_shape(2, -1, F(-9, 2))
     assert (shape.v, shape.w, shape.u) == (4, 11, 5)
-    assert shape.left == ShapeDescriptor.power(-1, 4)
-    assert shape.middle == ShapeDescriptor.power(0, 11)
-    assert shape.right == ShapeDescriptor.power(1, 5)
+    assert (shape.left, shape.middle, shape.right) == (((-1, 4),), ((0, 11),), ((1, 5),))
+    assert str(shape) == "O(-1)^4 -> O^11 -> O(1)^5"
     # 11 - 4 - 5 = 2, 0 + 4 - 5 = -1, 0 - 2 - 5/2 = -9/2
     assert monad_character_oracle(shape) == ChernCharacter.of(2, 2, -1, "-9/2")
 
@@ -129,7 +128,8 @@ def test_monad_shape_hand_values():
 
     degenerate = monad_shape(1, 0, F(0))
     assert (degenerate.v, degenerate.w, degenerate.u) == (0, 1, 0)
-    assert degenerate.left.rank == 0
+    assert (degenerate.left, degenerate.middle, degenerate.right) == ((), ((0, 1),), ())
+    assert str(degenerate) == "0 -> O -> 0"
 
 
 @pytest.mark.parametrize("offset", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (1, 2, 1)])
@@ -190,6 +190,9 @@ def test_monad_shape_rejections():
         (partition_types, (2.0,)),
         (partition_types, (True,)),
         (partition_types, (-1.0,)),
+        (MonadShape, (1.5, 1, 0)),  # printed O(-1)^1.5 -> O -> 0, of rank -0.5
+        (MonadShape, (True, 2, False)),
+        (monads_catalog, (2.0, range(0, 2))),
     ],
 )
 def test_family_paths_reject_a_rank_degree_or_length_that_is_not_an_int(call, args):

@@ -9,12 +9,12 @@ from hypothesis import given, strategies as st
 
 from chowkit import chow
 from chowkit.chow import ChernCharacter, ChernClasses, chern_to_character, sub
-from chowkit.errors import InadmissibleParameterError, IntegralityError, NotRealizableError
+from chowkit.errors import InadmissibleParameterError, IntegralityError
 from chowkit.resolutions import (
     PresentationReport,
-    ShapeDescriptor,
     _scaled_character,
     admissible_s,
+    format_term,
     max_admissible_s,
     presentation_report,
     resolution_shapes,
@@ -25,10 +25,10 @@ from conftest import c3_oracle
 
 
 def hom_dim_oracle(a, b, n):
-    """Oracle: expand both shapes into single line bundles and count sections."""
+    """Oracle: expand both terms into single line bundles and count sections."""
     total = 0
-    for ta, ea in a.summands:
-        for tb, eb in b.summands:
+    for ta, ea in a:
+        for tb, eb in b:
             degree = tb - ta
             sections = math.comb(degree + n, n) if degree >= 0 else 0
             total += ea * eb * sections
@@ -41,42 +41,38 @@ def admissible_oracle(c2):
     return [s for s in range(1, c2 + 5) if (2 * s + 1) ** 2 <= 4 * c2 - 7]
 
 
+def canonical_oracle(summands):
+    """Oracle: the canonical term of any summands, merged through a dict and sorted.
+
+    Equal twists merge, zero exponents drop out, and twists go strictly
+    descending.
+    """
+    merged = {}
+    for t, e in summands:
+        merged[t] = merged.get(t, 0) + e
+    return tuple((t, e) for t, e in sorted(merged.items(), reverse=True) if e > 0)
+
+
 # ---------------------------------------------------------------------------
-# shape descriptors
+# split terms
 
 
-def test_shape_canonicalization():
-    shape = ShapeDescriptor(((-1, 1), (-2, 1), (-2, 1), (-4, 1), (0, 0)))
-    assert shape.summands == ((-1, 1), (-2, 2), (-4, 1))
-    assert shape.rank == 4
-    assert dict(shape.summands)[-2] == 2
-    assert 7 not in dict(shape.summands)
-    assert str(shape) == "O(-1) + O(-2)^2 + O(-4)"
-    assert str(ShapeDescriptor(())) == "0"
+def test_format_term():
+    assert format_term(((-1, 1), (-2, 2), (-4, 1))) == "O(-1) + O(-2)^2 + O(-4)"
+    assert format_term(((1, 1), (0, 4))) == "O(1) + O^4"
+    assert format_term(()) == "0"
 
 
-def test_shape_rejects_negative_exponent():
-    with pytest.raises(NotRealizableError):
-        ShapeDescriptor(((0, -1),))
+def test_scaled_character_is_additive():
+    a, b = ((-3, 1), (-5, 1)), ((1, 2),)
+    rhs = tuple(x + y for x, y in zip(_scaled_character(a, 3), _scaled_character(b, 3)))
+    assert _scaled_character(a + b, 3) == rhs
 
 
-def test_shape_chern_character_is_additive():
-    a = ShapeDescriptor.line_bundles(-3, -5)
-    b = ShapeDescriptor.power(1, 2)
-    combined = a + b
-    assert combined.summands == ((1, 2), (-3, 1), (-5, 1))
-    lhs = _scaled_character(combined.summands, 3)
-    rhs = tuple(
-        x + y
-        for x, y in zip(_scaled_character(a.summands, 3), _scaled_character(b.summands, 3))
-    )
-    assert lhs == rhs
-
-
-def reference_chern_character(shape, n):
+def reference_chern_character(term, n):
     """The per-summand sum: e copies of ch(O(t)) per summand, added with chow.add."""
     total = ChernCharacter(n, (0,) * (n + 1))
-    for t, e in shape.summands:
+    for t, e in term:
         for _ in range(e):
             total = chow.add(total, chow.ch_line_bundle(n, t))
     return total
@@ -89,9 +85,9 @@ def reference_chern_character(shape, n):
     ),
 )
 def test_shape_chern_character_matches_per_summand_sum(n, summands):
-    shape = ShapeDescriptor(tuple(summands))
-    reference = reference_chern_character(shape, n)
-    assert _scaled_character(shape.summands, n) == tuple(
+    # raw summands: repeated twists and zero exponents included
+    reference = reference_chern_character(summands, n)
+    assert _scaled_character(summands, n) == tuple(
         math.factorial(n) * x for x in reference.components
     )
 
@@ -167,19 +163,28 @@ def test_c3_positive_on_range():
 
 def test_resolution_shapes_hand_values():
     r_minus1, r_0 = resolution_shapes(5, 1)
-    assert r_minus1 == ShapeDescriptor.line_bundles(-3, -5)
-    assert r_0 == ShapeDescriptor.line_bundles(-2, -1, -2, -4)
+    assert r_minus1 == ((-3, 1), (-5, 1))
+    assert r_0 == ((-1, 1), (-2, 2), (-4, 1))
 
     r_minus1, r_0 = resolution_shapes(10, 2)
-    assert r_minus1 == ShapeDescriptor.line_bundles(-4, -9)
-    assert r_0 == ShapeDescriptor.line_bundles(-3, -1, -2, -8)
+    assert r_minus1 == ((-4, 1), (-9, 1))
+    assert r_0 == ((-1, 1), (-2, 1), (-3, 1), (-8, 1))
+
+
+def test_resolution_shapes_match_canonical_oracle():
+    # the closed forms against the paper's summands, merged and sorted
+    for c2 in range(5, 401):
+        for s in admissible_s(c2):
+            r_minus1 = canonical_oracle([(-s - 2, 1), (s - 1 - c2, 1)])
+            r_0 = canonical_oracle([(-s - 1, 1), (-1, 1), (-2, 1), (s - c2, 1)])
+            assert resolution_shapes(c2, s) == (r_minus1, r_0), (c2, s)
 
 
 def test_resolution_rank_difference_is_two():
     for c2 in range(5, 31):
         for s in admissible_s(c2):
             r_minus1, r_0 = resolution_shapes(c2, s)
-            assert r_0.rank - r_minus1.rank == 2
+            assert sum(e for _, e in r_0) - sum(e for _, e in r_minus1) == 2
 
 
 def test_verify_resolution_chern_specific_instance():
@@ -219,10 +224,9 @@ def test_verify_resolution_chern_full_range():
 
 def test_hom_dim_hand_values():
     # the oracle the closed forms are compared with, on hand values
-    line = ShapeDescriptor.line_bundles
-    assert hom_dim_oracle(line(-1), line(0), 2) == 3
-    assert hom_dim_oracle(line(0), line(0), 3) == 1
-    assert hom_dim_oracle(line(0), line(-1), 3) == 0
+    assert hom_dim_oracle(((-1, 1),), ((0, 1),), 2) == 3
+    assert hom_dim_oracle(((0, 1),), ((0, 1),), 3) == 1
+    assert hom_dim_oracle(((0, 1),), ((-1, 1),), 3) == 0
     r_minus1, r_0 = resolution_shapes(5, 1)
     assert hom_dim_oracle(r_minus1, r_0, 3) == 97
 
@@ -232,8 +236,8 @@ def test_presentation_report_hand_values():
         c2=5,
         s=1,
         c3=19,
-        r_minus1=ShapeDescriptor.line_bundles(-3, -5),
-        r0=ShapeDescriptor.line_bundles(-2, -1, -2, -4),
+        r_minus1=((-3, 1), (-5, 1)),
+        r0=((-1, 1), (-2, 2), (-4, 1)),
         dim_hom=97,
         dim_pv=96,
         dim_g=66,

@@ -1,0 +1,88 @@
+"""Check the bytes of the catalogs that the installed ``chowkit`` script writes.
+
+Usage, with ``chowkit`` on PATH:
+
+    python tools/check_catalog_bytes.py
+
+CHECKS is one table of (argv, output, size, sha256, exit code).  The output
+is a file name, written with ``--output`` in a fresh temporary directory,
+or "-" for stdout.  Every command runs in that directory, so
+``catalog diff a.json b.json`` reads the two catalogs written before it.
+The sizes and sha256s of the benchmark's full-size grids are read from
+``perfbench/workloads.py``; those of the larger grids are in the table.
+The script prints one line per catalog and exits 1, naming each catalog
+whose bytes or exit code differ from the recorded ones.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+sys.dont_write_bytecode = True  # leave perfbench/ free of __pycache__
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import FULL  # noqa: E402
+
+
+class Check(NamedTuple):
+    argv: tuple[str, ...]
+    output: str
+    size: int
+    sha256: str
+    exit_code: int = 0
+
+
+_LARGE_STRATA = ("catalog", "strata", "--c2", "5..40", "--l", "0..8")
+_LARGE_STRATA_JSON = (19085233, "62634c9c63113f45ead2ea5bfc286e178af39b1d432ab86b3ba6de890aed6673")
+
+CHECKS = [
+    # the benchmark's catalogs and their diff, which exits 1
+    *(Check(c.args, f"{c.args[1]}.json", c.size, c.sha256) for c in (FULL.strata, *FULL.families)),
+    Check(FULL.diff_a.args, "a.json", FULL.diff_a.size, FULL.diff_a.sha256),
+    Check(FULL.diff_b.args, "b.json", FULL.diff_b.size, FULL.diff_b.sha256),
+    Check(("catalog", "diff", "a.json", "b.json"), "-", FULL.diff.size, FULL.diff.sha256, 1),
+    # family grids past the benchmark's, where the tier-1 tests do not reach
+    Check(("catalog", "resolutions", "--c2", "5..2000"), "resolutions-large.json", 22538928,
+          "b8a4f9415d930fea7e45cfc92075be299ee705fa3962eb93bed63d719c3847b5"),
+    Check(("catalog", "monads", "--rank-max", "8", "--charge", "0..400"), "monads-large.json", 3667409,
+          "a0454a340329d05b3330af3623cea8e1d535286cc9c599d767e44810293bc319"),
+    # a strata grid of 55,056 entries through the file writer, the chunked
+    # stdout writer and the row-by-row CSV writer
+    Check(_LARGE_STRATA, "strata-large.json", *_LARGE_STRATA_JSON),
+    Check(_LARGE_STRATA, "-", *_LARGE_STRATA_JSON),
+    Check(("--format", "csv", *_LARGE_STRATA), "-", 3559541,
+          "43e7b19a8042815ede8e3148815c0d45c27f8ec147b6910392eb6303764c9819"),
+]
+
+
+def run(check: Check, directory: Path) -> str | None:
+    """Run one command; a problem naming its catalog, or None."""
+    argv = list(check.argv)
+    if check.output != "-":
+        argv += ["--output", check.output]
+    done = subprocess.run(["chowkit", *argv], cwd=directory, stdout=subprocess.PIPE)
+    path = directory / check.output
+    data = done.stdout if check.output == "-" else path.read_bytes() if path.is_file() else b""
+    digest = hashlib.sha256(data).hexdigest()
+    what = " ".join(argv)
+    print(f"{what}: {len(data)} bytes, sha256 {digest[:12]}, exit {done.returncode}")
+    if (len(data), digest, done.returncode) != (check.size, check.sha256, check.exit_code):
+        return (f"{what}: recorded {check.size} bytes, sha256 {check.sha256[:12]}, "
+                f"exit {check.exit_code}")
+    return None
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as directory:
+        problems = [p for check in CHECKS if (p := run(check, Path(directory)))]
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
