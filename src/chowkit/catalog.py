@@ -14,21 +14,23 @@ Value encoding inside the ``inputs``/``outputs`` maps:
 * any other string stays a string, provided it cannot be mistaken for a
   rational (the serializer enforces this).
 
-Writing streams: :func:`write_catalog` encodes each entry once into a sort
-row, sorts the rows and writes the document piece by piece in canonical
-order, so its peak memory is the sort rows (about the size of the
+Writing streams: :func:`document_pieces` encodes each entry once into a
+sort row, sorts the rows and yields the document piece by piece in
+canonical order, so its peak memory is the sort rows (about the size of the
 document), never a copy of the whole document.  :func:`serialize_catalog`
 joins the same pieces into one string.
 
 Generation: :data:`CATALOG_KINDS` is the table of the kinds ``chowkit
-catalog <kind>`` builds; the ``*_catalog`` functions list the same entries.
+catalog <kind>`` builds, each with the kind tag of its entries; the
+``*_catalog`` functions list the same entries.
 
 Reading goes through one value decoder, which maps each raw JSON value to
 its value and its canonical JSON text.  :func:`parse_catalog` builds
 entries from the values; :func:`canonical_lines` joins the texts into each
 entry's canonical line without building the entry, and ``catalog diff``
-compares those lines and prints the differing ones with the same encoder
-(:func:`diff_document`).
+compares those lines and yields the differing ones with the same encoder
+(:func:`diff_pieces`).  The document and the diff payload write their
+lists of entry blocks through one list writer, so they share one layout.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .bounds import _c3_interval, _ch2_of_classes, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
@@ -46,8 +49,6 @@ from .monads import monad_shape, partition_types
 from .resolutions import admissible_s, format_term, presentation_report, verify_resolution_chern
 
 SCHEMA_VERSION = 1
-
-KINDS = ("bound", "resolution", "monad", "stratum")
 
 
 def _check_version(schema_version: Any, where: str) -> None:
@@ -59,8 +60,8 @@ def _check_version(schema_version: Any, where: str) -> None:
 
 
 def _check_tags(kind: Any, schema_version: Any) -> None:
-    if kind not in KINDS:
-        raise InadmissibleParameterError(f"kind must be one of {KINDS}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in _KIND_TEXT:  # a JSON list is unhashable
+        raise InadmissibleParameterError(f"kind must be one of {tuple(_KIND_TEXT)}, got {kind!r}")
     _check_version(schema_version, "entry")
 
 
@@ -169,24 +170,18 @@ def _indented_block(inputs: str, kind: str, outputs: str, version: str) -> str:
     )
 
 
-def _indented_list(head: str, blocks: list[str], tail: str) -> str:
-    """``head``, a list of entry blocks one level deep in a document, ``tail``.
-
-    The text is joined in one pass, with no second copy of the (large)
-    list; ``blocks`` is used up: its first and last items are replaced.
-    """
-    if not blocks:
-        return head + "[]" + tail
-    blocks[0] = head + "[\n" + blocks[0]
-    blocks[-1] += "\n  ]" + tail
-    return ",\n".join(blocks)
+def _block_list(blocks: Iterable[str]) -> Iterator[str]:
+    """A JSON list of entry blocks, one level deep in a document, in pieces:
+    ``[]`` when empty, else ``[``, the blocks one per line and separated by
+    commas, and ``]`` on a line of its own."""
+    separator = "[\n"
+    for block in blocks:
+        yield separator + block
+        separator = ",\n"
+    yield "[]" if separator == "[\n" else "\n  ]"
 
 
-# one text per kind, shared by every sort row of that kind
-_KIND_TEXT = {kind: _json_str(kind) for kind in KINDS}
-
-
-def _document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]]:
+def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]]:
     """The entry count and the canonical catalog document of ``entries``, in pieces.
 
     Each entry is encoded once, into a sort row: the compact texts its
@@ -200,8 +195,11 @@ def _document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str
 
     This returns only once every entry is encoded and the rows are sorted,
     so an error in generating or encoding any entry is raised before any
-    piece exists.  The pieces are the head, one per entry, and the tail;
-    each row is dropped once its piece is made.
+    piece exists, and a caller can open its output only then.  No copy of
+    the document is built: peak memory is the sort rows, about the
+    document's size, and each row is dropped once its block is made.
+    ``entries`` may be a generator, whose entries are then freed as they
+    are encoded.
     """
     rows = []
     last = None  # the last outputs map; its compact and indented texts follow
@@ -217,17 +215,13 @@ def _document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str
     # Descending, so that popping from the end takes them in order.
     rows.sort(reverse=True)
 
-    def pieces() -> Iterator[str]:
-        yield '{\n  "entries": ['
-        separator = "\n"
+    def blocks() -> Iterator[str]:
         while rows:
             _, kind, _, version, inputs, outputs = rows.pop()
-            yield separator + _indented_block(inputs, kind, outputs, version)
-            separator = ",\n"
-        close = "]" if separator == "\n" else "\n  ]"
-        yield close + ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
+            yield _indented_block(inputs, kind, outputs, version)
 
-    return len(rows), pieces()
+    tail = ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
+    return len(rows), chain(['{\n  "entries": '], _block_list(blocks()), [tail])
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +333,10 @@ def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
 
     The layout is ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
     trailing newline, where ``doc`` holds the entries and the schema version.
-    The text is joined from the pieces that :func:`write_catalog` streams
-    in canonical order; a large catalog is better written with that.
+    The text is joined from the pieces of :func:`document_pieces`; a large
+    catalog is better written from those, piece by piece.
     """
-    return "".join(_document_pieces(entries)[1])
-
-
-def write_catalog(entries: Iterable[CatalogEntry], handle: TextIO) -> int:
-    """Write the :func:`serialize_catalog` document to ``handle``; the entry count.
-
-    No copy of the document is built: peak memory is one sort row per
-    entry, about the document's size.  ``entries`` may be a generator, whose
-    entries are then freed as they are encoded.  All are generated, encoded
-    and sorted before the first write, so an error in those steps is raised
-    with nothing written.
-    """
-    count, pieces = _document_pieces(entries)
-    handle.writelines(pieces)
-    return count
+    return "".join(document_pieces(entries)[1])
 
 
 def parse_catalog(text: str) -> list[CatalogEntry]:
@@ -385,29 +365,27 @@ def diff_lines(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
     return {"only_in_a": sorted(a - b), "only_in_b": sorted(b - a)}
 
 
-def diff_document(delta: Mapping[str, list[str]]) -> str:
-    """The JSON text ``catalog diff`` prints for a :func:`diff_lines` result.
+def diff_pieces(delta: Mapping[str, list[str]]) -> Iterator[str]:
+    """The JSON text ``catalog diff`` prints for a :func:`diff_lines` result, in pieces.
 
     ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, where
     the payload holds ``identical`` and the entries of ``only_in_a`` and
     ``only_in_b``.  Each entry is written from its canonical line's texts,
-    in the block layout of a catalog document.
+    in the block layout of a catalog document, one piece per entry.
     """
     decode = _value_decoder()
 
-    def blocks(lines: list[str]) -> list[str]:
-        pieces = [_decoded_pieces(json.loads(line), decode) for line in lines]
-        return [
-            _indented_block(_indented_map(inputs), kind, _indented_map(outputs), version)
-            for inputs, kind, outputs, version in pieces
-        ]
+    def blocks(lines: list[str]) -> Iterator[str]:
+        for line in lines:
+            inputs, kind, outputs, version = _decoded_pieces(json.loads(line), decode)
+            yield _indented_block(_indented_map(inputs), kind, _indented_map(outputs), version)
 
     a, b = delta["only_in_a"], delta["only_in_b"]
-    head = '{\n  "identical": ' + ("false" if a or b else "true") + ',\n  "only_in_a": '
-    return (
-        _indented_list(head, blocks(a), ',\n  "only_in_b": ')
-        + _indented_list("", blocks(b), "\n}\n")
-    )
+    yield '{\n  "identical": ' + ("false" if a or b else "true") + ',\n  "only_in_a": '
+    yield from _block_list(blocks(a))
+    yield ',\n  "only_in_b": '
+    yield from _block_list(blocks(b))
+    yield "\n}\n"
 
 
 def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
@@ -517,10 +495,12 @@ def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
 
 
 class CatalogKind(NamedTuple):
-    """One ``catalog <kind>``.  ``params`` are ``generate``'s arguments in order,
+    """One ``catalog <kind>``.  ``entry_kind`` is the ``kind`` tag of the
+    entries it generates.  ``params`` are ``generate``'s arguments in order,
     each (name, type, default): the flag and config key, ``int`` or ``range``
     (an "a..b" grid), and the default, None when the value must be given."""
 
+    entry_kind: str
     help: str
     params: tuple[tuple[str, type, Any], ...]
     generate: Callable[..., Iterator[CatalogEntry]]
@@ -529,11 +509,15 @@ class CatalogKind(NamedTuple):
 # keyed by subcommand name, in the order ``catalog --help`` lists them
 _C2_GRID = ("c2", range, None)
 CATALOG_KINDS = {
-    "strata": CatalogKind("stratum labels over a (c2, l) grid",
+    "strata": CatalogKind("stratum", "stratum labels over a (c2, l) grid",
                           (_C2_GRID, ("l", range, None)), _strata_entries),
-    "bounds": CatalogKind("ch_3 bounds and c3 intervals over a c2 grid",
+    "bounds": CatalogKind("bound", "ch_3 bounds and c3 intervals over a c2 grid",
                           (("rank", int, 2), ("c1", int, -1), _C2_GRID), _bounds_entries),
-    "resolutions": CatalogKind("resolution shapes over a c2 grid", (_C2_GRID,), _resolutions_entries),
-    "monads": CatalogKind("monad shapes over normalized data",
+    "resolutions": CatalogKind("resolution", "resolution shapes over a c2 grid",
+                               (_C2_GRID,), _resolutions_entries),
+    "monads": CatalogKind("monad", "monad shapes over normalized data",
                           (("rank-max", int, None), ("charge", range, None)), _monads_entries),
 }
+
+# the entry kinds, each with its JSON text, shared by every sort row of that kind
+_KIND_TEXT = {k.entry_kind: _json_str(k.entry_kind) for k in CATALOG_KINDS.values()}

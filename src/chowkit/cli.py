@@ -325,7 +325,7 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
         return EXIT_OK, None
     # every entry is generated, encoded and sorted before any output is
     # opened, so a failed run leaves an existing file untouched and creates none
-    count, pieces = cat._document_pieces(entries)
+    count, pieces = cat.document_pieces(entries)
     if args.output is None:
         _write(pieces)
         return EXIT_OK, None
@@ -397,7 +397,7 @@ def _cmd_diff(args) -> tuple[int, dict | None]:
             "only_in_a": [json.loads(line) for line in delta["only_in_a"]],
             "only_in_b": [json.loads(line) for line in delta["only_in_b"]],
         }
-    _write([cat.diff_document(delta)])
+    _write(cat.diff_pieces(delta))
     return code, None
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from chowkit import catalog, cli, resolutions
 from chowkit.bounds import ch3_bound, enumerate_admissible_c3, euler_bound
 from chowkit.catalog import (
-    KINDS,
+    CATALOG_KINDS,
     CatalogEntry,
     bounds_catalog,
     canonical_lines,
@@ -34,6 +34,7 @@ from chowkit.errors import DomainError, InadmissibleParameterError
 from chowkit.resolutions import admissible_s
 
 F = Fraction
+ENTRY_KINDS = tuple(kind.entry_kind for kind in CATALOG_KINDS.values())
 
 KEY_POOL = ("c1", "c2", "c3", "ch2", "ch3", "rank", "s", "l", "q", "t", "dim")
 
@@ -48,7 +49,7 @@ def random_entry(rng):
         keys = rng.sample(KEY_POOL, rng.randint(1, 5))
         return {k: value() for k in keys}
 
-    return CatalogEntry(kind=rng.choice(KINDS), inputs=mapping(), outputs=mapping())
+    return CatalogEntry(kind=rng.choice(ENTRY_KINDS), inputs=mapping(), outputs=mapping())
 
 
 def run_cli(argv, capsys):
@@ -91,6 +92,23 @@ def test_entry_rejects_bad_values():
         parse_catalog(_one_entry(inputs=b'{"x": 1.5}').decode())
     with pytest.raises(DomainError):
         serialize_entry(CatalogEntry("bound", {1: 2}, {}))
+
+
+def test_entry_kinds_are_the_kind_table_rows():
+    # each catalog <kind> generates entries of its row's entry kind
+    small = {"strata": (range(5, 6), range(0, 2)), "bounds": (2, -1, range(0, 2)),
+             "resolutions": (range(5, 7),), "monads": (2, range(0, 2))}
+    for name, kind in CATALOG_KINDS.items():
+        assert {e.kind for e in kind.generate(*small[name])} == {kind.entry_kind}
+    assert sorted(ENTRY_KINDS) == ["bound", "monad", "resolution", "stratum"]
+    # an unknown kind, an unhashable one included, names every kind
+    for bad in ("sheaf", "", 1, None, ["bound"]):
+        with pytest.raises(InadmissibleParameterError, match="kind must be one of") as caught:
+            CatalogEntry(bad, {}, {})
+        assert all(repr(k) in str(caught.value) for k in ENTRY_KINDS)
+    for read in (parse_catalog, canonical_lines):
+        with pytest.raises(InadmissibleParameterError, match="kind must be one of"):
+            read(_one_entry(kind=b'["bound"]').decode())
 
 
 def test_entry_rejects_unknown_schema_version():
@@ -751,6 +769,61 @@ def test_cli_closed_stdout_exits_141_quietly(fmt, c2, first_line):
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+@pytest.fixture(scope="module")
+def large_diff(tmp_path_factory):
+    """Strata catalogs whose diff is 2.8 MB of JSON and 3.2 MB of CSV."""
+    directory = tmp_path_factory.mktemp("large-diff")
+    for name, c2, l in (("a.json", "5..8", "0..2"), ("b.json", "5..30", "0..6")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["catalog", "strata", "--c2", c2, "--l", l,
+                         "--output", str(directory / name)])
+        assert code == 0
+    return directory / "a.json", directory / "b.json"
+
+
+@pytest.mark.parametrize("fmt, first_line", [("csv", b"key,value"), ("json", b"{\n")],
+                         ids=["csv", "json"])
+def test_cli_diff_closed_stdout_exits_141_quietly(fmt, first_line, large_diff):
+    """``catalog diff | head -1`` exits as a catalog does: 141, no traceback."""
+    argv = [sys.executable, "-m", "chowkit", "--format", fmt, "catalog", "diff",
+            *map(str, large_diff)]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(first_line)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
+class _RecordingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_cli_diff_payload_reaches_stdout_in_chunks(large_diff, monkeypatch):
+    """The JSON diff payload is streamed: no write of it is the whole text."""
+    path_a, path_b = large_diff
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["catalog", "diff", str(path_a), str(path_b)])
+    text = stdout.getvalue()
+    delta = diff_lines(canonical_lines(path_a.read_text()), canonical_lines(path_b.read_text()))
+    expected = json.dumps({
+        "identical": False,
+        "only_in_a": [json.loads(line) for line in delta["only_in_a"]],
+        "only_in_b": [json.loads(line) for line in delta["only_in_b"]],
+    }, sort_keys=True, indent=2) + "\n"
+    assert (code, text) == (1, expected)
+    assert max(stdout.sizes) <= io.DEFAULT_BUFFER_SIZE
+    assert len(stdout.sizes) > len(text) // io.DEFAULT_BUFFER_SIZE
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ and the canonical-line reader with ``parse_catalog`` on raw documents.
 
 import copy
 import hashlib
-import io
 import json
 import pickle
 import re
@@ -19,24 +18,26 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chowkit.catalog import (
-    KINDS,
+    CATALOG_KINDS,
     SCHEMA_VERSION,
     CatalogEntry,
     bounds_catalog,
     canonical_lines,
-    diff_document,
     diff_lines,
+    diff_pieces,
+    document_pieces,
     monads_catalog,
     parse_catalog,
     resolutions_catalog,
     serialize_catalog,
     serialize_entry,
     strata_catalog,
-    write_catalog,
 )
 from chowkit import catalog as catalog_module
 from chowkit.cli import main
 from chowkit.errors import DomainError, InadmissibleParameterError
+
+ENTRY_KINDS = tuple(kind.entry_kind for kind in CATALOG_KINDS.values())
 
 # ---------------------------------------------------------------------------
 # golden digests: (entries, bytes, sha256) of each grid's catalog document
@@ -132,7 +133,7 @@ keys = st.sampled_from(("c2", "l", "s")) | st.text(st.characters() | _TRICKY, ma
 maps = st.dictionaries(keys, values, max_size=5)
 entries = st.builds(
     CatalogEntry,
-    kind=st.sampled_from(KINDS),
+    kind=st.sampled_from(ENTRY_KINDS),
     inputs=maps,
     outputs=maps,
     schema_version=st.just(SCHEMA_VERSION),
@@ -143,7 +144,7 @@ entries = st.builds(
 # builds them; the emitter encodes such a map once per run
 shared_runs = st.builds(
     lambda kind, outputs, inputs: [CatalogEntry(kind, i, outputs) for i in inputs],
-    st.sampled_from(KINDS),
+    st.sampled_from(ENTRY_KINDS),
     maps.map(MappingProxyType),
     st.lists(maps, min_size=1, max_size=3),
 )
@@ -184,22 +185,52 @@ def reference_diff(only_in_a, only_in_b):
     CatalogEntry("monad", {"c2": c2}, MappingProxyType(outputs))
     for c2, outputs in ((1, {"x": 1}), (2, {"x": True}), (3, {"x": Fraction(1)}))
 ])
+# the halves diff to an empty delta, to only_in_b alone and to only_in_a alone
+@example([])
+@example([CatalogEntry("stratum", {"l": 0}, {})])
+@example([CatalogEntry("bound", {"c2": c2}, {}) for c2 in (1, 2, 1, 1)])
 def test_emitters_match_reference_and_round_trip(catalog):
     for entry in catalog:
         assert serialize_entry(entry) == reference_entry(entry)
     document = serialize_catalog(catalog)
     assert document == reference_catalog(catalog)
-    # the streamed writer gives the same text, from a one-pass iterator too
-    written = io.StringIO()
-    assert write_catalog(iter(catalog), written) == len(catalog)
-    assert written.getvalue() == document
+    # the streamed pieces give the same text, from a one-pass iterator too
+    count, pieces = document_pieces(iter(catalog))
+    assert count == len(catalog)
+    assert "".join(pieces) == document
     parsed = parse_catalog(document)
     assert parsed == sorted(catalog, key=reference_entry)
     assert serialize_catalog(parsed) == document
     lines = [reference_entry(e) for e in catalog]
     half = len(lines) // 2
     delta = diff_lines(lines[:half], lines[half:])
-    assert diff_document(delta) == reference_diff(delta["only_in_a"], delta["only_in_b"])
+    a, b = delta["only_in_a"], delta["only_in_b"]
+    pieces = list(diff_pieces(delta))
+    assert "".join(pieces) == reference_diff(a, b)
+    # streamed: the head, each list's blocks and its close, the key between, the tail
+    assert len(pieces) == len(a) + len(b) + 5
+
+
+@pytest.mark.parametrize("grid", sorted(GOLDEN))
+def test_document_pieces_raises_before_any_piece(grid):
+    """An error after the last entry is raised by ``document_pieces`` itself,
+    so a caller can open its output only once every entry is encoded."""
+    generate, size, _ = GOLDEN[grid]
+    entries = list(generate())
+    seen = []
+
+    def failing():
+        for entry in entries:
+            seen.append(entry)
+            yield entry
+        raise DomainError("the grid ends in an error")
+
+    with pytest.raises(DomainError, match="ends in an error"):
+        document_pieces(failing())
+    assert len(seen) == len(entries)
+    count, pieces = document_pieces(iter(entries))
+    assert count == len(entries)
+    assert len("".join(pieces).encode()) == size
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +323,7 @@ def raw_documents(draw):
     for _ in range(draw(st.integers(0, 5))):
         fields = {
             "inputs": draw(maps),
-            "kind": draw(st.sampled_from(KINDS)),
+            "kind": draw(st.sampled_from(ENTRY_KINDS)),
             "outputs": draw(maps),
             "schema_version": 1,
         }

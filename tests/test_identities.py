@@ -16,8 +16,8 @@ sympy expansion proves it for every input:
 * the scaled-integer numerators of the P^3 bounds over their denominators
   are the rational formulas, in (n, |c_1|, p, q, sum b_i^2) with ch_2 = p/q.
 
-The characters of split sheaves are built here the slow way, one truncated
-exp(tH) per line-bundle summand, independently of the closed forms in
+The characters of split sheaves are built here summand by summand, one
+truncated exp(tH) per line bundle, independently of the closed forms in
 ``chowkit.resolutions``.
 """
 
@@ -27,15 +27,14 @@ import sympy as sp
 
 from chowkit import bounds, monads, resolutions
 
-H = sp.Symbol("H")
 C2, C3, S = sp.symbols("c2 c3 s", integer=True)
 R, D, C, CH2 = sp.symbols("r d c ch2")
 
 
 def ch_line_bundle(n, t):
-    """Components (ch_0, ..., ch_n) of O(t) on P^n: the series of exp(tH)."""
-    series = sp.series(sp.exp(t * H), H, 0, n + 1).removeO()
-    return [sp.expand(series).coeff(H, i) for i in range(n + 1)]
+    """Components (ch_0, ..., ch_n) of O(t) on P^n: exp(tH) truncated past
+    H^n, the sum of t^i H^i / i! for i <= n."""
+    return [sp.expand(sp.sympify(t) ** i / sp.factorial(i)) for i in range(n + 1)]
 
 
 def ch_split(n, summands):

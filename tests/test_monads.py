@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from chowkit import monads
 from chowkit.catalog import monads_catalog
 from chowkit.chow import ChernCharacter, character_to_chern, sub
 from chowkit.errors import InadmissibleParameterError, IntegralityError, NotRealizableError
@@ -130,17 +129,6 @@ def test_monad_shape_hand_values():
     assert (degenerate.v, degenerate.w, degenerate.u) == (0, 1, 0)
     assert (degenerate.left, degenerate.middle, degenerate.right) == ((), ((0, 1),), ())
     assert str(degenerate) == "0 -> O -> 0"
-
-
-@pytest.mark.parametrize("offset", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (1, 2, 1)])
-def test_monad_shape_recheck_rejects_wrong_exponents(monkeypatch, offset):
-    # (1, 2, 1) keeps rank and degree and moves only ch_2 by -1
-    def shifted(v, w, u):
-        return MonadShape(v + offset[0], w + offset[1], u + offset[2])
-
-    monkeypatch.setattr(monads, "MonadShape", shifted)
-    with pytest.raises(NotRealizableError, match="do not reproduce"):
-        monad_shape(2, -1, F(-9, 2))
 
 
 def test_monad_shape_identity_over_grid():

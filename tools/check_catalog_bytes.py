@@ -56,6 +56,11 @@ CHECKS = [
     Check(_LARGE_STRATA, "-", *_LARGE_STRATA_JSON),
     Check(("--format", "csv", *_LARGE_STRATA), "-", 3559541,
           "43e7b19a8042815ede8e3148815c0d45c27f8ec147b6910392eb6303764c9819"),
+    # a diff payload 60 times the benchmark's, as JSON and as CSV
+    Check(("catalog", "diff", "strata.json", "strata-large.json"), "-", 13602069,
+          "a0e78f4d281a26bad40a80ba8eaaa0f71a0fb6db3363693c3412bfc2712401f3", 1),
+    Check(("--format", "csv", "catalog", "diff", "strata.json", "strata-large.json"), "-", 15617670,
+          "18b41de1e7bd63b0e1702bf18c44485a67da2ad143bca364b4908d700978f703", 1),
 ]
 
 
