@@ -7,144 +7,65 @@ Riemann-Roch), splitting-type enumeration, explicit cohomology and ch_3
 bounds, two-term resolution shapes of rank-two reflexive sheaves, linear
 monad shapes of normalized sheaves on P^2, partition-type stratum labels,
 and a deterministic catalog/CLI layer tying them together.
+
+The public names are imported lazily (PEP 562): ``import chowkit`` loads
+no module of the package, and the first use of a name imports the module
+that defines it.
 """
 
-from .bounds import (
-    BoundReport,
-    bound_report,
-    ch3_bound,
-    enumerate_admissible_c3,
-    euler_bound,
-    extreme_bounds,
-    h0_line_bundle,
-    p3_bounds,
-)
-from .catalog import (
-    SCHEMA_VERSION,
-    CatalogEntry,
-    bounds_catalog,
-    canonical_lines,
-    document_pieces,
-    monads_catalog,
-    parse_catalog,
-    resolutions_catalog,
-    serialize_catalog,
-    serialize_entry,
-    strata_catalog,
-)
-from .chow import (
-    ChernCharacter,
-    ChernClasses,
-    ToddClass,
-    as_rational,
-    ch_line_bundle,
-    character_to_chern,
-    chern_to_character,
-    dual,
-    euler_characteristic,
-    mul,
-    parse_rational,
-    pushforward_from_hyperplane,
-    rational_str,
-    restrict_to_hyperplane,
-    todd,
-    twist,
-)
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    InadmissibleParameterError,
-    IntegralityError,
-    NotRealizableError,
-    RankMismatchError,
-    UnsupportedDimensionError,
-)
-from .monads import (
-    MonadShape,
-    PartitionType,
-    charge,
-    is_normalized,
-    monad_shape,
-    partition_types,
-)
-from .resolutions import (
-    PresentationReport,
-    admissible_s,
-    format_term,
-    max_admissible_s,
-    presentation_report,
-    resolution_shapes,
-    verify_resolution_chern,
-)
-from .splitting import (
-    SplittingType,
-    enumerate_splitting_types,
-    magnitude_ok,
-    splitting_radius,
-    validate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CatalogEntry",
-    "ChernCharacter",
-    "ChernClasses",
-    "DimensionMismatchError",
-    "DomainError",
-    "InadmissibleParameterError",
-    "IntegralityError",
-    "MonadShape",
-    "NotRealizableError",
-    "PartitionType",
-    "PresentationReport",
-    "RankMismatchError",
-    "SCHEMA_VERSION",
-    "SplittingType",
-    "ToddClass",
-    "UnsupportedDimensionError",
-    "admissible_s",
-    "as_rational",
-    "bound_report",
-    "bounds_catalog",
-    "canonical_lines",
-    "ch3_bound",
-    "ch_line_bundle",
-    "character_to_chern",
-    "charge",
-    "chern_to_character",
-    "document_pieces",
-    "dual",
-    "enumerate_admissible_c3",
-    "enumerate_splitting_types",
-    "euler_bound",
-    "euler_characteristic",
-    "extreme_bounds",
-    "format_term",
-    "h0_line_bundle",
-    "is_normalized",
-    "magnitude_ok",
-    "max_admissible_s",
-    "monad_shape",
-    "monads_catalog",
-    "mul",
-    "p3_bounds",
-    "parse_catalog",
-    "parse_rational",
-    "partition_types",
-    "presentation_report",
-    "pushforward_from_hyperplane",
-    "rational_str",
-    "resolution_shapes",
-    "resolutions_catalog",
-    "restrict_to_hyperplane",
-    "serialize_catalog",
-    "serialize_entry",
-    "splitting_radius",
-    "strata_catalog",
-    "todd",
-    "twist",
-    "validate",
-    "verify_resolution_chern",
-]
+# each public name, under the module that defines it
+_EXPORTS = {
+    "bounds": (
+        "BoundReport", "bound_report", "ch3_bound", "enumerate_admissible_c3",
+        "euler_bound", "extreme_bounds", "h0_line_bundle", "p3_bounds",
+    ),
+    "catalog": (
+        "SCHEMA_VERSION", "CatalogEntry", "bounds_catalog", "canonical_lines",
+        "document_pieces", "parse_catalog", "serialize_catalog", "serialize_entry",
+    ),
+    "chow": (
+        "ChernCharacter", "ChernClasses", "ToddClass", "as_rational", "ch_line_bundle",
+        "character_to_chern", "chern_to_character", "dual", "euler_characteristic", "mul",
+        "parse_rational", "pushforward_from_hyperplane", "rational_str",
+        "restrict_to_hyperplane", "todd", "twist",
+    ),
+    "errors": (
+        "DimensionMismatchError", "DomainError", "InadmissibleParameterError",
+        "IntegralityError", "NotRealizableError", "RankMismatchError",
+        "UnsupportedDimensionError",
+    ),
+    "monads": (
+        "MonadShape", "PartitionType", "charge", "is_normalized", "monad_shape",
+        "partition_types",
+    ),
+    "resolutions": (
+        "PresentationReport", "admissible_s", "format_term", "max_admissible_s",
+        "presentation_report", "resolution_shapes", "verify_resolution_chern",
+    ),
+    "splitting": (
+        "SplittingType", "enumerate_splitting_types", "magnitude_ok", "splitting_radius",
+        "validate",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name's module on first use and keep the name here.
+
+    A submodule's name imports the submodule, so ``chowkit.catalog`` works
+    after a plain ``import chowkit``.
+    """
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value

@@ -146,20 +146,17 @@ class BoundReport(NamedTuple):
     splitting_type: SplittingType | None = None
 
 
-def _scaled(
-    n: int, a: int, p: int, q: int, square_sum: int | None
-) -> tuple[int, int, int, int, int, int, int]:
+def _scaled(n: int, a: int, p: int, q: int) -> tuple[int, int, int, int, int, int]:
     """Scaled-integer numerators of the P^3 bounds.
 
     With t = (a + n^2)/n for a = |c_1|, and ch_2 = p/q, returns
-    ``(nt, den, h1_worst, h1, shift, sections, ch3_shift)``, each an integer
-    polynomial in n, a, p, q and ``square_sum`` = sum b_i^2:
+    ``(nt, den, h1_worst, shift, sections, ch3_shift)``, each an integer
+    polynomial in n, a, p and q:
 
     * nt = n t;
-    * over den = 2nq: the h^1 factor -ch_2 + n t^2 / 2 of the worst case
-      b_i = t (h1_worst) and -ch_2 + square_sum / 2 (h1, the worst case
-      again when ``square_sum`` is None); Q is either one plus
-      shift = 2nq (t + 4);
+    * over den = 2nq: h1_worst, the h^1 factor -ch_2 + n t^2 / 2 of the
+      worst case b_i = t, and shift = 2nq (t + 4); Q is an h^1 factor
+      plus shift (:func:`_typed_h1` gives the factor of a splitting type);
     * over 3 den^2 = 12 n^2 q^2: the section term (n/6)(t + 3)^3 and
       ch3_shift = 2|ch_2| + (11/6)|c_1| + n; the Euler bound is
       6 Q h1_worst + sections with Q = h1_worst + shift (both factors
@@ -172,15 +169,15 @@ def _scaled(
     nt = a + n * n
     den = 2 * n * q
     h1_worst = q * nt * nt - 2 * n * p
-    h1 = h1_worst if square_sum is None else _typed_h1(n, p, q, square_sum)
     shift = 2 * q * (nt + 4 * n)
     sections = 2 * q * q * (nt + 3 * n) ** 3
     ch3_shift = 2 * n * n * q * (12 * abs(p) + q * (11 * a + 6 * n))
-    return nt, den, h1_worst, h1, shift, sections, ch3_shift
+    return nt, den, h1_worst, shift, sections, ch3_shift
 
 
 def _typed_h1(n: int, p: int, q: int, square_sum: int) -> int:
-    """The h^1 factor -ch_2 + square_sum / 2 of :func:`_scaled`, over 2nq."""
+    """The h^1 factor -ch_2 + square_sum / 2 of a splitting type with
+    sum b_i^2 = square_sum, over den = 2nq of :func:`_scaled`."""
     return n * (q * square_sum - 2 * p)
 
 
@@ -209,7 +206,7 @@ class _CharacterTerms(NamedTuple):
 @lru_cache(maxsize=_CHARACTER_CACHE_SIZE)
 def _character_terms(n: int, c1: int, p: int, q: int, literal_mode: bool) -> _CharacterTerms:
     """The shared terms of (n, c_1, ch_2 = p/q) in one mode."""
-    nt, den, h1_worst, _, shift, sections, ch3_shift = _scaled(n, abs(c1), p, q, None)
+    nt, den, h1_worst, shift, sections, ch3_shift = _scaled(n, abs(c1), p, q)
     wide = 3 * den * den
     euler = 6 * _clamped_product(h1_worst + shift, h1_worst, literal_mode) + sections
     return _CharacterTerms(

@@ -21,8 +21,8 @@ document), never a copy of the whole document.  :func:`serialize_catalog`
 joins the same pieces into one string.
 
 Generation: :data:`CATALOG_KINDS` is the table of the kinds ``chowkit
-catalog <kind>`` builds, each with the kind tag of its entries; the
-``*_catalog`` functions list the same entries.
+catalog <kind>`` builds, each with the kind tag of its entries and the
+generator that yields them.
 
 Reading goes through one value decoder, which maps each raw JSON value to
 its value and its canonical JSON text.  :func:`parse_catalog` builds
@@ -72,7 +72,7 @@ class CatalogEntry:
     The maps are read-only ``types.MappingProxyType`` views.  Any other
     mapping is copied into a new one, so changing the caller's dict later
     changes no entry; a ``MappingProxyType`` is kept as it is, so entries
-    built from one share it rather than copy it (``strata_catalog`` gives
+    built from one share it rather than copy it (the strata generator gives
     all the entries of one (c2, s) the same outputs map).
     """
 
@@ -188,7 +188,7 @@ def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]
     canonical line is joined from (inputs, kind, outputs, version, in the
     line's order) and the indented texts of its inputs and outputs.
     Consecutive entries that share one outputs map (the same object, as
-    ``strata_catalog`` builds them) share its texts: the texts of the last
+    the strata generator builds them) share its texts: the texts of the last
     outputs map are reused while the next entry's map ``is`` it.  Nothing
     else is remembered, so a map must not change while its entries are
     being encoded.
@@ -389,11 +389,16 @@ def diff_pieces(delta: Mapping[str, list[str]]) -> Iterator[str]:
 
 
 def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
-    """One "bound" entry per c2: the ch_3 bound and the admissible c3 interval."""
+    """The entries of ``CATALOG_KINDS["bounds"].generate``, as a list.
+
+    The other kinds have no such list; this one stays because
+    ``perfbench/test_smoke.py`` traces a call of it.
+    """
     return list(_bounds_entries(r, c1, c2_range))
 
 
 def _bounds_entries(r: int, c1: int, c2_range: range) -> Iterator[CatalogEntry]:
+    """One "bound" entry per c2: the ch_3 bound and the admissible c3 interval."""
     for c2 in c2_range:
         ch2 = _ch2_of_classes(c1, c2)
         report = bound_report(r, c1, ch2)
@@ -413,12 +418,8 @@ def _bounds_entries(r: int, c1: int, c2_range: range) -> Iterator[CatalogEntry]:
         )
 
 
-def resolutions_catalog(c2_range: range) -> list[CatalogEntry]:
-    """One "resolution" entry per admissible (c2, s)."""
-    return list(_resolutions_entries(c2_range))
-
-
 def _resolutions_entries(c2_range: range) -> Iterator[CatalogEntry]:
+    """One "resolution" entry per admissible (c2, s)."""
     for c2 in c2_range:
         for s in admissible_s(c2):
             report = presentation_report(c2, s)
@@ -437,12 +438,8 @@ def _resolutions_entries(c2_range: range) -> Iterator[CatalogEntry]:
             )
 
 
-def monads_catalog(r_max: int, charge_range: range) -> list[CatalogEntry]:
-    """One "monad" entry per normalized (r, d) and integer charge."""
-    return list(_monads_entries(r_max, charge_range))
-
-
 def _monads_entries(r_max: int, charge_range: range) -> Iterator[CatalogEntry]:
+    """One "monad" entry per normalized (r, d) and integer charge."""
     check_integer("rank-max", r_max)
     for r in range(1, r_max + 1):
         for d in range(-r + 1, 1):
@@ -458,17 +455,13 @@ def _monads_entries(r_max: int, charge_range: range) -> Iterator[CatalogEntry]:
                 )
 
 
-def strata_catalog(c2_range: range, l_range: range) -> list[CatalogEntry]:
+def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
     """One "stratum" entry per (c2, s, c3, partition type of length l).
 
     The stratum labels combine the admissible P^3 Chern data with the
     length-l partition types of the zero-dimensional quotient; ch_3 of the
     reflexive part and the ambient presentation dimensions are recorded.
     """
-    return list(_strata_entries(c2_range, l_range))
-
-
-def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
     # The labels depend on l alone; partition_types also rejects l < 0.
     labels = [(l, [str(ptype) for ptype in partition_types(l)]) for l in l_range]
     for c2 in c2_range:

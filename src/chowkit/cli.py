@@ -132,24 +132,40 @@ def _rational_default(value) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _flatten(value, prefix: str, into: dict) -> None:
+def _flat_rows(value, prefix: str = "") -> Iterator[tuple[str, str]]:
+    """(key, text) of each scalar in a map or list, in the order of the keys.
+
+    A key joins the map keys and list indices on the scalar's path with ".".
+    Each level is sorted by its keys as strings, which sorts the joined keys,
+    because no payload key holds a character below ".".
+    """
     if isinstance(value, Mapping):  # a dict, or an entry's read-only map
-        for k, v in sorted(value.items()):
-            _flatten(v, f"{prefix}.{k}" if prefix else str(k), into)
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _flatten(v, f"{prefix}.{i}", into)
-    elif isinstance(value, Fraction):
-        into[prefix] = rational_str(value)
-    else:
-        into[prefix] = "" if value is None else json.dumps(value) if isinstance(value, bool) else str(value)
+        items = sorted(value.items())
+    else:  # a list or tuple
+        items = sorted((str(i), v) for i, v in enumerate(value))
+    for k, v in items:
+        key = f"{prefix}.{k}" if prefix else str(k)
+        if isinstance(v, (Mapping, list, tuple)):
+            yield from _flat_rows(v, key)
+        elif isinstance(v, Fraction):
+            yield key, rational_str(v)
+        else:
+            yield key, "" if v is None else json.dumps(v) if isinstance(v, bool) else str(v)
+
+
+# writerow returns what its file's write returns: here, the CSV line itself
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
+def _csv_table(rows: Iterable[tuple[str, str]]) -> Iterator[str]:
+    """The CSV lines of a flattened payload: a key,value header, then ``rows``."""
+    yield _csv_line(("key", "value"))
+    yield from map(_csv_line, rows)
 
 
 def _emit(payload: dict, fmt: str, stream) -> None:
     if fmt == "csv":
-        flat: dict = {}
-        _flatten(payload, "", flat)
-        csv.writer(stream, lineterminator="\n").writerows([("key", "value"), *sorted(flat.items())])
+        stream.writelines(_csv_table(_flat_rows(payload)))
     else:
         json.dump(payload, stream, sort_keys=True, indent=2, default=_rational_default)
         stream.write("\n")
@@ -340,18 +356,15 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
 def _csv_lines(entries: Iterable[cat.CatalogEntry]) -> Iterator[str]:
     """A catalog's CSV lines in generation order.  A row is an entry's flattened
     fields; all entries of one catalog have the same, so the first gives the header."""
-    # writerow returns what its file's write returns: here, the line itself
-    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     columns = None
     for entry in entries:
-        flat: dict = {}
-        _flatten(vars(entry), "", flat)
+        flat = dict(_flat_rows(vars(entry)))
         if columns is None:
-            columns = sorted(flat)
-            yield line(columns)
-        yield line([flat.get(col, "") for col in columns])
+            columns = list(flat)
+            yield _csv_line(columns)
+        yield _csv_line([flat.get(col, "") for col in columns])
     if columns is None:  # an empty catalog: the header of an empty payload
-        yield line(["key", "value"])
+        yield from _csv_table(())
 
 
 def _write(pieces: Iterable[str]) -> None:
@@ -389,16 +402,17 @@ def _cmd_diff(args) -> tuple[int, dict | None]:
             continue
         return EXIT_DIFF_TROUBLE, _error_payload(DomainError(problem))
     delta = cat.diff_lines(*line_sets)
-    identical = not delta["only_in_a"] and not delta["only_in_b"]
-    code = EXIT_OK if identical else EXIT_DIFFERENT
-    if args.format == "csv":
-        return code, {
-            "identical": identical,
-            "only_in_a": [json.loads(line) for line in delta["only_in_a"]],
-            "only_in_b": [json.loads(line) for line in delta["only_in_b"]],
-        }
-    _write(cat.diff_pieces(delta))
-    return code, None
+    _write(cat.diff_pieces(delta) if args.format == "json" else _csv_table(_diff_rows(delta)))
+    return (EXIT_DIFFERENT if delta["only_in_a"] or delta["only_in_b"] else EXIT_OK), None
+
+
+def _diff_rows(delta: Mapping[str, list[str]]) -> Iterator[tuple[str, str]]:
+    """The flattened rows of the ``catalog diff`` payload, decoding one line at a time."""
+    a, b = delta["only_in_a"], delta["only_in_b"]
+    yield "identical", "false" if a or b else "true"
+    for side, lines in (("only_in_a", a), ("only_in_b", b)):
+        for i in sorted(range(len(lines)), key=str):  # the order of _flat_rows
+            yield from _flat_rows(json.loads(lines[i]), f"{side}.{i}")
 
 
 # ---------------------------------------------------------------------------

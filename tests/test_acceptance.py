@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from chowkit.bounds import ch3_bound, enumerate_admissible_c3
-from chowkit.catalog import parse_catalog, serialize_catalog, serialize_entry, strata_catalog
+from chowkit.catalog import CATALOG_KINDS, parse_catalog, serialize_catalog, serialize_entry
 from chowkit.chow import (
     ChernCharacter,
     ch_line_bundle,
@@ -182,7 +182,8 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert len(parse_catalog(first)) == len(strata_catalog(range(5, 11), range(0, 4)))
+    entries = list(CATALOG_KINDS["strata"].generate(range(5, 11), range(0, 4)))
+    assert len(parse_catalog(first)) == len(entries)
 
     path_a, path_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for path in (path_a, path_b):

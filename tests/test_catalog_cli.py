@@ -19,15 +19,11 @@ from chowkit.bounds import ch3_bound, enumerate_admissible_c3, euler_bound
 from chowkit.catalog import (
     CATALOG_KINDS,
     CatalogEntry,
-    bounds_catalog,
     canonical_lines,
     diff_lines,
-    monads_catalog,
     parse_catalog,
-    resolutions_catalog,
     serialize_catalog,
     serialize_entry,
-    strata_catalog,
 )
 from chowkit.cli import main
 from chowkit.errors import DomainError, InadmissibleParameterError
@@ -161,7 +157,7 @@ def test_diff_catalogs():
 
 
 def test_strata_catalog_shape():
-    entries = strata_catalog(range(5, 7), range(0, 2))
+    entries = list(CATALOG_KINDS["strata"].generate(range(5, 7), range(0, 2)))
     # c2 = 5, 6 each admit s = 1 only; lengths 0 and 1 each have one type
     assert len(entries) == 4
     assert all(e.kind == "stratum" for e in entries)
@@ -172,11 +168,11 @@ def test_strata_catalog_shape():
 
 
 def test_strata_catalog_empty_below_threshold():
-    assert strata_catalog(range(4, 5), range(0, 3)) == []
+    assert list(CATALOG_KINDS["strata"].generate(range(4, 5), range(0, 3))) == []
 
 
 def test_bounds_catalog_entries():
-    entries = bounds_catalog(2, -1, range(5, 6))
+    entries = list(CATALOG_KINDS["bounds"].generate(2, -1, range(5, 6)))
     assert len(entries) == 1
     outputs = entries[0].outputs
     assert outputs["ch3_bound"] == F(2635, 6)
@@ -186,7 +182,7 @@ def test_bounds_catalog_entries():
 
 def test_bounds_catalog_matches_the_standalone_functions():
     for r, c1 in [(1, 0), (2, -1), (3, 2), (5, -4)]:
-        for entry in bounds_catalog(r, c1, range(-3, 40)):
+        for entry in CATALOG_KINDS["bounds"].generate(r, c1, range(-3, 40)):
             c2 = entry.inputs["c2"]
             ch2 = F(c1 * c1 - 2 * c2, 2)
             out = entry.outputs
@@ -196,7 +192,7 @@ def test_bounds_catalog_matches_the_standalone_functions():
 
 
 def test_resolutions_catalog_entries():
-    entries = resolutions_catalog(range(5, 11))
+    entries = list(CATALOG_KINDS["resolutions"].generate(range(5, 11)))
     pairs = [(e.inputs["c2"], e.inputs["s"]) for e in entries]
     assert pairs == [(5, 1), (6, 1), (7, 1), (8, 1), (8, 2), (9, 1), (9, 2), (10, 1), (10, 2)]
     assert all(e.outputs["chern_consistent"] is True for e in entries)
@@ -219,11 +215,11 @@ def shape_builds(monkeypatch):
 
 
 def test_each_resolution_is_built_once(shape_builds, capsys):
-    entries = resolutions_catalog(range(5, 41))
+    entries = list(CATALOG_KINDS["resolutions"].generate(range(5, 41)))
     assert shape_builds == [(e.inputs["c2"], e.inputs["s"]) for e in entries]
 
     shape_builds.clear()
-    strata_catalog(range(5, 21), range(0, 3))
+    list(CATALOG_KINDS["strata"].generate(range(5, 21), range(0, 3)))
     assert shape_builds == [(c2, s) for c2 in range(5, 21) for s in admissible_s(c2)]
 
     shape_builds.clear()
@@ -233,7 +229,7 @@ def test_each_resolution_is_built_once(shape_builds, capsys):
 
 
 def test_monads_catalog_entries():
-    entries = monads_catalog(2, range(0, 3))
+    entries = list(CATALOG_KINDS["monads"].generate(2, range(0, 3)))
     # (r, d) in {(1,0), (2,-1), (2,0)}; d = -1 drops charge 0 (d + c < 0)
     assert len(entries) == 8
     for entry in entries:
@@ -626,6 +622,29 @@ def test_cli_catalog_write_peaks_below_twice_the_document(fmt, to_file, c2, tmp_
     assert code == 0
     capsys.readouterr()
     assert peak < 2 * path.stat().st_size
+
+
+def test_cli_csv_diff_peaks_with_the_json_diff(tmp_path, capsys):
+    """Both diff formats stream their payload, so each peaks at the two sets of
+    canonical lines: the CSV diff decodes one differing line at a time."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, c2 in ((a, "5..6"), (b, "5..10")):
+        assert main(["catalog", "strata", "--c2", c2, "--l", "0..4", "--output", str(path)]) == 0
+
+    def peak(fmt):
+        with open(tmp_path / "out.txt", "w", encoding="utf-8") as stdout, \
+                contextlib.redirect_stdout(stdout):
+            tracemalloc.start()
+            try:
+                code = main(["--format", fmt, "catalog", "diff", str(a), str(b)])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    (json_code, json_peak), (csv_code, csv_peak) = peak("json"), peak("csv")
+    capsys.readouterr()
+    assert json_code == csv_code == 1
+    assert csv_peak < 1.1 * json_peak
 
 
 def test_cli_config_presets_ranges(tmp_path, capsys):

@@ -21,17 +21,13 @@ from chowkit.catalog import (
     CATALOG_KINDS,
     SCHEMA_VERSION,
     CatalogEntry,
-    bounds_catalog,
     canonical_lines,
     diff_lines,
     diff_pieces,
     document_pieces,
-    monads_catalog,
     parse_catalog,
-    resolutions_catalog,
     serialize_catalog,
     serialize_entry,
-    strata_catalog,
 )
 from chowkit import catalog as catalog_module
 from chowkit.cli import main
@@ -44,22 +40,22 @@ ENTRY_KINDS = tuple(kind.entry_kind for kind in CATALOG_KINDS.values())
 
 GOLDEN = {
     "strata --c2 5..12 --l 0..3": (
-        lambda: strata_catalog(range(5, 13), range(0, 4)),
+        lambda: list(CATALOG_KINDS["strata"].generate(range(5, 13), range(0, 4))),
         47552,
         "9ffcc89ec3e4e4dae382f4ec3529d9f548b3d222fd68a64f7ac3e4d8bf83f623",
     ),
     "resolutions --c2 5..30": (
-        lambda: resolutions_catalog(range(5, 31)),
+        lambda: list(CATALOG_KINDS["resolutions"].generate(range(5, 31))),
         27207,
         "aaa4ed536c3dad465b5a4b70303f0fb978a286a021afc0c491635e683ef9f9d6",
     ),
     "monads --rank-max 3 --charge 0..5": (
-        lambda: monads_catalog(3, range(0, 6)),
+        lambda: list(CATALOG_KINDS["monads"].generate(3, range(0, 6))),
         7925,
         "73c60d93194a0ae7cd90470ee4b5d3acf221aab87a6c39542b6474d66386549a",
     ),
     "bounds --c2 0..30": (
-        lambda: bounds_catalog(2, -1, range(0, 31)),
+        lambda: list(CATALOG_KINDS["bounds"].generate(2, -1, range(0, 31))),
         10208,
         "6651e4c57801ad4129fcd47c8e05a2de99a844c1225c25c612b7ad0a469f63a2",
     ),
@@ -140,7 +136,7 @@ entries = st.builds(
 )
 
 
-# a run of entries sharing one read-only outputs map, as strata_catalog
+# a run of entries sharing one read-only outputs map, as the strata generator
 # builds them; the emitter encodes such a map once per run
 shared_runs = st.builds(
     lambda kind, outputs, inputs: [CatalogEntry(kind, i, outputs) for i in inputs],
@@ -272,7 +268,7 @@ def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
         encoded.append(mapping)
         return encode(mapping)
 
-    entries = strata_catalog(range(5, 13), range(0, 4))
+    entries = list(CATALOG_KINDS["strata"].generate(range(5, 13), range(0, 4)))
     monkeypatch.setattr(catalog_module, "_encode_map", counting)
     serialize_catalog(entries)
     pairs = sorted({(e.inputs["c2"], e.inputs["s"]) for e in entries})
@@ -383,10 +379,10 @@ def test_canonical_lines_match_parse_catalog(text):
 
 def test_negative_length_raises():
     with pytest.raises(InadmissibleParameterError):
-        strata_catalog(range(5, 6), range(-1, 1))
+        list(CATALOG_KINDS["strata"].generate(range(5, 6), range(-1, 1)))
     # no (c2, s) in the grid: the length range is still checked
     with pytest.raises(InadmissibleParameterError):
-        strata_catalog(range(0, 1), range(-2, 0))
+        list(CATALOG_KINDS["strata"].generate(range(0, 1), range(-2, 0)))
 
 
 def test_cli_negative_length_is_a_domain_error(capsys):

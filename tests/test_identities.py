@@ -209,10 +209,8 @@ def test_scaled_bound_numerators_are_the_rational_formulas():
     a, squares = sp.symbols("a squares", nonnegative=True, integer=True)
     p = sp.Symbol("p", integer=True)
     t, ch2 = (a + n**2) / n, p / q
-    nt, den, h1_worst, h1, shift, sections, ch3_shift = bounds._scaled(n, a, p, q, squares)
-    # without a splitting type the h^1 factor is the worst case
-    worst = bounds._scaled(n, a, p, q, None)
-    assert worst == (nt, den, h1_worst, h1_worst, shift, sections, ch3_shift)
+    nt, den, h1_worst, shift, sections, ch3_shift = bounds._scaled(n, a, p, q)
+    h1 = bounds._typed_h1(n, p, q, squares)
 
     def equal(scaled, rational):
         assert sp.simplify(scaled - rational) == 0, (scaled, rational)

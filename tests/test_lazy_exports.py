@@ -1,0 +1,65 @@
+"""The package imports its public names lazily: a name loads only the modules it needs."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chowkit
+
+SRC = str(Path(chowkit.__file__).resolve().parent.parent)
+
+# run in a fresh interpreter; prints the chowkit submodules loaded after each step
+STEPS = f"""
+import json, sys, types
+sys.path.insert(0, {SRC!r})
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("chowkit."))
+
+import chowkit
+after_import = loaded()
+from chowkit import p3_bounds
+after_name = loaded()
+from chowkit import catalog
+print(json.dumps([after_import, after_name, "p3_bounds" in vars(chowkit),
+                  isinstance(catalog, types.ModuleType)]))
+"""
+
+
+def test_names_import_their_modules_on_first_use():
+    done = subprocess.run([sys.executable, "-c", STEPS], capture_output=True, text=True, check=True)
+    after_import, after_name, kept, submodule = json.loads(done.stdout)
+    assert after_import == []
+    assert after_name == ["chowkit.bounds", "chowkit.chow", "chowkit.errors", "chowkit.splitting"]
+    assert kept  # the name is looked up once, then found in the package namespace
+    assert submodule  # a submodule is not a public name, so it is imported as before
+
+
+def test_a_submodule_is_an_attribute_after_a_plain_import():
+    steps = f"""
+import json, sys
+sys.path.insert(0, {SRC!r})
+import chowkit
+kinds = sorted(chowkit.catalog.CATALOG_KINDS)
+print(json.dumps([kinds, sorted(m for m in sys.modules if m.startswith("chowkit."))]))
+"""
+    done = subprocess.run([sys.executable, "-c", steps], capture_output=True, text=True, check=True)
+    kinds, modules = json.loads(done.stdout)
+    assert kinds == ["bounds", "monads", "resolutions", "strata"]
+    # catalog and its own imports, no CLI code
+    assert modules == [f"chowkit.{m}" for m in ("bounds", "catalog", "chow", "errors", "monads",
+                                                "resolutions", "splitting")]
+
+
+def test_each_name_is_listed_under_one_module():
+    assert len(chowkit._MODULE_OF) == sum(map(len, chowkit._EXPORTS.values()))
+
+
+def test_an_unknown_name_is_an_import_error():
+    with pytest.raises(ImportError, match="no_such_name"):
+        from chowkit import no_such_name  # noqa: F401
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chowkit.no_such_name

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowkit.catalog import monads_catalog
+from chowkit.catalog import CATALOG_KINDS
 from chowkit.chow import ChernCharacter, character_to_chern, sub
 from chowkit.errors import InadmissibleParameterError, IntegralityError, NotRealizableError
 from chowkit.monads import (
@@ -180,7 +180,7 @@ def test_monad_shape_rejections():
         (partition_types, (-1.0,)),
         (MonadShape, (1.5, 1, 0)),  # printed O(-1)^1.5 -> O -> 0, of rank -0.5
         (MonadShape, (True, 2, False)),
-        (monads_catalog, (2.0, range(0, 2))),
+        (lambda *args: list(CATALOG_KINDS["monads"].generate(*args)), (2.0, range(0, 2))),
     ],
 )
 def test_family_paths_reject_a_rank_degree_or_length_that_is_not_an_int(call, args):

@@ -1,9 +1,11 @@
-"""Check the bytes of the catalogs that the installed ``chowkit`` script writes.
+"""Check the bytes of the catalogs that ``chowkit`` writes.
 
-Usage, with ``chowkit`` on PATH:
+Usage:
 
     python tools/check_catalog_bytes.py
 
+The commands run as ``python -m chowkit`` with this checkout's ``src`` on
+``PYTHONPATH``, as the benchmark runs them.
 CHECKS is one table of (argv, output, size, sha256, exit code).  The output
 is a file name, written with ``--output`` in a fresh temporary directory,
 or "-" for stdout.  Every command runs in that directory, so
@@ -25,6 +27,7 @@ from typing import NamedTuple
 
 sys.dont_write_bytecode = True  # leave perfbench/ free of __pycache__
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from common import child_env, cli_argv  # noqa: E402
 from workloads import FULL  # noqa: E402
 
 
@@ -69,7 +72,7 @@ def run(check: Check, directory: Path) -> str | None:
     argv = list(check.argv)
     if check.output != "-":
         argv += ["--output", check.output]
-    done = subprocess.run(["chowkit", *argv], cwd=directory, stdout=subprocess.PIPE)
+    done = subprocess.run(cli_argv(*argv), cwd=directory, env=child_env(), stdout=subprocess.PIPE)
     path = directory / check.output
     data = done.stdout if check.output == "-" else path.read_bytes() if path.is_file() else b""
     digest = hashlib.sha256(data).hexdigest()
