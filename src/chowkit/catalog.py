@@ -27,20 +27,28 @@ generator that yields them.
 Reading goes through one value decoder, which maps each raw JSON value to
 its value and its canonical JSON text.  :func:`parse_catalog` builds
 entries from the values; :func:`canonical_lines` joins the texts into each
-entry's canonical line without building the entry, and ``catalog diff``
-compares those lines and yields the differing ones with the same encoder
-(:func:`diff_pieces`).  The document and the diff payload write their
-lists of entry blocks through one list writer, so they share one layout.
+entry's canonical line without building the entry.  A file in the layout
+chowkit writes can also be read a chunk at a time: :func:`stream_canonical_lines`
+decodes the entry blocks of each chunk, through the same decoder and checks,
+and :func:`diff_sorted` merges two such streams, keeping only the differing
+lines, so ``catalog diff`` holds the difference, not the two files.  A
+file in any other layout (hand-edited, or entries out of order) is read
+whole with :func:`canonical_lines` and compared with :func:`diff_lines`.
+The differing lines are written with the same encoder (:func:`diff_pieces`).
+The document and the diff payload write their lists of entry blocks
+through one list writer, so they share one layout.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .bounds import _c3_interval, _ch2_of_classes, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
@@ -92,6 +100,10 @@ class CatalogEntry:
         # Fraction(3) == 3 would blur the int/rational distinction; compare
         # the serialized forms so equality matches byte-level identity.
         return serialize_entry(self) == serialize_entry(other)
+
+    def __hash__(self) -> int:
+        # the generated hash would hash the read-only maps, which have none
+        return hash(serialize_entry(self))
 
     def __reduce__(self):
         # a mappingproxy neither pickles nor deep-copies; plain dicts do
@@ -170,6 +182,11 @@ def _indented_block(inputs: str, kind: str, outputs: str, version: str) -> str:
     )
 
 
+# the document's text around its list of entry blocks
+_DOCUMENT_HEAD = '{\n  "entries": '
+_DOCUMENT_TAIL = ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
+
+
 def _block_list(blocks: Iterable[str]) -> Iterator[str]:
     """A JSON list of entry blocks, one level deep in a document, in pieces:
     ``[]`` when empty, else ``[``, the blocks one per line and separated by
@@ -220,8 +237,7 @@ def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]
             _, kind, _, version, inputs, outputs = rows.pop()
             yield _indented_block(inputs, kind, outputs, version)
 
-    tail = ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
-    return len(rows), chain(['{\n  "entries": '], _block_list(blocks()), [tail])
+    return len(rows), chain([_DOCUMENT_HEAD], _block_list(blocks()), [_DOCUMENT_TAIL])
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +320,87 @@ def _decoded_line(data: Mapping[str, Any], decode: Callable) -> str:
     return _compact_line(_compact_map(inputs), kind, _compact_map(outputs), version)
 
 
-def _read_document(text: str, read_entry: Callable) -> list:
-    """``read_entry(raw, decode)`` of each entry of a catalog document."""
-    decode = _value_decoder()
+@contextmanager
+def _reading() -> Iterator[None]:
+    """Raise what decoding a malformed document raises as a :class:`DomainError`."""
     try:
-        document = json.loads(text)
-        entries = document["entries"]
-        _check_version(document["schema_version"], "document")
-        return [read_entry(e, decode) for e in entries]
+        yield
     except DomainError:
         raise
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DomainError(f"not a catalog document: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_document(text: str, read_entry: Callable) -> list:
+    """``read_entry(raw, decode)`` of each entry of a catalog document."""
+    decode = _value_decoder()
+    with _reading():
+        document = json.loads(text)
+        entries = document["entries"]
+        _check_version(document["schema_version"], "document")
+        return [read_entry(e, decode) for e in entries]
+
+
+# The layout document_pieces writes: the head, then either "[]" and the tail,
+# or "[" and the entry blocks of _indented_block, each on lines of its own
+# and followed by "," or, after the last, by "]" and the tail.  No JSON
+# string holds a newline, so the text between blocks occurs nowhere else.
+_FIRST_BLOCK = _DOCUMENT_HEAD + "[\n"
+_EMPTY_DOCUMENT = _DOCUMENT_HEAD + "[]" + _DOCUMENT_TAIL
+_BLOCK_END = "\n    }"
+_NEXT_BLOCK = _BLOCK_END + ",\n"
+_LAST_BLOCK = _BLOCK_END + "\n  ]" + _DOCUMENT_TAIL
+_CHUNK = io.DEFAULT_BUFFER_SIZE  # characters read at a time
+_NOT_THE_LAYOUT = "not a catalog in the layout chowkit writes"
+
+
+def _block_runs(handle: TextIO) -> Iterator[str]:
+    """The entry blocks of a document in chowkit's layout, a run at a time:
+    the whole blocks of each chunk read, with the separators between them."""
+    text = handle.read(_CHUNK)  # a longer file would give a longer text
+    if text == _EMPTY_DOCUMENT:
+        return
+    if not text.startswith(_FIRST_BLOCK):
+        raise DomainError(_NOT_THE_LAYOUT)
+    rest = ""
+    for chunk in chain([text[len(_FIRST_BLOCK):]], iter(lambda: handle.read(_CHUNK), "")):
+        text = rest + chunk
+        # the last separator; the rest kept from the chunks before holds none
+        cut = text.rfind(_NEXT_BLOCK, max(len(rest) - len(_NEXT_BLOCK) + 1, 0))
+        if cut < 0:
+            rest = text
+        else:
+            yield text[:cut + len(_BLOCK_END)]
+            rest = text[cut + len(_NEXT_BLOCK):]
+    if not rest.endswith(_LAST_BLOCK):
+        raise DomainError(_NOT_THE_LAYOUT)
+    yield rest[:len(_BLOCK_END) - len(_LAST_BLOCK)]
+
+
+def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
+    """The canonical line of each entry of a catalog file, read a chunk at a time.
+
+    The file must have the exact head and tail that :func:`document_pieces`
+    writes, and its entries must come in strictly increasing order.  The
+    entries are cut apart where that writer separates them, so memory holds
+    a chunk and its entries, never the document.  Anything else, such as a
+    valid catalog edited by hand, or text that is not UTF-8, raises
+    :class:`DomainError`; :func:`canonical_lines` reads such a file whole.
+    Otherwise the lines are those of :func:`canonical_lines`, from the same
+    decoder, and an entry it rejects raises the same error here.
+    """
+    decode, previous = _value_decoder(), ""
+    with _reading():
+        for run in _block_runs(handle):
+            # The run must parse whole as the items of a list, which it does
+            # only if every cut fell between two entries.  One parse per run
+            # also lets the parser share each key's string across its entries.
+            for data in json.loads("[" + run + "]"):
+                line = _decoded_line(data, decode)
+                if line <= previous:
+                    raise DomainError("catalog entries are not in strictly increasing order")
+                yield line
+                previous = line
 
 
 def serialize_entry(entry: CatalogEntry) -> str:
@@ -363,6 +448,31 @@ def diff_lines(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
     """Set difference of two collections of canonical lines, each sorted."""
     a, b = set(a), set(b)
     return {"only_in_a": sorted(a - b), "only_in_b": sorted(b - a)}
+
+
+def diff_sorted(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
+    """:func:`diff_lines` of two strictly increasing streams of lines, by a merge.
+
+    Only the differing lines are kept, and both streams are read to the end,
+    so a stream that checks its input as it goes checks all of it.
+    """
+    a, b = iter(a), iter(b)
+    only_a, only_b = [], []
+    x, y = next(a, None), next(b, None)
+    while x is not None and y is not None:
+        if x < y:
+            only_a.append(x)
+            x = next(a, None)
+        elif y < x:
+            only_b.append(y)
+            y = next(b, None)
+        else:
+            x, y = next(a, None), next(b, None)
+    for line, rest, only in ((x, a, only_a), (y, b, only_b)):
+        if line is not None:
+            only.append(line)
+            only.extend(rest)
+    return {"only_in_a": only_a, "only_in_b": only_b}
 
 
 def diff_pieces(delta: Mapping[str, list[str]]) -> Iterator[str]:

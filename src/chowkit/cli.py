@@ -389,19 +389,31 @@ def _write(pieces: Iterable[str]) -> None:
 
 
 def _cmd_diff(args) -> tuple[int, dict | None]:
-    line_sets = []
-    for path in (args.catalog_a, args.catalog_b):
+    paths = (args.catalog_a, args.catalog_b)
+    delta = None
+    # two files in chowkit's layout are read a chunk at a time and merged;
+    # a pipe is not, because the whole-file path could not read it again
+    if all(map(os.path.isfile, paths)):
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                line_sets.append(set(cat.canonical_lines(handle.read())))
-        except OSError as exc:
-            problem = f"cannot read catalog {path!r}: {exc}"
-        except (UnicodeDecodeError, DomainError) as exc:
-            problem = f"malformed catalog {path!r}: {exc}"
-        else:
-            continue
-        return EXIT_DIFF_TROUBLE, _error_payload(DomainError(problem))
-    delta = cat.diff_lines(*line_sets)
+            with open(paths[0], encoding="utf-8") as a, open(paths[1], encoding="utf-8") as b:
+                lines = cat.stream_canonical_lines(a), cat.stream_canonical_lines(b)
+                delta = cat.diff_sorted(*lines)
+        except (OSError, DomainError):
+            pass  # a hand-edited or a bad catalog: the whole-file path reads it, or names it
+    if delta is None:
+        line_sets = []
+        for path in paths:
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    line_sets.append(set(cat.canonical_lines(handle.read())))
+            except OSError as exc:
+                problem = f"cannot read catalog {path!r}: {exc}"
+            except (UnicodeDecodeError, DomainError) as exc:
+                problem = f"malformed catalog {path!r}: {exc}"
+            else:
+                continue
+            return EXIT_DIFF_TROUBLE, _error_payload(DomainError(problem))
+        delta = cat.diff_lines(*line_sets)
     _write(cat.diff_pieces(delta) if args.format == "json" else _csv_table(_diff_rows(delta)))
     return (EXIT_DIFFERENT if delta["only_in_a"] or delta["only_in_b"] else EXIT_OK), None
 

@@ -1,9 +1,11 @@
 """Tests for catalog serialization and the command line interface."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from chowkit.catalog import (
     CatalogEntry,
     canonical_lines,
     diff_lines,
+    diff_pieces,
     parse_catalog,
     serialize_catalog,
     serialize_entry,
@@ -547,6 +550,145 @@ def test_cli_diff_keeps_int_and_rational_apart(tmp_path, capsys):
     assert payload["only_in_b"][0]["outputs"] == {"c3": "3"}
 
 
+# the names of _hand_edited's variants
+HAND_EDITS = (
+    "indent-4", "one-line", "crlf", "shuffled", "duplicated", "version-key-first", "extra-key",
+    "half-as-2/4", "empty", "empty-twice", "entries-key-renamed", "truncated", "float-first",
+    "float-last", "version-2-last", "document-version-2", "brace-after-block",
+    "comma-before-block", "not-utf8-last",
+)
+
+
+def _hand_edited(text: str) -> dict[str, bytes]:
+    """Valid and invalid edits of a catalog document in chowkit's layout."""
+    doc = json.loads(text)
+    entries = doc["entries"]
+
+    def layout(document):
+        return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
+
+    def edited(index, field, key, value):
+        changed = copy.deepcopy(doc)
+        entry = changed["entries"][index]
+        if key is None:
+            entry[field] = value
+        else:
+            entry[field][key] = value
+        return layout(changed)
+
+    assert layout(doc) == text.encode()
+    last_kind = text.rindex('"kind": "bound"') + len('"kind": "bo')
+    return {
+        "indent-4": (json.dumps(doc, sort_keys=True, indent=4) + "\n").encode(),
+        "one-line": json.dumps(doc, sort_keys=True).encode(),
+        "crlf": text.replace("\n", "\r\n").encode(),
+        "shuffled": layout({**doc, "entries": entries[::-1]}),
+        "duplicated": layout({**doc, "entries": entries[:2] + entries[1:]}),
+        "version-key-first": (json.dumps({"schema_version": 1, "entries": entries}, indent=2)
+                              + "\n").encode(),
+        "extra-key": layout({**doc, "note": "edited by hand"}),
+        "half-as-2/4": text.replace('"1/2"', '"2/4"').encode(),
+        "empty": layout({"entries": [], "schema_version": 1}),
+        "empty-twice": layout({"entries": [], "schema_version": 1}) * 2,
+        "entries-key-renamed": text.replace('"entries"', '"entrees"').encode(),
+        "truncated": text[: len(text) // 2].encode(),
+        "float-first": edited(0, "outputs", "q", 1.5),
+        "float-last": edited(-1, "outputs", "q", 1.5),
+        "version-2-last": edited(-1, "schema_version", None, 2),
+        "document-version-2": layout({**doc, "schema_version": 2}),
+        # invalid JSON that keeps every block separator in place
+        "brace-after-block": text.replace("\n    },\n", "\n    }\n    },\n", 1).encode(),
+        "comma-before-block": text.replace(",\n    {", ",\n   ,{", 1).encode(),
+        "not-utf8-last": text[:last_kind].encode() + b"\xff" + text[last_kind:].encode(),
+    }
+
+
+def _whole_file_diff(fmt, path_a, path_b):
+    """What ``catalog diff`` prints when it reads both files whole."""
+    line_sets = []
+    for path in (path_a, path_b):
+        try:
+            line_sets.append(canonical_lines(Path(path).read_text(encoding="utf-8")))
+        except (UnicodeDecodeError, DomainError) as exc:
+            out = io.StringIO()
+            problem = DomainError(f"malformed catalog {path!r}: {exc}")
+            cli._emit(cli._error_payload(problem), fmt, out)
+            return 2, out.getvalue()
+    delta = diff_lines(*line_sets)
+    pieces = diff_pieces(delta) if fmt == "json" else cli._csv_table(cli._diff_rows(delta))
+    return (1 if delta["only_in_a"] or delta["only_in_b"] else 0), "".join(pieces)
+
+
+@pytest.fixture(scope="module")
+def hand_edited(tmp_path_factory):
+    """A small catalog in chowkit's layout, holding "1/2", and its hand-edited variants."""
+    directory = tmp_path_factory.mktemp("hand-edited")
+    original = directory / "original"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["catalog", "bounds", "--c2", "0..4", "--output", str(original)]) == 0
+    text = original.read_text(encoding="utf-8")
+    assert '"1/2"' in text
+    edits = _hand_edited(text)
+    assert sorted(edits) == sorted(HAND_EDITS)
+    for name, data in edits.items():
+        (directory / name.replace("/", "-")).write_bytes(data)
+    return directory
+
+
+@pytest.mark.parametrize("a, b", [
+    *(("original", name) for name in HAND_EDITS),
+    ("shuffled", "original"), ("empty", "original"), ("float-last", "original"),
+    # A is read to its last block after B fails on its first: A is still named
+    ("float-last", "float-first"),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_diff_streamed_and_whole_file_paths_agree(fmt, a, b, hand_edited, capsys):
+    """A catalog in chowkit's layout is read a chunk at a time; an edited one is
+    read whole.  Either way ``catalog diff`` prints what the whole-file path does."""
+    path_a, path_b = (str(hand_edited / name.replace("/", "-")) for name in (a, b))
+    code, out, err = run_cli(["--format", fmt, "catalog", "diff", path_a, path_b], capsys)
+    assert (code, out) == _whole_file_diff(fmt, path_a, path_b)
+    assert err == ""
+    if code == 2:  # the first malformed file is named: A, when both are
+        assert repr(path_a if a != "original" else path_b) in out
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_cli_diff_reads_a_pipe_once(hand_edited, capsys):
+    """A pipe is read whole, once: the block reader would leave nothing to read
+    again when the other file sends the diff to the whole-file path."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (hand_edited / "original").read_bytes())  # below the pipe buffer
+        os.close(write_end)
+        argv = ["catalog", "diff", f"/dev/fd/{read_end}", str(hand_edited / "shuffled")]
+        code, out, _ = run_cli(argv, capsys)
+    finally:
+        os.close(read_end)
+    assert (code, json.loads(out)) == (0, {"identical": True, "only_in_a": [], "only_in_b": []})
+
+
+def test_cli_diff_peaks_below_the_smaller_file(tmp_path, capsys):
+    """Two catalogs in chowkit's layout are merged a chunk at a time: the diff holds
+    the differing entries, not the two files' sets of canonical lines."""
+    a, b, tiny = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "tiny.json"
+    for path, c2, l in ((a, "6..26", "0..4"), (b, "5..26", "0..4"), (tiny, "5..5", "0..0")):
+        assert main(["catalog", "strata", "--c2", c2, "--l", l, "--output", str(path)]) == 0
+    # a first diff, so that one-time costs (lazy imports) are not counted
+    assert main(["catalog", "diff", str(tiny), str(tiny)]) == 0
+    with open(tmp_path / "out.txt", "w", encoding="utf-8") as stdout, \
+            contextlib.redirect_stdout(stdout):
+        tracemalloc.start()
+        try:
+            code = main(["catalog", "diff", str(a), str(b)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 1
+    assert peak < 0.75 * a.stat().st_size
+
+
 def test_cli_diff_unreadable_catalog_exits_2(tmp_path, capsys):
     good = str(tmp_path / "good.json")
     missing = str(tmp_path / "missing.json")
@@ -625,8 +767,8 @@ def test_cli_catalog_write_peaks_below_twice_the_document(fmt, to_file, c2, tmp_
 
 
 def test_cli_csv_diff_peaks_with_the_json_diff(tmp_path, capsys):
-    """Both diff formats stream their payload, so each peaks at the two sets of
-    canonical lines: the CSV diff decodes one differing line at a time."""
+    """Both diff formats stream their payload, so the CSV diff peaks with the
+    JSON diff: it decodes one differing line at a time."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path, c2 in ((a, "5..6"), (b, "5..10")):
         assert main(["catalog", "strata", "--c2", c2, "--l", "0..4", "--output", str(path)]) == 0

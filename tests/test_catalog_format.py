@@ -3,11 +3,14 @@
 The golden digests pin the bytes of four small catalogs (the benchmark's
 smoke grids) and of the empty catalog.  The property tests compare the
 emitter with the plain ``json.dumps`` layout it is documented to write,
-and the canonical-line reader with ``parse_catalog`` on raw documents.
+and the canonical-line reader with ``parse_catalog`` on raw documents; the
+block reader must read what the emitter writes, and on raw documents either
+refuse them or agree with the canonical-line reader.
 """
 
 import copy
 import hashlib
+import io
 import json
 import pickle
 import re
@@ -24,10 +27,12 @@ from chowkit.catalog import (
     canonical_lines,
     diff_lines,
     diff_pieces,
+    diff_sorted,
     document_pieces,
     parse_catalog,
     serialize_catalog,
     serialize_entry,
+    stream_canonical_lines,
 )
 from chowkit import catalog as catalog_module
 from chowkit.cli import main
@@ -205,6 +210,14 @@ def test_emitters_match_reference_and_round_trip(catalog):
     assert "".join(pieces) == reference_diff(a, b)
     # streamed: the head, each list's blocks and its close, the key between, the tail
     assert len(pieces) == len(a) + len(b) + 5
+    assert diff_sorted(sorted(set(lines[:half])), sorted(set(lines[half:]))) == delta
+    # the block reader reads the document back, unless an entry repeats
+    document_lines = canonical_lines(document)
+    if len(set(document_lines)) == len(document_lines):
+        assert list(stream_canonical_lines(io.StringIO(document))) == document_lines
+    else:
+        with pytest.raises(DomainError, match="strictly increasing"):
+            list(stream_canonical_lines(io.StringIO(document)))
 
 
 @pytest.mark.parametrize("grid", sorted(GOLDEN))
@@ -227,6 +240,17 @@ def test_document_pieces_raises_before_any_piece(grid):
     count, pieces = document_pieces(iter(entries))
     assert count == len(entries)
     assert len("".join(pieces).encode()) == size
+
+
+def test_block_reader_across_chunk_boundaries(monkeypatch):
+    """Every split of the text between two reads, a block separator's included,
+    gives the lines that the whole-document reader gives."""
+    document = serialize_catalog(CATALOG_KINDS["bounds"].generate(2, -1, range(0, 4)))
+    lines = canonical_lines(document)
+    separator = document.index("\n    },\n")
+    for size in range(len('{\n  "entries": []'), separator + 9):
+        monkeypatch.setattr(catalog_module, "_CHUNK", size)
+        assert list(stream_canonical_lines(io.StringIO(document))) == lines, size
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +282,22 @@ def test_entries_pickle_and_deepcopy():
             assert copied == entry
             assert type(copied.inputs) is type(copied.outputs) is MappingProxyType
     assert copy.deepcopy(entries) == entries
+
+
+def test_equal_entries_hash_equal():
+    (half,), (respelled,) = (
+        parse_catalog(json.dumps({"entries": [{"inputs": {"c2": 5}, "kind": "bound",
+                                               "outputs": {"ch2": q}, "schema_version": 1}],
+                                  "schema_version": 1}))
+        for q in ("1/2", "2/4")
+    )
+    assert half == respelled and hash(half) == hash(respelled)
+    assert len({half, respelled, CatalogEntry("bound", {"c2": 5}, {"ch2": Fraction(1, 2)})}) == 1
+    entries = list(CATALOG_KINDS["strata"].generate(range(5, 7), range(0, 3)))
+    assert set(parse_catalog(serialize_catalog(entries + entries))) == set(entries)
+    # equal as numbers, apart as catalog values
+    as_int = CatalogEntry("bound", {"c2": 3}, {})
+    assert len({as_int, CatalogEntry("bound", {"c2": Fraction(3)}, {})}) == 2
 
 
 def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
@@ -347,6 +387,8 @@ def raw_documents(draw):
             entry[draw(st.sampled_from(("inputs", "outputs")))] = draw(st.sampled_from(([], "x", 3)))
             if draw(st.booleans()):
                 del entry[draw(st.sampled_from(FIELDS))]
+    if draw(st.booleans()):  # the layout chowkit writes, which the block reader reads
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     return json.dumps(doc)
 
 
@@ -375,6 +417,10 @@ def test_canonical_lines_match_parse_catalog(text):
     if isinstance(lines, list):
         # each line is the compact json.dumps of the entry parse_catalog read
         assert lines == [reference_entry(e) for e in parse_catalog(text)]
+    # the block reader refuses what it cannot read, and reads the rest as they do
+    streamed = _outcome(lambda t: list(stream_canonical_lines(io.StringIO(t))), text)
+    if isinstance(streamed, list):
+        assert streamed == lines
 
 
 def test_negative_length_raises():
