@@ -8,10 +8,11 @@ as a machine-readable ``{"error": {...}}`` object.  ``catalog diff`` follows
 classic diff: 0 when the catalogs are identical, 1 when they differ, and 2
 when a catalog file cannot be read or is not a catalog document, including
 one whose document or entry ``schema_version`` is unknown (reported as the
-same ``{"error": {...}}`` object, naming the file).  When the reader closes
-standard output early (``chowkit ... | head -1``), the ``chowkit`` command
-exits 141, as a writer killed by SIGPIPE would, with nothing on standard
-error.
+same ``{"error": {...}}`` object, naming the file).  Every output, error
+objects too, leaves through one writer, ``_write``, in chunks of
+``io.DEFAULT_BUFFER_SIZE``; when the reader closes standard output early
+(``chowkit ... | head -1``), the ``chowkit`` command exits 141, as a writer
+killed by SIGPIPE would, with nothing on standard error.
 
 All rationals are printed as reduced "p/q" strings; no floating point is
 ever emitted, so byte-identical output for identical invocations is
@@ -27,9 +28,9 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from . import catalog as cat
 from .bounds import (
@@ -126,10 +127,16 @@ def _character(components: tuple[Fraction, ...]) -> ChernCharacter:
 
 
 def _rational_default(value) -> str:
-    """``json.dump`` hook: a Fraction is written as its "p/q" string."""
+    """The JSON encoder's hook: a Fraction is written as its "p/q" string."""
     if isinstance(value, Fraction):
         return rational_str(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# the containers of a payload, told apart by exact type (an entry's map is a
+# MappingProxyType), and the CSV text of the scalar types whose str() is not it
+_CONTAINERS = {dict, MappingProxyType, list, tuple}
+_SCALAR_TEXT = {Fraction: rational_str, bool: json.dumps, type(None): lambda v: ""}
 
 
 def _flat_rows(value, prefix: str = "") -> Iterator[tuple[str, str]]:
@@ -139,18 +146,16 @@ def _flat_rows(value, prefix: str = "") -> Iterator[tuple[str, str]]:
     Each level is sorted by its keys as strings, which sorts the joined keys,
     because no payload key holds a character below ".".
     """
-    if isinstance(value, Mapping):  # a dict, or an entry's read-only map
-        items = sorted(value.items())
-    else:  # a list or tuple
+    if type(value) in (list, tuple):
         items = sorted((str(i), v) for i, v in enumerate(value))
+    else:  # a dict, or an entry's read-only map
+        items = sorted(value.items())
     for k, v in items:
         key = f"{prefix}.{k}" if prefix else str(k)
-        if isinstance(v, (Mapping, list, tuple)):
+        if type(v) in _CONTAINERS:
             yield from _flat_rows(v, key)
-        elif isinstance(v, Fraction):
-            yield key, rational_str(v)
         else:
-            yield key, "" if v is None else json.dumps(v) if isinstance(v, bool) else str(v)
+            yield key, _SCALAR_TEXT.get(type(v), str)(v)
 
 
 # writerow returns what its file's write returns: here, the CSV line itself
@@ -163,12 +168,16 @@ def _csv_table(rows: Iterable[tuple[str, str]]) -> Iterator[str]:
     yield from map(_csv_line, rows)
 
 
-def _emit(payload: dict, fmt: str, stream) -> None:
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, default=_rational_default)
+
+
+def _payload_pieces(payload: dict, fmt: str) -> Iterator[str]:
+    """The text of ``payload`` in pieces: indented JSON, or its flattened CSV rows."""
     if fmt == "csv":
-        stream.writelines(_csv_table(_flat_rows(payload)))
+        yield from _csv_table(_flat_rows(payload))
     else:
-        json.dump(payload, stream, sort_keys=True, indent=2, default=_rational_default)
-        stream.write("\n")
+        yield from _JSON.iterencode(payload)
+        yield "\n"
 
 
 def _report_payload(report: BoundReport) -> dict:
@@ -277,17 +286,8 @@ def _cmd_splitting_types(args) -> tuple[int, dict]:
 
 def _cmd_resolution(args) -> tuple[int, dict]:
     report = presentation_report(args.c2, args.s)
-    payload = {
-        "c2": report.c2,
-        "s": report.s,
-        "c3": report.c3,
-        "r_minus1": report.r_minus1,
-        "r0": report.r0,
-        "display": f"0 -> {format_term(report.r_minus1)} -> {format_term(report.r0)} -> F -> 0",
-        "dim_hom": report.dim_hom,
-        "dim_pv": report.dim_pv,
-        "dim_g": report.dim_g,
-    }
+    display = f"0 -> {format_term(report.r_minus1)} -> {format_term(report.r0)} -> F -> 0"
+    payload = {**vars(report), "display": display}
     if args.verify:
         payload["chern_consistent"] = verify_resolution_chern(report)
     return EXIT_OK, payload
@@ -356,14 +356,14 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
 def _csv_lines(entries: Iterable[cat.CatalogEntry]) -> Iterator[str]:
     """A catalog's CSV lines in generation order.  A row is an entry's flattened
     fields; all entries of one catalog have the same, so the first gives the header."""
-    columns = None
+    header = None
     for entry in entries:
-        flat = dict(_flat_rows(vars(entry)))
-        if columns is None:
-            columns = list(flat)
+        columns, row = zip(*_flat_rows(vars(entry)))
+        if header is None:
+            header = columns
             yield _csv_line(columns)
-        yield _csv_line([flat.get(col, "") for col in columns])
-    if columns is None:  # an empty catalog: the header of an empty payload
+        yield _csv_line(row)
+    if header is None:  # an empty catalog: the header of an empty payload
         yield from _csv_table(())
 
 
@@ -418,7 +418,7 @@ def _cmd_diff(args) -> tuple[int, dict | None]:
     return (EXIT_DIFFERENT if delta["only_in_a"] or delta["only_in_b"] else EXIT_OK), None
 
 
-def _diff_rows(delta: Mapping[str, list[str]]) -> Iterator[tuple[str, str]]:
+def _diff_rows(delta: dict[str, list[str]]) -> Iterator[tuple[str, str]]:
     """The flattened rows of the ``catalog diff`` payload, decoding one line at a time."""
     a, b = delta["only_in_a"], delta["only_in_b"]
     yield "identical", "false" if a or b else "true"
@@ -581,10 +581,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE_ERROR
     except DomainError as exc:
-        _emit(_error_payload(exc), args.format, sys.stdout)
-        return EXIT_DOMAIN_ERROR
+        code, payload = EXIT_DOMAIN_ERROR, _error_payload(exc)
     if payload is not None:
-        _emit(payload, args.format, sys.stdout)
+        _write(_payload_pieces(payload, args.format))
     return code
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -30,6 +31,7 @@ from chowkit.catalog import (
 )
 from chowkit.cli import main
 from chowkit.errors import DomainError, InadmissibleParameterError
+from chowkit.monads import partition_types
 from chowkit.resolutions import admissible_s
 
 F = Fraction
@@ -610,10 +612,8 @@ def _whole_file_diff(fmt, path_a, path_b):
         try:
             line_sets.append(canonical_lines(Path(path).read_text(encoding="utf-8")))
         except (UnicodeDecodeError, DomainError) as exc:
-            out = io.StringIO()
             problem = DomainError(f"malformed catalog {path!r}: {exc}")
-            cli._emit(cli._error_payload(problem), fmt, out)
-            return 2, out.getvalue()
+            return 2, "".join(cli._payload_pieces(cli._error_payload(problem), fmt))
     delta = diff_lines(*line_sets)
     pieces = diff_pieces(delta) if fmt == "json" else cli._csv_table(cli._diff_rows(delta))
     return (1 if delta["only_in_a"] or delta["only_in_b"] else 0), "".join(pieces)
@@ -969,22 +969,45 @@ class _RecordingStdout(io.StringIO):
         return super().write(text)
 
 
-def test_cli_diff_payload_reaches_stdout_in_chunks(large_diff, monkeypatch):
-    """The JSON diff payload is streamed: no write of it is the whole text."""
-    path_a, path_b = large_diff
+def _partitions_output(total, fmt):
+    """The stdout of ``partitions --total total``, built without the CLI's encoders."""
+    types = [str(t) for t in partition_types(total)]
+    payload = {"total": total, "count": len(types), "types": types}
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    rows = [("count", str(len(types))), ("total", str(total)),
+            *((f"types.{i}", t) for i, t in enumerate(types))]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([("key", "value"), *sorted(rows)])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", ["diff-json", "partitions-json", "partitions-csv"])
+def test_cli_diff_payload_reaches_stdout_in_chunks(case, large_diff, monkeypatch):
+    """Every payload is streamed: the diff, and a subcommand's payload (84,301
+    characters as JSON, 94,649 as CSV), reach stdout in writes of
+    ``io.DEFAULT_BUFFER_SIZE`` characters, the last one shorter."""
+    if case == "diff-json":
+        path_a, path_b = large_diff
+        argv = ["catalog", "diff", str(path_a), str(path_b)]
+        delta = diff_lines(canonical_lines(path_a.read_text()), canonical_lines(path_b.read_text()))
+        expected = 1, json.dumps({
+            "identical": False,
+            "only_in_a": [json.loads(line) for line in delta["only_in_a"]],
+            "only_in_b": [json.loads(line) for line in delta["only_in_b"]],
+        }, sort_keys=True, indent=2) + "\n"
+    else:
+        fmt = case.split("-")[1]
+        argv = ["--format", fmt, "partitions", "--total", "12"]
+        expected = 0, _partitions_output(12, fmt)
     stdout = _RecordingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
-    code = main(["catalog", "diff", str(path_a), str(path_b)])
+    code = main(argv)
     text = stdout.getvalue()
-    delta = diff_lines(canonical_lines(path_a.read_text()), canonical_lines(path_b.read_text()))
-    expected = json.dumps({
-        "identical": False,
-        "only_in_a": [json.loads(line) for line in delta["only_in_a"]],
-        "only_in_b": [json.loads(line) for line in delta["only_in_b"]],
-    }, sort_keys=True, indent=2) + "\n"
-    assert (code, text) == (1, expected)
-    assert max(stdout.sizes) <= io.DEFAULT_BUFFER_SIZE
+    assert (code, text) == expected
     assert len(stdout.sizes) > len(text) // io.DEFAULT_BUFFER_SIZE
+    assert set(stdout.sizes[:-1]) == {io.DEFAULT_BUFFER_SIZE}
+    assert stdout.sizes[-1] < io.DEFAULT_BUFFER_SIZE
 
 
 # ---------------------------------------------------------------------------

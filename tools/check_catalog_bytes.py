@@ -11,7 +11,8 @@ is a file name, written with ``--output`` in a fresh temporary directory,
 or "-" for stdout.  Every command runs in that directory, so
 ``catalog diff a.json b.json`` reads the two catalogs written before it.
 The sizes and sha256s of the benchmark's full-size grids are read from
-``perfbench/workloads.py``; those of the larger grids are in the table.
+``perfbench/workloads.py``; those of the larger grids, and of the
+benchmark's family grids as CSV, are in the table.
 The script prints one line per catalog and exits 1, naming each catalog
 whose bytes or exit code differ from the recorded ones.
 """
@@ -39,6 +40,12 @@ class Check(NamedTuple):
     exit_code: int = 0
 
 
+# the benchmark's family grids as CSV on stdout, in the order of FULL.families
+_FAMILIES_CSV = (
+    (164981, "14cefb6258929e0e4f5c9f5689b77b125dd3875b9d295d0f77f9ec16a3ef57ae"),
+    (40146, "35ad9900909b2e7f7969b06f162c703849612bb42560f8c7443e58e442311747"),
+    (66075, "93cc25cc57e52d1c33e6bc806f1dd317886f23e7dbeb6ab242695e85f6faa0e4"),
+)
 _LARGE_STRATA = ("catalog", "strata", "--c2", "5..40", "--l", "0..8")
 _LARGE_STRATA_JSON = (19085233, "62634c9c63113f45ead2ea5bfc286e178af39b1d432ab86b3ba6de890aed6673")
 
@@ -48,6 +55,10 @@ CHECKS = [
     Check(FULL.diff_a.args, "a.json", FULL.diff_a.size, FULL.diff_a.sha256),
     Check(FULL.diff_b.args, "b.json", FULL.diff_b.size, FULL.diff_b.sha256),
     Check(("catalog", "diff", "a.json", "b.json"), "-", FULL.diff.size, FULL.diff.sha256, 1),
+    # the same family grids as CSV rows, which hold Fraction values (monads,
+    # bounds) and bool values (resolutions)
+    *(Check(("--format", "csv", *c.args), "-", size, sha256)
+      for c, (size, sha256) in zip(FULL.families, _FAMILIES_CSV)),
     # family grids past the benchmark's, where the tier-1 tests do not reach
     Check(("catalog", "resolutions", "--c2", "5..2000"), "resolutions-large.json", 22538928,
           "b8a4f9415d930fea7e45cfc92075be299ee705fa3962eb93bed63d719c3847b5"),
