@@ -29,12 +29,14 @@ its value and its canonical JSON text.  :func:`parse_catalog` builds
 entries from the values; :func:`canonical_lines` joins the texts into each
 entry's canonical line without building the entry.  A file in the layout
 chowkit writes can also be read a chunk at a time: :func:`stream_canonical_lines`
-decodes the entry blocks of each chunk, through the same decoder and checks,
-and :func:`diff_sorted` merges two such streams, keeping only the differing
-lines, so ``catalog diff`` holds the difference, not the two files.  A
-file in any other layout (hand-edited, or entries out of order) is read
-whole with :func:`canonical_lines` and compared with :func:`diff_lines`.
-The differing lines are written with the same encoder (:func:`diff_pieces`).
+decodes the entry blocks of each chunk, through the same decoder and checks.
+:func:`diff_files` picks the reader for ``catalog diff``: two regular files
+in that layout are streamed, and any other input (hand-edited, entries out
+of order, a pipe) is read whole with :func:`canonical_lines` and its
+distinct lines sorted.  Either way one merge, :func:`diff_sorted`, keeps
+only the differing lines, so a diff of two streamed files holds the
+difference, not the two files.  The differing lines are written with the
+same encoder (:func:`diff_pieces`).
 The document and the diff payload write their lists of entry blocks
 through one list writer, so they share one layout.
 """
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,11 +107,6 @@ class CatalogEntry:
     def __hash__(self) -> int:
         # the generated hash would hash the read-only maps, which have none
         return hash(serialize_entry(self))
-
-    def __reduce__(self):
-        # a mappingproxy neither pickles nor deep-copies; plain dicts do
-        args = (self.kind, dict(self.inputs), dict(self.outputs), self.schema_version)
-        return CatalogEntry, args
 
 
 def _read_only(mapping: Mapping[str, Any]) -> MappingProxyType:
@@ -444,14 +442,9 @@ def canonical_lines(text: str) -> list[str]:
     return _read_document(text, _decoded_line)
 
 
-def diff_lines(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
-    """Set difference of two collections of canonical lines, each sorted."""
-    a, b = set(a), set(b)
-    return {"only_in_a": sorted(a - b), "only_in_b": sorted(b - a)}
-
-
 def diff_sorted(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
-    """:func:`diff_lines` of two strictly increasing streams of lines, by a merge.
+    """The lines only in ``a`` and only in ``b``, of two strictly increasing
+    streams of lines, by a merge.
 
     Only the differing lines are kept, and both streams are read to the end,
     so a stream that checks its input as it goes checks all of it.
@@ -475,8 +468,39 @@ def diff_sorted(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
     return {"only_in_a": only_a, "only_in_b": only_b}
 
 
+def diff_files(path_a: str, path_b: str) -> dict[str, list[str]]:
+    """:func:`diff_sorted` of the canonical lines of two catalog files.
+
+    Two regular files are read a chunk at a time (:func:`stream_canonical_lines`).
+    If either is not a regular file (a pipe can be read only once), or if
+    that read raises :class:`OSError` or :class:`DomainError` (another
+    layout, or a bad file), both files are read whole, A first, and
+    each file's distinct canonical lines are sorted and merged the same way,
+    so an entry repeated in one file counts once.  A file that cannot be read
+    or is not a catalog document then raises :class:`DomainError` naming it.
+    """
+    if all(map(os.path.isfile, (path_a, path_b))):
+        try:
+            with open(path_a, encoding="utf-8") as a, open(path_b, encoding="utf-8") as b:
+                return diff_sorted(stream_canonical_lines(a), stream_canonical_lines(b))
+        except (OSError, DomainError):
+            pass  # another layout, or a bad catalog: the whole-file read takes it, or names it
+    return diff_sorted(*map(_whole_file_lines, (path_a, path_b)))
+
+
+def _whole_file_lines(path: str) -> list[str]:
+    """The distinct canonical lines of a catalog file read whole, sorted."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return sorted(set(canonical_lines(handle.read())))
+    except OSError as exc:
+        raise DomainError(f"cannot read catalog {path!r}: {exc}") from exc
+    except (UnicodeDecodeError, DomainError) as exc:
+        raise DomainError(f"malformed catalog {path!r}: {exc}") from exc
+
+
 def diff_pieces(delta: Mapping[str, list[str]]) -> Iterator[str]:
-    """The JSON text ``catalog diff`` prints for a :func:`diff_lines` result, in pieces.
+    """The JSON text ``catalog diff`` prints for a :func:`diff_files` result, in pieces.
 
     ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, where
     the payload holds ``identical`` and the entries of ``only_in_a`` and

@@ -8,11 +8,13 @@ as a machine-readable ``{"error": {...}}`` object.  ``catalog diff`` follows
 classic diff: 0 when the catalogs are identical, 1 when they differ, and 2
 when a catalog file cannot be read or is not a catalog document, including
 one whose document or entry ``schema_version`` is unknown (reported as the
-same ``{"error": {...}}`` object, naming the file).  Every output, error
-objects too, leaves through one writer, ``_write``, in chunks of
-``io.DEFAULT_BUFFER_SIZE``; when the reader closes standard output early
-(``chowkit ... | head -1``), the ``chowkit`` command exits 141, as a writer
-killed by SIGPIPE would, with nothing on standard error.
+same ``{"error": {...}}`` object, naming the file).  ``catalog.diff_files``
+decides how the two files are read, and reads them; this module reads no
+catalog.  Every output, error objects too, leaves through one writer,
+``_write``, in chunks of ``io.DEFAULT_BUFFER_SIZE``; when the reader closes
+standard output early (``chowkit ... | head -1``), the ``chowkit`` command
+exits 141, as a writer killed by SIGPIPE would, with nothing on standard
+error.
 
 All rationals are printed as reduced "p/q" strings; no floating point is
 ever emitted, so byte-identical output for identical invocations is
@@ -389,31 +391,10 @@ def _write(pieces: Iterable[str]) -> None:
 
 
 def _cmd_diff(args) -> tuple[int, dict | None]:
-    paths = (args.catalog_a, args.catalog_b)
-    delta = None
-    # two files in chowkit's layout are read a chunk at a time and merged;
-    # a pipe is not, because the whole-file path could not read it again
-    if all(map(os.path.isfile, paths)):
-        try:
-            with open(paths[0], encoding="utf-8") as a, open(paths[1], encoding="utf-8") as b:
-                lines = cat.stream_canonical_lines(a), cat.stream_canonical_lines(b)
-                delta = cat.diff_sorted(*lines)
-        except (OSError, DomainError):
-            pass  # a hand-edited or a bad catalog: the whole-file path reads it, or names it
-    if delta is None:
-        line_sets = []
-        for path in paths:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    line_sets.append(set(cat.canonical_lines(handle.read())))
-            except OSError as exc:
-                problem = f"cannot read catalog {path!r}: {exc}"
-            except (UnicodeDecodeError, DomainError) as exc:
-                problem = f"malformed catalog {path!r}: {exc}"
-            else:
-                continue
-            return EXIT_DIFF_TROUBLE, _error_payload(DomainError(problem))
-        delta = cat.diff_lines(*line_sets)
+    try:
+        delta = cat.diff_files(args.catalog_a, args.catalog_b)
+    except DomainError as exc:  # a file that cannot be read or is not a catalog
+        return EXIT_DIFF_TROUBLE, _error_payload(exc)
     _write(cat.diff_pieces(delta) if args.format == "json" else _csv_table(_diff_rows(delta)))
     return (EXIT_DIFFERENT if delta["only_in_a"] or delta["only_in_b"] else EXIT_OK), None
 

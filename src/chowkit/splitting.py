@@ -58,10 +58,6 @@ class SplittingType:
             raise InadmissibleParameterError("splitting type entries must be integers")
         object.__setattr__(self, "entries", tuple(sorted(self.entries, reverse=True)))
 
-    @classmethod
-    def of(cls, *entries: int) -> "SplittingType":
-        return cls(tuple(entries))
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
 
@@ -78,25 +74,9 @@ class SplittingType:
         return sum(self.entries)
 
     @property
-    def b_max(self) -> int:
-        return self.entries[0]
-
-    @property
-    def b_min(self) -> int:
-        return self.entries[-1]
-
-    @property
     def square_sum(self) -> int:
         """Sum of the squared entries; feeds the h^1 bound downstream."""
         return sum(b * b for b in self.entries)
-
-    def twisted(self, k: int) -> "SplittingType":
-        """Splitting type of F(k): every entry shifted by k."""
-        return SplittingType(tuple(b + k for b in self.entries))
-
-    def dual(self) -> "SplittingType":
-        """Splitting type of the dual sheaf: entries negated (and re-sorted)."""
-        return SplittingType(tuple(-b for b in self.entries))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(b) for b in self.entries) + ")"

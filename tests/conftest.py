@@ -28,9 +28,25 @@ def random_splitting_type(rng: random.Random, max_rank: int = 5, span: int = 6) 
     return SplittingType(tuple(rng.randint(-span, span) for _ in range(rank)))
 
 
+def set_diff(a, b):
+    """Oracle of a catalog diff: the set difference of two collections of lines, each sorted."""
+    a, b = set(a), set(b)
+    return {"only_in_a": sorted(a - b), "only_in_b": sorted(b - a)}
+
+
 def c3_oracle(c2: int, s: int) -> int:
     """Oracle: the third Chern class c_2^2 - 2 s c_2 + 2 s (s + 1) of the (c2, s) sheaf."""
     return c2 * c2 - 2 * s * c2 + 2 * s * (s + 1)
+
+
+def twisted_type(b: SplittingType, k: int) -> SplittingType:
+    """Oracle: the splitting type of F(k), every entry shifted by k."""
+    return SplittingType(tuple(x + k for x in b.entries))
+
+
+def negated_type(b: SplittingType) -> SplittingType:
+    """Oracle: the splitting type of the dual sheaf, every entry negated."""
+    return SplittingType(tuple(-x for x in b.entries))
 
 
 def h1_invariant_bound(b: SplittingType, ch2: Fraction) -> Fraction:

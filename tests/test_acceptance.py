@@ -33,9 +33,11 @@ from chowkit.splitting import enumerate_splitting_types
 from conftest import (
     c3_oracle,
     h1_invariant_bound,
+    negated_type,
     random_character,
     random_rational,
     random_splitting_type,
+    twisted_type,
 )
 from test_catalog_cli import random_entry
 from test_monads import monad_character_oracle, multiset_oracle
@@ -106,8 +108,8 @@ def test_criterion_4_invariance_suite():
         character = ChernCharacter.of(2, b.rank, b.c1, ch2)
         for k in range(-5, 6):
             twisted_ch2 = twist(character, k).ch2
-            assert h1_invariant_bound(b.twisted(k), twisted_ch2) == base
-        assert h1_invariant_bound(b.dual(), ch2) == base
+            assert h1_invariant_bound(twisted_type(b, k), twisted_ch2) == base
+        assert h1_invariant_bound(negated_type(b), ch2) == base
 
 
 @_report(5, "resolutions reproduce the Chern character for every c2 in (4, 30]")

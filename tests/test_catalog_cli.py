@@ -23,8 +23,8 @@ from chowkit.catalog import (
     CATALOG_KINDS,
     CatalogEntry,
     canonical_lines,
-    diff_lines,
     diff_pieces,
+    diff_sorted,
     parse_catalog,
     serialize_catalog,
     serialize_entry,
@@ -33,6 +33,8 @@ from chowkit.cli import main
 from chowkit.errors import DomainError, InadmissibleParameterError
 from chowkit.monads import partition_types
 from chowkit.resolutions import admissible_s
+
+from conftest import set_diff
 
 F = Fraction
 ENTRY_KINDS = tuple(kind.entry_kind for kind in CATALOG_KINDS.values())
@@ -150,11 +152,17 @@ def test_catalog_document_round_trip_and_sorting():
 def test_diff_catalogs():
     rng = random.Random(53)
     lines = [serialize_entry(random_entry(rng)) for _ in range(10)]
-    delta = diff_lines(lines, lines)
-    assert delta == {"only_in_a": [], "only_in_b": []}
     extra = serialize_entry(random_entry(rng))
-    delta = diff_lines(lines + [extra], lines)
-    assert delta == {"only_in_a": [extra], "only_in_b": []}
+
+    def diff(a, b):  # as catalog.diff_files merges two files read whole
+        delta = diff_sorted(sorted(set(a)), sorted(set(b)))
+        assert delta == set_diff(a, b)
+        return delta
+
+    assert diff(lines, lines) == {"only_in_a": [], "only_in_b": []}
+    assert diff(lines + [extra], lines) == {"only_in_a": [extra], "only_in_b": []}
+    # an entry repeated in one file counts once
+    assert diff(lines + lines + [extra], [extra, extra]) == {"only_in_a": sorted(lines), "only_in_b": []}
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +622,7 @@ def _whole_file_diff(fmt, path_a, path_b):
         except (UnicodeDecodeError, DomainError) as exc:
             problem = DomainError(f"malformed catalog {path!r}: {exc}")
             return 2, "".join(cli._payload_pieces(cli._error_payload(problem), fmt))
-    delta = diff_lines(*line_sets)
+    delta = set_diff(*line_sets)
     pieces = diff_pieces(delta) if fmt == "json" else cli._csv_table(cli._diff_rows(delta))
     return (1 if delta["only_in_a"] or delta["only_in_b"] else 0), "".join(pieces)
 
@@ -689,16 +697,24 @@ def test_cli_diff_peaks_below_the_smaller_file(tmp_path, capsys):
     assert peak < 0.75 * a.stat().st_size
 
 
-def test_cli_diff_unreadable_catalog_exits_2(tmp_path, capsys):
-    good = str(tmp_path / "good.json")
-    missing = str(tmp_path / "missing.json")
-    run_cli(["catalog", "strata", "--c2", "5..5", "--l", "0..0", "--output", good], capsys)
-    code, out, err = run_cli(["catalog", "diff", missing, good], capsys)
-    assert code == 2
+@pytest.mark.parametrize("a, b", [
+    ("missing", "good"), ("good", "missing"), ("directory", "good"), ("good", "directory"),
+    # both bad: A is read whole first, so it alone is named
+    ("malformed", "missing"), ("missing", "malformed"),
+])
+def test_cli_diff_unreadable_catalog_exits_2(a, b, tmp_path, capsys):
+    paths = {name: str(tmp_path / name) for name in ("good", "missing", "directory", "malformed")}
+    run_cli(["catalog", "strata", "--c2", "5..5", "--l", "0..0", "--output", paths["good"]], capsys)
+    os.mkdir(paths["directory"])
+    Path(paths["malformed"]).write_text('{"entries": []}', encoding="utf-8")
+    code, out, err = run_cli(["catalog", "diff", paths[a], paths[b]], capsys)
+    assert (code, err) == (2, "")
     error = json.loads(out)["error"]
     assert error["type"] == "DomainError"
-    assert missing in error["message"]
-    assert err == ""
+    bad = a if a != "good" else b
+    problem = "malformed catalog" if bad == "malformed" else "cannot read catalog"
+    assert error["message"].startswith(f"{problem} {paths[bad]!r}: ")
+    assert [name for name in (a, b) if repr(paths[name]) in error["message"]] == [bad]
 
 
 def test_cli_catalog_unwritable_output(tmp_path, capsys):
@@ -990,7 +1006,7 @@ def test_cli_diff_payload_reaches_stdout_in_chunks(case, large_diff, monkeypatch
     if case == "diff-json":
         path_a, path_b = large_diff
         argv = ["catalog", "diff", str(path_a), str(path_b)]
-        delta = diff_lines(canonical_lines(path_a.read_text()), canonical_lines(path_b.read_text()))
+        delta = set_diff(canonical_lines(path_a.read_text()), canonical_lines(path_b.read_text()))
         expected = 1, json.dumps({
             "identical": False,
             "only_in_a": [json.loads(line) for line in delta["only_in_a"]],

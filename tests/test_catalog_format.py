@@ -8,11 +8,9 @@ block reader must read what the emitter writes, and on raw documents either
 refuse them or agree with the canonical-line reader.
 """
 
-import copy
 import hashlib
 import io
 import json
-import pickle
 import re
 from fractions import Fraction
 from types import MappingProxyType
@@ -25,7 +23,6 @@ from chowkit.catalog import (
     SCHEMA_VERSION,
     CatalogEntry,
     canonical_lines,
-    diff_lines,
     diff_pieces,
     diff_sorted,
     document_pieces,
@@ -37,6 +34,8 @@ from chowkit.catalog import (
 from chowkit import catalog as catalog_module
 from chowkit.cli import main
 from chowkit.errors import DomainError, InadmissibleParameterError
+
+from conftest import set_diff
 
 ENTRY_KINDS = tuple(kind.entry_kind for kind in CATALOG_KINDS.values())
 
@@ -204,7 +203,7 @@ def test_emitters_match_reference_and_round_trip(catalog):
     assert serialize_catalog(parsed) == document
     lines = [reference_entry(e) for e in catalog]
     half = len(lines) // 2
-    delta = diff_lines(lines[:half], lines[half:])
+    delta = set_diff(lines[:half], lines[half:])
     a, b = delta["only_in_a"], delta["only_in_b"]
     pieces = list(diff_pieces(delta))
     assert "".join(pieces) == reference_diff(a, b)
@@ -254,7 +253,7 @@ def test_block_reader_across_chunk_boundaries(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# entries: read-only maps, shared when given as one, and still picklable
+# entries: read-only maps, shared when given as one
 
 
 def test_entry_maps_are_read_only_copies():
@@ -271,17 +270,6 @@ def test_entry_maps_are_read_only_copies():
     shared = MappingProxyType({"c3": 19})
     pair = [CatalogEntry("stratum", {"l": l}, shared) for l in range(2)]
     assert pair[0].outputs is pair[1].outputs is shared
-
-
-def test_entries_pickle_and_deepcopy():
-    shared = MappingProxyType({"ch2": Fraction(-9, 2), "ok": True})
-    entries = [CatalogEntry("stratum", {"c2": 5, "l": l}, shared) for l in range(2)]
-    entries.append(CatalogEntry("monad", {}, {"label": "O(-1)^4"}))
-    for entry in entries:
-        for copied in (pickle.loads(pickle.dumps(entry)), copy.deepcopy(entry)):
-            assert copied == entry
-            assert type(copied.inputs) is type(copied.outputs) is MappingProxyType
-    assert copy.deepcopy(entries) == entries
 
 
 def test_equal_entries_hash_equal():

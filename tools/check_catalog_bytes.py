@@ -6,10 +6,14 @@ Usage:
 
 The commands run as ``python -m chowkit`` with this checkout's ``src`` on
 ``PYTHONPATH``, as the benchmark runs them.
-CHECKS is one table of (argv, output, size, sha256, exit code).  The output
-is a file name, written with ``--output`` in a fresh temporary directory,
-or "-" for stdout.  Every command runs in that directory, so
+CHECKS is one table of (argv, output, size, sha256, exit code, stdin).  The
+output is a file name, written with ``--output`` in a fresh temporary
+directory, or "-" for stdout.  Every command runs in that directory, so
 ``catalog diff a.json b.json`` reads the two catalogs written before it.
+A row's stdin, when given, names a file written before it, whose bytes the
+command reads through a pipe (``catalog diff /dev/stdin ...``): a pipe is
+read whole, so those rows pin the whole-file reader at the size of the
+block reader's rows.
 The sizes and sha256s of the benchmark's full-size grids are read from
 ``perfbench/workloads.py``; those of the larger grids, and of the
 benchmark's family grids as CSV, are in the table.
@@ -38,6 +42,7 @@ class Check(NamedTuple):
     size: int
     sha256: str
     exit_code: int = 0
+    stdin: str | None = None
 
 
 # the benchmark's family grids as CSV on stdout, in the order of FULL.families
@@ -48,6 +53,8 @@ _FAMILIES_CSV = (
 )
 _LARGE_STRATA = ("catalog", "strata", "--c2", "5..40", "--l", "0..8")
 _LARGE_STRATA_JSON = (19085233, "62634c9c63113f45ead2ea5bfc286e178af39b1d432ab86b3ba6de890aed6673")
+_LARGE_DIFF_JSON = (13602069, "a0e78f4d281a26bad40a80ba8eaaa0f71a0fb6db3363693c3412bfc2712401f3", 1)
+_LARGE_DIFF_CSV = (15617670, "18b41de1e7bd63b0e1702bf18c44485a67da2ad143bca364b4908d700978f703", 1)
 
 CHECKS = [
     # the benchmark's catalogs and their diff, which exits 1
@@ -70,11 +77,15 @@ CHECKS = [
     Check(_LARGE_STRATA, "-", *_LARGE_STRATA_JSON),
     Check(("--format", "csv", *_LARGE_STRATA), "-", 3559541,
           "43e7b19a8042815ede8e3148815c0d45c27f8ec147b6910392eb6303764c9819"),
-    # a diff payload 60 times the benchmark's, as JSON and as CSV
-    Check(("catalog", "diff", "strata.json", "strata-large.json"), "-", 13602069,
-          "a0e78f4d281a26bad40a80ba8eaaa0f71a0fb6db3363693c3412bfc2712401f3", 1),
-    Check(("--format", "csv", "catalog", "diff", "strata.json", "strata-large.json"), "-", 15617670,
-          "18b41de1e7bd63b0e1702bf18c44485a67da2ad143bca364b4908d700978f703", 1),
+    # a diff payload 60 times the benchmark's, as JSON and as CSV, from two
+    # files read a block at a time, and again with A on a pipe, read whole
+    Check(("catalog", "diff", "strata.json", "strata-large.json"), "-", *_LARGE_DIFF_JSON),
+    Check(("--format", "csv", "catalog", "diff", "strata.json", "strata-large.json"), "-",
+          *_LARGE_DIFF_CSV),
+    Check(("catalog", "diff", "/dev/stdin", "strata-large.json"), "-", *_LARGE_DIFF_JSON,
+          stdin="strata.json"),
+    Check(("--format", "csv", "catalog", "diff", "/dev/stdin", "strata-large.json"), "-",
+          *_LARGE_DIFF_CSV, stdin="strata.json"),
 ]
 
 
@@ -83,11 +94,13 @@ def run(check: Check, directory: Path) -> str | None:
     argv = list(check.argv)
     if check.output != "-":
         argv += ["--output", check.output]
-    done = subprocess.run(cli_argv(*argv), cwd=directory, env=child_env(), stdout=subprocess.PIPE)
+    data_in = None if check.stdin is None else (directory / check.stdin).read_bytes()
+    done = subprocess.run(cli_argv(*argv), cwd=directory, env=child_env(), input=data_in,
+                          stdout=subprocess.PIPE)
     path = directory / check.output
     data = done.stdout if check.output == "-" else path.read_bytes() if path.is_file() else b""
     digest = hashlib.sha256(data).hexdigest()
-    what = " ".join(argv)
+    what = " ".join(argv) + ("" if check.stdin is None else f" < {check.stdin}")
     print(f"{what}: {len(data)} bytes, sha256 {digest[:12]}, exit {done.returncode}")
     if (len(data), digest, done.returncode) != (check.size, check.sha256, check.exit_code):
         return (f"{what}: recorded {check.size} bytes, sha256 {check.sha256[:12]}, "
