@@ -25,18 +25,21 @@ catalog <kind>`` builds, each with the kind tag of its entries and the
 generator that yields them.
 
 Reading goes through one value decoder, which maps each raw JSON value to
-its value and its canonical JSON text.  :func:`parse_catalog` builds
-entries from the values; :func:`canonical_lines` joins the texts into each
-entry's canonical line without building the entry.  A file in the layout
-chowkit writes can also be read a chunk at a time: :func:`stream_canonical_lines`
-decodes the entry blocks of each chunk, through the same decoder and checks.
+its value and its canonical JSON text (the writer's :func:`_encode_value`);
+it keeps at most ``_STRING_CACHE_SIZE`` decoded strings, over every document
+read.  :func:`parse_catalog` builds entries from the values;
+:func:`canonical_lines` joins the texts into each entry's canonical line
+without building the entry.  A file in the layout chowkit writes can also
+be read a chunk at a time: :func:`stream_canonical_lines` decodes the entry
+blocks of each chunk, through the same decoder and checks.
 :func:`diff_files` picks the reader for ``catalog diff``: two regular files
 in that layout are streamed, and any other input (hand-edited, entries out
 of order, a pipe) is read whole with :func:`canonical_lines` and its
 distinct lines sorted.  Either way one merge, :func:`diff_sorted`, keeps
 only the differing lines, so a diff of two streamed files holds the
-difference, not the two files.  The differing lines are written with the
-same encoder (:func:`diff_pieces`).
+difference, not the two files, for every catalog kind (resolutions over c2
+5..2000 against 5..1999, 115,190 strings that never repeat: about 18 MB).
+The differing lines are written with the same encoder (:func:`diff_pieces`).
 The document and the diff payload write their lists of entry blocks
 through one list writer, so they share one layout.
 """
@@ -49,6 +52,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
@@ -60,6 +64,13 @@ from .monads import monad_shape, partition_types
 from .resolutions import admissible_s, format_term, presentation_report, verify_resolution_chern
 
 SCHEMA_VERSION = 1
+
+# decoded strings kept, over every document read: the byte-check grids hold
+# 270 distinct (the benchmark's diff pair), 604 (strata 5..40 x 0..8) and 801
+# (monads r8 0..400), each repeating, and one per value, none repeating, in
+# bounds 0..1000 (4,004) and resolutions 5..2000 (115,190).  Past this size
+# a string costs a regex, never memory.
+_STRING_CACHE_SIZE = 4096
 
 
 def _check_version(schema_version: Any, where: str) -> None:
@@ -240,41 +251,30 @@ def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]
 
 # ---------------------------------------------------------------------------
 # decoding: one value decoder turns each raw JSON value into its value and
-# its canonical JSON text; the checks on each raw entry are made in one place.
+# the writer's text of it; the checks on each raw entry are made in one place.
 
 
-def _value_decoder() -> Callable[[Any], tuple[Any, str]]:
-    """A fresh decoder: raw JSON value -> (catalog value, canonical JSON text).
-
-    Raw strings repeat across a catalog's entries (ch2 and ch3 over every
-    partition label, the labels over every (c2, s)), so the decoder keeps
-    each distinct string's result; make one per document.
-    """
-    memo: dict[str, tuple[Any, str]] = {}
-
-    def decode(raw: Any) -> tuple[Any, str]:
-        if type(raw) is int:
-            return raw, int.__repr__(raw)
-        if isinstance(raw, str):
-            known = memo.get(raw)
-            if known is None:
-                if _RATIONAL_RE.match(raw.strip()):
-                    value = parse_rational(raw)
-                    known = (value, _json_str(rational_str(value)))
-                else:
-                    known = (raw, _json_str(raw))
-                memo[raw] = known
-            return known
-        if isinstance(raw, int):  # bool, or an int subclass
-            return raw, _encode_value(raw)
-        if isinstance(raw, float):
-            raise DomainError(f"floating point value {raw!r} is not allowed in catalogs")
-        raise DomainError(f"unsupported catalog value {raw!r}")
-
-    return decode
+def _decode(raw: Any) -> tuple[Any, str]:
+    """Raw JSON value -> (catalog value, canonical JSON text)."""
+    if type(raw) is int:
+        return raw, int.__repr__(raw)
+    if isinstance(raw, str):
+        return _decode_string(raw)
+    if isinstance(raw, int):  # bool, or an int subclass
+        return raw, _encode_value(raw)
+    if isinstance(raw, float):
+        raise DomainError(f"floating point value {raw!r} is not allowed in catalogs")
+    raise DomainError(f"unsupported catalog value {raw!r}")
 
 
-def _decode_entry(data: Mapping[str, Any], decode: Callable) -> tuple:
+@lru_cache(maxsize=_STRING_CACHE_SIZE)
+def _decode_string(raw: str) -> tuple[Any, str]:
+    """A rational's value, or the string itself, and the writer's text of it."""
+    value = parse_rational(raw) if _RATIONAL_RE.match(raw.strip()) else raw
+    return value, _encode_value(value)
+
+
+def _decode_entry(data: Mapping[str, Any]) -> tuple:
     """Check one raw entry: (kind, inputs, outputs, schema_version).
 
     The maps hold the decoder's (value, text) pairs.  The checks run in the
@@ -285,15 +285,15 @@ def _decode_entry(data: Mapping[str, Any], decode: Callable) -> tuple:
     if not isinstance(inputs, dict) or not isinstance(outputs, dict):
         raise DomainError("entry inputs and outputs must be JSON objects")
     kind = data["kind"]
-    inputs = {k: decode(v) for k, v in inputs.items()}
-    outputs = {k: decode(v) for k, v in outputs.items()}
+    inputs = {k: _decode(v) for k, v in inputs.items()}
+    outputs = {k: _decode(v) for k, v in outputs.items()}
     version = data["schema_version"]
     _check_tags(kind, version)
     return kind, inputs, outputs, version
 
 
-def _decoded_entry(data: Mapping[str, Any], decode: Callable) -> CatalogEntry:
-    kind, inputs, outputs, version = _decode_entry(data, decode)
+def _decoded_entry(data: Mapping[str, Any]) -> CatalogEntry:
+    kind, inputs, outputs, version = _decode_entry(data)
     return CatalogEntry(
         kind,
         {k: value for k, (value, _) in inputs.items()},
@@ -302,9 +302,9 @@ def _decoded_entry(data: Mapping[str, Any], decode: Callable) -> CatalogEntry:
     )
 
 
-def _decoded_pieces(data: Mapping[str, Any], decode: Callable) -> tuple:
+def _decoded_pieces(data: Mapping[str, Any]) -> tuple:
     """Of one raw entry: the JSON text pairs of inputs, kind, outputs, version."""
-    kind, inputs, outputs, version = _decode_entry(data, decode)
+    kind, inputs, outputs, version = _decode_entry(data)
     return (
         [(_json_str(k), inputs[k][1]) for k in sorted(inputs)],
         _json_str(kind),
@@ -313,8 +313,8 @@ def _decoded_pieces(data: Mapping[str, Any], decode: Callable) -> tuple:
     )
 
 
-def _decoded_line(data: Mapping[str, Any], decode: Callable) -> str:
-    inputs, kind, outputs, version = _decoded_pieces(data, decode)
+def _decoded_line(data: Mapping[str, Any]) -> str:
+    inputs, kind, outputs, version = _decoded_pieces(data)
     return _compact_line(_compact_map(inputs), kind, _compact_map(outputs), version)
 
 
@@ -330,13 +330,12 @@ def _reading() -> Iterator[None]:
 
 
 def _read_document(text: str, read_entry: Callable) -> list:
-    """``read_entry(raw, decode)`` of each entry of a catalog document."""
-    decode = _value_decoder()
+    """``read_entry(raw)`` of each entry of a catalog document."""
     with _reading():
         document = json.loads(text)
         entries = document["entries"]
         _check_version(document["schema_version"], "document")
-        return [read_entry(e, decode) for e in entries]
+        return [read_entry(e) for e in entries]
 
 
 # The layout document_pieces writes: the head, then either "[]" and the tail,
@@ -385,16 +384,17 @@ def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
     valid catalog edited by hand, or text that is not UTF-8, raises
     :class:`DomainError`; :func:`canonical_lines` reads such a file whole.
     Otherwise the lines are those of :func:`canonical_lines`, from the same
-    decoder, and an entry it rejects raises the same error here.
+    decoder, and an entry it rejects raises the same error here.  For every
+    catalog kind, memory holds a chunk, its entries and the decoder's bound.
     """
-    decode, previous = _value_decoder(), ""
+    previous = ""
     with _reading():
         for run in _block_runs(handle):
             # The run must parse whole as the items of a list, which it does
             # only if every cut fell between two entries.  One parse per run
             # also lets the parser share each key's string across its entries.
             for data in json.loads("[" + run + "]"):
-                line = _decoded_line(data, decode)
+                line = _decoded_line(data)
                 if line <= previous:
                     raise DomainError("catalog entries are not in strictly increasing order")
                 yield line
@@ -471,10 +471,11 @@ def diff_sorted(a: Iterable[str], b: Iterable[str]) -> dict[str, list[str]]:
 def diff_files(path_a: str, path_b: str) -> dict[str, list[str]]:
     """:func:`diff_sorted` of the canonical lines of two catalog files.
 
-    Two regular files are read a chunk at a time (:func:`stream_canonical_lines`).
-    If either is not a regular file (a pipe can be read only once), or if
-    that read raises :class:`OSError` or :class:`DomainError` (another
-    layout, or a bad file), both files are read whole, A first, and
+    Two regular files are read a chunk at a time (:func:`stream_canonical_lines`),
+    so for every catalog kind the peak memory follows the differing lines,
+    not the files.  If either is not a regular file (a pipe can be read only
+    once), or if that read raises :class:`OSError` or :class:`DomainError`
+    (another layout, or a bad file), both files are read whole, A first, and
     each file's distinct canonical lines are sorted and merged the same way,
     so an entry repeated in one file counts once.  A file that cannot be read
     or is not a catalog document then raises :class:`DomainError` naming it.
@@ -507,11 +508,10 @@ def diff_pieces(delta: Mapping[str, list[str]]) -> Iterator[str]:
     ``only_in_b``.  Each entry is written from its canonical line's texts,
     in the block layout of a catalog document, one piece per entry.
     """
-    decode = _value_decoder()
 
     def blocks(lines: list[str]) -> Iterator[str]:
         for line in lines:
-            inputs, kind, outputs, version = _decoded_pieces(json.loads(line), decode)
+            inputs, kind, outputs, version = _decoded_pieces(json.loads(line))
             yield _indented_block(_indented_map(inputs), kind, _indented_map(outputs), version)
 
     a, b = delta["only_in_a"], delta["only_in_b"]

@@ -25,6 +25,7 @@ from chowkit.catalog import (
     canonical_lines,
     diff_pieces,
     diff_sorted,
+    document_pieces,
     parse_catalog,
     serialize_catalog,
     serialize_entry,
@@ -695,6 +696,39 @@ def test_cli_diff_peaks_below_the_smaller_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 1
     assert peak < 0.75 * a.stat().st_size
+
+
+def test_cli_diff_of_unique_strings_peaks_at_a_bound(tmp_path, capsys):
+    """The decoder keeps a bounded number of strings, over both files: a diff of
+    catalogs whose strings never repeat peaks the same at twice the size."""
+
+    def write(path, first, last, tag):
+        # 32 strings an entry, so that few entries hold more distinct strings
+        # than the decoder keeps (4,096)
+        entries = (CatalogEntry("bound", {"c2": i}, {f"s{j}": f"{tag} {i} {j}" for j in range(32)})
+                   for i in range(first, last))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(document_pieces(entries)[1])
+
+    def peak(entries, tag):
+        a, b = tmp_path / f"{tag}-a.json", tmp_path / f"{tag}-b.json"
+        write(a, 1, entries, tag)
+        write(b, 0, entries, tag)
+        with open(tmp_path / "out.txt", "w", encoding="utf-8") as stdout, \
+                contextlib.redirect_stdout(stdout):
+            tracemalloc.start()
+            try:
+                assert main(["catalog", "diff", str(a), str(b)]) == 1
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    # a first diff, so that one-time costs (lazy imports) are not counted
+    write(tmp_path / "tiny.json", 0, 1, "tiny")
+    assert main(["catalog", "diff", str(tmp_path / "tiny.json"), str(tmp_path / "tiny.json")]) == 0
+    small, large = peak(150, "small"), peak(300, "large")  # 4,800 and 9,600 distinct strings
+    capsys.readouterr()
+    assert large < 1.25 * small
 
 
 @pytest.mark.parametrize("a, b", [

@@ -13,6 +13,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 import pytest
@@ -250,6 +251,75 @@ def test_block_reader_across_chunk_boundaries(monkeypatch):
     for size in range(len('{\n  "entries": []'), separator + 9):
         monkeypatch.setattr(catalog_module, "_CHUNK", size)
         assert list(stream_canonical_lines(io.StringIO(document))) == lines, size
+
+
+# ---------------------------------------------------------------------------
+# the value decoder: one bounded cache of strings, shared by every reader
+
+
+def _read_every_way(text):
+    """What each reader makes of one document, the entries' value types included."""
+    lines = canonical_lines(text)
+
+    def typed(mapping):
+        return [(k, type(v), v) for k, v in sorted(mapping.items())]
+
+    return (
+        lines,
+        list(stream_canonical_lines(io.StringIO(text))),
+        [(e.kind, typed(e.inputs), typed(e.outputs)) for e in parse_catalog(text)],
+        "".join(diff_pieces({"only_in_a": lines, "only_in_b": lines[:1]})),
+    )
+
+
+def test_readers_do_not_depend_on_the_decoder_cache():
+    """The same results with the cache cleared, warm, and emptied of the
+    document's strings by more distinct strings than it holds."""
+    text = serialize_catalog(chain(
+        CATALOG_KINDS["strata"].generate(range(5, 7), range(0, 4)),  # repeated strings
+        CATALOG_KINDS["bounds"].generate(2, -1, range(0, 6)),  # rationals
+        CATALOG_KINDS["resolutions"].generate(range(5, 8)),  # terms and bools
+    ))
+    cache = catalog_module._decode_string
+    cache.cache_clear()
+    cold = _read_every_way(text)
+    first = cache.cache_info()
+    assert first.hits > 0 and 0 < first.currsize < first.maxsize
+    warm = _read_every_way(text)
+    assert cache.cache_info().misses == first.misses
+    filler = (CatalogEntry("bound", {"c2": i}, {"label": f"filler {i}"})
+              for i in range(first.maxsize + 1))
+    canonical_lines(serialize_catalog(filler))
+    filled = cache.cache_info()
+    assert filled.currsize == first.maxsize
+    evicted = _read_every_way(text)
+    # every string of the document was decoded afresh
+    assert cache.cache_info().misses - filled.misses == first.misses
+    assert cold == warm == evicted
+
+
+# each rejected value, and the message every reader gives for it
+REJECTED_VALUES = {
+    "float": (1.5, "floating point value 1.5 is not allowed in catalogs"),
+    "nan": (float("nan"), "floating point value nan is not allowed in catalogs"),
+    "null": (None, "unsupported catalog value None"),
+    "list": ([5], "unsupported catalog value [5]"),
+    "object": ({"a": 1}, "unsupported catalog value {'a': 1}"),
+}
+
+
+@pytest.mark.parametrize("field", ["inputs", "outputs"])
+@pytest.mark.parametrize("case", sorted(REJECTED_VALUES))
+def test_readers_reject_values_with_one_message(case, field):
+    value, message = REJECTED_VALUES[case]
+    entry = {"inputs": {"c2": 5}, "kind": "bound", "outputs": {"ch2": "-9/2"}, "schema_version": 1}
+    entry[field]["x"] = value
+    # the layout chowkit writes, so that the block reader reads it too
+    text = json.dumps({"entries": [entry], "schema_version": 1}, sort_keys=True, indent=2) + "\n"
+    for read in (parse_catalog, canonical_lines,
+                 lambda t: list(stream_canonical_lines(io.StringIO(t)))):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            read(text)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ Usage:
 
 The commands run as ``python -m chowkit`` with this checkout's ``src`` on
 ``PYTHONPATH``, as the benchmark runs them.
-CHECKS is one table of (argv, output, size, sha256, exit code, stdin).  The
-output is a file name, written with ``--output`` in a fresh temporary
-directory, or "-" for stdout.  Every command runs in that directory, so
-``catalog diff a.json b.json`` reads the two catalogs written before it.
+CHECKS is one table of 21 rows, each (argv, output, size, sha256, exit code,
+stdin).  The output is a file name, written with ``--output`` in a fresh
+temporary directory, or "-" for stdout.  Every command runs in that
+directory, so ``catalog diff a.json b.json`` reads the two catalogs written
+before it.
 A row's stdin, when given, names a file written before it, whose bytes the
 command reads through a pipe (``catalog diff /dev/stdin ...``): a pipe is
 read whole, so those rows pin the whole-file reader at the size of the
@@ -71,6 +72,12 @@ CHECKS = [
           "b8a4f9415d930fea7e45cfc92075be299ee705fa3962eb93bed63d719c3847b5"),
     Check(("catalog", "monads", "--rank-max", "8", "--charge", "0..400"), "monads-large.json", 3667409,
           "a0454a340329d05b3330af3623cea8e1d535286cc9c599d767e44810293bc319"),
+    # the large resolutions grid less its last c2, and the diff of the two
+    # read a block at a time: catalogs whose strings never repeat
+    Check(("catalog", "resolutions", "--c2", "5..1999"), "resolutions-1999.json", 22521534,
+          "b9205b8cd59da1d324dab13c590f7122728f6571593f19e025db1c58d011303f"),
+    Check(("catalog", "diff", "resolutions-large.json", "resolutions-1999.json"), "-", 17459,
+          "ea205b5ebd0246ab18ec5e21ab0ee5bb1bebf8113352b6dfae4bb9eaeeebcda0", 1),
     # a strata grid of 55,056 entries through the file writer, the chunked
     # stdout writer and the row-by-row CSV writer
     Check(_LARGE_STRATA, "strata-large.json", *_LARGE_STRATA_JSON),
