@@ -30,8 +30,12 @@ it keeps at most ``_STRING_CACHE_SIZE`` decoded strings, over every document
 read.  :func:`parse_catalog` builds entries from the values;
 :func:`canonical_lines` joins the texts into each entry's canonical line
 without building the entry.  A file in the layout chowkit writes can also
-be read a chunk at a time: :func:`stream_canonical_lines` decodes the entry
-blocks of each chunk, through the same decoder and checks.
+be read a chunk at a time: :func:`stream_canonical_lines` cuts each chunk
+into entry blocks and decodes each block alone, through the same decoder
+and checks, keeping the lines of the last ``_BLOCK_CACHE_SIZE`` blocks read.
+A diff reads its two files in step, so a block found in both is decoded
+once (the benchmark's diff pair, 13,530 entries in both files: ``catalog
+diff`` went from 0.62 to 0.44 s CPU).
 :func:`diff_files` picks the reader for ``catalog diff``: two regular files
 in that layout are streamed, and any other input (hand-edited, entries out
 of order, a pipe) is read whole with :func:`canonical_lines` and its
@@ -71,6 +75,15 @@ SCHEMA_VERSION = 1
 # bounds 0..1000 (4,004) and resolutions 5..2000 (115,190).  Past this size
 # a string costs a regex, never memory.
 _STRING_CACHE_SIZE = 4096
+
+# entry blocks whose canonical lines are kept, over every file read.  A diff
+# reads its two files in step, so a block of one file is looked up right after
+# the other file's copy was read, or after a run of the entries that only one
+# file holds.  From 2 blocks up, every shared entry hits but the first after
+# each such run longer than the memo: 13,529 of the 13,530 of the benchmark's
+# diff pair, all 15,983 of the large strata diff (strata 5..20 against 5..40,
+# l 0..8) and all 55,056 of the larger grid against itself.
+_BLOCK_CACHE_SIZE = 16
 
 
 def _check_version(schema_version: Any, where: str) -> None:
@@ -351,9 +364,9 @@ _CHUNK = io.DEFAULT_BUFFER_SIZE  # characters read at a time
 _NOT_THE_LAYOUT = "not a catalog in the layout chowkit writes"
 
 
-def _block_runs(handle: TextIO) -> Iterator[str]:
-    """The entry blocks of a document in chowkit's layout, a run at a time:
-    the whole blocks of each chunk read, with the separators between them."""
+def _blocks(handle: TextIO) -> Iterator[str]:
+    """The entry blocks of a document in chowkit's layout, each as
+    :func:`_indented_block` writes it, read a chunk at a time."""
     text = handle.read(_CHUNK)  # a longer file would give a longer text
     if text == _EMPTY_DOCUMENT:
         return
@@ -361,17 +374,23 @@ def _block_runs(handle: TextIO) -> Iterator[str]:
         raise DomainError(_NOT_THE_LAYOUT)
     rest = ""
     for chunk in chain([text[len(_FIRST_BLOCK):]], iter(lambda: handle.read(_CHUNK), "")):
-        text = rest + chunk
-        # the last separator; the rest kept from the chunks before holds none
-        cut = text.rfind(_NEXT_BLOCK, max(len(rest) - len(_NEXT_BLOCK) + 1, 0))
-        if cut < 0:
-            rest = text
-        else:
-            yield text[:cut + len(_BLOCK_END)]
-            rest = text[cut + len(_NEXT_BLOCK):]
+        text, start = rest + chunk, 0
+        # the first separator; the rest kept from the chunks before holds none
+        cut = text.find(_NEXT_BLOCK, max(len(rest) - len(_NEXT_BLOCK) + 1, 0))
+        while cut >= 0:
+            yield text[start:cut + len(_BLOCK_END)]
+            start = cut + len(_NEXT_BLOCK)
+            cut = text.find(_NEXT_BLOCK, start)
+        rest = text[start:]
     if not rest.endswith(_LAST_BLOCK):
         raise DomainError(_NOT_THE_LAYOUT)
     yield rest[:len(_BLOCK_END) - len(_LAST_BLOCK)]
+
+
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _block_line(block: str) -> str:
+    """The canonical line of one entry block, parsed alone."""
+    return _decoded_line(json.loads(block))
 
 
 def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
@@ -385,20 +404,27 @@ def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
     :class:`DomainError`; :func:`canonical_lines` reads such a file whole.
     Otherwise the lines are those of :func:`canonical_lines`, from the same
     decoder, and an entry it rejects raises the same error here.  For every
-    catalog kind, memory holds a chunk, its entries and the decoder's bound.
+    catalog kind, memory holds a chunk, its entries and the decoders' bounds.
+
+    Each block is parsed alone, and its line is kept in a memo of the last
+    ``_BLOCK_CACHE_SIZE`` blocks read, over every file a process reads.
+    :func:`diff_sorted` reads its two streams in step, so a block found in
+    both files is decoded once: on the benchmark's diff pair, 13,529 of the
+    13,530 shared entries hit, and ``catalog diff`` went from 0.62 to 0.44 s
+    CPU.  Where few entries are shared, parsing each block alone costs about
+    what the hits save (the large strata diff, 22% shared, is unchanged).
     """
     previous = ""
     with _reading():
-        for run in _block_runs(handle):
-            # The run must parse whole as the items of a list, which it does
-            # only if every cut fell between two entries.  One parse per run
-            # also lets the parser share each key's string across its entries.
-            for data in json.loads("[" + run + "]"):
-                line = _decoded_line(data)
-                if line <= previous:
-                    raise DomainError("catalog entries are not in strictly increasing order")
-                yield line
-                previous = line
+        for block in _blocks(handle):
+            # Each block must parse alone as one JSON value.  Then the blocks
+            # are the items of the document's list, so a cut inside an entry
+            # fails the read, and a block's whole text keys the memo.
+            line = _block_line(block)
+            if line <= previous:
+                raise DomainError("catalog entries are not in strictly increasing order")
+            yield line
+            previous = line
 
 
 def serialize_entry(entry: CatalogEntry) -> str:

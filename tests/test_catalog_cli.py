@@ -566,7 +566,7 @@ HAND_EDITS = (
     "indent-4", "one-line", "crlf", "shuffled", "duplicated", "version-key-first", "extra-key",
     "half-as-2/4", "empty", "empty-twice", "entries-key-renamed", "truncated", "float-first",
     "float-last", "version-2-last", "document-version-2", "brace-after-block",
-    "comma-before-block", "not-utf8-last",
+    "comma-before-block", "not-utf8-last", "separator-inside-entry",
 )
 
 
@@ -589,6 +589,8 @@ def _hand_edited(text: str) -> dict[str, bytes]:
 
     assert layout(doc) == text.encode()
     last_kind = text.rindex('"kind": "bound"') + len('"kind": "bo')
+    inside = text.replace('\n      },\n      "kind"', '\n    },\n      "kind"', 1)
+    assert inside != text and json.loads(inside) == doc
     return {
         "indent-4": (json.dumps(doc, sort_keys=True, indent=4) + "\n").encode(),
         "one-line": json.dumps(doc, sort_keys=True).encode(),
@@ -611,6 +613,9 @@ def _hand_edited(text: str) -> dict[str, bytes]:
         "brace-after-block": text.replace("\n    },\n", "\n    }\n    },\n", 1).encode(),
         "comma-before-block": text.replace(",\n    {", ",\n   ,{", 1).encode(),
         "not-utf8-last": text[:last_kind].encode() + b"\xff" + text[last_kind:].encode(),
+        # the same catalog, with a block separator inside the first entry: its
+        # inputs map closes at the indent of an entry block
+        "separator-inside-entry": inside.encode(),
     }
 
 
@@ -647,6 +652,9 @@ def hand_edited(tmp_path_factory):
 @pytest.mark.parametrize("a, b", [
     *(("original", name) for name in HAND_EDITS),
     ("shuffled", "original"), ("empty", "original"), ("float-last", "original"),
+    # the separator inside an entry cuts it apart: a block memo keyed by the
+    # pieces would map a piece to another entry's line
+    ("separator-inside-entry", "original"), ("separator-inside-entry", "separator-inside-entry"),
     # A is read to its last block after B fails on its first: A is still named
     ("float-last", "float-first"),
 ])

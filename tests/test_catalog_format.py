@@ -14,6 +14,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -24,6 +25,7 @@ from chowkit.catalog import (
     SCHEMA_VERSION,
     CatalogEntry,
     canonical_lines,
+    diff_files,
     diff_pieces,
     diff_sorted,
     document_pieces,
@@ -296,6 +298,69 @@ def test_readers_do_not_depend_on_the_decoder_cache():
     # every string of the document was decoded afresh
     assert cache.cache_info().misses - filled.misses == first.misses
     assert cold == warm == evicted
+
+
+# ---------------------------------------------------------------------------
+# the block memo: the two files of a diff share the lines of their last blocks
+
+
+def _write_catalogs(directory, **grids):
+    """Each (name, entries) written as a catalog file; the paths, in order."""
+    paths = []
+    for name, entries in grids.items():
+        path = directory / f"{name}.json"
+        path.write_text(serialize_catalog(entries), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def test_diff_decodes_a_shared_block_once(tmp_path):
+    """A block found in both files is decoded once: the memo misses once per
+    distinct block and hits once per shared entry."""
+    strata = CATALOG_KINDS["strata"].generate
+    a, b = _write_catalogs(tmp_path, a=strata(range(5, 8), range(0, 5)),
+                           b=strata(range(5, 9), range(0, 5)))
+    lines_a, lines_b = (set(canonical_lines(Path(p).read_text(encoding="utf-8"))) for p in (a, b))
+    memo = catalog_module._block_line
+    memo.cache_clear()
+    delta = diff_files(a, b)
+    info = memo.cache_info()
+    assert len(lines_a & lines_b) > info.maxsize  # more than the memo holds at once
+    assert (info.misses, info.hits) == (len(lines_a | lines_b), len(lines_a & lines_b))
+    assert delta == set_diff(lines_a, lines_b)
+
+
+def test_diff_does_not_depend_on_the_block_memo(tmp_path):
+    """The same diff with the memo cleared, warm, and emptied of the files'
+    blocks by more distinct blocks than it holds; and an error is not kept."""
+    bounds = CATALOG_KINDS["bounds"].generate
+    memo = catalog_module._block_line
+    size = memo.cache_info().maxsize
+    a, b, filler = _write_catalogs(tmp_path, a=bounds(2, -1, range(0, 6)),
+                                   b=bounds(2, -1, range(2, 9)),
+                                   filler=bounds(2, -1, range(100, 101 + size)))
+    memo.cache_clear()
+    cold = diff_files(a, b)
+    first = memo.cache_info()
+    assert first.hits > 0 and first.currsize < size  # the files' blocks all fit
+    warm = diff_files(a, b)
+    assert memo.cache_info().misses == first.misses
+    diff_files(filler, filler)
+    filled = memo.cache_info()
+    assert filled.currsize == size
+    evicted = diff_files(a, b)
+    # every block of the two files was decoded afresh
+    assert memo.cache_info().misses - filled.misses == first.misses
+    assert cold == warm == evicted
+    assert cold["only_in_a"] and cold["only_in_b"]
+    # a block that raises is decoded again in the next file that holds it
+    text = Path(a).read_text(encoding="utf-8").replace('"q": "', '"q": 1.5, "r": "', 1)
+    before = memo.cache_info()
+    for _ in ("a", "b"):
+        with pytest.raises(DomainError, match="^floating point value 1.5 "):
+            list(stream_canonical_lines(io.StringIO(text)))
+    after = memo.cache_info()
+    assert (after.misses - before.misses, after.hits, after.currsize) == (2, before.hits, before.currsize)
 
 
 # each rejected value, and the message every reader gives for it

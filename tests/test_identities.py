@@ -11,6 +11,10 @@ sympy expansion proves it for every input:
 * the monad ch(O^w) - ch(O(-1)^v) - ch(O(1)^u) = (r, d, -c - d/2) on P^2,
   with (v, w, u) = (d + c, r + d + 2c, c), in (r, d, c);
 * the charge -chi(F(-1)) = -ch_2 - d/2, by Riemann-Roch with td(P^2);
+* the dimension 3vw + 3wu - 6vu - v^2 - w^2 - u^2 of the P^2 monad modulo
+  GL(v) x GL(w) x GL(u) is -chi(F, F) = 2rc + d^2 + dr - r^2, in (r, d, c);
+* on P^3, a complex E with H^-1(E) = F (rank 2, c_1 = -1) and H^0(E) = Q of
+  length l has chi(E, E) = chi(F, F) = 6 - 8c_2, in (c_2, c_3, l);
 * the n!-scaled integer tuples the runtime checks compare are n! times the
   rational characters;
 * the scaled-integer numerators of the P^3 bounds over their denominators
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from chowkit import bounds, monads, resolutions
+from chowkit import bounds, chow, monads, resolutions
 
 C2, C3, S = sp.symbols("c2 c3 s", integer=True)
 R, D, C, CH2 = sp.symbols("r d c ch2")
@@ -230,3 +234,53 @@ def test_scaled_bound_numerators_are_the_rational_formulas():
     equal(sections / wide, n * (t + 3) ** 3 / 6)
     equal((6 * (h1_worst + shift) * h1_worst + sections) / wide, euler)
     equal(ch3_shift / wide, 2 * abs(ch2) + sp.Rational(11, 6) * a + n)
+
+
+TODD = {2: [1, sp.Rational(3, 2), 1], 3: [1, 2, sp.Rational(11, 6), 1]}
+
+
+def chi_pair(n, a, b):
+    """chi(A, B) on P^n by Riemann-Roch: the H^n coefficient of
+    ch(A^dual) ch(B) td(P^n), where ch_i(A^dual) = (-1)^i ch_i(A)."""
+    a_dual = [(-1) ** i * x for i, x in enumerate(a)]
+    product = [sum(a_dual[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    return sp.expand(sum(product[k] * TODD[n][n - k] for k in range(n + 1)))
+
+
+def test_monad_stack_dimension_is_minus_chi():
+    v, w, u = D + C, R + D + 2 * C, C
+    ch_f = [m - o for m, o in zip(
+        ch_split(2, [(0, w)]),
+        [a + b for a, b in zip(ch_split(2, [(-1, v)]), ch_split(2, [(1, u)]))],
+    )]
+    dim_stack = 3 * v * w + 3 * w * u - 6 * v * u - v**2 - w**2 - u**2
+    chi = chi_pair(2, ch_f, ch_f)
+    assert sp.expand(dim_stack + chi) == 0
+    assert sp.expand(-chi - (2 * R * C + D**2 + D * R - R**2)) == 0
+    # ideal sheaves of n points: (r, d, c) = (1, 0, n)
+    n = sp.Symbol("n")
+    assert sp.expand(dim_stack.subs({R: 1, D: 0, C: n}) - (2 * n - 1)) == 0
+    # the library's route: ch(F) = (r, d, -c - d/2), through chow
+    for r, d, c in [(1, 0, 3), (2, -1, 4), (5, -3, 7)]:
+        x = chow.ChernCharacter.of(2, r, d, Fraction(-2 * c - d, 2))
+        assert -chow.euler_characteristic(chow.mul(chow.dual(x), x)) == dim_stack.subs(
+            {R: r, D: d, C: c})
+
+
+def test_complex_has_the_chi_of_its_reflexive_part():
+    L = sp.Symbol("l")
+    ch_f, ch_q = ch_of_classes(2, -1, C2, C3), [0, 0, 0, L]
+    ch_e = [q - f for q, f in zip(ch_q, ch_f)]
+    # the cross terms of degree 3 cancel, and chi(Q, Q) = 0
+    assert chi_pair(3, ch_f, ch_q) == 2 * L
+    assert chi_pair(3, ch_q, ch_f) == -2 * L
+    assert chi_pair(3, ch_q, ch_q) == 0
+    chi_f = chi_pair(3, ch_f, ch_f)
+    assert sp.expand(chi_pair(3, ch_e, ch_e) - chi_f) == 0
+    assert sp.expand(chi_f - (6 - 8 * C2)) == 0
+    # the library's route, with c_3 of the resolved sheaf of each (c_2, s)
+    for c2, s, l in [(5, 1, 0), (12, 1, 3), (40, 4, 8)]:
+        c3 = resolutions._c3_formula(c2, s)
+        x = chow.chern_to_character(chow.ChernClasses(2, -1, c2, c3), 3)
+        e = chow.sub(chow.ChernCharacter.of(3, 0, 0, 0, l), x)
+        assert chow.euler_characteristic(chow.mul(chow.dual(e), e)) == 6 - 8 * c2

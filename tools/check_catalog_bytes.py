@@ -6,7 +6,7 @@ Usage:
 
 The commands run as ``python -m chowkit`` with this checkout's ``src`` on
 ``PYTHONPATH``, as the benchmark runs them.
-CHECKS is one table of 21 rows, each (argv, output, size, sha256, exit code,
+CHECKS is one table of 22 rows, each (argv, output, size, sha256, exit code,
 stdin).  The output is a file name, written with ``--output`` in a fresh
 temporary directory, or "-" for stdout.  Every command runs in that
 directory, so ``catalog diff a.json b.json`` reads the two catalogs written
@@ -93,6 +93,9 @@ CHECKS = [
           stdin="strata.json"),
     Check(("--format", "csv", "catalog", "diff", "/dev/stdin", "strata-large.json"), "-",
           *_LARGE_DIFF_CSV, stdin="strata.json"),
+    # the large grid against itself: every entry block is found in both files
+    Check(("catalog", "diff", "strata-large.json", "strata-large.json"), "-", 62,
+          "4b4f05c2775127608b7ff11316331aa23a0061075ad0fbe2cdaa557708e96454"),
 ]
 
 
