@@ -28,7 +28,7 @@ _EXPORTS = {
         "document_pieces", "parse_catalog", "serialize_catalog", "serialize_entry",
     ),
     "chow": (
-        "ChernCharacter", "ChernClasses", "ToddClass", "as_rational", "ch_line_bundle",
+        "ChernCharacter", "ChernClasses", "as_rational", "ch_line_bundle",
         "character_to_chern", "chern_to_character", "dual", "euler_characteristic", "mul",
         "parse_rational", "pushforward_from_hyperplane", "rational_str",
         "restrict_to_hyperplane", "todd", "twist",

@@ -34,8 +34,7 @@ be read a chunk at a time: :func:`stream_canonical_lines` cuts each chunk
 into entry blocks and decodes each block alone, through the same decoder
 and checks, keeping the lines of the last ``_BLOCK_CACHE_SIZE`` blocks read.
 A diff reads its two files in step, so a block found in both is decoded
-once (the benchmark's diff pair, 13,530 entries in both files: ``catalog
-diff`` went from 0.62 to 0.44 s CPU).
+once.
 :func:`diff_files` picks the reader for ``catalog diff``: two regular files
 in that layout are streamed, and any other input (hand-edited, entries out
 of order, a pipe) is read whole with :func:`canonical_lines` and its
@@ -409,10 +408,8 @@ def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
     Each block is parsed alone, and its line is kept in a memo of the last
     ``_BLOCK_CACHE_SIZE`` blocks read, over every file a process reads.
     :func:`diff_sorted` reads its two streams in step, so a block found in
-    both files is decoded once: on the benchmark's diff pair, 13,529 of the
-    13,530 shared entries hit, and ``catalog diff`` went from 0.62 to 0.44 s
-    CPU.  Where few entries are shared, parsing each block alone costs about
-    what the hits save (the large strata diff, 22% shared, is unchanged).
+    both files is decoded once.  Where few entries are shared, parsing each
+    block alone costs about what the hits save.
     """
     previous = ""
     with _reading():

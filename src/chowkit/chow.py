@@ -1,10 +1,12 @@
 """Exact intersection-theory arithmetic on the projective spaces P^2 and P^3.
 
 A Chern character is stored as its vector of H-degree components
-(ch_0, ..., ch_n); a Todd class likewise.  Every component is an exact
-`fractions.Fraction` and nothing in this module (or anywhere else in the
-package) ever touches floating point: the bound formulas downstream cube
-quantities like |c_1|/n + n and must stay exact at the boundary.
+(ch_0, ..., ch_n).  The Todd class of P^n is a `ChernCharacter` too, so the
+Euler characteristic of x is the top component of ``x * todd(n)``.  Every
+component is an exact `fractions.Fraction` and nothing in this module (or
+anywhere else in the package) ever touches floating point: the bound
+formulas downstream cube quantities like |c_1|/n + n and must stay exact
+at the boundary.
 
 On top of the character arithmetic (truncated products, twists by line
 bundles, duals) the module provides the Riemann-Roch Euler characteristic,
@@ -115,34 +117,6 @@ def _check_same_space(a: "ChernCharacter", b: "ChernCharacter") -> None:
 
 
 @dataclass(frozen=True)
-class ToddClass:
-    """Todd class of the tangent bundle of P^n, one component per H-degree."""
-
-    ambient_dim: int
-    components: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.ambient_dim)
-        comps = tuple(as_rational(c) for c in self.components)
-        object.__setattr__(self, "components", comps)
-        if len(comps) != self.ambient_dim + 1:
-            raise DimensionMismatchError(
-                f"Todd class on P^{self.ambient_dim} needs "
-                f"{self.ambient_dim + 1} components, got {len(comps)}"
-            )
-        if comps[0] != 1:
-            raise IntegralityError(
-                f"component 0 of a Todd class must be 1, got {comps[0]}"
-            )
-
-
-def todd(n: int) -> ToddClass:
-    """Todd class of P^n: (1, 3/2, 1) for n = 2 and (1, 2, 11/6, 1) for n = 3."""
-    _check_dimension(n)
-    return ToddClass(n, _TODD_COMPONENTS[n])
-
-
-@dataclass(frozen=True)
 class ChernCharacter:
     """Chern character (ch_0, ..., ch_n) of a sheaf-like class on P^n.
 
@@ -217,12 +191,18 @@ def _exact_character(n: int, components: tuple[Fraction, ...]) -> ChernCharacter
     """A character whose components are already exact, with an integer ch_0.
 
     Skips the coercion and checks of ``ChernCharacter.__post_init__``; only
-    for results built here from values that passed them.
+    for the Todd classes and for results built here from checked values.
     """
     x = object.__new__(ChernCharacter)
     object.__setattr__(x, "ambient_dim", n)
     object.__setattr__(x, "components", components)
     return x
+
+
+def todd(n: int) -> ChernCharacter:
+    """Todd class of P^n: (1, 3/2, 1) for n = 2 and (1, 2, 11/6, 1) for n = 3."""
+    _check_dimension(n)
+    return _exact_character(n, _TODD_COMPONENTS[n])
 
 
 def _common_numerators(components: tuple[Fraction, ...]) -> tuple[list[int], int]:

@@ -289,7 +289,7 @@ def _cmd_splitting_types(args) -> tuple[int, dict]:
 def _cmd_resolution(args) -> tuple[int, dict]:
     report = presentation_report(args.c2, args.s)
     display = f"0 -> {format_term(report.r_minus1)} -> {format_term(report.r0)} -> F -> 0"
-    payload = {**vars(report), "display": display}
+    payload = {**report._asdict(), "display": display}
     if args.verify:
         payload["chern_consistent"] = verify_resolution_chern(report)
     return EXIT_OK, payload

@@ -45,8 +45,8 @@ tuples are 6 times the rational characters, is proved symbolically in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .chow import _FACTORIAL_SCALES
 from .errors import InadmissibleParameterError, check_integer
@@ -137,8 +137,7 @@ def resolution_shapes(c2: int, s: int) -> tuple[Term, Term]:
     return r_minus1, ((-1, 1), (-2, 1), (-s - 1, 1), (s - c2, 1))
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(NamedTuple):
     """The resolution 0 -> R^-1 -> R^0 -> F -> 0 of one admissible (c2, s).
 
     c3 is the sheaf's third Chern class and r_minus1, r0 the fixed terms.
@@ -179,7 +178,7 @@ def verify_resolution_chern(report: PresentationReport) -> bool:
 
     Both sides are compared exactly as integer tuples scaled by 3! = 6
     (see the module docstring).  It holds for every built report, and fails
-    for one with a perturbed c3 (``dataclasses.replace(report, c3=...)``).
+    for one with a perturbed c3 (``report._replace(c3=...)``).
     """
     resolved = tuple(
         a - b

@@ -17,7 +17,6 @@ from chowkit.chow import (
     ch_line_bundle,
     chern_to_character,
     euler_characteristic,
-    mul,
     pushforward_from_hyperplane,
     restrict_to_hyperplane,
     sub,
@@ -78,8 +77,7 @@ def test_criterion_2_closed_forms():
     for i in range(1000):
         dim = 2 if i % 2 == 0 else 3
         x = random_character(rng, dim)
-        td = ChernCharacter(dim, todd(dim).components)
-        integral_form = mul(x, td).components[dim]
+        integral_form = (x * todd(dim)).components[dim]
         if dim == 2:
             closed = x.ch0 + F(3, 2) * x.ch1 + x.ch2
         else:

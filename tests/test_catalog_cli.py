@@ -1075,6 +1075,8 @@ def test_cli_diff_payload_reaches_stdout_in_chunks(case, large_diff, monkeypatch
 # (format, argv, exit code, stdout bytes, stdout sha256); run in a directory
 # holding the strata catalogs a.json (c2 5..8) and b.json (c2 6..9), l 0..2
 GOLDEN_STDOUT = [
+    ("json", "todd --dim 2", 0, 66, "7229b43574856617487d95aff35a66079a44ca7ef37220ec62108d7dba76d26a"),
+    ("csv", "todd --dim 2", 0, 63, "634d1f52154642a5c1bbea2c32f9839dccd219a72bbeb1c14f625e6c3a397e87"),
     ("json", "todd --dim 3", 0, 76, "71621bafa7d39839b78228c202ed9e1f6520730b464f92f904123e02d15e12ff"),
     ("csv", "todd --dim 3", 0, 79, "1d7218ab895b38c1751ec2d95947a0450bd5f211b887b26b86c35de552dfddce"),
     ("json", "chern --dim 3 --classes 2,-1,5,19", 0, 154, "e948343e8ae7b9e87ae52c3cb15157dacc50a6f775c6bc9c89733879faf60366"),

@@ -1,7 +1,6 @@
 """Tests for resolution-shape enumeration and presentation dimensions."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -199,7 +198,7 @@ def test_verify_resolution_chern_specific_instance():
 def test_verify_resolution_chern_detects_perturbation():
     for c2, s in [(5, 1), (10, 2), (20, 3)]:
         report = presentation_report(c2, s)
-        assert verify_resolution_chern(replace(report, c3=report.c3 + 1)) is False
+        assert verify_resolution_chern(report._replace(c3=report.c3 + 1)) is False
 
 
 def test_verify_resolution_chern_rejects_every_nearby_c3():
@@ -208,7 +207,7 @@ def test_verify_resolution_chern_rejects_every_nearby_c3():
             report = presentation_report(c2, s)
             assert verify_resolution_chern(report) is True
             for k in (-2, -1, 1, 2):
-                perturbed = replace(report, c3=report.c3 + k)
+                perturbed = report._replace(c3=report.c3 + k)
                 assert verify_resolution_chern(perturbed) is False, (c2, s, k)
 
 
