@@ -47,8 +47,7 @@ _EXPORTS = {
         "presentation_report", "resolution_shapes", "verify_resolution_chern",
     ),
     "splitting": (
-        "SplittingType", "enumerate_splitting_types", "magnitude_ok", "splitting_radius",
-        "validate",
+        "SplittingType", "enumerate_splitting_types", "splitting_radius",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -55,7 +55,7 @@ from .errors import (
     RankMismatchError,
     check_integer,
 )
-from .splitting import SplittingType, magnitude_ok, splitting_radius, validate
+from .splitting import SplittingType, splitting_radius
 
 # distinct splitting types whose per-type terms stay computed
 _TYPE_CACHE_SIZE = 4096
@@ -65,6 +65,8 @@ _CHARACTER_CACHE_SIZE = 256
 
 def h0_line_bundle(n: int, k: int) -> int:
     """Global-section count of O(k) on P^n: C(k+n, n) for k >= 0, else 0."""
+    check_integer("projective dimension", n)
+    check_integer("twist", k)
     if n < 1:
         raise InadmissibleParameterError(f"projective dimension must be >= 1, got {n}")
     if k < 0:
@@ -298,14 +300,14 @@ def bound_report(
     if b is not None:
         if b.rank != n:
             raise RankMismatchError(f"splitting type length {b.rank} != rank {n}")
-        if not validate(b, n, c1):
+        if b.c1 != c1:
             raise InadmissibleParameterError(
                 f"b = {b} is not a splitting type of rank {n} and c1 {c1}"
             )
-        if not magnitude_ok(b, n, c1):
+        radius = splitting_radius(n, c1)
+        if any(abs(entry) > radius for entry in b):
             raise InadmissibleParameterError(
-                f"b = {b} has an entry of magnitude above the splitting radius "
-                f"{splitting_radius(n, c1)}"
+                f"b = {b} has an entry of magnitude above the splitting radius {radius}"
             )
         terms = _type_terms(b)
     return _evaluate(n, c1, ch2, b, terms, literal_mode)

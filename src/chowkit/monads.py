@@ -140,12 +140,13 @@ class PartitionType:
     def __post_init__(self) -> None:
         canonical = []
         for part in self.parts:
-            entries = tuple(sorted(part, reverse=True))
-            if len(entries) == 0 or any(x < 1 for x in entries):
+            entries = tuple(part)
+            # a bool would pass as 1 and a float as its value
+            if len(entries) == 0 or any(type(x) is not int or x < 1 for x in entries):
                 raise InadmissibleParameterError(
                     f"partition {part} must consist of positive integers"
                 )
-            canonical.append(entries)
+            canonical.append(tuple(sorted(entries, reverse=True)))
         canonical.sort(key=lambda p: (sum(p), p), reverse=True)
         object.__setattr__(self, "parts", tuple(canonical))
 

@@ -9,8 +9,8 @@ mu-semistable reflexive sheaf on P^3:
 * magnitude: |b_i| <= |c_1|/r + r for every i, and
 * gap: consecutive entries differ by at most 2.
 
-This module represents splitting types, checks the two constraints, and
-enumerates every candidate inside the magnitude box.  The enumeration
+This module represents splitting types, computes the magnitude bound,
+and enumerates every candidate inside the magnitude box.  The enumeration
 prunes the gap constraint while it generates the tuples, so it never
 builds a tuple it would then discard.  The gap constraint is a flag
 because the magnitude bound holds for all mu-semistable reflexive sheaves
@@ -31,11 +31,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .errors import InadmissibleParameterError
-
-IntSequence = Sequence[int]
+from .errors import InadmissibleParameterError, check_integer
 
 # the most splitting types the enumeration cache keeps, over all arguments
 _CACHE_TYPES = 20_000
@@ -82,42 +80,13 @@ class SplittingType:
         return "(" + ",".join(str(b) for b in self.entries) + ")"
 
 
-def _entries(b: "SplittingType | IntSequence") -> tuple[int, ...]:
-    if isinstance(b, SplittingType):
-        return b.entries
-    return tuple(b)
-
-
-def validate(b: "SplittingType | IntSequence", r: int, c1: int) -> bool:
-    """True iff b has length r, sums to c1, and is non-increasing.
-
-    Accepts raw integer sequences so that mis-ordered input can be reported
-    as False rather than being silently canonicalized.
-    """
-    entries = _entries(b)
-    if len(entries) != r or sum(entries) != c1:
-        return False
-    return all(entries[i] >= entries[i + 1] for i in range(len(entries) - 1))
-
-
 def splitting_radius(r: int, c1: int) -> Fraction:
     """The magnitude bound |c_1|/r + r, as an exact rational."""
+    check_integer("rank", r)
+    check_integer("c_1", c1)
     if r <= 0:
         raise InadmissibleParameterError(f"rank must be positive, got {r}")
     return Fraction(abs(c1), r) + r
-
-
-def magnitude_ok(b: "SplittingType | IntSequence", r: int, c1: int) -> bool:
-    """True iff every |b_i| <= |c1|/r + r, compared exactly.
-
-    Requires `validate(b, r, c1)` to hold.
-    """
-    if not validate(b, r, c1):
-        raise InadmissibleParameterError(
-            f"{tuple(_entries(b))} is not a valid splitting type for rank {r}, c1 {c1}"
-        )
-    bound = splitting_radius(r, c1)
-    return all(abs(entry) <= bound for entry in _entries(b))
 
 
 def _descending_tuples(
@@ -162,10 +131,13 @@ def enumerate_splitting_types(
     so no tuple that violates it is ever built.  The result is finite, free
     of duplicates, and sorted lexicographically descending.  The types are
     built once per process for each argument triple; the list is new on
-    every call.
+    every call.  r and c1 must be ints (a bool or a float is an
+    :class:`IntegralityError`), checked before the cache is read, so an
+    int's entry never answers for a value equal to it.
     """
-    # typed: a float rank raises, so it must not find an int rank's entry
-    key = (r, c1, reflexive_gap, type(r), type(c1), type(reflexive_gap))
+    check_integer("rank", r)
+    check_integer("c_1", c1)
+    key = (r, c1, reflexive_gap)
     types = _cache.get(key)
     if types is None:  # an error raised here leaves nothing cached
         types = _cache.keep(key, _build_types(r, c1, reflexive_gap))

@@ -28,7 +28,7 @@ from chowkit.errors import (
     RankMismatchError,
 )
 from chowkit.resolutions import admissible_s
-from chowkit.splitting import SplittingType, enumerate_splitting_types, magnitude_ok
+from chowkit.splitting import SplittingType, enumerate_splitting_types
 
 from conftest import (
     c3_oracle,
@@ -86,10 +86,27 @@ def test_h0_line_bundle_rejects_bad_dimension():
         h0_line_bundle(0, 1)
 
 
+@pytest.mark.parametrize(
+    "n, k",
+    [(3, True), (3, 1.5), (3, "1"), (True, 3), (3.0, 1)],
+    ids=["bool-k", "float-k", "str-k", "bool-n", "float-n"],
+)
+def test_h0_line_bundle_rejects_a_non_int(n, k):
+    # a bool would count the sections of O(1) and a float reach comb()
+    with pytest.raises(IntegralityError, match="must be an integer"):
+        h0_line_bundle(n, k)
+
+
 def test_extreme_bounds_recomputed_targets():
     assert extreme_bounds(SplittingType((0, -1)), 3) == (1, 0)
     assert extreme_bounds(SplittingType((2,)), 2) == (6, 0)
     assert extreme_bounds(SplittingType((-3,)), 2) == (0, 1)
+
+
+@pytest.mark.parametrize("N", [1, 4])
+def test_extreme_bounds_rejects_other_dimensions(N):
+    with pytest.raises(DimensionMismatchError, match=f"not P\\^{N}"):
+        extreme_bounds(SplittingType((0, -1)), N)
 
 
 def test_extreme_bounds_against_direct_sums():
@@ -291,6 +308,9 @@ def test_p3_bounds_rejects_bad_inputs():
     # the entries must sum to c_1
     with pytest.raises(InadmissibleParameterError, match="sums to 10"):
         p3_bounds(SplittingType((5, 5)), ChernCharacter.of(3, 2, -1, "-9/2", "71/6"))
+    # c_1 must be an integer
+    with pytest.raises(IntegralityError, match="c_1 must be an integer, got 1/2"):
+        p3_bounds(SplittingType((0, 0)), ChernCharacter.of(3, 2, "1/2", 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -300,6 +320,7 @@ def test_p3_bounds_rejects_bad_inputs():
         (-1, (0, 0), "is not a splitting type"),
         (0, (3, -3), "above the splitting radius 2"),
         (-1, (3, -4), "above the splitting radius 5/2"),
+        (-1, (2, -3), "above the splitting radius 5/2"),
     ],
 )
 def test_bound_report_rejects_an_inconsistent_splitting_type(c1, entries, problem):
@@ -307,6 +328,13 @@ def test_bound_report_rejects_an_inconsistent_splitting_type(c1, entries, proble
         bound_report(2, c1, F(-9, 2), SplittingType(entries))
     with pytest.raises(RankMismatchError):
         bound_report(3, c1, F(-9, 2), SplittingType(entries))
+
+
+def test_bound_report_takes_entries_on_the_splitting_radius():
+    # radius exactly 2 for (n, c1) = (2, 0) and 5/2 for (2, -1)
+    for c1, entries in ((0, (2, -2)), (-1, (1, -2))):
+        b = SplittingType(entries)
+        assert bound_report(2, c1, F(-9, 2), b).splitting_type is b
 
 
 def test_p3_bounds_on_cached_types_equal_fresh_types():
@@ -424,7 +452,7 @@ def test_bounds_match_the_rational_formulas(n, c1, ch2, entries, literal, typed)
     assert type(euler_bound(n, c1, ch2, literal)) is F
     assert type(ch3_bound(n, c1, ch2, literal)) is F
     reports = []
-    if b is None or magnitude_ok(b, n, c1):
+    if b is None or all(abs(entry) <= F(abs(c1), n) + n for entry in b):
         reports.append(bound_report(n, c1, ch2, b=b, literal_mode=literal))
     else:
         with pytest.raises(InadmissibleParameterError, match="above the splitting radius"):

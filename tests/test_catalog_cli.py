@@ -289,6 +289,9 @@ def test_cli_usage_errors(capsys):
     code, out, err = run_cli(["chern", "--dim", "2", "--classes", "2,0"], capsys)
     assert (code, out) == (2, "")
     assert "--classes needs rank,c1,c2" in err
+    code, out, err = run_cli(["chern", "--dim", "2", "--character", "2,-1,-9/2,71/6"], capsys)
+    assert (code, out) == (2, "")
+    assert "--character has 4 components but --dim is 2" in err
     code, _, _ = run_cli(["bound", "--rank", "2", "--c1", "-1", "--ch2", "x"], capsys)
     assert code == 2
     code, _, _ = run_cli([], capsys)
@@ -898,6 +901,20 @@ def test_cli_config_unknown_key_is_a_usage_error(tmp_path, capsys):
     assert out == run_cli(["catalog", "resolutions", "--c2", "5..6"], capsys)[1]
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [("c2 5..6\n", "malformed config line: 'c2 5..6'"), ("format=xml\n", "bad config format 'xml'")],
+    ids=["malformed-line", "bad-format"],
+)
+def test_cli_config_content_is_a_usage_error(text, problem, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["--config", str(config), "todd", "--dim", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+    assert problem in err
+
+
 def test_cli_config_not_utf8_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_bytes(b"c2=5..6\n\xff\n")
@@ -1097,6 +1114,14 @@ GOLDEN_STDOUT = [
     ("csv", "bound --rank 2 --c1 0 --ch2 10 --b 0,0 --literal", 0, 206, "87dec564189a677779535a04737923872f20dfcdd50ab464148ce054ea545971"),
     ("json", "bound --rank 3 --c1 2 --ch2 -7/2 --literal", 0, 288, "341a77c7414851d8e759c46b02b62043b77f838ee891c033d0c692abe9f79677"),
     ("csv", "bound --rank 3 --c1 2 --ch2 -7/2 --literal", 0, 217, "97d0910acecb85942b08e5b0a5297ebe373c0b9a074a0880cfdd1163fc69d4e7"),
+    # the three --b rejections: a sum other than c1, an entry above the radius,
+    # a length other than the rank
+    ("json", "bound --rank 2 --c1 -1 --ch2 -9/2 --b 5,-7", 1, 135, "4b7bbf9d0bcae4c5b391958d68ccc3d963577fd143bf5a7164199c2bd639a30c"),
+    ("csv", "bound --rank 2 --c1 -1 --ch2 -9/2 --b 5,-7", 1, 119, "e5d3e99ad960a1f82173bb29ab9252a66c99e02578cf9e599ff9c8a1b262b3f6"),
+    ("json", "bound --rank 2 --c1 0 --ch2 -9/2 --b 3,-3", 1, 146, "315ca0b472b7df5a8618b57b402fdc28af27e7905e0501abea135f7a93a1814a"),
+    ("csv", "bound --rank 2 --c1 0 --ch2 -9/2 --b 3,-3", 1, 130, "2f1321e22b5a19d8b8ac0a4617f7d597fba9197673aa16bae74e204db028df17"),
+    ("json", "bound --rank 3 --c1 -1 --ch2 -9/2 --b 0,-1", 1, 105, "0b36c0051dd34ea50dc9f1c5cc68c4aa036a187142888bbd84a25e2903a639ae"),
+    ("csv", "bound --rank 3 --c1 -1 --ch2 -9/2 --b 0,-1", 1, 87, "2a32fe6edb1c38159bff16b678eaa534b56a22d66597519923cb3ad8156206c1"),
     ("json", "enumerate-c3 --rank 2 --c1 -1 --c2 5", 0, 133, "aa95c8d7f5cd84878d5e4d2cce097b04260e2adf1f4e96296cfd71940a9583e3"),
     ("csv", "enumerate-c3 --rank 2 --c1 -1 --c2 5", 0, 88, "10165bde6d7c67206ff5405ac3f50d81c9f6e9235d19e3d524e9c364f6eddbbd"),
     ("json", "enumerate-c3 --rank 0 --c1 -1 --c2 5", 1, 105, "4e8bd169174cd5cc9a0c0436539cdd3f67e63b450124d38bc1003a454a1584c7"),

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from chowkit.chow import (
     ChernCharacter,
     ChernClasses,
+    as_rational,
     ch_line_bundle,
     character_to_chern,
     chern_to_character,
@@ -264,6 +265,16 @@ def test_restrict_requires_p3():
         restrict_to_hyperplane(ch_line_bundle(2, 1))
 
 
+@pytest.mark.parametrize(
+    "operation",
+    [pushforward_from_hyperplane, lambda x: x.ch3],
+    ids=["pushforward", "ch3"],
+)
+def test_p3_operations_reject_a_p2_character(operation):
+    with pytest.raises(DimensionMismatchError):
+        operation(ch_line_bundle(2, 1))
+
+
 def test_restrict_commutes_with_twist():
     rng = random.Random(107)
     for _ in range(100):
@@ -389,6 +400,12 @@ def test_rational_serialization_round_trip():
         parse_rational("seven")
     with pytest.raises(ValueError):
         parse_rational("3/0")
+
+
+@pytest.mark.parametrize("value", [1.5, True, None], ids=["float", "bool", "none"])
+def test_as_rational_rejects_a_non_exact_value(value):
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_rational(value)
 
 
 @given(st.fractions())

@@ -202,11 +202,15 @@ def test_partition_type_canonicalization():
     assert str(PartitionType(())) == "empty"
 
 
-def test_partition_type_rejects_bad_parts():
-    with pytest.raises(InadmissibleParameterError):
-        PartitionType(((0,),))
-    with pytest.raises(InadmissibleParameterError):
-        PartitionType(((),))
+@pytest.mark.parametrize(
+    "parts",
+    [((0,),), ((),), ((True,),), ((1.5,),), (("1",),), ((2, 1.0),), ((1, "1"),)],
+    ids=["zero", "empty", "bool", "float", "str", "int-float", "int-str"],
+)
+def test_partition_type_rejects_bad_parts(parts):
+    # a bool would pass as the part 1 and a float as its value
+    with pytest.raises(InadmissibleParameterError, match="must consist of positive integers"):
+        PartitionType(parts)
 
 
 def test_partition_types_small_counts():

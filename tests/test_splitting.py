@@ -1,6 +1,7 @@
-"""Tests for splitting-type validation and enumeration."""
+"""Tests for splitting types, the magnitude bound, and the enumeration."""
 
 import itertools
+import operator
 import random
 import sys
 import threading
@@ -10,14 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chowkit import splitting
-from chowkit.errors import InadmissibleParameterError
-from chowkit.splitting import (
-    SplittingType,
-    enumerate_splitting_types,
-    magnitude_ok,
-    splitting_radius,
-    validate,
-)
+from chowkit.errors import InadmissibleParameterError, IntegralityError
+from chowkit.splitting import SplittingType, enumerate_splitting_types, splitting_radius
 
 from conftest import negated_type, twisted_type
 
@@ -41,31 +36,23 @@ def box_brute_force(r, c1, reflexive_gap):
     return sorted(found, reverse=True)
 
 
-def test_validate_examples():
-    assert validate((0, -1), 2, -1) is True
-    assert validate((-1, 0), 2, -1) is False  # ordering
-    assert validate((1, 1), 2, -1) is False  # sum
-    assert validate((1, 1), 3, 2) is False  # length
-
-
-def test_magnitude_examples():
-    assert magnitude_ok((0, -1), 2, -1) is True  # bound 5/2
-    assert magnitude_ok((3, -4), 2, -1) is False  # 3 > 5/2
-    assert magnitude_ok((0, 0), 2, 0) is True  # bound 2
-
-
-def test_magnitude_requires_valid_type():
-    with pytest.raises(InadmissibleParameterError):
-        magnitude_ok((1, 1), 2, -1)
-
-
 def test_magnitude_is_exact_at_the_boundary():
     assert splitting_radius(2, -1) == Fraction(5, 2)
     # radius 5/2: entry -2 is inside, -3 is out
-    assert magnitude_ok((1, -2), 2, -1) is True
-    assert magnitude_ok((2, -3), 2, -1) is False
+    assert [t.entries for t in enumerate_splitting_types(2, -1, False)] == [(1, -2), (0, -1)]
     # radius exactly 2 for (r, c1) = (2, 0); equality is allowed
-    assert magnitude_ok((2, -2), 2, 0) is True
+    assert splitting_radius(2, 0) == 2
+    assert [t.entries for t in enumerate_splitting_types(2, 0, False)][0] == (2, -2)
+
+
+@pytest.mark.parametrize(
+    "r, c1",
+    [(True, 0), (2.0, 0), (2, False), (2, 0.0), (2, "0")],
+    ids=["bool-r", "float-r", "bool-c1", "float-c1", "str-c1"],
+)
+def test_splitting_radius_rejects_a_non_int(r, c1):
+    with pytest.raises(IntegralityError, match="must be an integer"):
+        splitting_radius(r, c1)
 
 
 def test_enumerate_examples():
@@ -101,9 +88,11 @@ def test_enumerate_returns_a_new_list_on_every_call():
 
 def test_enumerate_cache_is_typed():
     assert len(enumerate_splitting_types(2, 0)) == 2
-    # a float rank finds no int rank's entry: it raises, as on a cold cache
-    with pytest.raises(TypeError):
-        enumerate_splitting_types(2.0, 0)
+    assert len(enumerate_splitting_types(1, 0)) == 1
+    # a value equal to a cached int finds no entry: it raises, as on a cold cache
+    for r, c1 in ((2.0, 0), (True, 0), (2, "0"), (2, False)):
+        with pytest.raises(IntegralityError, match="must be an integer"):
+            enumerate_splitting_types(r, c1)
 
 
 def _kept(types_a, types_b):
@@ -192,20 +181,39 @@ def test_enumerate_matches_box_brute_force(reflexive_gap):
             assert got == box_brute_force(r, c1, reflexive_gap), (r, c1)
 
 
-def test_enumerate_matches_combinations_oracle_and_order():
-    # combinations_with_replacement over a descending range yields every
-    # non-increasing tuple in lexicographically descending order; group
-    # them by sum once per box
+def sum_oracle(r, c1, hi, memo):
+    """Oracle: every non-increasing r-tuple in [-hi, hi] summing to c1.
+
+    Plain recursion on the first entry, pruned only by the sums the rest
+    can reach.  ``memo`` holds the tails of one ``hi`` by (slots, sum,
+    largest entry), so calls with the same ``hi`` share them.  It knows no
+    gap constraint, so the gapped types are a filter of its output.
+    """
+
+    def tails(slots, total, top):
+        key = (slots, total, top)
+        if key not in memo:
+            if slots == 0:
+                memo[key] = [()] if total == 0 else []
+            else:
+                memo[key] = [
+                    (first, *tail)
+                    for first in range(top, -hi - 1, -1)
+                    if -hi * (slots - 1) <= total - first <= first * (slots - 1)
+                    for tail in tails(slots - 1, total - first, first)
+                ]
+        return memo[key]
+
+    return tails(r, c1, hi)
+
+
+def test_enumerate_matches_sum_oracle_and_order():
+    memos = {}
     for r in range(1, 8):
-        by_box = {}
         for c1 in range(-3 * r, 3 * r + 1):
             hi = int(Fraction(abs(c1), r) + r)
-            if hi not in by_box:
-                by_box[hi] = {}
-                for b in itertools.combinations_with_replacement(range(hi, -hi - 1, -1), r):
-                    by_box[hi].setdefault(sum(b), []).append(b)
-            box = by_box[hi].get(c1, [])
-            gapped = [b for b in box if all(b[i] - b[i + 1] <= 2 for i in range(r - 1))]
+            box = sum_oracle(r, c1, hi, memos.setdefault(hi, {}))
+            gapped = [b for b in box if max(map(operator.sub, b, b[1:]), default=0) <= 2]
             for reflexive_gap, expected in ((False, box), (True, gapped)):
                 # the second pass reads the types the first one built
                 for _ in range(2):
@@ -218,10 +226,11 @@ def test_enumerate_matches_combinations_oracle_and_order():
 def test_enumerated_types_pass_all_checks():
     for r in range(1, 5):
         for c1 in range(-4, 5):
+            radius = Fraction(abs(c1), r) + r
             for t in enumerate_splitting_types(r, c1, True):
-                assert validate(t, r, c1)
-                assert magnitude_ok(t, r, c1)
-                assert all(a - b <= 2 for a, b in zip(t.entries, t.entries[1:]))
+                assert (len(t.entries), sum(t.entries)) == (r, c1)
+                assert all(abs(b) <= radius for b in t.entries)
+                assert all(0 <= a - b <= 2 for a, b in zip(t.entries, t.entries[1:]))
 
 
 def test_enumerate_negation_symmetry():
