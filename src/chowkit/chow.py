@@ -71,14 +71,17 @@ _RIEMANN_ROCH_WEIGHTS = {
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
+    """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
+
+    Anything else (a float, a bool, None) raises :class:`IntegralityError`.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    raise IntegralityError(f"cannot interpret {value!r} as an exact rational")
 
 
 def rational_str(value: RationalLike) -> str:
@@ -94,7 +97,13 @@ def rational_str(value: RationalLike) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q" (or bare "p") form produced by :func:`rational_str`."""
+    """Parse the "p/q" (or bare "p") form produced by :func:`rational_str`.
+
+    A malformed string raises ``ValueError``; a value that is not a string
+    raises :class:`IntegralityError`.
+    """
+    if not isinstance(text, str):
+        raise IntegralityError(f"cannot interpret {text!r} as an exact rational")
     stripped = text.strip()
     if not _RATIONAL_RE.match(stripped):
         raise ValueError(f"not a p/q rational: {text!r}")
@@ -234,6 +243,7 @@ def ch_line_bundle(n: int, k: int) -> ChernCharacter:
     Component i is k^i / i!.
     """
     _check_dimension(n)
+    check_integer("the degree k of O(k)", k)
     comps = tuple(Fraction(k**i, factorial(i)) for i in range(n + 1))
     return ChernCharacter(n, comps)
 

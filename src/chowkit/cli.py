@@ -19,6 +19,13 @@ error.
 All rationals are printed as reduced "p/q" strings; no floating point is
 ever emitted, so byte-identical output for identical invocations is
 guaranteed.
+
+A start imports and builds only what its subcommand needs.  This module
+imports the standard library, ``chow`` and ``errors``; each handler imports
+the family module it calls, and argparse adds a subcommand's arguments only
+once it has chosen that subcommand (``_Subcommands``).  So ``chowkit todd``
+loads ``cli``, ``chow`` and ``errors``, ``chowkit bound`` adds ``bounds``
+and ``splitting``, and a ``catalog`` command loads every module.
 """
 
 from __future__ import annotations
@@ -32,16 +39,9 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import partial
 from types import MappingProxyType, SimpleNamespace
 
-from . import catalog as cat
-from .bounds import (
-    BoundReport,
-    _c3_interval,
-    _ch2_of_classes,
-    bound_report,
-    ch3_bound,
-)
 from .chow import (
     ChernCharacter,
     ChernClasses,
@@ -55,9 +55,6 @@ from .chow import (
     todd,
 )
 from .errors import DomainError
-from .monads import monad_shape, partition_types
-from .resolutions import format_term, presentation_report, verify_resolution_chern
-from .splitting import SplittingType, enumerate_splitting_types, splitting_radius
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -78,8 +75,32 @@ class UsageError(Exception):
 _NEGATIVE_VALUE = re.compile(r"^-\d+([/,.]?[-\d,./]*)?$")
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers that get their arguments once argparse chooses them.
+
+    ``add_parser(name, build=f)`` registers the name and its help at once;
+    ``f(subparser)`` adds the subparser's arguments the first time ``name``
+    is chosen, just before the subparser reads the rest of the command line.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._builds = {}
+
+    def add_parser(self, name, *, build, **kwargs):
+        self._builds[name] = build
+        return super().add_parser(name, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        build = self._builds.pop(values[0], None)
+        if build is not None:
+            build(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reads ``_NEGATIVE_VALUE`` tokens as values.
+    """An argument parser that reads ``_NEGATIVE_VALUE`` tokens as values,
+    and whose subparsers are ``_Subcommands``.
 
     ``add_subparsers`` makes its subparsers of the parser's own class.
     """
@@ -87,6 +108,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_VALUE
+        self.register("action", "parsers", _Subcommands)
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +204,9 @@ def _payload_pieces(payload: dict, fmt: str) -> Iterator[str]:
         yield "\n"
 
 
-def _report_payload(report: BoundReport) -> dict:
-    payload = report._asdict()
-    if report.splitting_type is not None:
-        payload["splitting_type"] = list(report.splitting_type.entries)
-    return payload
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (exit_code, payload or None)
+# subcommand handlers; each returns (exit_code, payload or None) and
+# imports the family module it calls
 
 
 def _cmd_todd(args) -> tuple[int, dict]:
@@ -201,44 +217,26 @@ def _cmd_todd(args) -> tuple[int, dict]:
 def _cmd_chern(args) -> tuple[int, dict]:
     if args.classes is not None:
         if len(args.classes) not in (3, 4):
-            raise UsageError(
-                "--classes needs rank,c1,c2 on P^2 or rank,c1,c2,c3 on P^3"
-            )
+            raise UsageError("--classes needs rank,c1,c2 on P^2 or rank,c1,c2,c3 on P^3")
         classes = ChernClasses(*args.classes)
         character = chern_to_character(classes, args.dim)
-        return EXIT_OK, {
-            "dim": args.dim,
-            "classes": _classes_payload(classes),
-            "character": list(character.components),
-        }
-    character = _character(args.character)
-    if character.ambient_dim != args.dim:
-        raise UsageError(
-            f"--character has {character.ambient_dim + 1} components "
-            f"but --dim is {args.dim}"
-        )
-    classes = character_to_chern(character)
+    else:
+        character = _character(args.character)
+        if character.ambient_dim != args.dim:
+            raise UsageError(f"--character has {character.ambient_dim + 1} components "
+                             f"but --dim is {args.dim}")
+        classes = character_to_chern(character)
     return EXIT_OK, {
         "dim": args.dim,
+        "classes": {k: v for k, v in vars(classes).items() if v is not None},
         "character": list(character.components),
-        "classes": _classes_payload(classes),
     }
-
-
-def _classes_payload(classes: ChernClasses) -> dict:
-    payload = {"rank": classes.rank, "c1": classes.c1, "c2": classes.c2}
-    if classes.c3 is not None:
-        payload["c3"] = classes.c3
-    return payload
 
 
 def _cmd_euler(args) -> tuple[int, dict]:
     character = _character(args.character)
-    return EXIT_OK, {
-        "dim": character.ambient_dim,
-        "character": list(character.components),
-        "euler": euler_characteristic(character),
-    }
+    return EXIT_OK, {"dim": character.ambient_dim, "character": list(character.components),
+                     "euler": euler_characteristic(character)}
 
 
 def _cmd_restrict(args) -> tuple[int, dict]:
@@ -253,40 +251,40 @@ def _cmd_restrict(args) -> tuple[int, dict]:
 
 
 def _cmd_bound(args) -> tuple[int, dict]:
+    from .bounds import bound_report
+    from .splitting import SplittingType
+
     b = None if args.b is None else SplittingType(args.b)
     report = bound_report(args.rank, args.c1, args.ch2, b=b, literal_mode=args.literal)
-    return EXIT_OK, _report_payload(report)
+    payload = report._asdict()
+    if report.splitting_type is not None:
+        payload["splitting_type"] = list(report.splitting_type.entries)
+    return EXIT_OK, payload
 
 
 def _cmd_enumerate_c3(args) -> tuple[int, dict]:
+    from .bounds import _c3_interval, _ch2_of_classes, ch3_bound
+
     ch2 = _ch2_of_classes(args.c1, args.c2)
     bound = ch3_bound(args.rank, args.c1, ch2)
     c3_min, c3_max = _c3_interval(args.c1, args.c2, bound)
-    return EXIT_OK, {
-        "rank": args.rank,
-        "c1": args.c1,
-        "c2": args.c2,
-        "ch2": ch2,
-        "ch3_bound": bound,
-        "c3_min": c3_min,
-        "c3_max": c3_max,
-        "count": c3_max - c3_min + 1,
-    }
+    return EXIT_OK, {"rank": args.rank, "c1": args.c1, "c2": args.c2, "ch2": ch2,
+                     "ch3_bound": bound, "c3_min": c3_min, "c3_max": c3_max,
+                     "count": c3_max - c3_min + 1}
 
 
 def _cmd_splitting_types(args) -> tuple[int, dict]:
+    from .splitting import enumerate_splitting_types, splitting_radius
+
     types = enumerate_splitting_types(args.rank, args.c1, args.reflexive_gap)
-    return EXIT_OK, {
-        "rank": args.rank,
-        "c1": args.c1,
-        "reflexive_gap": args.reflexive_gap,
-        "radius": splitting_radius(args.rank, args.c1),
-        "count": len(types),
-        "types": [list(t.entries) for t in types],
-    }
+    return EXIT_OK, {"rank": args.rank, "c1": args.c1, "reflexive_gap": args.reflexive_gap,
+                     "radius": splitting_radius(args.rank, args.c1), "count": len(types),
+                     "types": [list(t.entries) for t in types]}
 
 
 def _cmd_resolution(args) -> tuple[int, dict]:
+    from .resolutions import format_term, presentation_report, verify_resolution_chern
+
     report = presentation_report(args.c2, args.s)
     display = f"0 -> {format_term(report.r_minus1)} -> {format_term(report.r0)} -> F -> 0"
     payload = {**report._asdict(), "display": display}
@@ -296,27 +294,20 @@ def _cmd_resolution(args) -> tuple[int, dict]:
 
 
 def _cmd_monad(args) -> tuple[int, dict]:
+    from .monads import monad_shape
+
     shape = monad_shape(args.rank, args.degree, args.ch2)
-    return EXIT_OK, {
-        "rank": args.rank,
-        "degree": args.degree,
-        "ch2": args.ch2,
-        "charge": shape.u,
-        "left": shape.left,
-        "middle": shape.middle,
-        "right": shape.right,
-        "exponents": {"v": shape.v, "w": shape.w, "u": shape.u},
-        "display": str(shape),
-    }
+    return EXIT_OK, {"rank": args.rank, "degree": args.degree, "ch2": args.ch2,
+                     "charge": shape.u, "left": shape.left, "middle": shape.middle,
+                     "right": shape.right, "exponents": {"v": shape.v, "w": shape.w, "u": shape.u},
+                     "display": str(shape)}
 
 
 def _cmd_partitions(args) -> tuple[int, dict]:
+    from .monads import partition_types
+
     types = partition_types(args.total)
-    return EXIT_OK, {
-        "total": args.total,
-        "count": len(types),
-        "types": [str(t) for t in types],
-    }
+    return EXIT_OK, {"total": args.total, "count": len(types), "types": list(map(str, types))}
 
 
 # each catalog parameter type: how a flag or config value is read, and its metavar
@@ -325,7 +316,9 @@ _READERS = {int: (int, None), range: (_int_range, "A..B")}
 
 def _cmd_catalog(args) -> tuple[int, dict | None]:
     """The catalog of kind ``args.catalog_command``, on stdout or to ``--output``."""
-    kind = cat.CATALOG_KINDS[args.catalog_command]
+    from .catalog import CATALOG_KINDS, document_pieces
+
+    kind = CATALOG_KINDS[args.catalog_command]
     values = []
     for key, type_, default in kind.params:  # the flag, else the config, else the default
         value = getattr(args, key.replace("-", "_"))
@@ -343,7 +336,7 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
         return EXIT_OK, None
     # every entry is generated, encoded and sorted before any output is
     # opened, so a failed run leaves an existing file untouched and creates none
-    count, pieces = cat.document_pieces(entries)
+    count, pieces = document_pieces(entries)
     if args.output is None:
         _write(pieces)
         return EXIT_OK, None
@@ -355,8 +348,8 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
     return EXIT_OK, {"path": args.output, "entries": count}
 
 
-def _csv_lines(entries: Iterable[cat.CatalogEntry]) -> Iterator[str]:
-    """A catalog's CSV lines in generation order.  A row is an entry's flattened
+def _csv_lines(entries: Iterable) -> Iterator[str]:
+    """The CSV lines of catalog entries in generation order.  A row is an entry's flattened
     fields; all entries of one catalog have the same, so the first gives the header."""
     header = None
     for entry in entries:
@@ -391,11 +384,13 @@ def _write(pieces: Iterable[str]) -> None:
 
 
 def _cmd_diff(args) -> tuple[int, dict | None]:
+    from .catalog import diff_files, diff_pieces
+
     try:
-        delta = cat.diff_files(args.catalog_a, args.catalog_b)
+        delta = diff_files(args.catalog_a, args.catalog_b)
     except DomainError as exc:  # a file that cannot be read or is not a catalog
         return EXIT_DIFF_TROUBLE, _error_payload(exc)
-    _write(cat.diff_pieces(delta) if args.format == "json" else _csv_table(_diff_rows(delta)))
+    _write(diff_pieces(delta) if args.format == "json" else _csv_table(_diff_rows(delta)))
     return (EXIT_DIFFERENT if delta["only_in_a"] or delta["only_in_b"] else EXIT_OK), None
 
 
@@ -409,117 +404,121 @@ def _diff_rows(delta: dict[str, list[str]]) -> Iterator[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly; an argument builder adds a subcommand's arguments to ``p``
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="chowkit",
-        description="Exact Chern-character calculator and enumeration toolkit "
-        "for sheaf invariants on P^2 and P^3.",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default=None,
-        help="output format on stdout (default json)",
-    )
-    parser.add_argument(
-        "--config", default=None, metavar="FILE",
-        help="key=value file presetting grid ranges; flags override it",
-    )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="SUBCOMMAND").add_parser
+def _required(p, **types) -> None:
+    """A required ``--name`` option of each given type, in order."""
+    for name, type_ in types.items():
+        p.add_argument("--" + name, type=type_, required=True)
 
-    p = sub("todd", help="Todd class of P^2 or P^3")
-    p.add_argument("--dim", type=int, required=True)
-    p.set_defaults(handler=_cmd_todd)
 
-    p = sub("chern", help="convert between Chern classes and characters")
-    p.add_argument("--dim", type=int, required=True)
+def _chern_args(p) -> None:
+    _required(p, dim=int)
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument("--classes", type=_int_list, metavar="R,C1,C2[,C3]")
     given.add_argument("--character", type=_components, metavar="CH0,CH1,...")
-    p.set_defaults(handler=_cmd_chern)
 
-    p = sub("euler", help="Riemann-Roch Euler characteristic")
-    p.add_argument("--character", type=_components, required=True,
-                   metavar="CH0,CH1,...")
-    p.set_defaults(handler=_cmd_euler)
 
-    p = sub("restrict", help="restrict a P^3 character to a hyperplane")
-    p.add_argument("--character", type=_components, required=True,
-                   metavar="CH0,CH1,CH2,CH3")
-    p.set_defaults(handler=_cmd_restrict)
+def _character_args(metavar: str):
+    return lambda p: p.add_argument("--character", type=_components, required=True,
+                                    metavar=metavar)
 
-    p = sub("bound", help="cohomology / Euler / ch_3 bound report")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--ch2", type=parse_rational, required=True)
+
+def _bound_args(p) -> None:
+    _required(p, rank=int, c1=int, ch2=parse_rational)
     p.add_argument("--b", type=_int_list, default=None, metavar="B1,B2,...",
                    help="splitting type; omitted = worst case")
     p.add_argument("--literal", action="store_true",
                    help="reproduce raw formulas without clamping at 0")
-    p.set_defaults(handler=_cmd_bound)
 
-    p = sub("enumerate-c3", help="admissible c_3 interval under the ch_3 bound")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p.set_defaults(handler=_cmd_enumerate_c3)
 
-    p = sub("splitting-types", help="enumerate splitting types in the magnitude box")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--c1", type=int, required=True)
+def _splitting_types_args(p) -> None:
+    _required(p, rank=int, c1=int)
     p.add_argument("--reflexive-gap", action=argparse.BooleanOptionalAction,
                    default=True, help="apply the gap <= 2 filter")
-    p.set_defaults(handler=_cmd_splitting_types)
 
-    p = sub("resolution", help="two-term resolution shapes for (c2, s)")
-    p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+
+def _resolution_args(p) -> None:
+    _required(p, c2=int, s=int)
     p.add_argument("--verify", action="store_true",
                    help="also check the Chern-character identity")
-    p.set_defaults(handler=_cmd_resolution)
 
-    p = sub("monad", help="linear monad shape for (rank, degree, ch2)")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--ch2", type=parse_rational, required=True)
-    p.set_defaults(handler=_cmd_monad)
 
-    p = sub("partitions", help="partition types of a given total length")
-    p.add_argument("--total", type=int, required=True)
-    p.set_defaults(handler=_cmd_partitions)
+def _catalog_args(p) -> None:
+    """The ``KIND`` level: each catalog kind with its parameters, and ``diff``."""
+    from .catalog import CATALOG_KINDS
 
-    p = sub("catalog", help="batch generation and comparison of catalogs")
-    catalog_sub = p.add_subparsers(dest="catalog_command", required=True,
-                                   metavar="KIND")
+    kinds = {name: (kind.help, partial(_kind_args, params=kind.params), _cmd_catalog)
+             for name, kind in CATALOG_KINDS.items()}
+    kinds["diff"] = ("compare two catalog files", _diff_args, _cmd_diff)
+    _add_subcommands(p, "catalog_command", "KIND", kinds)
 
-    for name, kind in cat.CATALOG_KINDS.items():
-        c = catalog_sub.add_parser(name, help=kind.help)
-        for key, type_, _ in kind.params:
-            read, metavar = _READERS[type_]
-            c.add_argument("--" + key, type=read, metavar=metavar)
-        c.add_argument("--output", metavar="FILE")
-        c.set_defaults(handler=_cmd_catalog)
 
-    c = catalog_sub.add_parser("diff", help="compare two catalog files")
-    c.add_argument("catalog_a")
-    c.add_argument("catalog_b")
-    c.set_defaults(handler=_cmd_diff)
+def _kind_args(p, params) -> None:
+    for key, type_, _ in params:
+        read, metavar = _READERS[type_]
+        p.add_argument("--" + key, type=read, metavar=metavar)
+    p.add_argument("--output", metavar="FILE")
 
+
+def _diff_args(p) -> None:
+    p.add_argument("catalog_a")
+    p.add_argument("catalog_b")
+
+
+# each subcommand: its help, its argument builder, and its handler (a catalog
+# command's handler is set on the KIND level)
+_SUBCOMMANDS = {
+    "todd": ("Todd class of P^2 or P^3", lambda p: _required(p, dim=int), _cmd_todd),
+    "chern": ("convert between Chern classes and characters", _chern_args, _cmd_chern),
+    "euler": ("Riemann-Roch Euler characteristic", _character_args("CH0,CH1,..."), _cmd_euler),
+    "restrict": ("restrict a P^3 character to a hyperplane",
+                 _character_args("CH0,CH1,CH2,CH3"), _cmd_restrict),
+    "bound": ("cohomology / Euler / ch_3 bound report", _bound_args, _cmd_bound),
+    "enumerate-c3": ("admissible c_3 interval under the ch_3 bound",
+                     lambda p: _required(p, rank=int, c1=int, c2=int), _cmd_enumerate_c3),
+    "splitting-types": ("enumerate splitting types in the magnitude box",
+                        _splitting_types_args, _cmd_splitting_types),
+    "resolution": ("two-term resolution shapes for (c2, s)", _resolution_args, _cmd_resolution),
+    "monad": ("linear monad shape for (rank, degree, ch2)",
+              lambda p: _required(p, rank=int, degree=int, ch2=parse_rational), _cmd_monad),
+    "partitions": ("partition types of a given total length",
+                   lambda p: _required(p, total=int), _cmd_partitions),
+    "catalog": ("batch generation and comparison of catalogs", _catalog_args, None),
+}
+
+
+def _add_subcommands(parser: argparse.ArgumentParser, dest: str, metavar: str,
+                     table: dict) -> None:
+    """A required subcommand level: each name in ``table`` with its help and
+    handler, and the function that adds its arguments once it is chosen."""
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name, (help_text, build, handler) in table.items():
+        sub.add_parser(name, help=help_text, build=build).set_defaults(handler=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="chowkit", description="Exact Chern-character calculator and "
+                     "enumeration toolkit for sheaf invariants on P^2 and P^3.")
+    parser.add_argument("--format", choices=("json", "csv"), default=None,
+                        help="output format on stdout (default json)")
+    parser.add_argument("--config", default=None, metavar="FILE",
+                        help="key=value file presetting grid ranges; flags override it")
+    _add_subcommands(parser, "command", "SUBCOMMAND", _SUBCOMMANDS)
     return parser
 
 
-# the format and every catalog kind's parameters, so one file serves every kind
-_CONFIG_KEYS = {"format", *(key for kind in cat.CATALOG_KINDS.values() for key, _, _ in kind.params)}
-
-
 def _read_config(path: str) -> dict[str, str]:
+    from .catalog import CATALOG_KINDS
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}")
+    # the format and every catalog kind's parameters, so one file serves every kind
+    keys = {"format", *(key for kind in CATALOG_KINDS.values() for key, _, _ in kind.params)}
     config = {}
     for line in lines:
         line = line.strip()
@@ -528,7 +527,7 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"malformed config line: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r} in {path!r}")
         config[key] = value
     return config

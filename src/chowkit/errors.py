@@ -22,7 +22,8 @@ class DimensionMismatchError(DomainError):
 
 
 class IntegralityError(DomainError):
-    """A quantity that must be an integer (rank, Chern class) is not."""
+    """A quantity that must be an integer (rank, Chern class), or an exact
+    rational (an int, a Fraction or a "p/q" string), is not."""
 
 
 def check_integer(name: str, value: object) -> None:

@@ -25,6 +25,8 @@ from .resolutions import Term, format_term
 
 def is_normalized(r: int, d: int) -> bool:
     """True iff -r + 1 <= d <= 0; requires a positive rank."""
+    check_integer("rank", r)
+    check_integer("degree", d)
     if r <= 0:
         raise InadmissibleParameterError(f"rank must be positive, got {r}")
     return -r + 1 <= d <= 0
@@ -138,9 +140,14 @@ class PartitionType:
     parts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        try:
+            parts = [tuple(part) for part in self.parts]
+        except TypeError:  # not a sequence of sequences
+            raise InadmissibleParameterError(
+                f"partition type {self.parts!r} must be a sequence of partitions"
+            ) from None
         canonical = []
-        for part in self.parts:
-            entries = tuple(part)
+        for part, entries in zip(self.parts, parts):
             # a bool would pass as 1 and a float as its value
             if len(entries) == 0 or any(type(x) is not int or x < 1 for x in entries):
                 raise InadmissibleParameterError(

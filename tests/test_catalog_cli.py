@@ -901,6 +901,20 @@ def test_cli_config_unknown_key_is_a_usage_error(tmp_path, capsys):
     assert out == run_cli(["catalog", "resolutions", "--c2", "5..6"], capsys)[1]
 
 
+@pytest.mark.parametrize("text, code", [("c2=5..10\n", 0), ("foo=1\n", 2)],
+                         ids=["catalog-key", "unknown-key"])
+def test_cli_config_keys_before_a_character_command(text, code, tmp_path, capsys):
+    """The config keys are every catalog kind's, also ahead of a command that is no catalog."""
+    config = tmp_path / "todd.cfg"
+    config.write_text(text, encoding="utf-8")
+    got = run_cli(["--config", str(config), "todd", "--dim", "3"], capsys)
+    assert got[0] == code
+    if code == 0:
+        assert got == run_cli(["todd", "--dim", "3"], capsys)
+    else:
+        assert got[1:] == ("", f"usage error: unknown config key 'foo' in {str(config)!r}\n")
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [("c2 5..6\n", "malformed config line: 'c2 5..6'"), ("format=xml\n", "bad config format 'xml'")],
@@ -1210,6 +1224,16 @@ GOLDEN_HELP = [
     ("catalog resolutions --help", 155, "9dc8d2217af111a25a2bdf5192c6bbd416f8c3d8ab42374c99e383ac02aab285"),
     ("catalog monads --help", 238, "04bf6ef82b6d7f333eeaae2c397eefd65ddafe7370ed0266c02eb98f76830f61"),
     ("catalog diff --help", 156, "26883c302566e88bf4751f3132779ce35cdec5b060bcc169615abf85e0765ec7"),
+    # the other subcommands, recorded before their arguments were added lazily
+    ("todd --help", 103, "5a43ccc0e3c877e8f467220f73447e5af2bfb11fabec611379fd5e014cdc553d"),
+    ("chern --help", 237, "4ba125c36040649917412df696769dd9d4a5a9ec9b5146c566c43ad6fe065cef"),
+    ("euler --help", 142, "aa6ec468272455cc5c11aaa76b7eafd4a968006cff3128c19ba51de1b394d48a"),
+    ("restrict --help", 153, "69a4068a588ac9e8dc43a4d64663c5f55045da51a20f5b9b9e9bb4736127ea2b"),
+    ("bound --help", 316, "e28ac06625f0d046dc907ebbc7f25b34a829fbcd5f027df5d2814a2385741a97"),
+    ("enumerate-c3 --help", 152, "1a4af6172e4bf2d5e64981a550e73fb64990e2a4e2129ac9911615082cf5c8a0"),
+    ("resolution --help", 184, "b014387e110062a17a11bb1237ad74c1910e70811c43085eeb8539d0568ff649"),
+    ("monad --help", 169, "4c4dd260435ba3eaf3d59dc353e18ba18fcb7bc6a172c5b2176e4184554f2b58"),
+    ("partitions --help", 120, "e6a8b29d7bb249b69e5252f2b4908026365da06cc0e26ddb86b140703a726fc0"),
 ]
 
 
@@ -1222,6 +1246,39 @@ def test_cli_golden_help(argv, size, sha256, monkeypatch):
         assert main(argv.split()) == 0
     text = out.getvalue().encode("utf-8")
     assert (len(text), hashlib.sha256(text).hexdigest()) == (size, sha256)
+
+
+# one argv of each subcommand and catalog kind, and its handler
+PARSED = [
+    ("todd --dim 3", cli._cmd_todd),
+    ("chern --dim 2 --classes 2,0,5", cli._cmd_chern),
+    ("euler --character 1,0,0", cli._cmd_euler),
+    ("restrict --character 2,-1,-9/2,71/6", cli._cmd_restrict),
+    ("bound --rank 2 --c1 -1 --ch2 -9/2 --b 0,-1", cli._cmd_bound),
+    ("enumerate-c3 --rank 2 --c1 -1 --c2 5", cli._cmd_enumerate_c3),
+    ("splitting-types --rank 3 --c1 -1 --no-reflexive-gap", cli._cmd_splitting_types),
+    ("resolution --c2 5 --s 1 --verify", cli._cmd_resolution),
+    ("monad --rank 2 --degree -1 --ch2 -9/2", cli._cmd_monad),
+    ("partitions --total 4", cli._cmd_partitions),
+    ("catalog strata --c2 5..8 --l 0..2", cli._cmd_catalog),
+    ("catalog bounds --rank 3 --c2 5", cli._cmd_catalog),
+    ("catalog resolutions --c2 5..12 --output out.json", cli._cmd_catalog),
+    ("catalog monads --rank-max 2 --charge 0..3", cli._cmd_catalog),
+    ("catalog diff a.json b.json", cli._cmd_diff),
+]
+
+
+def test_build_parser_parses_every_subcommand():
+    """One parser from ``build_parser()`` reads an argv of each subcommand, twice."""
+    parser = cli.build_parser()
+    for _ in range(2):  # the second pass reads subparsers whose arguments are added
+        for argv, handler in PARSED:
+            args = parser.parse_args(argv.split())
+            assert (args.command, args.handler) == (argv.split()[0], handler)
+    args = parser.parse_args(PARSED[4][0].split())
+    assert (args.rank, args.c1, args.ch2, args.b, args.literal) == (2, -1, F(-9, 2), (0, -1), False)
+    args = parser.parse_args(PARSED[11][0].split())
+    assert (args.catalog_command, args.rank, args.c2, args.output) == ("bounds", 3, range(5, 6), None)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,13 @@ def test_twist_rejects_a_k_that_is_not_an_int():
             twist(x, k)
 
 
+@pytest.mark.parametrize("k", [F(1, 2), True, 1.0, None], ids=["half", "bool", "float", "none"])
+def test_line_bundle_rejects_a_k_that_is_not_an_int(k):
+    # ch_line_bundle(3, F(1, 2)) used to return the character of "O(1/2)"
+    with pytest.raises(IntegralityError, match="must be an integer"):
+        ch_line_bundle(3, k)
+
+
 # ---------------------------------------------------------------------------
 # restriction and pushforward
 
@@ -404,8 +411,14 @@ def test_rational_serialization_round_trip():
 
 @pytest.mark.parametrize("value", [1.5, True, None], ids=["float", "bool", "none"])
 def test_as_rational_rejects_a_non_exact_value(value):
-    with pytest.raises(TypeError, match="cannot interpret"):
+    with pytest.raises(IntegralityError, match="cannot interpret"):
         as_rational(value)
+
+
+def test_parse_rational_rejects_a_value_that_is_not_a_string():
+    # it used to end in AttributeError
+    with pytest.raises(IntegralityError, match="cannot interpret None"):
+        parse_rational(None)
 
 
 @given(st.fractions())

@@ -175,6 +175,10 @@ def test_monad_shape_rejections():
         (monad_shape, (F(2), 0, 0)),
         (charge, (2, -1.0, 0)),
         (charge, (True, 0, 0)),
+        # is_normalized(True, 0) and (2.0, -1) used to answer True
+        (is_normalized, (True, 0)),
+        (is_normalized, (2.0, -1)),
+        (is_normalized, (2, F(-1, 2))),
         (partition_types, (2.0,)),
         (partition_types, (True,)),
         (partition_types, (-1.0,)),
@@ -210,6 +214,13 @@ def test_partition_type_canonicalization():
 def test_partition_type_rejects_bad_parts(parts):
     # a bool would pass as the part 1 and a float as its value
     with pytest.raises(InadmissibleParameterError, match="must consist of positive integers"):
+        PartitionType(parts)
+
+
+@pytest.mark.parametrize("parts", [(1,), 5], ids=["ints", "int"])
+def test_partition_type_rejects_parts_that_are_not_sequences(parts):
+    # these used to end in a bare TypeError
+    with pytest.raises(InadmissibleParameterError, match="must be a sequence of partitions"):
         PartitionType(parts)
 
 
