@@ -114,6 +114,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _check_dimension(n: int) -> None:
+    check_integer("ambient dimension", n)  # 3.0 == 3, but is no dimension
     if n not in SUPPORTED_DIMENSIONS:
         raise UnsupportedDimensionError(f"ambient dimension must be 2 or 3, got {n}")
 

@@ -116,10 +116,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"not a comma-separated integer list: {text!r}")
+    return tuple(int(part) for part in text.split(","))
 
 
 def _components(text: str) -> tuple[Fraction, ...]:

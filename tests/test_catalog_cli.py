@@ -353,6 +353,14 @@ def test_cli_bound_rejects_a_splitting_type_of_another_rank(capsys):
     assert err == ""
 
 
+def test_cli_bound_rejects_a_splitting_type_that_is_not_integers(capsys):
+    code, out, err = run_cli(
+        ["bound", "--rank", "2", "--c1", "0", "--ch2", "0", "--b", "1,x"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "chowkit bound: error: argument --b: invalid _int_list value: '1,x'"
+
+
 def test_cli_euler_and_restrict(capsys):
     # chi = 71/6 + 2(-9/2) + (11/6)(-1) + 2 = 3
     code, out, _ = run_cli(["euler", "--character", "2,-1,-9/2,71/6"], capsys)

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -387,6 +388,39 @@ def test_readers_reject_values_with_one_message(case, field):
             read(text)
 
 
+# each key or value the writer rejects, as one map, and the start of its message
+WRITER_ERRORS = {
+    "int key": ({1: 5}, "catalog keys must be strings: "),
+    "mixed keys": ({"c2": 5, 1: 5}, "catalog keys must be strings: "),
+    "rational look-alike": ({"x": "1/2"}, "string value '1/2' would be parsed back as a rational"),
+    "unhashable": ({"x": [5]}, "unsupported catalog value [5]"),
+}
+
+
+@pytest.mark.parametrize("field", ["inputs", "outputs"])
+@pytest.mark.parametrize("case", sorted(WRITER_ERRORS))
+def test_writer_rejects_keys_and_values_with_one_message(case, field):
+    """The writer raises the same error whether the bad map comes first or
+    after entries whose keys and values repeat."""
+    bad, message = WRITER_ERRORS[case]
+    good = [CatalogEntry("bound", {"c2": 5, "x": v}, {"c2": 5, "x": v}) for v in (5, "a", 5, "a")]
+    bad_entry = CatalogEntry("bound", **{"inputs": {}, "outputs": {}, field: bad})
+    for run in ([bad_entry, *good], [*good, bad_entry]):
+        for write in (serialize_catalog, lambda e: document_pieces(iter(e))):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+                write(run)
+
+
+def test_writer_keeps_equal_values_of_other_types_apart():
+    """1, True and Fraction(1) are equal and hash alike, but each is written
+    as its own type, in inputs and in outputs, first seen or repeated."""
+    values = (1, True, Fraction(1), Fraction(1, 2), "x")
+    catalog = [CatalogEntry("bound", {"c2": c2, "v": v}, {"v": v}) for c2 in (1, 2) for v in values]
+    assert serialize_catalog(catalog) == reference_catalog(catalog)
+    count, pieces = document_pieces(iter(catalog))
+    assert (count, "".join(pieces)) == (len(catalog), reference_catalog(catalog))
+
+
 # ---------------------------------------------------------------------------
 # entries: read-only maps, shared when given as one
 
@@ -424,22 +458,32 @@ def test_equal_entries_hash_equal():
 
 
 def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
-    encoded = []
-    encode = catalog_module._encode_map
+    """The shared outputs map of each (c2, s) is encoded once, and each
+    distinct inputs item (key, type, value) of the document once."""
+    maps, values = [], []
+    encode_map, encode_value = catalog_module._encode_map, catalog_module._encode_value
 
-    def counting(mapping):
-        encoded.append(mapping)
-        return encode(mapping)
+    def counting_map(mapping, *encode_item):
+        maps.append(mapping)
+        return encode_map(mapping, *encode_item)
+
+    def counting_value(value):
+        values.append((type(value), value))
+        return encode_value(value)
 
     entries = list(CATALOG_KINDS["strata"].generate(range(5, 13), range(0, 4)))
-    monkeypatch.setattr(catalog_module, "_encode_map", counting)
+    monkeypatch.setattr(catalog_module, "_encode_map", counting_map)
+    monkeypatch.setattr(catalog_module, "_encode_value", counting_value)
     serialize_catalog(entries)
     pairs = sorted({(e.inputs["c2"], e.inputs["s"]) for e in entries})
     assert (len(entries), len(pairs)) == (143, 13)
-    outputs = [m for m in encoded if "c3" in m]
-    assert [m for m in encoded if "partition" in m] == [e.inputs for e in entries]
-    assert len(outputs) == len(encoded) - len(entries) == len(pairs)
-    assert len({id(m) for m in outputs}) == len(pairs)
+    outputs = [m for m in maps if "c3" in m]
+    assert len(outputs) == len({id(m) for m in outputs}) == len(pairs)
+    items = {(k, type(v), v) for e in entries for k, v in e.inputs.items()}
+    expected = Counter((type(v), v) for m in outputs for v in m.values())
+    expected.update((t, v) for _, t, v in items)
+    assert Counter(values) == expected
+    assert len(values) == 6 * len(pairs) + len(items)
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,17 @@ def test_chern_conversion_requires_matching_c3():
         chern_to_character(ChernClasses(2, 0, 1, 0), 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: todd(3.0),
+    lambda: ChernCharacter(2.0, (1, 0, 0)),
+    lambda: ch_line_bundle(2.0, 1),
+], ids=["todd", "character", "line-bundle"])
+def test_ambient_dimension_that_is_not_an_int_is_rejected(build):
+    # 3.0 passed the old `n in (2, 3)` test by equality
+    with pytest.raises(IntegralityError, match="^ambient dimension must be an integer, got "):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # value plumbing
 

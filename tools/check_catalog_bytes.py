@@ -6,7 +6,7 @@ Usage:
 
 The commands run as ``python -m chowkit`` with this checkout's ``src`` on
 ``PYTHONPATH``, as the benchmark runs them.
-CHECKS is one table of 22 rows, each (argv, output, size, sha256, exit code,
+CHECKS is one table of 23 rows, each (argv, output, size, sha256, exit code,
 stdin).  The output is a file name, written with ``--output`` in a fresh
 temporary directory, or "-" for stdout.  Every command runs in that
 directory, so ``catalog diff a.json b.json`` reads the two catalogs written
@@ -78,6 +78,10 @@ CHECKS = [
           "b9205b8cd59da1d324dab13c590f7122728f6571593f19e025db1c58d011303f"),
     Check(("catalog", "diff", "resolutions-large.json", "resolutions-1999.json"), "-", 17459,
           "ea205b5ebd0246ab18ec5e21ab0ee5bb1bebf8113352b6dfae4bb9eaeeebcda0", 1),
+    # a strata grid of 8,425 entries whose 5 (c2, s) pairs share 1,685
+    # partition labels: the writer's widest inputs memo
+    Check(("catalog", "strata", "--c2", "5..8", "--l", "0..10"), "strata-wide.json", 2884065,
+          "71dc853ceb766bfb4e961fc66d791c86a96c8714b163afb2884d88acb59d54b6"),
     # a strata grid of 55,056 entries through the file writer, the chunked
     # stdout writer and the row-by-row CSV writer
     Check(_LARGE_STRATA, "strata-large.json", *_LARGE_STRATA_JSON),
