@@ -14,28 +14,32 @@ Value encoding inside the ``inputs``/``outputs`` maps:
 * any other string stays a string, provided it cannot be mistaken for a
   rational (the serializer enforces this).
 
+The codec's unit is one map item, ``(key, value)``, and each direction
+keeps one bounded cache of items, over every document a process writes or
+reads, built on the one value encoder :func:`_encode_value`: the writer's
+:func:`_item_texts` maps an item to its compact and indented JSON texts, the
+reader's :func:`_decoded_item` maps a raw JSON item to its key, its value
+and the same two texts.  Each keeps at most ``_ITEM_CACHE_SIZE`` items, so
+a document whose items never repeat costs its encoding, never memory.
+
 Writing streams: :func:`document_pieces` encodes each entry once into a
 sort row, sorts the rows and yields the document piece by piece in
 canonical order, so its peak memory is the sort rows (about the size of the
-document), never a copy of the whole document.  A document encodes each
-distinct inputs item (key, type, value) once, through a memo that lives for
-the call and holds the texts of those items: 472 for strata c2 5..20 by
-l 0..8, 2,040 for resolutions c2 5..2000.  Inputs that do not repeat cost
-the memo on top of the sort rows.  :func:`serialize_catalog` joins the same
-pieces into one string.
+document), never a copy of the whole document.  Inputs items go through the
+writer's cache; outputs maps, which seldom repeat, are encoded afresh, once
+for each run of entries that share one.  :func:`serialize_catalog` joins
+the same pieces into one string.
 
 Generation: :data:`CATALOG_KINDS` is the table of the kinds ``chowkit
 catalog <kind>`` builds, each with the kind tag of its entries and the
 generator that yields them.
 
-Reading goes through one value decoder, which maps each raw JSON value to
-its value and its canonical JSON text (the writer's :func:`_encode_value`);
-it keeps at most ``_STRING_CACHE_SIZE`` decoded strings, over every document
-read.  :func:`parse_catalog` builds entries from the values;
+Reading decodes each raw map item through the reader's cache.
+:func:`parse_catalog` builds entries from the values;
 :func:`canonical_lines` joins the texts into each entry's canonical line
 without building the entry.  A file in the layout chowkit writes can also
 be read a chunk at a time: :func:`stream_canonical_lines` cuts each chunk
-into entry blocks and decodes each block alone, through the same decoder
+into entry blocks and decodes each block alone, through the same item cache
 and checks, keeping the lines of the last ``_BLOCK_CACHE_SIZE`` blocks read.
 A diff reads its two files in step, so a block found in both is decoded
 once.
@@ -72,12 +76,15 @@ from .resolutions import admissible_s, format_term, presentation_report, verify_
 
 SCHEMA_VERSION = 1
 
-# decoded strings kept, over every document read: the byte-check grids hold
-# 270 distinct (the benchmark's diff pair), 604 (strata 5..40 x 0..8) and 801
-# (monads r8 0..400), each repeating, and one per value, none repeating, in
-# bounds 0..1000 (4,004) and resolutions 5..2000 (115,190).  Past this size
-# a string costs a regex, never memory.
-_STRING_CACHE_SIZE = 4096
+# map items kept by each direction's cache, over every document written or
+# read.  The writer caches inputs items, which the CLI's grids repeat: 472
+# distinct for strata c2 5..20 by l 0..8, 1,702 for 5..8 by 0..10 and 2,040
+# for resolutions 5..2000.  The reader caches every item: 841 on the
+# benchmark's diff pair, 1,150 in strata 5..40 by 0..8 and 2,828 in monads
+# r8 0..400, each repeating, and one per value, few repeating, in bounds
+# 0..1000 (7,009) and resolutions 5..2000 (347,611).  Past this size an item
+# costs its encoding, never memory.
+_ITEM_CACHE_SIZE = 4096
 
 # entry blocks whose canonical lines are kept, over every file read.  A diff
 # reads its two files in step, so a block of one file is looked up right after
@@ -160,34 +167,38 @@ def _encode_value(value: Any) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, Fraction):
-        return _json_str(rational_str(value))
-    if isinstance(value, str):
+    if isinstance(value, str):  # before Fraction, whose isinstance check is an ABC's
         if _RATIONAL_RE.match(value.strip()):
             raise DomainError(
                 f"string value {value!r} would be parsed back as a rational"
             )
         return _json_str(value)
+    if isinstance(value, Fraction):
+        return _json_str(rational_str(value))
     raise DomainError(f"unsupported catalog value {value!r}")
 
 
-def _encode_item(key: Any, value: Any) -> tuple[str, str]:
-    """The JSON texts of one map item's key and value."""
-    return _json_str(key), _encode_value(value)
+@lru_cache(maxsize=_ITEM_CACHE_SIZE, typed=True)
+def _item_texts(key: Any, value: Any) -> tuple[str, str]:
+    """The compact text ``"k":v`` and the indented text ``"k": v`` of one map item."""
+    key, value = _json_str(key), _encode_value(value)
+    return f"{key}:{value}", f"{key}: {value}"
 
 
 def _encode_map(mapping: Mapping[str, Any],
-                encode_item: Callable[[Any, Any], tuple[str, str]] = _encode_item) -> list:
-    """``encode_item(key, value)`` of each item of one map, sorted by key."""
+                item_texts: Callable[[Any, Any], tuple[str, str]] = _item_texts) -> list:
+    """``item_texts(key, value)`` of each item of one map, sorted by key.
+
+    A map the cache cannot take (a value that cannot be hashed) is encoded
+    again without it, so every error is the encoder's, in the map's order.
+    """
     try:
-        return [encode_item(k, v) for k, v in sorted(mapping.items())]
+        try:
+            return [item_texts(k, v) for k, v in sorted(mapping.items())]
+        except TypeError:  # an unhashable value, or a key that is not a string
+            return [_item_texts.__wrapped__(k, v) for k, v in sorted(mapping.items())]
     except TypeError as exc:  # a key that is not a string
         raise DomainError(f"catalog keys must be strings: {exc}") from exc
-
-
-# the text of one map item, from its key's and its value's texts
-_compact_item = ":".join  # "k":v
-_indented_item = ": ".join  # "k": v
 
 
 def _compact_map(items: Iterable[str]) -> str:
@@ -197,10 +208,7 @@ def _compact_map(items: Iterable[str]) -> str:
 
 def _compact_line(inputs: str, kind: str, outputs: str, version: str) -> str:
     """One entry's canonical line, from its fields' compact JSON texts."""
-    return (
-        '{"inputs":' + inputs + ',"kind":' + kind + ',"outputs":' + outputs
-        + ',"schema_version":' + version + "}"
-    )
+    return f'{{"inputs":{inputs},"kind":{kind},"outputs":{outputs},"schema_version":{version}}}'
 
 
 def _indented_map(items: Iterable[str]) -> str:
@@ -217,6 +225,14 @@ def _indented_block(inputs: str, kind: str, outputs: str, version: str) -> str:
         + ',\n      "outputs": ' + outputs
         + ',\n      "schema_version": ' + version + "\n    }"
     )
+
+
+def _map_texts(mapping: Mapping[str, Any],
+               item_texts: Callable[[Any, Any], tuple[str, str]] = _item_texts) -> tuple[str, str]:
+    """A map's compact text and its indented text in the document."""
+    items = _encode_map(mapping, item_texts)
+    compact, indented = zip(*items) if items else ((), ())
+    return _compact_map(compact), _indented_map(indented)
 
 
 # the document's text around its list of entry blocks
@@ -241,17 +257,15 @@ def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]
     Each entry is encoded once, into a sort row: the compact texts its
     canonical line is joined from (inputs, kind, outputs, version, in the
     line's order) and the indented texts of its inputs and outputs.
-    Each distinct inputs item ``(key, type(value), value)`` is encoded and
-    checked once per call: a memo local to the call keeps its texts, so it
-    holds every distinct inputs item of the document.  The CLI's grids
-    repeat their inputs (472 distinct items of 63,936 for strata c2 5..20
-    by l 0..8, 1,702 of 33,700 for c2 5..8 by l 0..10); a document whose
-    inputs do not repeat keeps the texts of each in the memo as well as in
-    its row.
+    Inputs items go through the writer's item cache, so an item that
+    repeats is encoded and checked once while it stays among the last
+    ``_ITEM_CACHE_SIZE`` items used (the CLI's grids repeat theirs: 472
+    distinct items of 63,936 for strata c2 5..20 by l 0..8), and a document
+    whose inputs never repeat keeps no more than that.
     Consecutive entries that share one outputs map (the same object, as
     the strata generator builds them) share its texts: the texts of the last
-    outputs map are reused while the next entry's map ``is`` it.  Nothing
-    else is remembered, so a map must not change while its entries are
+    outputs map, encoded without the cache, are reused while the next
+    entry's map ``is`` it, so a map must not change while its entries are
     being encoded.
 
     This returns only once every entry is encoded and the rows are sorted,
@@ -262,33 +276,15 @@ def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]
     ``entries`` may be a generator, whose entries are then freed as they
     are encoded.
     """
-    memo: dict = {}  # the compact and indented texts of each inputs item so far
-
-    def encode_input(key: Any, value: Any) -> tuple[str, str]:
-        item = (key, type(value), value)  # so 1, True and Fraction(1) stay apart
-        try:
-            texts = memo.get(item)
-        except TypeError:  # an unhashable value: encoded without the memo
-            item = texts = None
-        if texts is None:
-            texts = _encode_item(key, value)
-            texts = _compact_item(texts), _indented_item(texts)
-            if item is not None:
-                memo[item] = texts
-        return texts
-
     rows = []
     last = None  # the last outputs map; its compact and indented texts follow
     for entry in entries:
-        inputs = _encode_map(entry.inputs, encode_input)
-        inputs, inputs_indented = zip(*inputs) if inputs else ((), ())
+        inputs, inputs_indented = _map_texts(entry.inputs)
         if entry.outputs is not last:
-            outputs = _encode_map(entry.outputs)
-            last, compact, indented = (entry.outputs, _compact_map(map(_compact_item, outputs)),
-                                       _indented_map(map(_indented_item, outputs)))
+            last = entry.outputs
+            compact, indented = _map_texts(last, _item_texts.__wrapped__)
         kind, version = _KIND_TEXT[entry.kind], int.__repr__(entry.schema_version)
-        rows.append((_compact_map(inputs), kind, compact, version,
-                     _indented_map(inputs_indented), indented))
+        rows.append((inputs, kind, compact, version, inputs_indented, indented))
     # No JSON object or string text is a proper prefix of another, and the
     # version is one constant, so the rows sort as their canonical lines do.
     # Descending, so that popping from the end takes them in order.
@@ -303,43 +299,44 @@ def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]
 
 
 # ---------------------------------------------------------------------------
-# decoding: one value decoder turns each raw JSON value into its value and
-# the writer's text of it; the checks on each raw entry are made in one place.
+# decoding: each raw JSON map item is decoded into its value and the writer's
+# texts of it; the checks on each raw entry are made in one place.
 
 
-def _decode(raw: Any) -> tuple[Any, str]:
-    """Raw JSON value -> (catalog value, canonical JSON text)."""
-    if type(raw) is int:
-        return raw, int.__repr__(raw)
-    if isinstance(raw, str):
-        return _decode_string(raw)
-    if isinstance(raw, int):  # bool, or an int subclass
-        return raw, _encode_value(raw)
+@lru_cache(maxsize=_ITEM_CACHE_SIZE, typed=True)
+def _decoded_item(key: str, raw: Any) -> tuple:
+    """(key, value, compact ``"k":v``, indented ``"k": v``) of one raw JSON map item."""
     if isinstance(raw, float):
         raise DomainError(f"floating point value {raw!r} is not allowed in catalogs")
-    raise DomainError(f"unsupported catalog value {raw!r}")
+    value = parse_rational(raw) if isinstance(raw, str) and _RATIONAL_RE.match(raw.strip()) else raw
+    return (key, value, *_item_texts.__wrapped__(key, value))
 
 
-@lru_cache(maxsize=_STRING_CACHE_SIZE)
-def _decode_string(raw: str) -> tuple[Any, str]:
-    """A rational's value, or the string itself, and the writer's text of it."""
-    value = parse_rational(raw) if _RATIONAL_RE.match(raw.strip()) else raw
-    return value, _encode_value(value)
+def _decoded_map(raw: dict) -> list:
+    """The decoded items of one raw JSON object, in the file's order.
+
+    An object the cache cannot take (a value that cannot be hashed) is
+    decoded again without it, so every error is the decoder's, in order.
+    """
+    try:
+        return [_decoded_item(k, v) for k, v in raw.items()]
+    except TypeError:  # an unhashable value
+        return [_decoded_item.__wrapped__(k, v) for k, v in raw.items()]
 
 
 def _decode_entry(data: Mapping[str, Any]) -> tuple:
     """Check one raw entry: (kind, inputs, outputs, schema_version).
 
-    The maps hold the decoder's (value, text) pairs.  The checks run in the
-    order that building a :class:`CatalogEntry` from ``data`` runs them, so
-    a malformed entry raises the same error through every reader.
+    The maps are lists of decoded items, in the file's order.  The checks
+    run in the order that building a :class:`CatalogEntry` from ``data``
+    runs them, so a malformed entry raises the same error through every
+    reader.
     """
     inputs, outputs = data["inputs"], data["outputs"]
     if not isinstance(inputs, dict) or not isinstance(outputs, dict):
         raise DomainError("entry inputs and outputs must be JSON objects")
     kind = data["kind"]
-    inputs = {k: _decode(v) for k, v in inputs.items()}
-    outputs = {k: _decode(v) for k, v in outputs.items()}
+    inputs, outputs = _decoded_map(inputs), _decoded_map(outputs)
     version = data["schema_version"]
     _check_tags(kind, version)
     return kind, inputs, outputs, version
@@ -347,29 +344,16 @@ def _decode_entry(data: Mapping[str, Any]) -> tuple:
 
 def _decoded_entry(data: Mapping[str, Any]) -> CatalogEntry:
     kind, inputs, outputs, version = _decode_entry(data)
-    return CatalogEntry(
-        kind,
-        {k: value for k, (value, _) in inputs.items()},
-        {k: value for k, (value, _) in outputs.items()},
-        version,
-    )
-
-
-def _decoded_pieces(data: Mapping[str, Any]) -> tuple:
-    """Of one raw entry: the JSON text pairs of inputs, kind, outputs, version."""
-    kind, inputs, outputs, version = _decode_entry(data)
-    return (
-        [(_json_str(k), inputs[k][1]) for k in sorted(inputs)],
-        _json_str(kind),
-        [(_json_str(k), outputs[k][1]) for k in sorted(outputs)],
-        int.__repr__(version),
-    )
+    return CatalogEntry(kind, {k: v for k, v, _, _ in inputs},
+                        {k: v for k, v, _, _ in outputs}, version)
 
 
 def _decoded_line(data: Mapping[str, Any]) -> str:
-    inputs, kind, outputs, version = _decoded_pieces(data)
-    return _compact_line(_compact_map(map(_compact_item, inputs)), kind,
-                         _compact_map(map(_compact_item, outputs)), version)
+    # the keys of a JSON object are distinct, so sorting compares keys alone
+    kind, inputs, outputs, version = _decode_entry(data)
+    return _compact_line(_compact_map([item[2] for item in sorted(inputs)]), _json_str(kind),
+                         _compact_map([item[2] for item in sorted(outputs)]),
+                         int.__repr__(version))
 
 
 @contextmanager
@@ -467,13 +451,16 @@ def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
 
 
 def serialize_entry(entry: CatalogEntry) -> str:
-    """Canonical single-line JSON for one entry."""
-    return _compact_line(
-        _compact_map(map(_compact_item, _encode_map(entry.inputs))),
-        _json_str(entry.kind),
-        _compact_map(map(_compact_item, _encode_map(entry.outputs))),
-        int.__repr__(entry.schema_version),
-    )
+    """Canonical single-line JSON for one entry.
+
+    As in :func:`document_pieces`, the inputs items go through the writer's
+    item cache and the outputs, which seldom repeat, are encoded afresh.
+    """
+    inputs = _encode_map(entry.inputs)
+    outputs = _encode_map(entry.outputs, _item_texts.__wrapped__)
+    return _compact_line(_compact_map([compact for compact, _ in inputs]), _json_str(entry.kind),
+                         _compact_map([compact for compact, _ in outputs]),
+                         int.__repr__(entry.schema_version))
 
 
 def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
@@ -575,10 +562,11 @@ def diff_pieces(delta: Mapping[str, list[str]]) -> Iterator[str]:
     """
 
     def blocks(lines: list[str]) -> Iterator[str]:
-        for line in lines:
-            inputs, kind, outputs, version = _decoded_pieces(json.loads(line))
-            yield _indented_block(_indented_map(map(_indented_item, inputs)), kind,
-                                  _indented_map(map(_indented_item, outputs)), version)
+        for line in lines:  # a canonical line's keys are sorted
+            kind, inputs, outputs, version = _decode_entry(json.loads(line))
+            yield _indented_block(_indented_map([item[3] for item in inputs]), _json_str(kind),
+                                  _indented_map([item[3] for item in outputs]),
+                                  int.__repr__(version))
 
     a, b = delta["only_in_a"], delta["only_in_b"]
     yield '{\n  "identical": ' + ("false" if a or b else "true") + ',\n  "only_in_a": '
@@ -599,6 +587,8 @@ def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
 
 def _bounds_entries(r: int, c1: int, c2_range: range) -> Iterator[CatalogEntry]:
     """One "bound" entry per c2: the ch_3 bound and the admissible c3 interval."""
+    check_integer("rank", r)
+    check_integer("c_1", c1)  # before its first use, in ch_2
     for c2 in c2_range:
         ch2 = _ch2_of_classes(c1, c2)
         report = bound_report(r, c1, ch2)

@@ -73,14 +73,18 @@ _RIEMANN_ROCH_WEIGHTS = {
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
 
-    Anything else (a float, a bool, None) raises :class:`IntegralityError`.
+    Anything else (a float, a bool, None, a malformed string) raises
+    :class:`IntegralityError`.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return parse_rational(value)
+        try:
+            return parse_rational(value)
+        except ValueError:
+            pass  # a malformed string
     raise IntegralityError(f"cannot interpret {value!r} as an exact rational")
 
 

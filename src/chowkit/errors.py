@@ -4,6 +4,13 @@ Every exception that reports a *domain* problem (bad invariants, values
 outside the supported range, inconsistent inputs) derives from
 :class:`DomainError`, so callers -- in particular the command line front
 end -- can distinguish domain failures from usage mistakes.
+
+The contract for scalar parameters, those annotated ``int`` or
+``RationalLike``: any bad value (a float, a bool, None, a malformed string,
+a Fraction where an int is wanted) raises a :class:`DomainError` subclass,
+never a bare ``ValueError`` or ``TypeError``.  A parameter that takes an
+object of some class may raise ``TypeError`` (or ``AttributeError``) when
+given an object of the wrong class, as any Python function does.
 """
 
 from __future__ import annotations

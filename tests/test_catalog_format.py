@@ -257,7 +257,8 @@ def test_block_reader_across_chunk_boundaries(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the value decoder: one bounded cache of strings, shared by every reader
+# the item caches: one bounded cache of map items for the readers, and one for
+# the writer
 
 
 def _read_every_way(text):
@@ -277,28 +278,70 @@ def _read_every_way(text):
 
 def test_readers_do_not_depend_on_the_decoder_cache():
     """The same results with the cache cleared, warm, and emptied of the
-    document's strings by more distinct strings than it holds."""
+    document's map items by more distinct items than it holds."""
     text = serialize_catalog(chain(
         CATALOG_KINDS["strata"].generate(range(5, 7), range(0, 4)),  # repeated strings
         CATALOG_KINDS["bounds"].generate(2, -1, range(0, 6)),  # rationals
         CATALOG_KINDS["resolutions"].generate(range(5, 8)),  # terms and bools
     ))
-    cache = catalog_module._decode_string
+    cache = catalog_module._decoded_item
     cache.cache_clear()
     cold = _read_every_way(text)
     first = cache.cache_info()
     assert first.hits > 0 and 0 < first.currsize < first.maxsize
     warm = _read_every_way(text)
     assert cache.cache_info().misses == first.misses
-    filler = (CatalogEntry("bound", {"c2": i}, {"label": f"filler {i}"})
+    filler = (CatalogEntry("bound", {"filler": i}, {"label": f"filler {i}"})
               for i in range(first.maxsize + 1))
     canonical_lines(serialize_catalog(filler))
     filled = cache.cache_info()
     assert filled.currsize == first.maxsize
     evicted = _read_every_way(text)
-    # every string of the document was decoded afresh
+    # every item of the document was decoded afresh
     assert cache.cache_info().misses - filled.misses == first.misses
     assert cold == warm == evicted
+
+
+def test_writer_does_not_depend_on_the_item_cache():
+    """The same bytes with the writer's cache cleared, warm, and emptied of
+    the catalog's inputs items by more distinct items than it holds."""
+    catalog = list(chain(
+        CATALOG_KINDS["strata"].generate(range(5, 7), range(0, 4)),  # repeated inputs
+        CATALOG_KINDS["bounds"].generate(2, -1, range(0, 6)),  # rationals
+        CATALOG_KINDS["resolutions"].generate(range(5, 8)),  # terms and bools
+        [CatalogEntry("bound", {"c2": 1, "v": v}, {"v": v}) for v in (1, True, Fraction(1))],
+    ))
+
+    def write_every_way():
+        return (serialize_catalog(catalog), [serialize_entry(e) for e in catalog])
+
+    cache = catalog_module._item_texts
+    cache.cache_clear()
+    cold = write_every_way()
+    first = cache.cache_info()
+    assert first.hits > 0 and 0 < first.currsize < first.maxsize
+    warm = write_every_way()
+    assert cache.cache_info().misses == first.misses
+    document_pieces(CatalogEntry("bound", {"filler": i}, {}) for i in range(first.maxsize + 1))
+    filled = cache.cache_info()
+    assert filled.currsize == first.maxsize
+    evicted = write_every_way()
+    # every item of the catalog was encoded afresh
+    assert cache.cache_info().misses - filled.misses == first.misses
+    assert cold == warm == evicted
+    assert cold[0] == reference_catalog(catalog)
+
+
+def test_writer_cache_stays_bounded_on_inputs_that_do_not_repeat():
+    """A document whose inputs never repeat keeps at most the cache's size
+    of items, and is written as the reference writes it."""
+    cache = catalog_module._item_texts
+    size = cache.cache_info().maxsize
+    catalog = [CatalogEntry("bound", {"c2": i, "label": f"x{i}", "q": Fraction(i, 7)}, {"n": 1})
+               for i in range(size)]  # 3 x size distinct inputs items
+    count, pieces = document_pieces(iter(catalog))
+    assert cache.cache_info().currsize <= size
+    assert (count, "".join(pieces)) == (len(catalog), reference_catalog(catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +502,14 @@ def test_equal_entries_hash_equal():
 
 def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
     """The shared outputs map of each (c2, s) is encoded once, and each
-    distinct inputs item (key, type, value) of the document once."""
+    distinct inputs item (key, type, value) of the document once, from a
+    cleared item cache."""
     maps, values = [], []
     encode_map, encode_value = catalog_module._encode_map, catalog_module._encode_value
 
-    def counting_map(mapping, *encode_item):
+    def counting_map(mapping, *item_texts):
         maps.append(mapping)
-        return encode_map(mapping, *encode_item)
+        return encode_map(mapping, *item_texts)
 
     def counting_value(value):
         values.append((type(value), value))
@@ -474,6 +518,7 @@ def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
     entries = list(CATALOG_KINDS["strata"].generate(range(5, 13), range(0, 4)))
     monkeypatch.setattr(catalog_module, "_encode_map", counting_map)
     monkeypatch.setattr(catalog_module, "_encode_value", counting_value)
+    catalog_module._item_texts.cache_clear()
     serialize_catalog(entries)
     pairs = sorted({(e.inputs["c2"], e.inputs["s"]) for e in entries})
     assert (len(entries), len(pairs)) == (143, 13)

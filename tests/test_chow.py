@@ -420,7 +420,8 @@ def test_rational_serialization_round_trip():
         parse_rational("3/0")
 
 
-@pytest.mark.parametrize("value", [1.5, True, None], ids=["float", "bool", "none"])
+@pytest.mark.parametrize("value", [1.5, True, None, "x", "1/0"],
+                         ids=["float", "bool", "none", "malformed", "zero-denominator"])
 def test_as_rational_rejects_a_non_exact_value(value):
     with pytest.raises(IntegralityError, match="cannot interpret"):
         as_rational(value)

@@ -15,6 +15,8 @@ sympy expansion proves it for every input:
   GL(v) x GL(w) x GL(u) is -chi(F, F) = 2rc + d^2 + dr - r^2, in (r, d, c);
 * on P^3, a complex E with H^-1(E) = F (rank 2, c_1 = -1) and H^0(E) = Q of
   length l has chi(E, E) = chi(F, F) = 6 - 8c_2, in (c_2, c_3, l);
+* c_3 of the resolved sheaf meets Hartshorne's constraints for c_1 = -1,
+  on the whole admissible region;
 * the n!-scaled integer tuples the runtime checks compare are n! times the
   rational characters;
 * the scaled-integer numerators of the P^3 bounds over their denominators
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from chowkit import bounds, chow, monads, resolutions
+from chowkit import bounds, catalog, chow, monads, resolutions
 
 C2, C3, S = sp.symbols("c2 c3 s", integer=True)
 R, D, C, CH2 = sp.symbols("r d c ch2")
@@ -117,6 +119,24 @@ def test_library_terms_are_strictly_descending():
     assert certified_nonnegative((-S - 1) - (S - C2) - 1)
     # -s - 1 < -2 on the branch s >= 2; at s = 1 the two merge
     assert sp.expand((-2 - (-S - 1) - 1).subs(ADMISSIBLE[1])) == A
+
+
+def test_resolution_c3_meets_hartshornes_constraints():
+    """c_3 of every resolution entry is one a stable rank-2 reflexive sheaf
+    with c_1 = -1 can have (Hartshorne, "Stable reflexive sheaves", 1980):
+    c_3 > 0, c_3 = c_1 c_2 (mod 2) and c_3 <= c_2^2, on the whole admissible
+    region."""
+    c3 = resolutions._c3_formula(C2, S)
+    assert certified_nonnegative(c3 - 1)
+    # c_3 - c_1 c_2 is twice an integer: c_2 (c_2 + 1) is even
+    assert sp.expand(c3 + C2 - 2 * (C2 * (C2 + 1) / 2 + S * (S + 1 - C2))) == 0
+    # c_2^2 - c_3 = 2 s (c_2 - s - 1)
+    assert sp.expand(C2**2 - c3 - 2 * S * (C2 - S - 1)) == 0
+    assert certified_nonnegative(S * (C2 - S - 1))
+    # the entries carry that c_3
+    for entry in catalog.CATALOG_KINDS["resolutions"].generate(range(5, 40)):
+        c2, c3 = entry.inputs["c2"], entry.outputs["c3"]
+        assert 0 < c3 <= c2 * c2 and (c3 + c2) % 2 == 0, entry
 
 
 def sections_of_hom(source, target):

@@ -6,7 +6,7 @@ Usage:
 
 The commands run as ``python -m chowkit`` with this checkout's ``src`` on
 ``PYTHONPATH``, as the benchmark runs them.
-CHECKS is one table of 23 rows, each (argv, output, size, sha256, exit code,
+CHECKS is one table of 25 rows, each (argv, output, size, sha256, exit code,
 stdin).  The output is a file name, written with ``--output`` in a fresh
 temporary directory, or "-" for stdout.  Every command runs in that
 directory, so ``catalog diff a.json b.json`` reads the two catalogs written
@@ -100,6 +100,12 @@ CHECKS = [
     # the large grid against itself: every entry block is found in both files
     Check(("catalog", "diff", "strata-large.json", "strata-large.json"), "-", 62,
           "4b4f05c2775127608b7ff11316331aa23a0061075ad0fbe2cdaa557708e96454"),
+    # the strata grid past the benchmark's c2, and its diff against the
+    # benchmark's strata catalog: no entry is found in both files
+    Check(("catalog", "strata", "--c2", "21..40", "--l", "0..8"), "strata-high.json", 13602049,
+          "ff500fec76dccc5eebf4bb9031e7c680a8846868fb89c484f4966532fdd42a35"),
+    Check(("catalog", "diff", "strata.json", "strata-high.json"), "-", 19085255,
+          "6e0743b074f5ef1de5c8349edd1dbc2dd71962bd8fa6b1f5ffbf60903e09a123", 1),
 ]
 
 
