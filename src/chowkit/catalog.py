@@ -61,7 +61,6 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -70,7 +69,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextI
 
 from .bounds import _c3_interval, _ch2_of_classes, bound_report
 from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
-from .errors import DomainError, InadmissibleParameterError, check_integer
+from .errors import DomainError, InadmissibleParameterError, Value, check_integer
 from .monads import monad_shape, partition_types
 from .resolutions import admissible_s, format_term, presentation_report, verify_resolution_chern
 
@@ -110,8 +109,7 @@ def _check_tags(kind: Any, schema_version: Any) -> None:
     _check_version(schema_version, "entry")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Value):
     """One computed record: a kind tag plus input and output maps.
 
     The maps are read-only ``types.MappingProxyType`` views.  Any other
@@ -121,15 +119,12 @@ class CatalogEntry:
     all the entries of one (c2, s) the same outputs map).
     """
 
-    kind: str
-    inputs: Mapping[str, Any]
-    outputs: Mapping[str, Any]
-    schema_version: int = SCHEMA_VERSION
+    __slots__ = ("kind", "inputs", "outputs", "schema_version")
 
-    def __post_init__(self) -> None:
-        _check_tags(self.kind, self.schema_version)
-        object.__setattr__(self, "inputs", _read_only(self.inputs))
-        object.__setattr__(self, "outputs", _read_only(self.outputs))
+    def __init__(self, kind: str, inputs: Mapping[str, Any], outputs: Mapping[str, Any],
+                 schema_version: int = SCHEMA_VERSION) -> None:
+        _check_tags(kind, schema_version)
+        self._store(kind, _read_only(inputs), _read_only(outputs), schema_version)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatalogEntry):
@@ -139,7 +134,7 @@ class CatalogEntry:
         return serialize_entry(self) == serialize_entry(other)
 
     def __hash__(self) -> int:
-        # the generated hash would hash the read-only maps, which have none
+        # a hash of the fields would hash the read-only maps, which have none
         return hash(serialize_entry(self))
 
 

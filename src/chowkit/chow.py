@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Union
@@ -43,6 +42,7 @@ from .errors import (
     DimensionMismatchError,
     IntegralityError,
     UnsupportedDimensionError,
+    Value,
     check_integer,
 )
 
@@ -130,8 +130,7 @@ def _check_same_space(a: "ChernCharacter", b: "ChernCharacter") -> None:
         )
 
 
-@dataclass(frozen=True)
-class ChernCharacter:
+class ChernCharacter(Value):
     """Chern character (ch_0, ..., ch_n) of a sheaf-like class on P^n.
 
     ch_0 is the rank and must be integer-valued; the remaining components
@@ -140,20 +139,19 @@ class ChernCharacter:
     require honest sheaf ranks reject it themselves.
     """
 
-    ambient_dim: int
-    components: tuple[Fraction, ...]
+    __slots__ = ("ambient_dim", "components")
 
-    def __post_init__(self) -> None:
-        _check_dimension(self.ambient_dim)
-        comps = tuple(map(as_rational, self.components))
-        object.__setattr__(self, "components", comps)
-        if len(comps) != self.ambient_dim + 1:
+    def __init__(self, ambient_dim: int, components: tuple[Fraction, ...]) -> None:
+        _check_dimension(ambient_dim)
+        comps = tuple(map(as_rational, components))
+        if len(comps) != ambient_dim + 1:
             raise DimensionMismatchError(
-                f"character on P^{self.ambient_dim} needs "
-                f"{self.ambient_dim + 1} components, got {len(comps)}"
+                f"character on P^{ambient_dim} needs "
+                f"{ambient_dim + 1} components, got {len(comps)}"
             )
         if comps[0].denominator != 1:
             raise IntegralityError(f"ch_0 must be an integer, got {comps[0]}")
+        self._store(ambient_dim, comps)
 
     @classmethod
     def of(cls, ambient_dim: int, *components: RationalLike) -> "ChernCharacter":
@@ -204,12 +202,11 @@ class ChernCharacter:
 def _exact_character(n: int, components: tuple[Fraction, ...]) -> ChernCharacter:
     """A character whose components are already exact, with an integer ch_0.
 
-    Skips the coercion and checks of ``ChernCharacter.__post_init__``; only
-    for the Todd classes and for results built here from checked values.
+    Skips the coercion and checks of ``ChernCharacter.__init__``; only for
+    the Todd classes and for results built here from checked values.
     """
     x = object.__new__(ChernCharacter)
-    object.__setattr__(x, "ambient_dim", n)
-    object.__setattr__(x, "components", components)
+    x._store(n, components)
     return x
 
 
@@ -226,20 +223,18 @@ def _common_numerators(components: tuple[Fraction, ...]) -> tuple[list[int], int
     return [c.numerator * (den // q) for c, q in zip(components, denominators)], den
 
 
-@dataclass(frozen=True)
-class ChernClasses:
+class ChernClasses(Value):
     """Integer Chern classes (rank, c1, c2, and c3 on P^3 only)."""
 
-    rank: int
-    c1: int
-    c2: int
-    c3: int | None = None
+    __slots__ = ("rank", "c1", "c2", "c3")
 
-    def __post_init__(self) -> None:
-        for name in ("rank", "c1", "c2"):
-            check_integer(name, getattr(self, name))
-        if self.c3 is not None:
-            check_integer("c3", self.c3)
+    def __init__(self, rank: int, c1: int, c2: int, c3: int | None = None) -> None:
+        check_integer("rank", rank)
+        check_integer("c1", c1)
+        check_integer("c2", c2)
+        if c3 is not None:
+            check_integer("c3", c3)
+        self._store(rank, c1, c2, c3)
 
 
 def ch_line_bundle(n: int, k: int) -> ChernCharacter:

@@ -25,13 +25,13 @@ imports the standard library, ``chow`` and ``errors``; each handler imports
 the family module it calls, and argparse adds a subcommand's arguments only
 once it has chosen that subcommand (``_Subcommands``).  So ``chowkit todd``
 loads ``cli``, ``chow`` and ``errors``, ``chowkit bound`` adds ``bounds``
-and ``splitting``, and a ``catalog`` command loads every module.
+and ``splitting``, and a ``catalog`` command loads every module.  Only CSV
+output imports ``csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -39,7 +39,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from types import MappingProxyType, SimpleNamespace
 
 from .chow import (
@@ -179,14 +179,21 @@ def _flat_rows(value, prefix: str = "") -> Iterator[tuple[str, str]]:
             yield key, _SCALAR_TEXT.get(type(v), str)(v)
 
 
-# writerow returns what its file's write returns: here, the CSV line itself
-_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+@cache
+def _csv_line_writer():
+    """A function from a row to its CSV line, made once per process, and only
+    when CSV output is asked for: a writer keeps a 128 KiB record buffer."""
+    import csv
+
+    # writerow returns what its file's write returns: here, the CSV line itself
+    return csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def _csv_table(rows: Iterable[tuple[str, str]]) -> Iterator[str]:
     """The CSV lines of a flattened payload: a key,value header, then ``rows``."""
-    yield _csv_line(("key", "value"))
-    yield from map(_csv_line, rows)
+    csv_line = _csv_line_writer()
+    yield csv_line(("key", "value"))
+    yield from map(csv_line, rows)
 
 
 _JSON = json.JSONEncoder(sort_keys=True, indent=2, default=_rational_default)
@@ -223,9 +230,10 @@ def _cmd_chern(args) -> tuple[int, dict]:
             raise UsageError(f"--character has {character.ambient_dim + 1} components "
                              f"but --dim is {args.dim}")
         classes = character_to_chern(character)
+    named = {"rank": classes.rank, "c1": classes.c1, "c2": classes.c2, "c3": classes.c3}
     return EXIT_OK, {
         "dim": args.dim,
-        "classes": {k: v for k, v in vars(classes).items() if v is not None},
+        "classes": {k: v for k, v in named.items() if v is not None},
         "character": list(character.components),
     }
 
@@ -348,13 +356,15 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
 def _csv_lines(entries: Iterable) -> Iterator[str]:
     """The CSV lines of catalog entries in generation order.  A row is an entry's flattened
     fields; all entries of one catalog have the same, so the first gives the header."""
-    header = None
+    csv_line, header = _csv_line_writer(), None
     for entry in entries:
-        columns, row = zip(*_flat_rows(vars(entry)))
+        columns, row = zip(*_flat_rows({"kind": entry.kind, "inputs": entry.inputs,
+                                        "outputs": entry.outputs,
+                                        "schema_version": entry.schema_version}))
         if header is None:
             header = columns
-            yield _csv_line(columns)
-        yield _csv_line(row)
+            yield csv_line(columns)
+        yield csv_line(row)
     if header is None:  # an empty catalog: the header of an empty payload
         yield from _csv_table(())
 

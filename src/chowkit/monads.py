@@ -15,11 +15,10 @@ quotient sheaves of length l (multisets of integer partitions of total l).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chow import ChernCharacter, RationalLike, as_rational, euler_characteristic, twist
-from .errors import InadmissibleParameterError, NotRealizableError, check_integer
+from .errors import InadmissibleParameterError, NotRealizableError, Value, check_integer
 from .resolutions import Term, format_term
 
 
@@ -50,26 +49,22 @@ def charge(r: int, d: int, ch2: RationalLike) -> Fraction:
     return -euler_characteristic(twist(character, -1))
 
 
-@dataclass(frozen=True)
-class MonadShape:
+class MonadShape(Value):
     """A linear monad O(-1)^v -> O^w -> O(1)^u on P^2, as its exponents.
 
     The middle cohomology has rank w - v - u and degree v - u; both
     identities hold by construction once the exponents are fixed.
     """
 
-    v: int
-    w: int
-    u: int
+    __slots__ = ("v", "w", "u")
 
-    def __post_init__(self) -> None:
-        check_integer("v", self.v)
-        check_integer("w", self.w)
-        check_integer("u", self.u)
-        if min(self.v, self.w, self.u) < 0:
-            raise NotRealizableError(
-                f"monad exponents {(self.v, self.w, self.u)} must be nonnegative"
-            )
+    def __init__(self, v: int, w: int, u: int) -> None:
+        check_integer("v", v)
+        check_integer("w", w)
+        check_integer("u", u)
+        if min(v, w, u) < 0:
+            raise NotRealizableError(f"monad exponents {(v, w, u)} must be nonnegative")
+        self._store(v, w, u)
 
     @property
     def left(self) -> Term:
@@ -127,8 +122,7 @@ def monad_shape(r: int, d: int, ch2: RationalLike) -> MonadShape:
     return MonadShape(d + c, r + d + 2 * c, c)
 
 
-@dataclass(frozen=True)
-class PartitionType:
+class PartitionType(Value):
     """A multiset of integer partitions; the label of a 0-dimensional sheaf.
 
     Each partition describes the local structure at one (abstract) point;
@@ -137,17 +131,18 @@ class PartitionType:
     descending by (size, entries).
     """
 
-    parts: tuple[tuple[int, ...], ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[tuple[int, ...], ...]) -> None:
         try:
-            parts = [tuple(part) for part in self.parts]
+            given = tuple(parts)
+            tuples = [tuple(part) for part in given]
         except TypeError:  # not a sequence of sequences
             raise InadmissibleParameterError(
-                f"partition type {self.parts!r} must be a sequence of partitions"
+                f"partition type {parts!r} must be a sequence of partitions"
             ) from None
         canonical = []
-        for part, entries in zip(self.parts, parts):
+        for part, entries in zip(given, tuples):
             # a bool would pass as 1 and a float as its value
             if len(entries) == 0 or any(type(x) is not int or x < 1 for x in entries):
                 raise InadmissibleParameterError(
@@ -155,7 +150,7 @@ class PartitionType:
                 )
             canonical.append(tuple(sorted(entries, reverse=True)))
         canonical.sort(key=lambda p: (sum(p), p), reverse=True)
-        object.__setattr__(self, "parts", tuple(canonical))
+        self._store(tuple(canonical))
 
     @property
     def total(self) -> int:

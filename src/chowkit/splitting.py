@@ -28,33 +28,37 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 from typing import Iterator
 
-from .errors import InadmissibleParameterError, check_integer
+from .errors import InadmissibleParameterError, Value, check_integer
 
 # the most splitting types the enumeration cache keeps, over all arguments
 _CACHE_TYPES = 20_000
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Value):
     """A non-increasing tuple of generic-line restriction degrees.
 
     Construction canonicalizes: entries are sorted non-increasing, so equal
     multisets give equal (and hash-equal) types.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if len(self.entries) == 0:
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        try:
+            given = tuple(entries)
+        except TypeError:  # not iterable
+            raise InadmissibleParameterError(
+                f"splitting type {entries!r} must be a sequence of integers"
+            ) from None
+        if len(given) == 0:
             raise InadmissibleParameterError("a splitting type needs rank >= 1")
-        if any(not isinstance(b, int) or isinstance(b, bool) for b in self.entries):
+        if any(not isinstance(b, int) or isinstance(b, bool) for b in given):
             raise InadmissibleParameterError("splitting type entries must be integers")
-        object.__setattr__(self, "entries", tuple(sorted(self.entries, reverse=True)))
+        self._store(tuple(sorted(given, reverse=True)))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)

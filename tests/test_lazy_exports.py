@@ -66,17 +66,21 @@ def test_an_unknown_name_is_an_import_error():
 
 
 def test_a_cli_start_loads_what_its_subcommand_needs():
-    """In one fresh interpreter, each command adds only the modules it calls."""
+    """In one fresh interpreter, each command adds only the modules it calls.
+
+    No command loads ``dataclasses`` or ``inspect``, and only CSV output
+    loads ``csv``."""
     steps = f"""
 import contextlib, io, json, sys
 sys.path.insert(0, {SRC!r})
 from chowkit import cli
 loaded = []
 for argv in (["todd", "--dim", "3"], ["bound", "--rank", "2", "--c1", "-1", "--ch2", "-9/2"],
-             ["catalog", "resolutions", "--c2", "5..6"]):
+             ["catalog", "resolutions", "--c2", "5..6"], ["--format", "csv", "todd", "--dim", "3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    loaded.append(sorted(m[8:] for m in sys.modules if m.startswith("chowkit.")))
+    loaded.append(sorted(m[8:] for m in sys.modules if m.startswith("chowkit."))
+                  + sorted(m for m in ("csv", "dataclasses", "inspect") if m in sys.modules))
 print(json.dumps(loaded))
 """
     done = subprocess.run([sys.executable, "-c", steps], capture_output=True, text=True, check=True)
@@ -84,4 +88,6 @@ print(json.dumps(loaded))
         ["chow", "cli", "errors"],
         ["bounds", "chow", "cli", "errors", "splitting"],
         ["bounds", "catalog", "chow", "cli", "errors", "monads", "resolutions", "splitting"],
+        ["bounds", "catalog", "chow", "cli", "errors", "monads", "resolutions", "splitting",
+         "csv"],
     ]

@@ -224,6 +224,12 @@ def test_partition_type_rejects_parts_that_are_not_sequences(parts):
         PartitionType(parts)
 
 
+def test_partition_type_of_an_iterator_is_the_type_of_its_tuple():
+    # an iterator used to be read twice and give the empty type
+    assert PartitionType(iter([(1,), (2, 1)])) == PartitionType(((2, 1), (1,)))
+    assert PartitionType(iter([[1, 2]])).parts == ((2, 1),)
+
+
 def test_partition_types_small_counts():
     assert [len(partition_types(l)) for l in range(0, 5)] == [1, 1, 3, 6, 14]
 

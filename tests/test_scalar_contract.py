@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import chowkit
 from chowkit import ChernClasses, SplittingType, ch_line_bundle
 from chowkit.chow import RationalLike
-from chowkit.errors import DomainError
+from chowkit.errors import DomainError, Value
 
 # each public callable with an int or RationalLike parameter, and a valid call
 VALID_CALLS = {
@@ -54,13 +54,30 @@ VALID_CALLS = {
 }
 
 
+# the public result records the library builds itself: NamedTuples whose
+# fields are not checked.  Every other public class checks its input.
+UNCHECKED_RECORDS = {"BoundReport", "PresentationReport"}
+
+PUBLIC_CLASSES = {
+    name: obj for name in chowkit.__all__
+    if inspect.isclass(obj := getattr(chowkit, name)) and not issubclass(obj, BaseException)
+}
+
+
+def test_every_public_class_is_a_value_or_a_named_unchecked_record():
+    records = {name for name, cls in PUBLIC_CLASSES.items() if not issubclass(cls, Value)}
+    assert records == UNCHECKED_RECORDS
+    for name in records:
+        assert issubclass(PUBLIC_CLASSES[name], tuple) and PUBLIC_CLASSES[name]._fields
+
+
 def _public_callables():
-    """Each public function, class and classmethod, by its dotted name."""
+    """Each public function, checked class and classmethod, by its dotted name."""
     for name in chowkit.__all__:
         obj = getattr(chowkit, name)
         if inspect.isfunction(obj):
             yield name, obj
-        elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+        elif name in PUBLIC_CLASSES and name not in UNCHECKED_RECORDS:
             yield name, obj
             for attr, member in vars(obj).items():
                 if isinstance(member, classmethod):
@@ -69,11 +86,7 @@ def _public_callables():
 
 def _scalar_parameters(function):
     """(position, kind, variadic) of each int or RationalLike parameter."""
-    target = function.__init__ if inspect.isclass(function) else function
-    try:
-        hints = typing.get_type_hints(target)
-    except NameError:  # a NamedTuple record, whose fields are not checked
-        return []
+    hints = typing.get_type_hints(function.__init__ if inspect.isclass(function) else function)
     return [(index, hints[p.name], p.kind is p.VAR_POSITIONAL)
             for index, p in enumerate(inspect.signature(function).parameters.values())
             if hints.get(p.name) in (int, RationalLike)]

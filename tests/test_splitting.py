@@ -261,6 +261,19 @@ def test_splitting_type_rejects_empty_and_non_integer():
         SplittingType((1, Fraction(1, 2)))
 
 
+@pytest.mark.parametrize("entries", [5, None, 1.5], ids=["int", "None", "float"])
+def test_splitting_type_rejects_entries_that_are_not_iterable(entries):
+    # these used to end in a bare TypeError
+    with pytest.raises(InadmissibleParameterError, match="must be a sequence of integers"):
+        SplittingType(entries)
+
+
+def test_splitting_type_of_an_iterator_is_the_type_of_its_tuple():
+    # an iterator used to end in a bare TypeError
+    assert SplittingType(iter([0, -1])) == SplittingType((0, -1))
+    assert SplittingType(b for b in (-1, 2, 0)).entries == (2, 0, -1)
+
+
 def test_equal_multisets_are_one_type():
     assert SplittingType((1, 0, -1)) == SplittingType((-1, 1, 0))
     rng = random.Random(7)
