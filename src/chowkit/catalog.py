@@ -14,13 +14,14 @@ Value encoding inside the ``inputs``/``outputs`` maps:
 * any other string stays a string, provided it cannot be mistaken for a
   rational (the serializer enforces this).
 
-The codec's unit is one map item, ``(key, value)``, and each direction
-keeps one bounded cache of items, over every document a process writes or
-reads, built on the one value encoder :func:`_encode_value`: the writer's
-:func:`_item_texts` maps an item to its compact and indented JSON texts, the
-reader's :func:`_decoded_item` maps a raw JSON item to its key, its value
-and the same two texts.  Each keeps at most ``_ITEM_CACHE_SIZE`` items, so
-a document whose items never repeat costs its encoding, never memory.
+The codec's unit is one map item, ``(key, value)``, and its caches of items,
+over every document a process writes or reads, are built on the one value
+encoder :func:`_encode_value`: the writer's :func:`_item_texts` maps an item
+to its compact and indented JSON texts, the reader's :func:`_decoded_item`
+maps a raw JSON item to its key, its value and the same two texts, and the
+block reader's :func:`_item_line` maps an item's line in a document to its
+key and compact text.  Each keeps at most ``_ITEM_CACHE_SIZE`` items, so a
+document whose items never repeat costs its encoding, never memory.
 
 Writing streams: :func:`document_pieces` encodes each entry once into a
 sort row, sorts the rows and yields the document piece by piece in
@@ -34,15 +35,18 @@ Generation: :data:`CATALOG_KINDS` is the table of the kinds ``chowkit
 catalog <kind>`` builds, each with the kind tag of its entries and the
 generator that yields them.
 
-Reading decodes each raw map item through the reader's cache.
-:func:`parse_catalog` builds entries from the values;
-:func:`canonical_lines` joins the texts into each entry's canonical line
-without building the entry.  A file in the layout chowkit writes can also
-be read a chunk at a time: :func:`stream_canonical_lines` cuts each chunk
-into entry blocks and decodes each block alone, through the same item cache
-and checks, keeping the lines of the last ``_BLOCK_CACHE_SIZE`` blocks read.
-A diff reads its two files in step, so a block found in both is decoded
-once.
+Reading a whole document parses it as JSON and decodes each raw map item
+through the reader's cache.  :func:`parse_catalog` builds entries from the
+values; :func:`canonical_lines` joins the texts into each entry's canonical
+line without building the entry.  A file in the layout chowkit writes can
+also be read a chunk at a time: :func:`stream_canonical_lines` cuts each
+chunk into entry blocks and reads each block alone, keeping the lines of the
+last ``_BLOCK_CACHE_SIZE`` blocks read.  A block that is the writer's own
+text for its entry is read as text, cut where the writer joins its fields
+and items (the layout constants both share), each item line through the
+block reader's item cache; every other block is parsed as JSON and decoded
+like a whole document, with the same checks and errors.  A diff reads its
+two files in step, so a block found in both is read once.
 :func:`diff_files` picks the reader for ``catalog diff``: two regular files
 in that layout are streamed, and any other input (hand-edited, entries out
 of order, a pipe) is read whole with :func:`canonical_lines` and its
@@ -75,14 +79,17 @@ from .resolutions import admissible_s, format_term, presentation_report, verify_
 
 SCHEMA_VERSION = 1
 
-# map items kept by each direction's cache, over every document written or
-# read.  The writer caches inputs items, which the CLI's grids repeat: 472
-# distinct for strata c2 5..20 by l 0..8, 1,702 for 5..8 by 0..10 and 2,040
-# for resolutions 5..2000.  The reader caches every item: 841 on the
-# benchmark's diff pair, 1,150 in strata 5..40 by 0..8 and 2,828 in monads
-# r8 0..400, each repeating, and one per value, few repeating, in bounds
-# 0..1000 (7,009) and resolutions 5..2000 (347,611).  Past this size an item
-# costs its encoding, never memory.
+# map items kept by each item cache, over every document written or read.
+# The writer caches inputs items, which the CLI's grids repeat: 472 distinct
+# for strata c2 5..20 by l 0..8, 1,702 for 5..8 by 0..10 and 2,040 for
+# resolutions 5..2000.  The readers cache every item, the whole-document
+# reader by its raw JSON and the block reader by its line's text: 841 on the
+# benchmark's diff pair (56,697 of the block reader's 57,538 lookups hit),
+# 1,150 in strata 5..40 by 0..8 and 2,828 in monads r8 0..400, each
+# repeating, and one per value, few repeating, in bounds 0..1000 (7,009) and
+# resolutions 5..2000 (347,611, and 33% of the block reader's lookups hit in
+# the diff against 5..1999).  Past this size an item costs its decoding,
+# never memory.
 _ITEM_CACHE_SIZE = 4096
 
 # entry blocks whose canonical lines are kept, over every file read.  A diff
@@ -206,20 +213,30 @@ def _compact_line(inputs: str, kind: str, outputs: str, version: str) -> str:
     return f'{{"inputs":{inputs},"kind":{kind},"outputs":{outputs},"schema_version":{version}}}'
 
 
+# The layout of an entry block, two levels deep in the document: the text
+# before each field's value, the text that ends the block, and the text of a
+# map around and between its items, one per line.  The writer joins these
+# and the reader cuts at them, so the two share one layout.
+_BLOCK_HEAD = '    {\n      "inputs": '
+_KIND_FIELD = ',\n      "kind": '
+_OUTPUTS_FIELD = ',\n      "outputs": '
+_VERSION_FIELD = ',\n      "schema_version": '
+_BLOCK_END = "\n    }"
+_MAP_HEAD = "{\n        "
+_ITEM_SEPARATOR = ",\n        "
+_MAP_TAIL = "\n      }"
+
+
 def _indented_map(items: Iterable[str]) -> str:
     """A map's text in the document, from its items' indented texts."""
-    text = ",\n        ".join(items)
-    return "{\n        " + text + "\n      }" if text else "{}"
+    text = _ITEM_SEPARATOR.join(items)
+    return _MAP_HEAD + text + _MAP_TAIL if text else "{}"
 
 
 def _indented_block(inputs: str, kind: str, outputs: str, version: str) -> str:
     """One entry as it appears, two levels deep, in the catalog document."""
-    return (
-        '    {\n      "inputs": ' + inputs
-        + ',\n      "kind": ' + kind
-        + ',\n      "outputs": ' + outputs
-        + ',\n      "schema_version": ' + version + "\n    }"
-    )
+    return (_BLOCK_HEAD + inputs + _KIND_FIELD + kind + _OUTPUTS_FIELD + outputs
+            + _VERSION_FIELD + version + _BLOCK_END)
 
 
 def _map_texts(mapping: Mapping[str, Any],
@@ -298,12 +315,17 @@ def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]
 # texts of it; the checks on each raw entry are made in one place.
 
 
+def _decoded_value(raw: Any) -> Any:
+    """The catalog value of one raw JSON value: a rational's string is read as a Fraction."""
+    if isinstance(raw, float):
+        raise DomainError(f"floating point value {raw!r} is not allowed in catalogs")
+    return parse_rational(raw) if isinstance(raw, str) and _RATIONAL_RE.match(raw.strip()) else raw
+
+
 @lru_cache(maxsize=_ITEM_CACHE_SIZE, typed=True)
 def _decoded_item(key: str, raw: Any) -> tuple:
     """(key, value, compact ``"k":v``, indented ``"k": v``) of one raw JSON map item."""
-    if isinstance(raw, float):
-        raise DomainError(f"floating point value {raw!r} is not allowed in catalogs")
-    value = parse_rational(raw) if isinstance(raw, str) and _RATIONAL_RE.match(raw.strip()) else raw
+    value = _decoded_value(raw)
     return (key, value, *_item_texts.__wrapped__(key, value))
 
 
@@ -377,7 +399,6 @@ def _read_document(text: str, read_entry: Callable) -> list:
 # string holds a newline, so the text between blocks occurs nowhere else.
 _FIRST_BLOCK = _DOCUMENT_HEAD + "[\n"
 _EMPTY_DOCUMENT = _DOCUMENT_HEAD + "[]" + _DOCUMENT_TAIL
-_BLOCK_END = "\n    }"
 _NEXT_BLOCK = _BLOCK_END + ",\n"
 _LAST_BLOCK = _BLOCK_END + "\n  ]" + _DOCUMENT_TAIL
 _CHUNK = io.DEFAULT_BUFFER_SIZE  # characters read at a time
@@ -407,10 +428,85 @@ def _blocks(handle: TextIO) -> Iterator[str]:
     yield rest[:len(_BLOCK_END) - len(_LAST_BLOCK)]
 
 
+_scan_key = json.decoder.scanstring
+_scan_value = json.JSONDecoder().scan_once
+_BLOCK_TAIL = _VERSION_FIELD + int.__repr__(SCHEMA_VERSION) + _BLOCK_END
+
+
+@lru_cache(maxsize=_ITEM_CACHE_SIZE)
+def _item_line(text: str) -> tuple[str, str] | None:
+    """(key, compact ``"k":v``) of one item line ``"k": v`` of a map in a
+    block, or None unless the line is the text the writer gives that item.
+
+    The key and the value are scanned by the C scanner and the value decoded
+    as :func:`_decoded_item` decodes it, then both must be written back as
+    they stand: an item the line spells otherwise (``"2/4"``, ``"007"``, an
+    escaped key) is left to the whole-block parse.  This never raises.
+    """
+    try:
+        key, end = _scan_key(text, 1)  # text[0] is checked with the key's text
+        if text[end:end + 2] != ": ":
+            return None
+        # where the scan stopped needs no check: a value text that is the
+        # writer's is one JSON value, which the scan reads to its end
+        raw, _ = _scan_value(text, end + 2)
+        key_text, value_text = text[:end], text[end + 2:]
+        if key_text != _json_str(key) or value_text != _encode_value(_decoded_value(raw)):
+            return None
+    except (ValueError, StopIteration, RecursionError, DomainError):
+        return None
+    return key, key_text + ":" + value_text
+
+
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _map_line(text: str) -> str | None:
+    """The compact text of one map of a block, or None unless the map is the
+    text the writer gives it: its items as :func:`_item_line` takes them, in
+    strictly increasing order of their keys.
+
+    Consecutive blocks often share an outputs map (the strata entries of one
+    (c2, s)), so the last few read are kept.  Inputs maps are read through
+    ``__wrapped__``: no two entries of one kind share one, so keeping them
+    would only cost.
+    """
+    if text == "{}":
+        return text
+    if not (text.startswith(_MAP_HEAD) and text.endswith(_MAP_TAIL)):
+        return None
+    items, previous = [], None
+    for item in text[len(_MAP_HEAD):-len(_MAP_TAIL)].split(_ITEM_SEPARATOR):
+        line = _item_line(item)
+        if line is None or (previous is not None and line[0] <= previous):
+            return None
+        previous = line[0]
+        items.append(line[1])
+    return _compact_map(items)
+
+
+def _block_text_line(block: str) -> str | None:
+    """The canonical line of one entry block read as text, or None unless
+    the block is the text :func:`_indented_block` writes for its entry."""
+    kind_at = block.find(_KIND_FIELD)
+    outputs_at = block.find(_OUTPUTS_FIELD, kind_at)
+    if (kind_at < 0 or outputs_at < 0
+            or not (block.startswith(_BLOCK_HEAD) and block.endswith(_BLOCK_TAIL))):
+        return None
+    kind = block[kind_at + len(_KIND_FIELD):outputs_at]
+    if kind not in _KIND_TEXTS:
+        return None
+    inputs = _map_line.__wrapped__(block[len(_BLOCK_HEAD):kind_at])
+    outputs = _map_line(block[outputs_at + len(_OUTPUTS_FIELD):-len(_BLOCK_TAIL)])
+    if inputs is None or outputs is None:
+        return None
+    return _compact_line(inputs, kind, outputs, int.__repr__(SCHEMA_VERSION))
+
+
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _block_line(block: str) -> str:
-    """The canonical line of one entry block, parsed alone."""
-    return _decoded_line(json.loads(block))
+    """The canonical line of one entry block: read as text when it is the
+    writer's text for its entry, else parsed alone."""
+    line = _block_text_line(block)
+    return _decoded_line(json.loads(block)) if line is None else line
 
 
 def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
@@ -426,11 +522,17 @@ def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
     decoder, and an entry it rejects raises the same error here.  For every
     catalog kind, memory holds a chunk, its entries and the decoders' bounds.
 
-    Each block is parsed alone, and its line is kept in a memo of the last
+    Each block is read alone, and its line is kept in a memo of the last
     ``_BLOCK_CACHE_SIZE`` blocks read, over every file a process reads.
     :func:`diff_sorted` reads its two streams in step, so a block found in
-    both files is decoded once.  Where few entries are shared, parsing each
-    block alone costs about what the hits save.
+    both files is read once.  A block that is the text the writer gives its
+    entry is read as text, without a JSON parse: each item line is looked up
+    in the block reader's item cache, and the last ``_BLOCK_CACHE_SIZE``
+    outputs maps read are kept, so a strata outputs map shared by a run of
+    entries is read once.  Any other block (a value spelled otherwise, keys
+    out of order, a value of the wrong type) is parsed as JSON and decoded
+    as :func:`canonical_lines` decodes an entry, so its line or its error is
+    the same.
     """
     previous = ""
     with _reading():
@@ -699,3 +801,4 @@ CATALOG_KINDS = {
 
 # the entry kinds, each with its JSON text, shared by every sort row of that kind
 _KIND_TEXT = {k.entry_kind: _json_str(k.entry_kind) for k in CATALOG_KINDS.values()}
+_KIND_TEXTS = frozenset(_KIND_TEXT.values())  # what the block reader takes as a kind

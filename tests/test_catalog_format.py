@@ -276,29 +276,42 @@ def _read_every_way(text):
     )
 
 
+# the readers' caches: the whole-document reader's items, and the block
+# reader's item lines, outputs maps and blocks
+READER_CACHES = ("_decoded_item", "_item_line", "_map_line", "_block_line")
+
+
 def test_readers_do_not_depend_on_the_decoder_cache():
-    """The same results with the cache cleared, warm, and emptied of the
-    document's map items by more distinct items than it holds."""
+    """The same results with the readers' caches cleared, warm, and emptied
+    of the document's map items by more distinct items than they hold."""
     text = serialize_catalog(chain(
         CATALOG_KINDS["strata"].generate(range(5, 7), range(0, 4)),  # repeated strings
         CATALOG_KINDS["bounds"].generate(2, -1, range(0, 6)),  # rationals
         CATALOG_KINDS["resolutions"].generate(range(5, 8)),  # terms and bools
     ))
-    cache = catalog_module._decoded_item
-    cache.cache_clear()
+    caches = [getattr(catalog_module, name) for name in READER_CACHES]
+    items = caches[:2]  # the two item caches
+    for cache in caches:
+        cache.cache_clear()
     cold = _read_every_way(text)
-    first = cache.cache_info()
-    assert first.hits > 0 and 0 < first.currsize < first.maxsize
+    first = [cache.cache_info() for cache in caches]
+    assert all(info.hits > 0 for info in first[:3])  # one read of each block
+    assert all(0 < info.currsize < info.maxsize for info in first[:2])
     warm = _read_every_way(text)
-    assert cache.cache_info().misses == first.misses
-    filler = (CatalogEntry("bound", {"filler": i}, {"label": f"filler {i}"})
-              for i in range(first.maxsize + 1))
-    canonical_lines(serialize_catalog(filler))
-    filled = cache.cache_info()
-    assert filled.currsize == first.maxsize
+    assert [cache.cache_info().misses for cache in items] == [info.misses for info in first[:2]]
+    size = first[0].maxsize
+    assert first[1].maxsize == size == catalog_module._ITEM_CACHE_SIZE
+    filler = serialize_catalog(CatalogEntry("bound", {"filler": i}, {"label": f"filler {i}"})
+                               for i in range(size + 1))
+    canonical_lines(filler)
+    list(stream_canonical_lines(io.StringIO(filler)))
+    filled = [cache.cache_info() for cache in caches]
+    # items that never repeat keep each cache at its size
+    assert [info.currsize for info in filled] == [info.maxsize for info in filled]
     evicted = _read_every_way(text)
-    # every item of the document was decoded afresh
-    assert cache.cache_info().misses - filled.misses == first.misses
+    # every item of the document was decoded afresh, by each reader
+    assert ([cache.cache_info().misses - info.misses for cache, info in zip(items, filled)]
+            == [info.misses for info in first[:2]])
     assert cold == warm == evicted
 
 
@@ -378,23 +391,28 @@ def test_diff_does_not_depend_on_the_block_memo(tmp_path):
     """The same diff with the memo cleared, warm, and emptied of the files'
     blocks by more distinct blocks than it holds; and an error is not kept."""
     bounds = CATALOG_KINDS["bounds"].generate
-    memo = catalog_module._block_line
+    memo, maps = catalog_module._block_line, catalog_module._map_line
     size = memo.cache_info().maxsize
+    assert maps.cache_info().maxsize == size
     a, b, filler = _write_catalogs(tmp_path, a=bounds(2, -1, range(0, 6)),
                                    b=bounds(2, -1, range(2, 9)),
                                    filler=bounds(2, -1, range(100, 101 + size)))
-    memo.cache_clear()
+    for cache in (memo, maps, catalog_module._item_line):
+        cache.cache_clear()
     cold = diff_files(a, b)
-    first = memo.cache_info()
+    first, first_maps = memo.cache_info(), maps.cache_info()
     assert first.hits > 0 and first.currsize < size  # the files' blocks all fit
+    # each block read is read as text, and its outputs map once
+    assert first_maps.misses == first.misses
     warm = diff_files(a, b)
-    assert memo.cache_info().misses == first.misses
+    assert (memo.cache_info().misses, maps.cache_info().misses) == (first.misses, first_maps.misses)
     diff_files(filler, filler)
-    filled = memo.cache_info()
-    assert filled.currsize == size
+    filled, filled_maps = memo.cache_info(), maps.cache_info()
+    assert filled.currsize == filled_maps.currsize == size
     evicted = diff_files(a, b)
-    # every block of the two files was decoded afresh
+    # every block of the two files, and its outputs map, was read afresh
     assert memo.cache_info().misses - filled.misses == first.misses
+    assert maps.cache_info().misses - filled_maps.misses == first_maps.misses
     assert cold == warm == evicted
     assert cold["only_in_a"] and cold["only_in_b"]
     # a block that raises is decoded again in the next file that holds it
@@ -405,6 +423,93 @@ def test_diff_does_not_depend_on_the_block_memo(tmp_path):
             list(stream_canonical_lines(io.StringIO(text)))
     after = memo.cache_info()
     assert (after.misses - before.misses, after.hits, after.currsize) == (2, before.hits, before.currsize)
+
+
+# ---------------------------------------------------------------------------
+# the block reader reads the writer's text as text, and parses the rest
+
+
+def _layout_document(entries, edit=None):
+    """A document in chowkit's layout, with one edit to its text."""
+    text = json.dumps({"entries": entries, "schema_version": 1}, sort_keys=True, indent=2) + "\n"
+    return edit(text) if edit else text
+
+
+def _entry(inputs=None, outputs=None, kind="bound"):
+    return {"inputs": {"c1": -1, "c2": 5, "rank": 2, **(inputs or {})}, "kind": kind,
+            "outputs": {"ch2": "-9/2", "one": 1, "q": 3, "x": "1/2", **(outputs or {})},
+            "schema_version": 1}
+
+
+def _nested(depth):
+    return lambda text: text.replace('"x": "1/2"', '"x": ' + "[" * depth + "]" * depth, 1)
+
+
+# each edit keeps the layout but leaves the canonical form of one entry
+NOT_CANONICAL = {
+    "unreduced": ({"x": "2/4"}, None),
+    "padded": ({"x": " 1/2"}, None),
+    "minus zero": ({"x": "-0"}, None),
+    "zero-led": ({"x": "007"}, None),
+    "escaped key": (None, lambda t: t.replace('"c2": 5', '"c\\u0032": 5', 1)),
+    "keys out of order": (None, lambda t: t.replace('"one": 1,\n        "q": 3',
+                                                    '"q": 3,\n        "one": 1', 1)),
+    "duplicate key": (None, lambda t: t.replace('"q": 3', '"q": 4,\n        "q": 3', 1)),
+    "float": ({"x": 1.5}, None),
+    "null": ({"x": None}, None),
+    "list": ({"x": [5]}, None),
+    "object": ({"x": {"a": 1}}, None),
+    "true for 1": ({"one": True}, None),
+    "deeply nested list": (None, _nested(100_000)),
+    "bogus kind": ("bogus", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_CANONICAL))
+def test_block_reader_reads_what_canonical_lines_reads(case):
+    """Each block gives the line, or raises the error, that the
+    whole-document reader gives."""
+    change, edit = NOT_CANONICAL[case]
+    first = _entry(kind=change) if isinstance(change, str) else _entry(outputs=change)
+    text = _layout_document([first, _entry({"c2": 6})], edit)
+    streamed = _outcome(lambda t: list(stream_canonical_lines(io.StringIO(t))), text)
+    assert streamed == _outcome(canonical_lines, text)
+    if case != "true for 1":  # true is a catalog value, written as it stands
+        block = next(catalog_module._blocks(io.StringIO(text)))
+        assert catalog_module._block_text_line(block) is None
+
+
+def test_diff_of_written_catalogs_parses_no_json(tmp_path, monkeypatch):
+    """Blocks in the writer's text are read without a JSON parse; a block
+    that spells a value otherwise costs one."""
+    loads, parse = [], json.loads
+
+    def counting_loads(*args, **kwargs):
+        loads.append(args)
+        return parse(*args, **kwargs)
+
+    strata, bounds = CATALOG_KINDS["strata"].generate, CATALOG_KINDS["bounds"].generate
+    halves = [CatalogEntry("bound", {"c2": c2}, {"x": Fraction(1, 2)}) for c2 in range(4)]
+    grids = {
+        "a": chain(strata(range(5, 8), range(0, 4)), bounds(2, -1, range(0, 6)), halves),
+        "b": chain(strata(range(6, 9), range(0, 4)), bounds(2, -1, range(3, 9)), halves[1:]),
+    }
+    paths = []
+    for name, entries in grids.items():
+        paths.append(tmp_path / f"{name}.json")
+        with open(paths[-1], "w", encoding="utf-8") as handle:
+            handle.writelines(document_pieces(entries)[1])
+    for cache in READER_CACHES:
+        getattr(catalog_module, cache).cache_clear()
+    monkeypatch.setattr(catalog_module.json, "loads", counting_loads)
+    delta = diff_files(*paths)
+    assert loads == [] and delta["only_in_a"] and delta["only_in_b"]
+    text = paths[0].read_text(encoding="utf-8")
+    assert text.count('"x": "1/2"') == 4
+    edited = tmp_path / "edited.json"
+    edited.write_text(text.replace('"x": "1/2"', '"x": "2/4"', 1), encoding="utf-8")
+    assert diff_files(edited, paths[1]) == delta
+    assert len(loads) == 1
 
 
 # each rejected value, and the message every reader gives for it

@@ -6,7 +6,7 @@ Usage:
 
 The commands run as ``python -m chowkit`` with this checkout's ``src`` on
 ``PYTHONPATH``, as the benchmark runs them.
-CHECKS is one table of 25 rows, each (argv, output, size, sha256, exit code,
+CHECKS is one table of 29 rows, each (argv, output, size, sha256, exit code,
 stdin).  The output is a file name, written with ``--output`` in a fresh
 temporary directory, or "-" for stdout.  Every command runs in that
 directory, so ``catalog diff a.json b.json`` reads the two catalogs written
@@ -106,6 +106,17 @@ CHECKS = [
           "ff500fec76dccc5eebf4bb9031e7c680a8846868fb89c484f4966532fdd42a35"),
     Check(("catalog", "diff", "strata.json", "strata-high.json"), "-", 19085255,
           "6e0743b074f5ef1de5c8349edd1dbc2dd71962bd8fa6b1f5ffbf60903e09a123", 1),
+    # grids shifted by one charge or c2, and their diffs against the grids
+    # above: rational values read a block at a time, in monads items that
+    # repeat and in bounds items that seldom do
+    Check(("catalog", "monads", "--rank-max", "8", "--charge", "1..401"), "monads-401.json", 3674697,
+          "7ddb2ea01f2a5532554a06a6762762b30318e3785b742d68b38501292d37b0ac"),
+    Check(("catalog", "diff", "monads-large.json", "monads-401.json"), "-", 11259,
+          "f2e137b3d46fedc75054edf0ade2ebe01e1d8151a06bc78a73e48cc280b89de5", 1),
+    Check(("catalog", "bounds", "--c2", "1..1001"), "bounds-1001.json", 342279,
+          "85d596002ae2bce55c4860d738393b6243d3369ff47bb36a20be8901c0c39b13"),
+    Check(("catalog", "diff", "bounds.json", "bounds-1001.json"), "-", 736,
+          "45f12a1bcd4bc34846c6a169fae326e726231eabd943acaa9802b88b6b76affb", 1),
 ]
 
 
