@@ -23,17 +23,22 @@ block reader's :func:`_item_line` maps an item's line in a document to its
 key and compact text.  Each keeps at most ``_ITEM_CACHE_SIZE`` items, so a
 document whose items never repeat costs its encoding, never memory.
 
-Writing streams: :func:`document_pieces` encodes each entry once into a
-sort row, sorts the rows and yields the document piece by piece in
-canonical order, so its peak memory is the sort rows (about the size of the
-document), never a copy of the whole document.  Inputs items go through the
-writer's cache; outputs maps, which seldom repeat, are encoded afresh, once
-for each run of entries that share one.  :func:`serialize_catalog` joins
-the same pieces into one string.
+Writing streams: the generic writer, :func:`document_pieces`, encodes each
+entry once into a sort row, sorts the rows and yields the document piece by
+piece in canonical order, so its peak memory is the sort rows (about the
+size of the document), never a copy of the whole document.  Inputs items go
+through the writer's cache; outputs maps, which seldom repeat, are encoded
+afresh, once for each run of entries that share one.
+:func:`serialize_catalog` joins the same pieces into one string.
 
 Generation: :data:`CATALOG_KINDS` is the table of the kinds ``chowkit
-catalog <kind>`` builds, each with the kind tag of its entries and the
-generator that yields them.
+catalog <kind>`` builds, each with the kind tag of its entries, the
+generator that yields them (the one way to a catalog's entries) and the
+writer of its document.  A strata catalog is the product of two factors,
+its labels and its (c2, s) pairs, and its document writer writes it as
+that product: each factor is encoded once and the document expanded one c2
+run at a time, so its peak memory follows the factors, not the document.
+The other kinds' documents are :func:`document_pieces` of their entries.
 
 Reading a whole document parses it as JSON and decodes each raw map item
 through the reader's cache.  :func:`parse_catalog` builds entries from the
@@ -67,7 +72,8 @@ import os
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
@@ -286,7 +292,10 @@ def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]
     the document is built: peak memory is the sort rows, about the
     document's size, and each row is dropped once its block is made.
     ``entries`` may be a generator, whose entries are then freed as they
-    are encoded.
+    are encoded.  This is the writer of every kind but strata, whose
+    document is written as the product of its factors, with no sort rows
+    (:data:`CATALOG_KINDS`), and of any entries a library caller builds; it
+    stays the oracle of the strata writer's bytes.
     """
     rows = []
     last = None  # the last outputs map; its compact and indented texts follow
@@ -529,10 +538,12 @@ def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
     entry is read as text, without a JSON parse: each item line is looked up
     in the block reader's item cache, and the last ``_BLOCK_CACHE_SIZE``
     outputs maps read are kept, so a strata outputs map shared by a run of
-    entries is read once.  Any other block (a value spelled otherwise, keys
-    out of order, a value of the wrong type) is parsed as JSON and decoded
-    as :func:`canonical_lines` decodes an entry, so its line or its error is
-    the same.
+    entries is read once.  The text path takes only ``schema_version`` 1
+    blocks whose kind is an entry kind of :data:`CATALOG_KINDS`.  Any other
+    block (a value spelled otherwise, keys out of order, a value of the
+    wrong type, another version or kind) is parsed as JSON and decoded as
+    :func:`canonical_lines` decodes an entry, so its line or its error is
+    the same: correct, but slower.
     """
     previous = ""
     with _reading():
@@ -742,22 +753,29 @@ def _monads_entries(r_max: int, charge_range: range) -> Iterator[CatalogEntry]:
                 )
 
 
-def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
-    """One "stratum" entry per (c2, s, c3, partition type of length l).
+# A strata catalog is the product of two factors: the labels (l, partition
+# type) of the zero-dimensional quotient, which depend on l alone, and the
+# admissible P^3 Chern data (c2, s) with their outputs.  Both consumers below
+# take the factors from these two functions.
 
-    The stratum labels combine the admissible P^3 Chern data with the
-    length-l partition types of the zero-dimensional quotient; ch_3 of the
-    reflexive part and the ambient presentation dimensions are recorded.
+
+def _strata_labels(l_range: range) -> list[tuple[int, str]]:
+    """(l, partition type text) of each length-l partition type, l in ``l_range``.
+
+    ``partition_types`` also rejects l < 0.
     """
-    # The labels depend on l alone; partition_types also rejects l < 0.
-    labels = [(l, [str(ptype) for ptype in partition_types(l)]) for l in l_range]
+    return [(l, str(ptype)) for l in l_range for ptype in partition_types(l)]
+
+
+def _strata_pairs(c2_range: range) -> Iterator[tuple[int, int, MappingProxyType]]:
+    """(c2, s, outputs) of each admissible (c2, s): ch_3 of the reflexive
+    part and the ambient presentation dimensions, in one read-only map that
+    all the pair's entries share."""
     for c2 in c2_range:
         for s in admissible_s(c2):
             report = presentation_report(c2, s)
             character = chern_to_character(ChernClasses(2, -1, c2, report.c3), 3)
-            # one read-only map per (c2, s), shared by all its entries, so
-            # the writer encodes it once per (c2, s)
-            outputs = MappingProxyType({
+            yield c2, s, MappingProxyType({
                 "c3": report.c3,
                 "ch2": character.ch2,
                 "ch3": character.ch3,
@@ -765,38 +783,124 @@ def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
                 "dim_pv": report.dim_pv,
                 "dim_g": report.dim_g,
             })
-            for l, partitions in labels:
-                for partition in partitions:
-                    yield CatalogEntry(
-                        kind="stratum",
-                        inputs={"c2": c2, "s": s, "l": l, "partition": partition},
-                        outputs=outputs,
-                    )
+
+
+def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
+    """One "stratum" entry per (c2, s, c3, partition type of length l).
+
+    The stratum labels combine the admissible P^3 Chern data with the
+    length-l partition types of the zero-dimensional quotient; ch_3 of the
+    reflexive part and the ambient presentation dimensions are recorded.
+    """
+    labels = _strata_labels(l_range)
+    for c2, s, outputs in _strata_pairs(c2_range):
+        for l, partition in labels:
+            yield CatalogEntry(
+                kind="stratum",
+                inputs={"c2": c2, "s": s, "l": l, "partition": partition},
+                outputs=outputs,
+            )
+
+
+def _strata_document(c2_range: range, l_range: range) -> tuple[int, Iterator[str]]:
+    """``document_pieces(_strata_entries(c2_range, l_range))``, written as
+    the product of the two factors, one c2 run at a time.
+
+    An entry's sorted inputs are c2, then its label (l and partition), then
+    s, and each of the three compact texts ``"c2":C,``, ``"l":L,"partition":"P"``
+    and ``"s":S}`` is a proper prefix of no other of its kind (a number is
+    followed by a non-digit, a JSON string ends at its closing quote).  So the
+    canonical order is the runs of one c2 in the order of ``"c2":C,`` (10..19
+    before 5), within a run the labels in the order of their text, and within
+    a label the pairs' s in the order of ``"s":S}`` (10 before 1).
+
+    Each label item, c2 and s item and outputs map is encoded once, as
+    :func:`document_pieces` encodes it.  Every factor is computed and
+    encoded, and the order checked, before this returns, so every error is
+    raised before any piece exists.  The pieces are joined one block at a
+    time from the factors' texts: no run or sort row is kept.
+    """
+    kind, version = _KIND_TEXT["stratum"], int.__repr__(SCHEMA_VERSION)
+    labels = []  # each label's compact and indented texts, its items joined
+    for l, partition in _strata_labels(l_range):
+        (l_compact, l_indented), (p_compact, p_indented) = (
+            _item_texts("l", l), _item_texts("partition", partition))
+        labels.append((l_compact + "," + p_compact, l_indented + _ITEM_SEPARATOR + p_indented))
+    labels.sort()
+    runs, pairs = [], 0
+    for c2, run in groupby(_strata_pairs(c2_range), key=itemgetter(0)):
+        c2_compact, c2_indented = _item_texts("c2", c2)
+        tails = []  # each pair's block after its label, by the text of s
+        for _, s, outputs in run:
+            s_compact, s_indented = _item_texts("s", s)
+            outputs_indented = _map_texts(outputs, _item_texts.__wrapped__)[1]
+            tails.append((s_compact + "}", _ITEM_SEPARATOR + s_indented + _MAP_TAIL + _KIND_FIELD
+                          + kind + _OUTPUTS_FIELD + outputs_indented + _VERSION_FIELD + version
+                          + _BLOCK_END))
+        tails.sort()
+        pairs += len(tails)
+        runs.append((c2_compact + ",", _BLOCK_HEAD + _MAP_HEAD + c2_indented + _ITEM_SEPARATOR,
+                     tails))
+    runs.sort()
+
+    def increasing(rows: list) -> bool:
+        return all(a[0] < b[0] for a, b in zip(rows, rows[1:]))
+
+    # The order holds only if no key repeats, which ranges never do: the
+    # labels and each run's s must strictly increase, and each run's first
+    # line (its inputs text, less the opening brace) be above the last line
+    # of the run before.
+    ends = [(c2_key + labels[0][0] + "," + tails[0][0], c2_key + labels[-1][0] + "," + tails[-1][0])
+            for c2_key, _, tails in runs] if labels else []
+    if not (increasing(labels) and all(increasing(tails) for _, _, tails in runs)
+            and all(last < first for (_, last), (first, _) in zip(ends, ends[1:]))):
+        raise DomainError("strata entries out of order: a c2, l or s repeats")
+
+    def blocks() -> Iterator[str]:
+        for _, head, tails in runs:
+            for _, label in labels:
+                for _, tail in tails:
+                    yield head + label + tail
+
+    return len(labels) * pairs, chain([_DOCUMENT_HEAD], _block_list(blocks()), [_DOCUMENT_TAIL])
 
 
 class CatalogKind(NamedTuple):
     """One ``catalog <kind>``.  ``entry_kind`` is the ``kind`` tag of the
     entries it generates.  ``params`` are ``generate``'s arguments in order,
     each (name, type, default): the flag and config key, ``int`` or ``range``
-    (an "a..b" grid), and the default, None when the value must be given."""
+    (an "a..b" grid), and the default, None when the value must be given.
+    ``document`` takes the same arguments and returns what
+    ``document_pieces(generate(...))`` returns: the entry count and the
+    document's pieces, with every error raised before it returns."""
 
     entry_kind: str
     help: str
     params: tuple[tuple[str, type, Any], ...]
     generate: Callable[..., Iterator[CatalogEntry]]
+    document: Callable[..., tuple[int, Iterator[str]]]
+
+
+def _sorted_document(generate: Callable[..., Iterator[CatalogEntry]]) -> Callable:
+    """The document writer of a kind whose entries are encoded and sorted by
+    :func:`document_pieces`."""
+    return lambda *values: document_pieces(generate(*values))
 
 
 # keyed by subcommand name, in the order ``catalog --help`` lists them
 _C2_GRID = ("c2", range, None)
 CATALOG_KINDS = {
     "strata": CatalogKind("stratum", "stratum labels over a (c2, l) grid",
-                          (_C2_GRID, ("l", range, None)), _strata_entries),
+                          (_C2_GRID, ("l", range, None)), _strata_entries, _strata_document),
     "bounds": CatalogKind("bound", "ch_3 bounds and c3 intervals over a c2 grid",
-                          (("rank", int, 2), ("c1", int, -1), _C2_GRID), _bounds_entries),
+                          (("rank", int, 2), ("c1", int, -1), _C2_GRID), _bounds_entries,
+                          _sorted_document(_bounds_entries)),
     "resolutions": CatalogKind("resolution", "resolution shapes over a c2 grid",
-                               (_C2_GRID,), _resolutions_entries),
+                               (_C2_GRID,), _resolutions_entries,
+                               _sorted_document(_resolutions_entries)),
     "monads": CatalogKind("monad", "monad shapes over normalized data",
-                          (("rank-max", int, None), ("charge", range, None)), _monads_entries),
+                          (("rank-max", int, None), ("charge", range, None)), _monads_entries,
+                          _sorted_document(_monads_entries)),
 }
 
 # the entry kinds, each with its JSON text, shared by every sort row of that kind

@@ -321,7 +321,7 @@ _READERS = {int: (int, None), range: (_int_range, "A..B")}
 
 def _cmd_catalog(args) -> tuple[int, dict | None]:
     """The catalog of kind ``args.catalog_command``, on stdout or to ``--output``."""
-    from .catalog import CATALOG_KINDS, document_pieces
+    from .catalog import CATALOG_KINDS
 
     kind = CATALOG_KINDS[args.catalog_command]
     values = []
@@ -335,13 +335,16 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
         if value is None and default is None:
             raise UsageError(f"--{key} is required (flag or config file)")
         values.append(default if value is None else value)
-    entries = kind.generate(*values)
+    # CSV rows come from the kind's generator, the one way to a catalog's
+    # entries.  JSON comes from the kind's document writer: the generic
+    # writer's sort rows, about the document's size, or for strata the
+    # product of its factors, whose peak follows the factors.  Either writer
+    # computes and encodes everything before any output is opened, so a
+    # failed run leaves an existing file untouched and creates none.
     if args.output is None and args.format == "csv":
-        _write(_csv_lines(entries))
+        _write(_csv_lines(kind.generate(*values)))
         return EXIT_OK, None
-    # every entry is generated, encoded and sorted before any output is
-    # opened, so a failed run leaves an existing file untouched and creates none
-    count, pieces = document_pieces(entries)
+    count, pieces = kind.document(*values)
     if args.output is None:
         _write(pieces)
         return EXIT_OK, None

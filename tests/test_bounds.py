@@ -584,3 +584,18 @@ def test_ch3_bound_contains_all_resolved_sheaves():
         for s in admissible_s(c2):
             ch3 = chern_to_character(ChernClasses(2, -1, c2, c3_oracle(c2, s)), 3).ch3
             assert abs(ch3) < bound, (c2, s)
+
+
+def test_c3_interval_sharpness_for_rank_two():
+    """How far the paper's c_3 interval reaches for r = 2, c_1 = -1: its top
+    c3_max against Hartshorne's c_3 <= c_2^2 for stable rank-2 reflexive
+    sheaves, and against the largest c_3 of the resolved family (s = 1).
+    Both ratios fall towards 4 as c_2 grows."""
+    ratios = {}
+    for c2 in (5, 5000):
+        c3_max = enumerate_admissible_c3(2, -1, c2)[1]
+        largest = max(c3_oracle(c2, s) for s in admissible_s(c2))
+        ratios[c2] = (F(c3_max, c2 * c2), F(c3_max, largest))
+    assert ratios == {5: (F(873, 25), F(873, 19)),
+                      5000: (F(50187699, 12500000), F(50187699, 12495002))}
+    assert [round(float(r), 3) for r in (*ratios[5], *ratios[5000])] == [34.92, 45.947, 4.015, 4.017]

@@ -835,6 +835,27 @@ def test_cli_catalog_write_peaks_below_twice_the_document(fmt, to_file, c2, tmp_
     assert peak < 2 * path.stat().st_size
 
 
+def test_cli_strata_write_peaks_below_a_quarter_of_the_document(tmp_path, capsys):
+    """A strata catalog is written as the product of its factors, one c2 run
+    at a time: its peak follows the factors, not the document."""
+    path = tmp_path / "strata.json"
+
+    def run(c2, l):
+        return main(["catalog", "strata", "--c2", c2, "--l", l, "--output", str(path)])
+
+    # a first, one-entry run, so that one-time costs are not counted
+    assert run("5..5", "0..0") == 0
+    tracemalloc.start()
+    try:
+        code = run("5..40", "0..6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    capsys.readouterr()
+    assert peak < path.stat().st_size / 4
+
+
 def test_cli_csv_diff_peaks_with_the_json_diff(tmp_path, capsys):
     """Both diff formats stream their payload, so the CSV diff peaks with the
     JSON diff: it decodes one differing line at a time."""

@@ -14,6 +14,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -605,10 +606,12 @@ def test_equal_entries_hash_equal():
     assert len({as_int, CatalogEntry("bound", {"c2": Fraction(3)}, {})}) == 2
 
 
-def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
+@pytest.mark.parametrize("write", ["sorted entries", "product"])
+def test_strata_outputs_are_encoded_once_per_pair(write, monkeypatch):
     """The shared outputs map of each (c2, s) is encoded once, and each
     distinct inputs item (key, type, value) of the document once, from a
-    cleared item cache."""
+    cleared item cache, by the writer of sorted entries and by the strata
+    writer of the product of the factors."""
     maps, values = [], []
     encode_map, encode_value = catalog_module._encode_map, catalog_module._encode_value
 
@@ -624,7 +627,10 @@ def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
     monkeypatch.setattr(catalog_module, "_encode_map", counting_map)
     monkeypatch.setattr(catalog_module, "_encode_value", counting_value)
     catalog_module._item_texts.cache_clear()
-    serialize_catalog(entries)
+    if write == "product":
+        "".join(CATALOG_KINDS["strata"].document(range(5, 13), range(0, 4))[1])
+    else:
+        serialize_catalog(entries)
     pairs = sorted({(e.inputs["c2"], e.inputs["s"]) for e in entries})
     assert (len(entries), len(pairs)) == (143, 13)
     outputs = [m for m in maps if "c3" in m]
@@ -634,6 +640,44 @@ def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
     expected.update((t, v) for _, t, v in items)
     assert Counter(values) == expected
     assert len(values) == 6 * len(pairs) + len(items)
+
+
+# the strata writer's grids: runs of one c2 that sort as texts (10..19 before
+# 5, 100.. before 95), s = 10 before s = 1 within a label (c2 >= 112), two s
+# under each of 1,685 labels, no admissible (c2, s), and no label
+PRODUCT_GRIDS = [
+    (range(5, 13), range(0, 4)),
+    (range(95, 126), range(0, 3)),
+    (range(12, 13), range(0, 11)),
+    (range(1, 5), range(0, 4)),
+    (range(5, 13), range(0)),
+]
+
+
+@pytest.mark.parametrize("c2_range, l_range", PRODUCT_GRIDS, ids=str)
+def test_strata_product_writer_matches_the_sorted_entries(c2_range, l_range):
+    """The strata document written as the product of its factors is the
+    document of its sorted entries, count and bytes."""
+    kind = CATALOG_KINDS["strata"]
+    count, pieces = kind.document(c2_range, l_range)
+    want_count, want = document_pieces(kind.generate(c2_range, l_range))
+    text = "".join(pieces)
+    assert (count, text) == (want_count, "".join(want))
+    if not count:
+        assert text == serialize_catalog([])
+
+
+@pytest.mark.parametrize("c2_range, l_range", [
+    ([6, 5, 6], range(0, 2)),  # one c2 in two runs
+    ([5, 5], range(0, 2)),  # one c2 twice in one run
+    ([5, 5], range(0, 1)),  # one entry a run
+    (range(5, 7), [1, 1]),  # one l twice
+])
+def test_strata_product_writer_refuses_repeated_keys(c2_range, l_range):
+    """Grids that are not ranges can repeat a c2 or an l, and then the
+    product is not in canonical order: the writer raises before any piece."""
+    with pytest.raises(DomainError, match="out of order"):
+        CATALOG_KINDS["strata"].document(c2_range, l_range)
 
 
 # ---------------------------------------------------------------------------
@@ -740,12 +784,44 @@ def test_canonical_lines_match_parse_catalog(text):
         assert streamed == lines
 
 
-def test_negative_length_raises():
+@cache
+def _written(name):
+    """A small catalog of kind ``name``, as chowkit writes it."""
+    args = {"strata": (range(5, 7), range(0, 3)), "bounds": (2, -1, range(0, 4)),
+            "resolutions": (range(5, 8),), "monads": (2, range(0, 3))}[name]
+    return serialize_catalog(CATALOG_KINDS[name].generate(*args))
+
+
+# characters that make or break JSON and the writer's layout, and any other
+edit_chars = st.one_of(st.sampled_from('{}[]",:\\ \n0123456789-/.efnrstu'), st.characters())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CATALOG_KINDS)),
+       st.lists(st.tuples(st.integers(0, 1 << 16), st.sampled_from("rid"), edit_chars),
+                min_size=1, max_size=3))
+def test_readers_agree_on_edited_catalogs(name, edits):
+    """One to three characters of a written catalog replaced, inserted or
+    deleted: whenever the block reader accepts the text, its lines are those
+    of the whole-document reader, and neither raises but DomainError."""
+    text = _written(name)
+    for position, edit, char in edits:
+        at = position % (len(text) + 1)
+        text = text[:at] + ("" if edit == "d" else char) + text[at + (edit != "i"):]
+    whole = _outcome(canonical_lines, text)
+    streamed = _outcome(lambda t: list(stream_canonical_lines(io.StringIO(t))), text)
+    if isinstance(streamed, list):
+        assert streamed == whole
+
+
+@pytest.mark.parametrize("write", ["generate", "document"])
+def test_negative_length_raises(write):
+    write = getattr(CATALOG_KINDS["strata"], write)
     with pytest.raises(InadmissibleParameterError):
-        list(CATALOG_KINDS["strata"].generate(range(5, 6), range(-1, 1)))
+        list(write(range(5, 6), range(-1, 1)))
     # no (c2, s) in the grid: the length range is still checked
     with pytest.raises(InadmissibleParameterError):
-        list(CATALOG_KINDS["strata"].generate(range(0, 1), range(-2, 0)))
+        list(write(range(0, 1), range(-2, 0)))
 
 
 def test_cli_negative_length_is_a_domain_error(capsys):

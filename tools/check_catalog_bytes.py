@@ -6,7 +6,7 @@ Usage:
 
 The commands run as ``python -m chowkit`` with this checkout's ``src`` on
 ``PYTHONPATH``, as the benchmark runs them.
-CHECKS is one table of 29 rows, each (argv, output, size, sha256, exit code,
+CHECKS is one table of 30 rows, each (argv, output, size, sha256, exit code,
 stdin).  The output is a file name, written with ``--output`` in a fresh
 temporary directory, or "-" for stdout.  Every command runs in that
 directory, so ``catalog diff a.json b.json`` reads the two catalogs written
@@ -15,9 +15,12 @@ A row's stdin, when given, names a file written before it, whose bytes the
 command reads through a pipe (``catalog diff /dev/stdin ...``): a pipe is
 read whole, so those rows pin the whole-file reader at the size of the
 block reader's rows.
-The sizes and sha256s of the benchmark's full-size grids are read from
-``perfbench/workloads.py``; those of the larger grids, and of the
-benchmark's family grids as CSV, are in the table.
+The rows are the benchmark's full-size catalogs and their diff, its family
+grids as CSV, family and strata grids past the benchmark's and their diffs,
+and a strata grid on stdout across c2 99..100, where the order of the
+numbers and of their texts differ.  The sizes and sha256s of the
+benchmark's full-size grids are read from ``perfbench/workloads.py``; those
+of the other rows are in the table.
 The script prints one line per catalog and exits 1, naming each catalog
 whose bytes or exit code differ from the recorded ones.
 """
@@ -82,6 +85,11 @@ CHECKS = [
     # partition labels: the writer's widest inputs memo
     Check(("catalog", "strata", "--c2", "5..8", "--l", "0..10"), "strata-wide.json", 2884065,
           "71dc853ceb766bfb4e961fc66d791c86a96c8714b163afb2884d88acb59d54b6"),
+    # a strata grid across c2 99..100, where the order of the numbers and of
+    # their texts differ, reaching s = 10 (70 entries) from c2 112 on: the
+    # strata writer's runs of one c2 and its order of s within a run
+    Check(("catalog", "strata", "--c2", "95..125", "--l", "0..2"), "-", 508874,
+          "61eeb7638648d058e77a4076c41fcf0a8f764cda030268f15e41b23474613eb9"),
     # a strata grid of 55,056 entries through the file writer, the chunked
     # stdout writer and the row-by-row CSV writer
     Check(_LARGE_STRATA, "strata-large.json", *_LARGE_STRATA_JSON),
