@@ -23,22 +23,28 @@ block reader's :func:`_item_line` maps an item's line in a document to its
 key and compact text.  Each keeps at most ``_ITEM_CACHE_SIZE`` items, so a
 document whose items never repeat costs its encoding, never memory.
 
-Writing streams: the generic writer, :func:`document_pieces`, encodes each
-entry once into a sort row, sorts the rows and yields the document piece by
-piece in canonical order, so its peak memory is the sort rows (about the
-size of the document), never a copy of the whole document.  Inputs items go
-through the writer's cache; outputs maps, which seldom repeat, are encoded
-afresh, once for each run of entries that share one.
-:func:`serialize_catalog` joins the same pieces into one string.
+Writing streams: the run writer encodes each entry once into a sort row,
+sorts the rows of one run at a time and yields the document piece by piece
+in canonical order, so its peak memory is one run's rows, never a copy of
+the whole document.  Inputs items go through the writer's cache; outputs
+maps, which seldom repeat, are encoded afresh.  :func:`document_pieces` is
+that writer over one run of any entries, so its peak is the sort rows
+(about the size of the document); :func:`serialize_catalog` joins the same
+pieces into one string.
 
 Generation: :data:`CATALOG_KINDS` is the table of the kinds ``chowkit
 catalog <kind>`` builds, each with the kind tag of its entries, the
-generator that yields them (the one way to a catalog's entries) and the
-writer of its document.  A strata catalog is the product of two factors,
-its labels and its (c2, s) pairs, and its document writer writes it as
-that product: each factor is encoded once and the document expanded one c2
-run at a time, so its peak memory follows the factors, not the document.
-The other kinds' documents are :func:`document_pieces` of their entries.
+generator that yields them (the one way to a catalog's entries, for CSV
+and library callers) and the writer of its document.  A strata catalog is
+the product of two factors, its labels and its (c2, s) pairs, and its
+document writer writes it as that product: each factor is encoded once and
+the document expanded one c2 run at a time, so its peak memory follows the
+factors, not the document.  Each other kind has a row source that yields
+the (inputs, outputs) items of its entries in runs, one per value of its
+grid, the first input of the entries that varies.  Its document is the run
+writer's, over the runs in the order of those values' texts (c2 10 before
+5), so its peak follows the largest run; its entry count is known only at
+the end, and an error in a run after the first is raised mid-document.
 
 Reading a whole document parses it as JSON and decodes each raw map item
 through the reader's cache.  :func:`parse_catalog` builds entries from the
@@ -255,7 +261,8 @@ def _map_texts(mapping: Mapping[str, Any],
 
 # the document's text around its list of entry blocks
 _DOCUMENT_HEAD = '{\n  "entries": '
-_DOCUMENT_TAIL = ',\n  "schema_version": ' + int.__repr__(SCHEMA_VERSION) + "\n}\n"
+_VERSION = int.__repr__(SCHEMA_VERSION)
+_DOCUMENT_TAIL = ',\n  "schema_version": ' + _VERSION + "\n}\n"
 
 
 def _block_list(blocks: Iterable[str]) -> Iterator[str]:
@@ -269,14 +276,62 @@ def _block_list(blocks: Iterable[str]) -> Iterator[str]:
     yield "[]" if separator == "[\n" else "\n  ]"
 
 
+class _Document:
+    """A catalog document: its ``pieces``, to be taken once, and ``count``,
+    the entries in the pieces taken so far, which is the document's entry
+    count once they are exhausted."""
+
+    __slots__ = ("count", "pieces")
+
+    def __init__(self, count: int, pieces: Iterator[str] | None = None) -> None:
+        self.count, self.pieces = count, pieces
+
+
+def _document(runs: Iterable[list]) -> _Document:
+    """The catalog document of ``runs``, lists of sort rows: each run's blocks
+    in the order of its rows, the runs in the order given.
+
+    A row is a tuple that sorts as its entry's canonical line, whose second
+    item is the kind's JSON text and whose last two are the indented texts
+    of the inputs and outputs.  Each run's first row must be above the last
+    row of the run before, else this raises :class:`DomainError`.  The first
+    run is taken, sorted and checked before this returns, each other one as
+    the pieces reach it, so memory holds one run's rows, and an error in a
+    later run is raised while the pieces are taken, after those before it.
+    """
+    runs, document, last = iter(runs), _Document(0), None
+
+    def ordered(run: list) -> list:
+        nonlocal last
+        run.sort(reverse=True)  # descending, so that popping takes the rows in order
+        if run:
+            if last is not None and run[-1] <= last:
+                raise DomainError("catalog entries out of order: a leading value repeats "
+                                  "or its run is out of place")
+            last = run[0]
+            document.count += len(run)
+        return run
+
+    def blocks(first: list) -> Iterator[str]:
+        for run in chain([first], map(ordered, runs)):
+            while run:
+                row = run.pop()
+                yield _indented_block(row[-2], row[1], row[-1], _VERSION)
+
+    document.pieces = chain([_DOCUMENT_HEAD], _block_list(blocks(ordered(next(runs, [])))),
+                            [_DOCUMENT_TAIL])
+    return document
+
+
 def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]]:
     """The entry count and the canonical catalog document of ``entries``, in pieces.
 
-    Each entry is encoded once, into a sort row: the compact texts its
-    canonical line is joined from (inputs, kind, outputs, version, in the
-    line's order) and the indented texts of its inputs and outputs.
-    Inputs items go through the writer's item cache, so an item that
-    repeats is encoded and checked once while it stays among the last
+    The entries are one run of the run writer of every kind but strata
+    (:data:`CATALOG_KINDS`): each entry is encoded once, into a sort row of
+    the compact texts its canonical line is joined from (inputs, kind,
+    outputs, in the line's order) and the indented texts of its inputs and
+    outputs.  Inputs items go through the writer's item cache, so an item
+    that repeats is encoded and checked once while it stays among the last
     ``_ITEM_CACHE_SIZE`` items used (the CLI's grids repeat theirs: 472
     distinct items of 63,936 for strata c2 5..20 by l 0..8), and a document
     whose inputs never repeat keeps no more than that.
@@ -288,35 +343,27 @@ def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]
 
     This returns only once every entry is encoded and the rows are sorted,
     so an error in generating or encoding any entry is raised before any
-    piece exists, and a caller can open its output only then.  No copy of
-    the document is built: peak memory is the sort rows, about the
-    document's size, and each row is dropped once its block is made.
-    ``entries`` may be a generator, whose entries are then freed as they
-    are encoded.  This is the writer of every kind but strata, whose
-    document is written as the product of its factors, with no sort rows
-    (:data:`CATALOG_KINDS`), and of any entries a library caller builds; it
-    stays the oracle of the strata writer's bytes.
+    piece exists, the count is known, and a caller can open its output only
+    then.  No copy of the document is built: peak memory is the sort rows,
+    about the document's size, and each row is dropped once its block is
+    made.  ``entries`` may be a generator, whose entries are then freed as
+    they are encoded.  This stays the oracle of the strata and family
+    writers' bytes, and writes any entries a library caller builds.
     """
-    rows = []
-    last = None  # the last outputs map; its compact and indented texts follow
-    for entry in entries:
-        inputs, inputs_indented = _map_texts(entry.inputs)
-        if entry.outputs is not last:
-            last = entry.outputs
-            compact, indented = _map_texts(last, _item_texts.__wrapped__)
-        kind, version = _KIND_TEXT[entry.kind], int.__repr__(entry.schema_version)
-        rows.append((inputs, kind, compact, version, inputs_indented, indented))
-    # No JSON object or string text is a proper prefix of another, and the
-    # version is one constant, so the rows sort as their canonical lines do.
-    # Descending, so that popping from the end takes them in order.
-    rows.sort(reverse=True)
 
-    def blocks() -> Iterator[str]:
-        while rows:
-            _, kind, _, version, inputs, outputs = rows.pop()
-            yield _indented_block(inputs, kind, outputs, version)
+    def rows() -> Iterator[tuple]:
+        last = None  # the last outputs map; its compact and indented texts follow
+        for entry in entries:
+            inputs, inputs_indented = _map_texts(entry.inputs)
+            if entry.outputs is not last:
+                last = entry.outputs
+                compact, indented = _map_texts(last, _item_texts.__wrapped__)
+            # No JSON object or string text is a proper prefix of another, and
+            # the version is one constant, so the rows sort as their lines do.
+            yield inputs, _KIND_TEXT[entry.kind], compact, inputs_indented, indented
 
-    return len(rows), chain([_DOCUMENT_HEAD], _block_list(blocks()), [_DOCUMENT_TAIL])
+    document = _document([list(rows())])
+    return document.count, document.pieces
 
 
 # ---------------------------------------------------------------------------
@@ -690,67 +737,66 @@ def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
     The other kinds have no such list; this one stays because
     ``perfbench/test_smoke.py`` traces a call of it.
     """
-    return list(_bounds_entries(r, c1, c2_range))
+    return list(CATALOG_KINDS["bounds"].generate(r, c1, c2_range))
 
 
-def _bounds_entries(r: int, c1: int, c2_range: range) -> Iterator[CatalogEntry]:
+# The row sources of the family kinds.  Each yields one run per value of the
+# kind's grid, in the order given: the (inputs items, outputs items) of the
+# value's entries, each map's items in the order of their keys.
+
+
+def _bounds_runs(r: int, c1: int, c2_values: Iterable[int]) -> Iterator[list]:
     """One "bound" entry per c2: the ch_3 bound and the admissible c3 interval."""
     check_integer("rank", r)
     check_integer("c_1", c1)  # before its first use, in ch_2
-    for c2 in c2_range:
+    for c2 in c2_values:
         ch2 = _ch2_of_classes(c1, c2)
         report = bound_report(r, c1, ch2)
         # the interval of enumerate_admissible_c3, from the same ch_3 bound
         c3_min, c3_max = _c3_interval(c1, c2, report.ch3_bound)
-        yield CatalogEntry(
-            kind="bound",
-            inputs={"rank": r, "c1": c1, "c2": c2},
-            outputs={
-                "ch2": ch2,
-                "ch3_bound": report.ch3_bound,
-                "euler_bound": report.euler_bound,
-                "q": report.q,
-                "c3_min": c3_min,
-                "c3_max": c3_max,
-            },
-        )
+        yield [((("c1", c1), ("c2", c2), ("rank", r)),
+                (("c3_max", c3_max), ("c3_min", c3_min), ("ch2", ch2),
+                 ("ch3_bound", report.ch3_bound), ("euler_bound", report.euler_bound),
+                 ("q", report.q)))]
 
 
-def _resolutions_entries(c2_range: range) -> Iterator[CatalogEntry]:
+def _resolutions_runs(c2_values: Iterable[int]) -> Iterator[list]:
     """One "resolution" entry per admissible (c2, s)."""
-    for c2 in c2_range:
+    for c2 in c2_values:
+        run = []
         for s in admissible_s(c2):
             report = presentation_report(c2, s)
-            yield CatalogEntry(
-                kind="resolution",
-                inputs={"c2": c2, "s": s},
-                outputs={
-                    "c3": report.c3,
-                    "r_minus1": format_term(report.r_minus1),
-                    "r0": format_term(report.r0),
-                    "chern_consistent": verify_resolution_chern(report),
-                    "dim_hom": report.dim_hom,
-                    "dim_pv": report.dim_pv,
-                    "dim_g": report.dim_g,
-                },
-            )
+            run.append(((("c2", c2), ("s", s)), (
+                ("c3", report.c3), ("chern_consistent", verify_resolution_chern(report)),
+                ("dim_g", report.dim_g), ("dim_hom", report.dim_hom), ("dim_pv", report.dim_pv),
+                ("r0", format_term(report.r0)), ("r_minus1", format_term(report.r_minus1)))))
+        yield run
+
+
+def _monad_pair(r: int, d: int, c: int) -> tuple:
+    """The (inputs items, outputs items) of the "monad" entry of (r, d) and charge c."""
+    ch2 = Fraction(-2 * c - d, 2)
+    shape = monad_shape(r, d, ch2)
+    return ((("charge", c), ("degree", d), ("rank", r)),
+            (("ch2", ch2), ("u", shape.u), ("v", shape.v), ("w", shape.w)))
+
+
+def _monads_runs(r_max: int, charges: Iterable[int]) -> Iterator[list]:
+    """One "monad" entry per normalized (r, d) and integer charge c, d + c >= 0."""
+    check_integer("rank-max", r_max)
+    for c in charges:  # a negative c leaves every range of d empty
+        yield [_monad_pair(r, d, c) for r in range(1, r_max + 1) for d in range(max(1 - r, -c), 1)]
 
 
 def _monads_entries(r_max: int, charge_range: range) -> Iterator[CatalogEntry]:
-    """One "monad" entry per normalized (r, d) and integer charge."""
+    """The entries of :func:`_monads_runs`, in the order of (r, d, charge)."""
     check_integer("rank-max", r_max)
     for r in range(1, r_max + 1):
         for d in range(-r + 1, 1):
             for c in charge_range:
-                if c < 0 or d + c < 0:
-                    continue
-                ch2 = Fraction(-2 * c - d, 2)
-                shape = monad_shape(r, d, ch2)
-                yield CatalogEntry(
-                    kind="monad",
-                    inputs={"rank": r, "degree": d, "charge": c},
-                    outputs={"ch2": ch2, "v": shape.v, "w": shape.w, "u": shape.u},
-                )
+                if c >= 0 and d + c >= 0:
+                    inputs, outputs = _monad_pair(r, d, c)
+                    yield CatalogEntry("monad", dict(inputs), dict(outputs))
 
 
 # A strata catalog is the product of two factors: the labels (l, partition
@@ -802,7 +848,7 @@ def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
             )
 
 
-def _strata_document(c2_range: range, l_range: range) -> tuple[int, Iterator[str]]:
+def _strata_document(c2_range: range, l_range: range) -> _Document:
     """``document_pieces(_strata_entries(c2_range, l_range))``, written as
     the product of the two factors, one c2 run at a time.
 
@@ -820,7 +866,7 @@ def _strata_document(c2_range: range, l_range: range) -> tuple[int, Iterator[str
     raised before any piece exists.  The pieces are joined one block at a
     time from the factors' texts: no run or sort row is kept.
     """
-    kind, version = _KIND_TEXT["stratum"], int.__repr__(SCHEMA_VERSION)
+    kind, version = _KIND_TEXT["stratum"], _VERSION
     labels = []  # each label's compact and indented texts, its items joined
     for l, partition in _strata_labels(l_range):
         (l_compact, l_indented), (p_compact, p_indented) = (
@@ -862,7 +908,8 @@ def _strata_document(c2_range: range, l_range: range) -> tuple[int, Iterator[str
                 for _, tail in tails:
                     yield head + label + tail
 
-    return len(labels) * pairs, chain([_DOCUMENT_HEAD], _block_list(blocks()), [_DOCUMENT_TAIL])
+    return _Document(len(labels) * pairs,
+                     chain([_DOCUMENT_HEAD], _block_list(blocks()), [_DOCUMENT_TAIL]))
 
 
 class CatalogKind(NamedTuple):
@@ -870,21 +917,51 @@ class CatalogKind(NamedTuple):
     entries it generates.  ``params`` are ``generate``'s arguments in order,
     each (name, type, default): the flag and config key, ``int`` or ``range``
     (an "a..b" grid), and the default, None when the value must be given.
-    ``document`` takes the same arguments and returns what
-    ``document_pieces(generate(...))`` returns: the entry count and the
-    document's pieces, with every error raised before it returns."""
+    ``document`` takes the same arguments and returns the document that
+    ``document_pieces(generate(...))`` writes, with its ``count`` known only
+    once its pieces are exhausted."""
 
     entry_kind: str
     help: str
     params: tuple[tuple[str, type, Any], ...]
     generate: Callable[..., Iterator[CatalogEntry]]
-    document: Callable[..., tuple[int, Iterator[str]]]
+    document: Callable[..., _Document]
 
 
-def _sorted_document(generate: Callable[..., Iterator[CatalogEntry]]) -> Callable:
-    """The document writer of a kind whose entries are encoded and sorted by
-    :func:`document_pieces`."""
-    return lambda *values: document_pieces(generate(*values))
+def _family(entry_kind: str, help: str, params: tuple, runs: Callable[..., Iterator[list]],
+            generate: Callable[..., Iterator[CatalogEntry]] | None = None) -> CatalogKind:
+    """The kind whose row source is ``runs``: its one ``range`` parameter is
+    the grid, whose value leads every entry's sorted inputs among those that
+    vary, so each run is one contiguous part of the document.
+
+    ``generate`` defaults to the entries of the runs in the grid's order.
+    The document takes the runs in the order of the values' texts (c2 10
+    before 5, -1 before -10), which is the order of their entries' lines,
+    and sorts and encodes one run at a time (:func:`_document`).
+    """
+    lead = [type_ for _, type_, _ in params].index(range)
+    kind = _json_str(entry_kind)
+
+    def entries(*values: Any) -> Iterator[CatalogEntry]:
+        for run in runs(*values):
+            for inputs, outputs in run:
+                yield CatalogEntry(entry_kind, dict(inputs), dict(outputs))
+
+    def rows(run: list) -> list:
+        rows = []
+        for inputs, outputs in run:
+            compact, indented = zip(*[_item_texts(k, v) for k, v in inputs])
+            outputs = [f"{_json_str(k)}: {_encode_value(v)}" for k, v in outputs]
+            rows.append((_compact_map(compact), kind, _indented_map(indented),
+                         _indented_map(outputs)))
+        return rows
+
+    def document(*values: Any) -> _Document:
+        values = list(values)
+        values[lead] = sorted(values[lead], key=_encode_value)
+        return _document(map(rows, runs(*values)))
+
+    return CatalogKind(entry_kind, help, params, generate or entries, document)
 
 
 # keyed by subcommand name, in the order ``catalog --help`` lists them
@@ -892,15 +969,13 @@ _C2_GRID = ("c2", range, None)
 CATALOG_KINDS = {
     "strata": CatalogKind("stratum", "stratum labels over a (c2, l) grid",
                           (_C2_GRID, ("l", range, None)), _strata_entries, _strata_document),
-    "bounds": CatalogKind("bound", "ch_3 bounds and c3 intervals over a c2 grid",
-                          (("rank", int, 2), ("c1", int, -1), _C2_GRID), _bounds_entries,
-                          _sorted_document(_bounds_entries)),
-    "resolutions": CatalogKind("resolution", "resolution shapes over a c2 grid",
-                               (_C2_GRID,), _resolutions_entries,
-                               _sorted_document(_resolutions_entries)),
-    "monads": CatalogKind("monad", "monad shapes over normalized data",
-                          (("rank-max", int, None), ("charge", range, None)), _monads_entries,
-                          _sorted_document(_monads_entries)),
+    "bounds": _family("bound", "ch_3 bounds and c3 intervals over a c2 grid",
+                      (("rank", int, 2), ("c1", int, -1), _C2_GRID), _bounds_runs),
+    "resolutions": _family("resolution", "resolution shapes over a c2 grid", (_C2_GRID,),
+                           _resolutions_runs),
+    "monads": _family("monad", "monad shapes over normalized data",
+                      (("rank-max", int, None), ("charge", range, None)), _monads_runs,
+                      _monads_entries),
 }
 
 # the entry kinds, each with its JSON text, shared by every sort row of that kind

@@ -336,24 +336,26 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
             raise UsageError(f"--{key} is required (flag or config file)")
         values.append(default if value is None else value)
     # CSV rows come from the kind's generator, the one way to a catalog's
-    # entries.  JSON comes from the kind's document writer: the generic
-    # writer's sort rows, about the document's size, or for strata the
-    # product of its factors, whose peak follows the factors.  Either writer
-    # computes and encodes everything before any output is opened, so a
-    # failed run leaves an existing file untouched and creates none.
+    # entries.  JSON comes from the kind's document writer: for strata the
+    # product of its factors, whose peak follows the factors, and for the
+    # families their runs, sorted one leading value at a time.  The writer
+    # computes and checks the first run (for strata, everything) before any
+    # output is opened, so a run that fails there leaves an existing file
+    # untouched and creates none.  An error in a later run leaves the blocks
+    # of the runs before it written.  The count is known once it is written.
     if args.output is None and args.format == "csv":
         _write(_csv_lines(kind.generate(*values)))
         return EXIT_OK, None
-    count, pieces = kind.document(*values)
+    document = kind.document(*values)
     if args.output is None:
-        _write(pieces)
+        _write(document.pieces)
         return EXIT_OK, None
     try:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+            handle.writelines(document.pieces)
     except OSError as exc:
         raise DomainError(f"cannot write catalog to {args.output!r}: {exc}")
-    return EXIT_OK, {"path": args.output, "entries": count}
+    return EXIT_OK, {"path": args.output, "entries": document.count}
 
 
 def _csv_lines(entries: Iterable) -> Iterator[str]:

@@ -788,12 +788,15 @@ def test_cli_catalog_unwritable_output(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
-def test_cli_failed_catalog_leaves_no_output_file(tmp_path, capsys):
-    argv = ["catalog", "strata", "--c2", "5..5", "--l", "-1..0", "--output"]
-    error = {"error": {
-        "message": "length must be >= 0, got -1",
-        "type": "InadmissibleParameterError",
-    }}
+@pytest.mark.parametrize("argv, message", [
+    (["strata", "--c2", "5..5", "--l", "-1..0"], "length must be >= 0, got -1"),
+    (["bounds", "--rank", "0", "--c2", "5..12"], "rank must be >= 1, got 0"),
+], ids=["strata", "bounds"])
+def test_cli_failed_catalog_leaves_no_output_file(argv, message, tmp_path, capsys):
+    """A parameter error is raised before the output is opened, by the strata
+    writer and by a family writer's first run."""
+    argv = ["catalog", *argv, "--output"]
+    error = {"error": {"message": message, "type": "InadmissibleParameterError"}}
     existing = tmp_path / "existing.json"
     existing.write_bytes(b"not replaced\n")
     code, out, _ = run_cli([*argv, str(existing)], capsys)
@@ -803,6 +806,34 @@ def test_cli_failed_catalog_leaves_no_output_file(tmp_path, capsys):
     code, out, _ = run_cli([*argv, str(absent)], capsys)
     assert (code, json.loads(out)) == (1, error)
     assert not absent.exists()
+
+
+def test_cli_family_error_in_a_later_run_leaves_the_runs_before(tmp_path, capsys, monkeypatch):
+    """A family document is written one run at a time, so an error in a run
+    after the first is raised while the file is written: the command exits 1
+    with the error's payload, and the file holds the document up to that run,
+    cut off after the last block of the run before, which is not a catalog."""
+    kind = CATALOG_KINDS["resolutions"]
+
+    def runs(c2_values):
+        for c2, run in zip(c2_values, catalog._resolutions_runs(c2_values)):
+            if c2 == 7:
+                raise DomainError("no run for c2 = 7")
+            yield run
+
+    monkeypatch.setitem(CATALOG_KINDS, "resolutions",
+                        catalog._family("resolution", kind.help, kind.params, runs))
+    path = tmp_path / "cat.json"
+    path.write_bytes(b"replaced\n")
+    code, out, _ = run_cli(["catalog", "resolutions", "--c2", "5..12", "--output", str(path)],
+                           capsys)
+    assert (code, json.loads(out)) == (1, {"error": {"message": "no run for c2 = 7",
+                                                     "type": "DomainError"}})
+    # the runs in the order of their texts: 10, 11, 12, 5 and 6 come before 7
+    before = serialize_catalog(kind.generate([5, 6, 10, 11, 12]))
+    text = path.read_text(encoding="utf-8")
+    assert text == before[:-len('\n  ],\n  "schema_version": 1\n}\n')]
+    assert text == serialize_catalog(kind.generate(range(5, 13)))[:len(text)]
 
 
 # the CSV is about a seventh of the JSON, so its grid is larger, to keep the
@@ -848,6 +879,30 @@ def test_cli_strata_write_peaks_below_a_quarter_of_the_document(tmp_path, capsys
     tracemalloc.start()
     try:
         code = run("5..40", "0..6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    capsys.readouterr()
+    assert peak < path.stat().st_size / 4
+
+
+def test_cli_family_write_peaks_below_a_quarter_of_the_document(tmp_path, capsys):
+    """A family catalog is written one run of its leading value at a time:
+    its peak follows the largest run, not the document."""
+    path = tmp_path / "resolutions.json"
+
+    def run():
+        return main(["catalog", "resolutions", "--c2", "5..200", "--output", str(path)])
+
+    # a first run of the same grid, so that one-time costs are not counted:
+    # the item cache's c2 items and the library's caches (the peak of the
+    # first run is about half the document, the second's a sixth).  Under
+    # tracemalloc, c2 5..400 would take about 1.1 s.
+    assert run() == 0
+    tracemalloc.start()
+    try:
+        code = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

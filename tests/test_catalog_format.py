@@ -628,7 +628,7 @@ def test_strata_outputs_are_encoded_once_per_pair(write, monkeypatch):
     monkeypatch.setattr(catalog_module, "_encode_value", counting_value)
     catalog_module._item_texts.cache_clear()
     if write == "product":
-        "".join(CATALOG_KINDS["strata"].document(range(5, 13), range(0, 4))[1])
+        "".join(CATALOG_KINDS["strata"].document(range(5, 13), range(0, 4)).pieces)
     else:
         serialize_catalog(entries)
     pairs = sorted({(e.inputs["c2"], e.inputs["s"]) for e in entries})
@@ -659,11 +659,11 @@ def test_strata_product_writer_matches_the_sorted_entries(c2_range, l_range):
     """The strata document written as the product of its factors is the
     document of its sorted entries, count and bytes."""
     kind = CATALOG_KINDS["strata"]
-    count, pieces = kind.document(c2_range, l_range)
+    document = kind.document(c2_range, l_range)
     want_count, want = document_pieces(kind.generate(c2_range, l_range))
-    text = "".join(pieces)
-    assert (count, text) == (want_count, "".join(want))
-    if not count:
+    text = "".join(document.pieces)
+    assert (document.count, text) == (want_count, "".join(want))
+    if not document.count:
         assert text == serialize_catalog([])
 
 
@@ -678,6 +678,59 @@ def test_strata_product_writer_refuses_repeated_keys(c2_range, l_range):
     product is not in canonical order: the writer raises before any piece."""
     with pytest.raises(DomainError, match="out of order"):
         CATALOG_KINDS["strata"].document(c2_range, l_range)
+
+
+# the family writers' grids: runs that sort as texts (c2 10..12 before 5,
+# 100..125 before 95, charge 10..12 before 2, c2 -1 before -10 before -2),
+# s = 10 before s = 1 within a run (c2 >= 112), and grids with no entry
+FAMILY_GRIDS = [
+    ("resolutions", (range(5, 13),)),
+    ("resolutions", (range(95, 126),)),
+    ("monads", (4, range(0, 13))),
+    ("bounds", (3, -2, range(-12, 13))),
+    ("resolutions", (range(0),)),
+    ("resolutions", (range(-3, 5),)),
+    ("monads", (0, range(0, 13))),
+    ("monads", (3, range(-5, 0))),
+    ("bounds", (2, -1, range(0))),
+]
+
+
+@pytest.mark.parametrize("name, values", FAMILY_GRIDS, ids=str)
+def test_family_run_writer_matches_the_sorted_entries(name, values):
+    """A family document written one run at a time is the document of its
+    sorted entries, count and bytes; the count is complete once the pieces
+    are."""
+    kind = CATALOG_KINDS[name]
+    document = kind.document(*values)
+    want_count, want = document_pieces(kind.generate(*values))
+    assert document.count <= want_count
+    text = "".join(document.pieces)
+    assert (document.count, text) == (want_count, "".join(want))
+    if not want_count:
+        assert text == serialize_catalog([]) == '{\n  "entries": [],\n  "schema_version": 1\n}\n'
+
+
+def _numeric_order_runs(c2_values):
+    """The resolutions runs in the order of the numbers, whatever the order given."""
+    return catalog_module._resolutions_runs(sorted(c2_values))
+
+
+@pytest.mark.parametrize("name, values", [
+    ("resolutions", ([6, 5, 6],)),  # one c2 in two runs
+    ("resolutions", ([5, 5],)),
+    ("monads", (2, [3, 0, 3])),
+    ("bounds", (2, -1, [0, 0])),  # one entry a run
+    ("numeric order", (range(5, 13),)),  # c2 10 after 9
+])
+def test_family_run_writer_refuses_runs_out_of_order(name, values):
+    """A grid that repeats a leading value, or a row source whose runs do not
+    come in the order of their texts, is not in canonical order: the writer
+    raises, at the latest when it reaches the run."""
+    kind = (catalog_module._family("resolution", "", (("c2", range, None),), _numeric_order_runs)
+            if name == "numeric order" else CATALOG_KINDS[name])
+    with pytest.raises(DomainError, match="out of order"):
+        "".join(kind.document(*values).pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Usage:
 
 The commands run as ``python -m chowkit`` with this checkout's ``src`` on
 ``PYTHONPATH``, as the benchmark runs them.
-CHECKS is one table of 30 rows, each (argv, output, size, sha256, exit code,
+CHECKS is one table of 32 rows, each (argv, output, size, sha256, exit code,
 stdin).  The output is a file name, written with ``--output`` in a fresh
 temporary directory, or "-" for stdout.  Every command runs in that
 directory, so ``catalog diff a.json b.json`` reads the two catalogs written
@@ -17,8 +17,9 @@ read whole, so those rows pin the whole-file reader at the size of the
 block reader's rows.
 The rows are the benchmark's full-size catalogs and their diff, its family
 grids as CSV, family and strata grids past the benchmark's and their diffs,
-and a strata grid on stdout across c2 99..100, where the order of the
-numbers and of their texts differ.  The sizes and sha256s of the
+a strata grid and a resolutions grid on stdout across c2 99..100, where
+the order of the numbers and of their texts differ, and a bounds grid on
+stdout whose c2 are negative.  The sizes and sha256s of the
 benchmark's full-size grids are read from ``perfbench/workloads.py``; those
 of the other rows are in the table.
 The script prints one line per catalog and exits 1, naming each catalog
@@ -90,6 +91,13 @@ CHECKS = [
     # strata writer's runs of one c2 and its order of s within a run
     Check(("catalog", "strata", "--c2", "95..125", "--l", "0..2"), "-", 508874,
           "61eeb7638648d058e77a4076c41fcf0a8f764cda030268f15e41b23474613eb9"),
+    # a family grid on stdout across c2 99..100, and a bounds grid whose c2
+    # are negative ("c2":-1, before "c2":-10,): the family writer's runs of
+    # one leading value, in the order of their text
+    Check(("catalog", "resolutions", "--c2", "5..300"), "-", 1190870,
+          "f873afd785cabbccb3d1964977e3e01909a38b19622c46d4299ed1c36e506da5"),
+    Check(("catalog", "bounds", "--rank", "3", "--c1", "-2", "--c2", "-12..12"), "-", 8278,
+          "919e95e75eeb66b3ced7eb12b95500336234a926877b3b84714f3742fb42d6ae"),
     # a strata grid of 55,056 entries through the file writer, the chunked
     # stdout writer and the row-by-row CSV writer
     Check(_LARGE_STRATA, "strata-large.json", *_LARGE_STRATA_JSON),
