@@ -24,14 +24,17 @@ is built once:
 * The character part -- the splitting radius, the worst-case section
   term, the Euler and ch_3 bounds and the integers Q and the h^1 factor
   are built from -- depends on (n, c_1, ch_2, mode) alone.  It is keyed by
-  the ints ``(n, c_1, p, q, literal_mode)`` and keeps the most recent
+  the ints ``(n, c_1, p, q, literal_mode)`` with p/q reduced, which each
+  caller already holds (:func:`enumerate_admissible_c3` reduces
+  (c_1^2 - 2c_2)/2 in integers), and keeps the most recent
   ``_CHARACTER_CACHE_SIZE`` characters, so every splitting type of one
   character, and the entry points without a type, read one entry.
 * The splitting-type part -- c_1, sum b_i^2 and the two section counts --
   is keyed by the immutable :class:`SplittingType` and keeps the most
   recent ``_TYPE_CACHE_SIZE`` types.
 
-Only Q and the middle bounds are built per call.  The inputs are checked
+Only Q and the middle bounds are built per call, and the report is built
+positionally from them and the two cached parts.  The inputs are checked
 before either cache is read, so errors are never cached: a rejected input
 raises on every call.
 
@@ -104,7 +107,8 @@ def euler_bound(
     i.e. the splitting-type-dependent quantities evaluated at b_i = t.
     """
     _check_rank(n, c1)
-    return _character(n, c1, as_rational(ch2), literal_mode).euler_bound
+    ch2 = as_rational(ch2)
+    return _character_terms(n, c1, ch2.numerator, ch2.denominator, bool(literal_mode)).euler_bound
 
 
 def ch3_bound(
@@ -116,7 +120,8 @@ def ch3_bound(
     satisfies |ch_3| < ch3_bound(n, c1, ch2) strictly.
     """
     _check_rank(n, c1)
-    return _character(n, c1, as_rational(ch2), literal_mode).ch3_bound
+    ch2 = as_rational(ch2)
+    return _character_terms(n, c1, ch2.numerator, ch2.denominator, bool(literal_mode)).ch3_bound
 
 
 class BoundReport(NamedTuple):
@@ -207,7 +212,11 @@ class _CharacterTerms(NamedTuple):
 
 @lru_cache(maxsize=_CHARACTER_CACHE_SIZE)
 def _character_terms(n: int, c1: int, p: int, q: int, literal_mode: bool) -> _CharacterTerms:
-    """The shared terms of (n, c_1, ch_2 = p/q) in one mode."""
+    """The shared terms of (n, c_1, ch_2 = p/q reduced) in one mode.
+
+    No Fraction is hashed.  The caller has checked that n and c1 are ints:
+    a float would read the entry of the int it equals.
+    """
     nt, den, h1_worst, shift, sections, ch3_shift = _scaled(n, abs(c1), p, q)
     wide = 3 * den * den
     euler = 6 * _clamped_product(h1_worst + shift, h1_worst, literal_mode) + sections
@@ -220,15 +229,6 @@ def _character_terms(n: int, c1: int, p: int, q: int, literal_mode: bool) -> _Ch
         Fraction(euler, wide),
         Fraction(euler + ch3_shift, wide),
     )
-
-
-def _character(n: int, c1: int, ch2: Fraction, literal_mode: bool) -> _CharacterTerms:
-    """The cached character part, keyed by ints so that no Fraction is hashed.
-
-    The caller has checked that n and c1 are ints: a float would read the
-    entry of the int it equals.
-    """
-    return _character_terms(n, c1, ch2.numerator, ch2.denominator, bool(literal_mode))
 
 
 @lru_cache(maxsize=_TYPE_CACHE_SIZE)
@@ -251,27 +251,20 @@ def _evaluate(
     ``terms`` is ``_type_terms(b)``, or None when b is.  The caller has
     checked the rank and c1 and, if b is given, that it fits them.
     """
-    den, h1_worst, shift, radius, sections, euler, ch3 = _character(n, c1, ch2, literal_mode)
+    p, q, mode = ch2.numerator, ch2.denominator, bool(literal_mode)
+    den, h1_worst, shift, radius, sections, euler, ch3 = _character_terms(n, c1, p, q, mode)
     if terms is None:
         h1 = h1_worst
         outer_low = outer_high = sections
     else:
-        h1 = _typed_h1(n, ch2.numerator, ch2.denominator, terms[1])
+        h1 = _typed_h1(n, p, q, terms[1])
         outer_low, outer_high = terms[2], terms[3]
     q_num = h1 + shift
     middle = Fraction(_clamped_product(q_num, h1, literal_mode), den * den)
+    # positional: keywords cost a NamedTuple twice as much per report
     return BoundReport(
-        rank=n,
-        c1=c1,
-        ch2=ch2,
-        splitting_radius=radius,
-        q=Fraction(q_num, den),
-        q_int=-(-q_num // den),
-        h_bounds=(outer_low, middle, middle, outer_high),
-        euler_bound=euler,
-        ch3_bound=ch3,
-        literal_mode=literal_mode,
-        splitting_type=b,
+        n, c1, ch2, radius, Fraction(q_num, den), -(-q_num // den),
+        (outer_low, middle, middle, outer_high), euler, ch3, literal_mode, b,
     )
 
 
@@ -360,7 +353,10 @@ def enumerate_admissible_c3(r: int, c1: int, c2: int) -> tuple[int, int]:
     """
     _check_rank(r, c1)
     check_integer("c_2", c2)
-    return _c3_interval(c1, c2, _character(r, c1, _ch2_of_classes(c1, c2), False).ch3_bound)
+    # ch_2 = p/2 with p = c_1^2 - 2 c_2, reduced: p is odd exactly when c_1 is
+    p = c1 * c1 - 2 * c2
+    p, q = (p, 2) if c1 % 2 else (p // 2, 1)
+    return _c3_interval(c1, c2, _character_terms(r, c1, p, q, False).ch3_bound)
 
 
 def _c3_interval(c1: int, c2: int, bound: Fraction) -> tuple[int, int]:

@@ -84,7 +84,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .bounds import _c3_interval, _ch2_of_classes, bound_report
-from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational, rational_str
+from .chow import _RATIONAL_RE, ChernClasses, chern_to_character, parse_rational
 from .errors import DomainError, InadmissibleParameterError, Value, check_integer
 from .monads import monad_shape, partition_types
 from .resolutions import admissible_s, format_term, presentation_report, verify_resolution_chern
@@ -175,6 +175,8 @@ _json_str = json.encoder.encode_basestring_ascii
 
 def _encode_value(value: Any) -> str:
     """JSON text of one ``inputs``/``outputs`` value."""
+    if type(value) is int:
+        return int.__repr__(value)
     if value is True:
         return "true"
     if value is False:
@@ -187,8 +189,10 @@ def _encode_value(value: Any) -> str:
                 f"string value {value!r} would be parsed back as a rational"
             )
         return _json_str(value)
-    if isinstance(value, Fraction):
-        return _json_str(rational_str(value))
+    if isinstance(value, Fraction):  # rational_str's text, read off the reduced Fraction
+        if value.denominator == 1:
+            return f'"{value.numerator}"'
+        return f'"{value.numerator}/{value.denominator}"'
     raise DomainError(f"unsupported catalog value {value!r}")
 
 

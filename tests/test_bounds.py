@@ -483,6 +483,19 @@ def test_p3_bounds_of_one_character_fill_one_cache_entry():
     assert len({id(report.ch3_bound) for report in reports}) == 1
     for b, report in zip(types, reports):
         assert report_fields(report) == reference_report(5, -2, ch.ch2, b, False)
+    # the bound sweep's order of calls: the c_3 interval, then every type of
+    # the character; an unreduced key of the interval, such as (2k, 2) for
+    # c_1 even, gives the right values but a second miss
+    for r, c1 in ((5, -2), (4, -3)):
+        types = enumerate_splitting_types(r, c1)
+        before = bounds._character_terms.cache_info()
+        c3_min, _ = enumerate_admissible_c3(r, c1, 100_003)  # a c_2 no other test uses
+        ch = chern_to_character(ChernClasses(r, c1, 100_003, c3_min), 3)
+        reports = [p3_bounds(b, ch) for b in types]
+        after = bounds._character_terms.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == len(types)
+        assert {report.ch3_bound for report in reports} == {ch3_bound(r, c1, ch.ch2)}
 
 
 def test_literal_and_clamped_modes_do_not_share_an_entry():
@@ -560,6 +573,15 @@ def test_enumerate_admissible_c3_strictness():
 
 def test_enumerate_admissible_c3_hand_interval():
     assert enumerate_admissible_c3(2, -1, 5) == (-882, 873)
+
+
+def test_enumerate_admissible_c3_equals_the_fraction_route():
+    # the route `chowkit enumerate-c3` takes; ch_2 = (c_1^2 - 2 c_2)/2 runs
+    # through odd, even, zero, negative and positive numerators
+    for r, c1, c2 in itertools.product(range(1, 7), range(-7, 8), range(-30, 61)):
+        ch2 = bounds._ch2_of_classes(c1, c2)
+        expected = bounds._c3_interval(c1, c2, ch3_bound(r, c1, ch2))
+        assert enumerate_admissible_c3(r, c1, c2) == expected, (r, c1, c2)
 
 
 def test_enumerate_admissible_c3_contains_zero_for_trivial_data():
