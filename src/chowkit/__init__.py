@@ -24,9 +24,10 @@ _EXPORTS = {
         "euler_bound", "extreme_bounds", "h0_line_bundle", "p3_bounds",
     ),
     "catalog": (
-        "SCHEMA_VERSION", "CatalogEntry", "bounds_catalog", "canonical_lines",
-        "document_pieces", "parse_catalog", "serialize_catalog", "serialize_entry",
+        "SCHEMA_VERSION", "CatalogEntry", "bounds_catalog", "document_pieces",
+        "serialize_catalog", "serialize_entry",
     ),
+    "catalog_read": ("canonical_lines", "parse_catalog"),
     "chow": (
         "ChernCharacter", "ChernClasses", "as_rational", "ch_line_bundle",
         "character_to_chern", "chern_to_character", "dual", "euler_characteristic", "mul",

@@ -297,10 +297,12 @@ def bound_report(
             raise InadmissibleParameterError(
                 f"b = {b} is not a splitting type of rank {n} and c1 {c1}"
             )
-        radius = splitting_radius(n, c1)
-        if any(abs(entry) > radius for entry in b):
+        # |e| > |c1|/n + n, times n > 0: the radius test in ints
+        limit = abs(c1) + n * n
+        if any(n * abs(entry) > limit for entry in b):
             raise InadmissibleParameterError(
-                f"b = {b} has an entry of magnitude above the splitting radius {radius}"
+                f"b = {b} has an entry of magnitude above the splitting radius "
+                f"{splitting_radius(n, c1)}"
             )
         terms = _type_terms(b)
     return _evaluate(n, c1, ch2, b, terms, literal_mode)

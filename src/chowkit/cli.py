@@ -8,7 +8,7 @@ as a machine-readable ``{"error": {...}}`` object.  ``catalog diff`` follows
 classic diff: 0 when the catalogs are identical, 1 when they differ, and 2
 when a catalog file cannot be read or is not a catalog document, including
 one whose document or entry ``schema_version`` is unknown (reported as the
-same ``{"error": {...}}`` object, naming the file).  ``catalog.diff_files``
+same ``{"error": {...}}`` object, naming the file).  ``catalog_read.diff_files``
 decides how the two files are read, and reads them; this module reads no
 catalog.  Every output, error objects too, leaves through one writer,
 ``_write``, in chunks of ``io.DEFAULT_BUFFER_SIZE``; when the reader closes
@@ -24,9 +24,12 @@ A start imports and builds only what its subcommand needs.  This module
 imports the standard library, ``chow`` and ``errors``; each handler imports
 the family module it calls, and argparse adds a subcommand's arguments only
 once it has chosen that subcommand (``_Subcommands``).  So ``chowkit todd``
-loads ``cli``, ``chow`` and ``errors``, ``chowkit bound`` adds ``bounds``
-and ``splitting``, and a ``catalog`` command loads every module.  Only CSV
-output imports ``csv``.
+loads ``cli``, ``chow`` and ``errors``, and ``chowkit bound`` adds ``bounds``
+and ``splitting``.  A ``catalog`` command adds ``catalog`` and the modules
+of its kind: ``catalog strata`` and ``catalog monads`` add ``monads`` and
+``resolutions``, ``catalog resolutions`` adds ``resolutions``, ``catalog
+bounds`` adds ``bounds`` and ``splitting``, and ``catalog diff`` adds only
+the reader, ``catalog_read``.  Only CSV output imports ``csv``.
 """
 
 from __future__ import annotations
@@ -396,7 +399,7 @@ def _write(pieces: Iterable[str]) -> None:
 
 
 def _cmd_diff(args) -> tuple[int, dict | None]:
-    from .catalog import diff_files, diff_pieces
+    from .catalog_read import diff_files, diff_pieces
 
     try:
         delta = diff_files(args.catalog_a, args.catalog_b)

@@ -4,7 +4,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, floor
 from pathlib import Path
 
 import pytest
@@ -28,7 +28,7 @@ from chowkit.errors import (
     RankMismatchError,
 )
 from chowkit.resolutions import admissible_s
-from chowkit.splitting import SplittingType, enumerate_splitting_types
+from chowkit.splitting import SplittingType, enumerate_splitting_types, splitting_radius
 
 from conftest import (
     c3_oracle,
@@ -335,6 +335,32 @@ def test_bound_report_takes_entries_on_the_splitting_radius():
     for c1, entries in ((0, (2, -2)), (-1, (1, -2))):
         b = SplittingType(entries)
         assert bound_report(2, c1, F(-9, 2), b).splitting_type is b
+
+
+def test_bound_report_radius_check_agrees_with_the_rational_radius():
+    """The radius test in ints, n |e| > |c1| + n^2, rejects a type exactly
+    when an entry is above the rational radius |c1|/n + n: for every
+    normalized (n, c1) with n <= 6, on entries at the radius and one off it."""
+    outcomes = set()
+    for n in range(1, 7):
+        for c1 in range(-n + 1, 1):
+            radius = splitting_radius(n, c1)
+            for size in range(floor(radius) - 1, ceil(radius) + 2):
+                for entry in {size, -size}:
+                    if n == 1 and entry != c1:
+                        continue  # rank 1 has the one type (c1)
+                    # the rest of c1 spread over the other n - 1 entries
+                    q, m = divmod(c1 - entry, max(n - 1, 1))
+                    b = SplittingType((entry, *[q + 1] * m, *[q] * (n - 1 - m)))
+                    above = any(abs(e) > radius for e in b)
+                    try:
+                        bound_report(n, c1, F(-9, 2), b)
+                    except InadmissibleParameterError as exc:
+                        assert above and f"above the splitting radius {radius}" in str(exc), b
+                    else:
+                        assert not above, b
+                    outcomes.add(above)
+    assert outcomes == {True, False}
 
 
 def test_p3_bounds_on_cached_types_equal_fresh_types():

@@ -36,7 +36,7 @@ from chowkit.catalog import (
     serialize_entry,
     stream_canonical_lines,
 )
-from chowkit import catalog as catalog_module
+from chowkit import catalog as catalog_module, catalog_read
 from chowkit.cli import main
 from chowkit.errors import DomainError, InadmissibleParameterError
 
@@ -253,8 +253,10 @@ def test_block_reader_across_chunk_boundaries(monkeypatch):
     lines = canonical_lines(document)
     separator = document.index("\n    },\n")
     for size in range(len('{\n  "entries": []'), separator + 9):
-        monkeypatch.setattr(catalog_module, "_CHUNK", size)
+        monkeypatch.setattr(catalog_read, "_CHUNK", size)
         assert list(stream_canonical_lines(io.StringIO(document))) == lines, size
+    with pytest.raises(AttributeError):  # the writer's module has no reader constant
+        catalog_module._CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def test_readers_do_not_depend_on_the_decoder_cache():
         CATALOG_KINDS["bounds"].generate(2, -1, range(0, 6)),  # rationals
         CATALOG_KINDS["resolutions"].generate(range(5, 8)),  # terms and bools
     ))
-    caches = [getattr(catalog_module, name) for name in READER_CACHES]
+    caches = [getattr(catalog_read, name) for name in READER_CACHES]
     items = caches[:2]  # the two item caches
     for cache in caches:
         cache.cache_clear()
@@ -379,7 +381,7 @@ def test_diff_decodes_a_shared_block_once(tmp_path):
     a, b = _write_catalogs(tmp_path, a=strata(range(5, 8), range(0, 5)),
                            b=strata(range(5, 9), range(0, 5)))
     lines_a, lines_b = (set(canonical_lines(Path(p).read_text(encoding="utf-8"))) for p in (a, b))
-    memo = catalog_module._block_line
+    memo = catalog_read._block_line
     memo.cache_clear()
     delta = diff_files(a, b)
     info = memo.cache_info()
@@ -392,13 +394,13 @@ def test_diff_does_not_depend_on_the_block_memo(tmp_path):
     """The same diff with the memo cleared, warm, and emptied of the files'
     blocks by more distinct blocks than it holds; and an error is not kept."""
     bounds = CATALOG_KINDS["bounds"].generate
-    memo, maps = catalog_module._block_line, catalog_module._map_line
+    memo, maps = catalog_read._block_line, catalog_read._map_line
     size = memo.cache_info().maxsize
     assert maps.cache_info().maxsize == size
     a, b, filler = _write_catalogs(tmp_path, a=bounds(2, -1, range(0, 6)),
                                    b=bounds(2, -1, range(2, 9)),
                                    filler=bounds(2, -1, range(100, 101 + size)))
-    for cache in (memo, maps, catalog_module._item_line):
+    for cache in (memo, maps, catalog_read._item_line):
         cache.cache_clear()
     cold = diff_files(a, b)
     first, first_maps = memo.cache_info(), maps.cache_info()
@@ -476,8 +478,8 @@ def test_block_reader_reads_what_canonical_lines_reads(case):
     streamed = _outcome(lambda t: list(stream_canonical_lines(io.StringIO(t))), text)
     assert streamed == _outcome(canonical_lines, text)
     if case != "true for 1":  # true is a catalog value, written as it stands
-        block = next(catalog_module._blocks(io.StringIO(text)))
-        assert catalog_module._block_text_line(block) is None
+        block = next(catalog_read._blocks(io.StringIO(text)))
+        assert catalog_read._block_text_line(block) is None
 
 
 def test_diff_of_written_catalogs_parses_no_json(tmp_path, monkeypatch):
@@ -501,8 +503,8 @@ def test_diff_of_written_catalogs_parses_no_json(tmp_path, monkeypatch):
         with open(paths[-1], "w", encoding="utf-8") as handle:
             handle.writelines(document_pieces(entries)[1])
     for cache in READER_CACHES:
-        getattr(catalog_module, cache).cache_clear()
-    monkeypatch.setattr(catalog_module.json, "loads", counting_loads)
+        getattr(catalog_read, cache).cache_clear()
+    monkeypatch.setattr(catalog_read.json, "loads", counting_loads)
     delta = diff_files(*paths)
     assert loads == [] and delta["only_in_a"] and delta["only_in_b"]
     text = paths[0].read_text(encoding="utf-8")

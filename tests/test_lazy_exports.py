@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import chowkit
+from chowkit.cli import main
 
 SRC = str(Path(chowkit.__file__).resolve().parent.parent)
 
@@ -49,9 +50,8 @@ print(json.dumps([kinds, sorted(m for m in sys.modules if m.startswith("chowkit.
     done = subprocess.run([sys.executable, "-c", steps], capture_output=True, text=True, check=True)
     kinds, modules = json.loads(done.stdout)
     assert kinds == ["bounds", "monads", "resolutions", "strata"]
-    # catalog and its own imports, no CLI code
-    assert modules == [f"chowkit.{m}" for m in ("bounds", "catalog", "chow", "errors", "monads",
-                                                "resolutions", "splitting")]
+    # catalog and its own imports: no family module, no reader and no CLI code
+    assert modules == [f"chowkit.{m}" for m in ("catalog", "chow", "errors")]
 
 
 def test_each_name_is_listed_under_one_module():
@@ -87,7 +87,43 @@ print(json.dumps(loaded))
     assert json.loads(done.stdout) == [
         ["chow", "cli", "errors"],
         ["bounds", "chow", "cli", "errors", "splitting"],
-        ["bounds", "catalog", "chow", "cli", "errors", "monads", "resolutions", "splitting"],
-        ["bounds", "catalog", "chow", "cli", "errors", "monads", "resolutions", "splitting",
-         "csv"],
+        ["bounds", "catalog", "chow", "cli", "errors", "resolutions", "splitting"],
+        ["bounds", "catalog", "chow", "cli", "errors", "resolutions", "splitting", "csv"],
     ]
+
+
+# each catalog command, and the modules a start that runs it loads
+CATALOG_STARTS = {
+    "strata": (["catalog", "strata", "--c2", "5..5", "--l", "0..0"],
+               ["catalog", "chow", "cli", "errors", "monads", "resolutions"]),
+    "bounds": (["catalog", "bounds", "--c2", "0..0"],
+               ["bounds", "catalog", "chow", "cli", "errors", "splitting"]),
+    "resolutions": (["catalog", "resolutions", "--c2", "5..5"],
+                    ["catalog", "chow", "cli", "errors", "resolutions"]),
+    "monads": (["catalog", "monads", "--rank-max", "1", "--charge", "0..0"],
+               ["catalog", "chow", "cli", "errors", "monads", "resolutions"]),
+    "diff": (["catalog", "diff", "a.json", "b.json"],
+             ["catalog", "catalog_read", "chow", "cli", "errors"]),
+}
+
+
+@pytest.mark.parametrize("command", CATALOG_STARTS)
+def test_a_catalog_start_loads_only_what_its_kind_calls(command, tmp_path, monkeypatch):
+    """One fresh interpreter per catalog command, so that a module one kind
+    loads cannot hide a missing import of another kind."""
+    monkeypatch.chdir(tmp_path)
+    for name, c2 in (("a.json", "5..5"), ("b.json", "5..6")):  # the diff's inputs
+        assert main(["catalog", "resolutions", "--c2", c2, "--output", name]) == 0
+    argv, expected = CATALOG_STARTS[command]
+    steps = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {SRC!r})
+from chowkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("chowkit."))
+                  + sorted(m for m in ("csv", "dataclasses", "inspect") if m in sys.modules)]))
+"""
+    done = subprocess.run([sys.executable, "-c", steps], capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout) == [1 if command == "diff" else 0, expected]
