@@ -22,28 +22,25 @@ to its compact and indented JSON texts, and the readers' caches in
 document, to the same texts.  Each keeps at most ``_ITEM_CACHE_SIZE`` items,
 so a document whose items never repeat costs its encoding, never memory.
 
-Writing streams: the run writer encodes each entry once into a sort row,
-sorts the rows of one run at a time and yields the document piece by piece
-in canonical order, so its peak memory is one run's rows, never a copy of
-the whole document.  Inputs items go through the writer's cache; outputs
-maps, which seldom repeat, are encoded afresh.  :func:`document_pieces` is
-that writer over one run of any entries, so its peak is the sort rows
-(about the size of the document); :func:`serialize_catalog` joins the same
-pieces into one string.
-
 Generation: :data:`CATALOG_KINDS` is the table of the kinds ``chowkit
-catalog <kind>`` builds, each with the kind tag of its entries, the
-generator that yields them (the one way to a catalog's entries, for CSV
-and library callers) and the writer of its document.  A strata catalog is
-the product of two factors, its labels and its (c2, s) pairs, and its
-document writer writes it as that product: each factor is encoded once and
-the document expanded one c2 run at a time, so its peak memory follows the
-factors, not the document.  Each other kind has a row source that yields
-the (inputs, outputs) items of its entries in runs, one per value of its
-grid, the first input of the entries that varies.  Its document is the run
-writer's, over the runs in the order of those values' texts (c2 10 before
-5), so its peak follows the largest run; its entry count is known only at
+catalog <kind>`` builds.  Each kind has a row source, and both its entries
+(for CSV and library callers) and its document come from it.  A catalog is
+a product: its labels, and its runs of rows, one run per value of its grid,
+the first input of the entries that varies.  A strata catalog's labels are
+its (l, partition type) pairs and its rows the (c2, s) pairs of each c2;
+each other kind has one empty label.
+
+Writing streams, through one writer, :func:`_document`: it encodes each
+label, run head and row once, sorts one run's rows at a time, and yields the
+document piece by piece in canonical order, the runs in the order of their
+grid values' texts (c2 10 before 5).  So its peak memory follows the labels
+and the largest run, never the document; its entry count is known only at
 the end, and an error in a run after the first is raised mid-document.
+Inputs items go through the writer's cache; outputs, which seldom repeat,
+are encoded afresh.  :func:`document_pieces` writes any entries a library
+caller builds, with one global sort of one row per entry, so its peak is
+about the size of the document; :func:`serialize_catalog` joins its pieces
+into one string.
 
 Reading and ``catalog diff`` live in :mod:`chowkit.catalog_read`, and each
 row source imports its kind's family modules when it runs: a start with no
@@ -58,8 +55,7 @@ import importlib
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain, islice
 from types import MappingProxyType, ModuleType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -255,87 +251,123 @@ class _Document:
 
     __slots__ = ("count", "pieces")
 
-    def __init__(self, count: int, pieces: Iterator[str] | None = None) -> None:
-        self.count, self.pieces = count, pieces
+    def __init__(self) -> None:
+        self.count, self.pieces = 0, None
 
 
-def _document(runs: Iterable[list]) -> _Document:
-    """The catalog document of ``runs``, lists of sort rows: each run's blocks
-    in the order of its rows, the runs in the order given.
+def _outputs_text(items: Iterable[tuple[str, Any]]) -> str:
+    """The indented text of an outputs map, from its items in the order of
+    their keys.  Outputs seldom repeat, so their items bypass the cache."""
+    return _indented_map([f"{_json_str(k)}: {_encode_value(v)}" for k, v in items])
 
-    A row is a tuple that sorts as its entry's canonical line, whose second
-    item is the kind's JSON text and whose last two are the indented texts
-    of the inputs and outputs.  Each run's first row must be above the last
-    row of the run before, else this raises :class:`DomainError`.  The first
-    run is taken, sorted and checked before this returns, each other one as
-    the pieces reach it, so memory holds one run's rows, and an error in a
-    later run is raised while the pieces are taken, after those before it.
+
+def _leading_texts(items: Iterable[tuple[str, Any]]) -> tuple[str, str]:
+    """The compact and indented texts of inputs items that more items follow,
+    each item's text ended by its separator."""
+    texts = [_item_texts(k, v) for k, v in items]
+    return "".join(c + "," for c, _ in texts), "".join(i + _ITEM_SEPARATOR for _, i in texts)
+
+
+def _increasing(texts: list) -> bool:
+    """Whether the first items of ``texts`` strictly increase."""
+    return all(a[0] < b[0] for a, b in zip(texts, texts[1:]))
+
+
+_OUT_OF_ORDER = "catalog entries out of order: a key repeats or a run is out of place"
+
+
+def _document(entry_kind: str, labels: list, runs: Iterable[tuple]) -> _Document:
+    """The catalog document of a row source's ``labels`` and ``runs``.
+
+    Each run is (head items, rows), each row (rest items, outputs items);
+    an entry's sorted inputs are a run's head, a label and a row's rest, and
+    each of the four is encoded once.  Each head and label item ends in a
+    comma and a row's rest, never empty, in the map's closing brace, so the
+    canonical order is the runs in the order given, then the labels and
+    within a label the rows, each in the order of their text (``"s":10}``
+    before ``"s":1}``).  The labels, the heads and each run's rows, sorted a
+    run at a time, must strictly increase, else this raises DomainError: for
+    the labels and the first run before this returns, for a later run when
+    the pieces reach it, after the blocks of the runs before.  So memory
+    holds the labels and one run's rows.
     """
-    runs, document, last = iter(runs), _Document(0), None
+    label_texts = sorted(_leading_texts(label) for label in labels)
+    if not _increasing(label_texts):
+        raise DomainError(_OUT_OF_ORDER)
+    fields = _MAP_TAIL + _KIND_FIELD + _json_str(entry_kind) + _OUTPUTS_FIELD
+    end = _VERSION_FIELD + _VERSION + _BLOCK_END
+    runs, document, last = iter(runs), _Document(), None
 
-    def ordered(run: list) -> list:
+    def run_texts(run: tuple) -> tuple[str, list]:
+        """A run's head text and its rows' (compact rest text, block text
+        after the label) pairs, sorted."""
         nonlocal last
-        run.sort(reverse=True)  # descending, so that popping takes the rows in order
-        if run:
-            if last is not None and run[-1] <= last:
-                raise DomainError("catalog entries out of order: a leading value repeats "
-                                  "or its run is out of place")
-            last = run[0]
-            document.count += len(run)
-        return run
+        head, rows = run
+        compact, indented = _leading_texts(head)
+        tails = []
+        for rest, outputs in rows:
+            rest_compact, rest_indented = zip(*[_item_texts(k, v) for k, v in rest])
+            tails.append((",".join(rest_compact) + "}", _ITEM_SEPARATOR.join(rest_indented)
+                          + fields + _outputs_text(outputs) + end))
+        tails.sort()
+        if not ((last is None or last < compact) and _increasing(tails)):
+            raise DomainError(_OUT_OF_ORDER)
+        last = compact
+        document.count += len(label_texts) * len(tails)
+        return _BLOCK_HEAD + _MAP_HEAD + indented, tails
 
     def blocks(first: list) -> Iterator[str]:
-        for run in chain([first], map(ordered, runs)):
-            while run:
-                row = run.pop()
-                yield _indented_block(row[-2], row[1], row[-1], _VERSION)
+        for head, tails in chain(first, map(run_texts, runs)):
+            for _, label in label_texts:
+                for _, tail in tails:
+                    yield head + label + tail
 
-    document.pieces = chain([_DOCUMENT_HEAD], _block_list(blocks(ordered(next(runs, [])))),
-                            [_DOCUMENT_TAIL])
+    first = [run_texts(run) for run in islice(runs, 1)]
+    document.pieces = chain([_DOCUMENT_HEAD], _block_list(blocks(first)), [_DOCUMENT_TAIL])
     return document
 
 
 def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]]:
     """The entry count and the canonical catalog document of ``entries``, in pieces.
 
-    The entries are one run of the run writer of every kind but strata
-    (:data:`CATALOG_KINDS`): each entry is encoded once, into a sort row of
-    the compact texts its canonical line is joined from (inputs, kind,
-    outputs, in the line's order) and the indented texts of its inputs and
-    outputs.  Inputs items go through the writer's item cache, so an item
-    that repeats is encoded and checked once while it stays among the last
-    ``_ITEM_CACHE_SIZE`` items used (the CLI's grids repeat theirs: 472
-    distinct items of 63,936 for strata c2 5..20 by l 0..8), and a document
-    whose inputs never repeat keeps no more than that.
-    Consecutive entries that share one outputs map (the same object, as
-    the strata generator builds them) share its texts: the texts of the last
-    outputs map, encoded without the cache, are reused while the next
-    entry's map ``is`` it, so a map must not change while its entries are
-    being encoded.
+    Each entry is encoded once, into a sort row of the compact texts its
+    canonical line is joined from (inputs, kind, outputs, in the line's
+    order) and the indented texts of its inputs and outputs, and the rows
+    are sorted as one.  Inputs items go through the writer's item cache, so
+    an item that repeats is encoded and checked once while it stays among
+    the last ``_ITEM_CACHE_SIZE`` items used, and a document whose inputs
+    never repeat keeps no more than that.  Consecutive entries that share
+    one outputs map (the same object, as the kinds' generators build them)
+    share its texts: the texts of the last outputs map, encoded without the
+    cache, are reused while the next entry's map ``is`` it, so a map must
+    not change while its entries are being encoded.
 
     This returns only once every entry is encoded and the rows are sorted,
     so an error in generating or encoding any entry is raised before any
-    piece exists, the count is known, and a caller can open its output only
-    then.  No copy of the document is built: peak memory is the sort rows,
-    about the document's size, and each row is dropped once its block is
-    made.  ``entries`` may be a generator, whose entries are then freed as
-    they are encoded.  This stays the oracle of the strata and family
-    writers' bytes, and writes any entries a library caller builds.
+    piece exists, and the count is known.  No copy of the document is
+    built: peak memory is the sort rows, about the document's size, and
+    each row is dropped once its block is made.  ``entries`` may be a
+    generator, whose entries are then freed as they are encoded.  This
+    writes any entries a library caller builds, and is the oracle of the
+    kinds' documents.
     """
+    rows, last = [], None  # last: the last outputs map; its texts follow
+    for entry in entries:
+        inputs, inputs_indented = _map_texts(entry.inputs)
+        if entry.outputs is not last:
+            last = entry.outputs
+            compact, indented = _map_texts(last, _item_texts.__wrapped__)
+        # No JSON object or string text is a proper prefix of another, and
+        # the version is one constant, so the rows sort as their lines do.
+        rows.append((inputs, _KIND_TEXT[entry.kind], compact, inputs_indented, indented))
+    rows.sort(reverse=True)  # descending, so that popping takes the rows in order
 
-    def rows() -> Iterator[tuple]:
-        last = None  # the last outputs map; its compact and indented texts follow
-        for entry in entries:
-            inputs, inputs_indented = _map_texts(entry.inputs)
-            if entry.outputs is not last:
-                last = entry.outputs
-                compact, indented = _map_texts(last, _item_texts.__wrapped__)
-            # No JSON object or string text is a proper prefix of another, and
-            # the version is one constant, so the rows sort as their lines do.
-            yield inputs, _KIND_TEXT[entry.kind], compact, inputs_indented, indented
+    def blocks() -> Iterator[str]:
+        while rows:
+            row = rows.pop()
+            yield _indented_block(row[3], row[1], row[4], _VERSION)
 
-    document = _document([list(rows())])
-    return document.count, document.pieces
+    return len(rows), chain([_DOCUMENT_HEAD], _block_list(blocks()), [_DOCUMENT_TAIL])
 
 
 def serialize_entry(entry: CatalogEntry) -> str:
@@ -371,257 +403,165 @@ def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
     return list(CATALOG_KINDS["bounds"].generate(r, c1, c2_range))
 
 
-# The row sources of the family kinds.  Each yields one run per value of the
-# kind's grid, in the order given: the (inputs items, outputs items) of the
-# value's entries, each map's items in the order of their keys.  Each reads
-# its module's functions as attributes at each call, so a function replaced
-# on the module (a tracer's wrapper) is the one called.
+# The row sources of the kinds.  Each takes the kind's parameters and returns
+# (labels, runs) for :func:`_document`, the runs a generator of one run per
+# value of the grid, in the order given, and each map's items in the order of
+# their keys.  A source reads its modules' functions as attributes at each
+# call, so a function replaced on the module (a tracer's wrapper) is called.
 
 
-def _bounds_runs(r: int, c1: int, c2_values: Iterable[int]) -> Iterator[list]:
+def _bounds_source(r: int, c1: int, c2_values: Iterable[int]) -> tuple[list, list]:
     """One "bound" entry per c2: the ch_3 bound and the admissible c3 interval."""
     check_integer("rank", r)
     check_integer("c_1", c1)  # before its first use, in ch_2
     from . import bounds
-    for c2 in c2_values:
+
+    def rows(c2: int) -> Iterator[tuple]:
         ch2 = bounds._ch2_of_classes(c1, c2)
         report = bounds.bound_report(r, c1, ch2)
         # the interval of enumerate_admissible_c3, from the same ch_3 bound
         c3_min, c3_max = bounds._c3_interval(c1, c2, report.ch3_bound)
-        yield [((("c1", c1), ("c2", c2), ("rank", r)),
-                (("c3_max", c3_max), ("c3_min", c3_min), ("ch2", ch2),
-                 ("ch3_bound", report.ch3_bound), ("euler_bound", report.euler_bound),
-                 ("q", report.q)))]
+        yield ((("rank", r),),
+               (("c3_max", c3_max), ("c3_min", c3_min), ("ch2", ch2),
+                ("ch3_bound", report.ch3_bound), ("euler_bound", report.euler_bound),
+                ("q", report.q)))
+
+    return [()], (((("c1", c1), ("c2", c2)), rows(c2)) for c2 in c2_values)
 
 
-def _resolutions_runs(c2_values: Iterable[int]) -> Iterator[list]:
+def _resolutions_source(c2_values: Iterable[int]) -> tuple[list, list]:
     """One "resolution" entry per admissible (c2, s)."""
     from . import resolutions
-    for c2 in c2_values:
-        run = []
+
+    def rows(c2: int) -> Iterator[tuple]:
         for s in resolutions.admissible_s(c2):
             report = resolutions.presentation_report(c2, s)
-            run.append(((("c2", c2), ("s", s)), (
+            yield ((("s", s),), (
                 ("c3", report.c3),
                 ("chern_consistent", resolutions.verify_resolution_chern(report)),
                 ("dim_g", report.dim_g), ("dim_hom", report.dim_hom), ("dim_pv", report.dim_pv),
                 ("r0", resolutions.format_term(report.r0)),
-                ("r_minus1", resolutions.format_term(report.r_minus1)))))
-        yield run
+                ("r_minus1", resolutions.format_term(report.r_minus1))))
+
+    return [()], (((("c2", c2),), rows(c2)) for c2 in c2_values)
 
 
-def _monad_pair(monads: ModuleType, r: int, d: int, c: int) -> tuple:
-    """The (inputs items, outputs items) of the "monad" entry of (r, d) and charge c."""
+def _monad_row(monads: ModuleType, r: int, d: int, c: int) -> tuple:
+    """The (rest items, outputs items) of the "monad" entry of (r, d) and charge c."""
     ch2 = Fraction(-2 * c - d, 2)
     shape = monads.monad_shape(r, d, ch2)
-    return ((("charge", c), ("degree", d), ("rank", r)),
+    return ((("degree", d), ("rank", r)),
             (("ch2", ch2), ("u", shape.u), ("v", shape.v), ("w", shape.w)))
 
 
-def _monads_runs(r_max: int, charges: Iterable[int]) -> Iterator[list]:
+def _monads_source(r_max: int, charges: Iterable[int]) -> tuple[list, list]:
     """One "monad" entry per normalized (r, d) and integer charge c, d + c >= 0."""
     check_integer("rank-max", r_max)
     from . import monads
-    for c in charges:  # a negative c leaves every range of d empty
-        yield [_monad_pair(monads, r, d, c)
-               for r in range(1, r_max + 1) for d in range(max(1 - r, -c), 1)]
+
+    def rows(c: int) -> Iterator[tuple]:
+        for r in range(1, r_max + 1):  # a negative c leaves every range of d empty
+            for d in range(max(1 - r, -c), 1):
+                yield _monad_row(monads, r, d, c)
+
+    return [()], (((("charge", c),), rows(c)) for c in charges)
 
 
 def _monads_entries(r_max: int, charge_range: range) -> Iterator[CatalogEntry]:
-    """The entries of :func:`_monads_runs`, in the order of (r, d, charge)."""
+    """The entries of :func:`_monads_source`, in the order of (r, d, charge)."""
     check_integer("rank-max", r_max)
     from . import monads
     for r in range(1, r_max + 1):
         for d in range(-r + 1, 1):
             for c in charge_range:
                 if c >= 0 and d + c >= 0:
-                    inputs, outputs = _monad_pair(monads, r, d, c)
-                    yield CatalogEntry("monad", dict(inputs), dict(outputs))
+                    rest, outputs = _monad_row(monads, r, d, c)
+                    yield CatalogEntry("monad", {"charge": c, **dict(rest)}, dict(outputs))
 
 
-# A strata catalog is the product of two factors: the labels (l, partition
-# type) of the zero-dimensional quotient, which depend on l alone, and the
-# admissible P^3 Chern data (c2, s) with their outputs.  Both consumers below
-# take the factors from these two functions.
+def _strata_source(c2_values: Iterable[int], l_values: Iterable[int]) -> tuple[list, list]:
+    """One "stratum" entry per (c2, s, c3, partition type of length l).
 
-
-def _strata_labels(l_range: range) -> list[tuple[int, str]]:
-    """(l, partition type text) of each length-l partition type, l in ``l_range``.
-
-    ``partition_types`` also rejects l < 0.
+    A strata catalog is a product: its labels are the length-l partition
+    types of the zero-dimensional quotient, and each run's rows are the
+    admissible P^3 Chern data (c2, s), with ch_3 of the reflexive part and
+    the ambient presentation dimensions.  ``partition_types`` rejects l < 0.
     """
-    from . import monads
-    return [(l, str(ptype)) for l in l_range for ptype in monads.partition_types(l)]
+    from . import monads, resolutions
+    labels = [(("l", l), ("partition", str(ptype)))
+              for l in l_values for ptype in monads.partition_types(l)]
 
-
-def _strata_pairs(c2_range: range) -> Iterator[tuple[int, int, MappingProxyType]]:
-    """(c2, s, outputs) of each admissible (c2, s): ch_3 of the reflexive
-    part and the ambient presentation dimensions, in one read-only map that
-    all the pair's entries share."""
-    from . import resolutions
-    for c2 in c2_range:
+    def rows(c2: int) -> Iterator[tuple]:
         for s in resolutions.admissible_s(c2):
             report = resolutions.presentation_report(c2, s)
             character = chern_to_character(ChernClasses(2, -1, c2, report.c3), 3)
-            yield c2, s, MappingProxyType({
-                "c3": report.c3,
-                "ch2": character.ch2,
-                "ch3": character.ch3,
-                "dim_hom": report.dim_hom,
-                "dim_pv": report.dim_pv,
-                "dim_g": report.dim_g,
-            })
+            yield ((("s", s),),
+                   (("c3", report.c3), ("ch2", character.ch2), ("ch3", character.ch3),
+                    ("dim_g", report.dim_g), ("dim_hom", report.dim_hom),
+                    ("dim_pv", report.dim_pv)))
 
-
-def _strata_entries(c2_range: range, l_range: range) -> Iterator[CatalogEntry]:
-    """One "stratum" entry per (c2, s, c3, partition type of length l).
-
-    The stratum labels combine the admissible P^3 Chern data with the
-    length-l partition types of the zero-dimensional quotient; ch_3 of the
-    reflexive part and the ambient presentation dimensions are recorded.
-    """
-    labels = _strata_labels(l_range)
-    for c2, s, outputs in _strata_pairs(c2_range):
-        for l, partition in labels:
-            yield CatalogEntry(
-                kind="stratum",
-                inputs={"c2": c2, "s": s, "l": l, "partition": partition},
-                outputs=outputs,
-            )
-
-
-def _strata_document(c2_range: range, l_range: range) -> _Document:
-    """``document_pieces(_strata_entries(c2_range, l_range))``, written as
-    the product of the two factors, one c2 run at a time.
-
-    An entry's sorted inputs are c2, then its label (l and partition), then
-    s, and each of the three compact texts ``"c2":C,``, ``"l":L,"partition":"P"``
-    and ``"s":S}`` is a proper prefix of no other of its kind (a number is
-    followed by a non-digit, a JSON string ends at its closing quote).  So the
-    canonical order is the runs of one c2 in the order of ``"c2":C,`` (10..19
-    before 5), within a run the labels in the order of their text, and within
-    a label the pairs' s in the order of ``"s":S}`` (10 before 1).
-
-    Each label item, c2 and s item and outputs map is encoded once, as
-    :func:`document_pieces` encodes it.  Every factor is computed and
-    encoded, and the order checked, before this returns, so every error is
-    raised before any piece exists.  The pieces are joined one block at a
-    time from the factors' texts: no run or sort row is kept.
-    """
-    kind, version = _KIND_TEXT["stratum"], _VERSION
-    labels = []  # each label's compact and indented texts, its items joined
-    for l, partition in _strata_labels(l_range):
-        (l_compact, l_indented), (p_compact, p_indented) = (
-            _item_texts("l", l), _item_texts("partition", partition))
-        labels.append((l_compact + "," + p_compact, l_indented + _ITEM_SEPARATOR + p_indented))
-    labels.sort()
-    runs, pairs = [], 0
-    for c2, run in groupby(_strata_pairs(c2_range), key=itemgetter(0)):
-        c2_compact, c2_indented = _item_texts("c2", c2)
-        tails = []  # each pair's block after its label, by the text of s
-        for _, s, outputs in run:
-            s_compact, s_indented = _item_texts("s", s)
-            outputs_indented = _map_texts(outputs, _item_texts.__wrapped__)[1]
-            tails.append((s_compact + "}", _ITEM_SEPARATOR + s_indented + _MAP_TAIL + _KIND_FIELD
-                          + kind + _OUTPUTS_FIELD + outputs_indented + _VERSION_FIELD + version
-                          + _BLOCK_END))
-        tails.sort()
-        pairs += len(tails)
-        runs.append((c2_compact + ",", _BLOCK_HEAD + _MAP_HEAD + c2_indented + _ITEM_SEPARATOR,
-                     tails))
-    runs.sort()
-
-    def increasing(rows: list) -> bool:
-        return all(a[0] < b[0] for a, b in zip(rows, rows[1:]))
-
-    # The order holds only if no key repeats, which ranges never do: the
-    # labels and each run's s must strictly increase, and each run's first
-    # line (its inputs text, less the opening brace) be above the last line
-    # of the run before.
-    ends = [(c2_key + labels[0][0] + "," + tails[0][0], c2_key + labels[-1][0] + "," + tails[-1][0])
-            for c2_key, _, tails in runs] if labels else []
-    if not (increasing(labels) and all(increasing(tails) for _, _, tails in runs)
-            and all(last < first for (_, last), (first, _) in zip(ends, ends[1:]))):
-        raise DomainError("strata entries out of order: a c2, l or s repeats")
-
-    def blocks() -> Iterator[str]:
-        for _, head, tails in runs:
-            for _, label in labels:
-                for _, tail in tails:
-                    yield head + label + tail
-
-    return _Document(len(labels) * pairs,
-                     chain([_DOCUMENT_HEAD], _block_list(blocks()), [_DOCUMENT_TAIL]))
+    return labels, (((("c2", c2),), rows(c2)) for c2 in c2_values)
 
 
 class CatalogKind(NamedTuple):
-    """One ``catalog <kind>``.  ``entry_kind`` is the ``kind`` tag of the
-    entries it generates.  ``params`` are ``generate``'s arguments in order,
-    each (name, type, default): the flag and config key, ``int`` or ``range``
-    (an "a..b" grid), and the default, None when the value must be given.
-    ``document`` takes the same arguments and returns the document that
-    ``document_pieces(generate(...))`` writes, with its ``count`` known only
-    once its pieces are exhausted."""
+    """One ``catalog <kind>``.  ``entry_kind`` is the ``kind`` tag of its
+    entries.  ``params`` are the arguments of ``source``, ``generate`` and
+    ``document`` in order, each (name, type, default): the flag and config
+    key, ``int`` or ``range`` (an "a..b" grid), and the default, None when
+    the value must be given; the first ``range`` is the grid that leads the
+    runs.  Entries and document both come from the row source ``source``
+    (:func:`_document`), unless ``ordered`` generates the entries itself."""
 
     entry_kind: str
     help: str
     params: tuple[tuple[str, type, Any], ...]
-    generate: Callable[..., Iterator[CatalogEntry]]
-    document: Callable[..., _Document]
+    source: Callable[..., tuple[list, list]]
+    ordered: Callable[..., Iterator[CatalogEntry]] | None = None
 
+    def generate(self, *values: Any) -> Iterator[CatalogEntry]:
+        """The entries in the order of the grid's values, each row's entries
+        label by label, sharing one read-only outputs map: the one way to a
+        catalog's entries, for CSV and library callers."""
+        if self.ordered is not None:
+            yield from self.ordered(*values)
+            return
+        labels, runs = self.source(*values)
+        for head, rows in runs:
+            for rest, outputs in rows:
+                outputs = MappingProxyType(dict(outputs))
+                for label in labels:
+                    yield CatalogEntry(self.entry_kind, dict(head + label + rest), outputs)
 
-def _family(entry_kind: str, help: str, params: tuple, runs: Callable[..., Iterator[list]],
-            generate: Callable[..., Iterator[CatalogEntry]] | None = None) -> CatalogKind:
-    """The kind whose row source is ``runs``: its one ``range`` parameter is
-    the grid, whose value leads every entry's sorted inputs among those that
-    vary, so each run is one contiguous part of the document.
-
-    ``generate`` defaults to the entries of the runs in the grid's order.
-    The document takes the runs in the order of the values' texts (c2 10
-    before 5, -1 before -10), which is the order of their entries' lines,
-    and sorts and encodes one run at a time (:func:`_document`).
-    """
-    lead = [type_ for _, type_, _ in params].index(range)
-    kind = _json_str(entry_kind)
-
-    def entries(*values: Any) -> Iterator[CatalogEntry]:
-        for run in runs(*values):
-            for inputs, outputs in run:
-                yield CatalogEntry(entry_kind, dict(inputs), dict(outputs))
-
-    def rows(run: list) -> list:
-        rows = []
-        for inputs, outputs in run:
-            compact, indented = zip(*[_item_texts(k, v) for k, v in inputs])
-            outputs = [f"{_json_str(k)}: {_encode_value(v)}" for k, v in outputs]
-            rows.append((_compact_map(compact), kind, _indented_map(indented),
-                         _indented_map(outputs)))
-        return rows
-
-    def document(*values: Any) -> _Document:
+    def document(self, *values: Any) -> _Document:
+        """The document that ``document_pieces(generate(...))`` writes, with
+        the runs in the order of the grid's values' texts (c2 10 before 5,
+        -1 before -10; each value is an int), whose ``count`` is complete
+        once its pieces are exhausted."""
         values = list(values)
-        values[lead] = sorted(values[lead], key=_encode_value)
-        return _document(map(rows, runs(*values)))
-
-    return CatalogKind(entry_kind, help, params, generate or entries, document)
+        lead = [type_ for _, type_, _ in self.params].index(range)
+        grid = values[lead] = sorted(values[lead], key=str)
+        if any(str(a) == str(b) for a, b in zip(grid, grid[1:])):
+            raise DomainError(_OUT_OF_ORDER)  # a repeated value, before any run is made
+        return _document(self.entry_kind, *self.source(*values))
 
 
 # keyed by subcommand name, in the order ``catalog --help`` lists them
 _C2_GRID = ("c2", range, None)
 CATALOG_KINDS = {
     "strata": CatalogKind("stratum", "stratum labels over a (c2, l) grid",
-                          (_C2_GRID, ("l", range, None)), _strata_entries, _strata_document),
-    "bounds": _family("bound", "ch_3 bounds and c3 intervals over a c2 grid",
-                      (("rank", int, 2), ("c1", int, -1), _C2_GRID), _bounds_runs),
-    "resolutions": _family("resolution", "resolution shapes over a c2 grid", (_C2_GRID,),
-                           _resolutions_runs),
-    "monads": _family("monad", "monad shapes over normalized data",
-                      (("rank-max", int, None), ("charge", range, None)), _monads_runs,
-                      _monads_entries),
+                          (_C2_GRID, ("l", range, None)), _strata_source),
+    "bounds": CatalogKind("bound", "ch_3 bounds and c3 intervals over a c2 grid",
+                          (("rank", int, 2), ("c1", int, -1), _C2_GRID), _bounds_source),
+    "resolutions": CatalogKind("resolution", "resolution shapes over a c2 grid", (_C2_GRID,),
+                               _resolutions_source),
+    "monads": CatalogKind("monad", "monad shapes over normalized data",
+                          (("rank-max", int, None), ("charge", range, None)), _monads_source,
+                          _monads_entries),
 }
 
 # the entry kinds, each with its JSON text, shared by every sort row of that kind
 _KIND_TEXT = {k.entry_kind: _json_str(k.entry_kind) for k in CATALOG_KINDS.values()}
+
 
 # public names that outside code reads from this module, under the module
 # that defines them; each is imported on first use (PEP 562)

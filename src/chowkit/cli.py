@@ -339,13 +339,12 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
             raise UsageError(f"--{key} is required (flag or config file)")
         values.append(default if value is None else value)
     # CSV rows come from the kind's generator, the one way to a catalog's
-    # entries.  JSON comes from the kind's document writer: for strata the
-    # product of its factors, whose peak follows the factors, and for the
-    # families their runs, sorted one leading value at a time.  The writer
-    # computes and checks the first run (for strata, everything) before any
-    # output is opened, so a run that fails there leaves an existing file
-    # untouched and creates none.  An error in a later run leaves the blocks
-    # of the runs before it written.  The count is known once it is written.
+    # entries.  JSON comes from the one document writer, over the kind's
+    # labels and runs, sorted one leading value at a time.  The writer
+    # computes and checks the labels and the first run before any output is
+    # opened, so a run that fails there leaves an existing file untouched
+    # and creates none.  An error in a later run leaves the blocks of the
+    # runs before it written.  The count is known once it is written.
     if args.output is None and args.format == "csv":
         _write(_csv_lines(kind.generate(*values)))
         return EXIT_OK, None

@@ -205,18 +205,20 @@ def partition_types(l: int) -> list[PartitionType]:
     if l < 0:
         raise InadmissibleParameterError(f"length must be >= 0, got {l}")
     # _partitions(k) is reverse-lexicographic and k runs downward, so the
-    # candidates are already in descending (size, entries) order
-    candidates = [p for k in range(l, 0, -1) for p in _partitions(k)]
+    # candidates, each with its size, are already in descending (size,
+    # entries) order, and first[k] is the first candidate of size k or less
+    candidates, first = [], [0] * (l + 1)
+    for k in range(l, 0, -1):
+        first[k] = len(candidates)
+        candidates.extend((p, k) for p in _partitions(k))
 
     def generate(remaining: int, start: int):
         if remaining == 0:
             yield ()
             return
-        for i in range(start, len(candidates)):
-            piece = candidates[i]
-            if sum(piece) > remaining:
-                continue
-            for rest in generate(remaining - sum(piece), i):
+        for i in range(max(start, first[remaining]), len(candidates)):
+            piece, size = candidates[i]
+            for rest in generate(remaining - size, i):
                 yield (piece, *rest)
 
     return [PartitionType(parts) for parts in generate(l, 0)]

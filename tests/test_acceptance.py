@@ -130,6 +130,10 @@ def test_criterion_5_resolution_consistency():
 
 @_report(6, "ch_3 of every constructed resolution lies strictly inside the bound")
 def test_criterion_6_bound_containment():
+    """The brute-force oracle of ``test_identities.py::
+    test_resolution_ch3_lies_strictly_inside_the_p3_bound``, which proves
+    the containment by sympy on the whole admissible region; sampled here
+    for c2 5..30 through the library's own functions."""
     for c2 in range(5, 31):
         ch2 = F(1 - 2 * c2, 2)
         bound = ch3_bound(2, -1, ch2)

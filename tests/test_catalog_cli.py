@@ -808,32 +808,39 @@ def test_cli_failed_catalog_leaves_no_output_file(argv, message, tmp_path, capsy
     assert not absent.exists()
 
 
-def test_cli_family_error_in_a_later_run_leaves_the_runs_before(tmp_path, capsys, monkeypatch):
-    """A family document is written one run at a time, so an error in a run
-    after the first is raised while the file is written: the command exits 1
-    with the error's payload, and the file holds the document up to that run,
-    cut off after the last block of the run before, which is not a catalog."""
-    kind = CATALOG_KINDS["resolutions"]
+@pytest.mark.parametrize("name, flags, rest", [
+    ("resolutions", [], ()),
+    ("strata", ["--l", "0..2"], (range(0, 3),)),
+])
+def test_cli_error_in_a_later_run_leaves_the_runs_before(name, flags, rest, tmp_path, capsys,
+                                                         monkeypatch):
+    """A document is written one run at a time, so an error in a run after
+    the first is raised while the file is written: the command exits 1 with
+    the error's payload, and the file holds the document up to that run, cut
+    off after the last block of the run before, which is not a catalog."""
+    kind = CATALOG_KINDS[name]
 
-    def runs(c2_values):
-        for c2, run in zip(c2_values, catalog._resolutions_runs(c2_values)):
-            if c2 == 7:
-                raise DomainError("no run for c2 = 7")
-            yield run
+    def failing(rows, c2):
+        if c2 == 7:
+            raise DomainError("no run for c2 = 7")
+        yield from rows
 
-    monkeypatch.setitem(CATALOG_KINDS, "resolutions",
-                        catalog._family("resolution", kind.help, kind.params, runs))
+    def source(*values):
+        labels, runs = kind.source(*values)
+        return labels, [(head, failing(rows, dict(head)["c2"])) for head, rows in runs]
+
+    monkeypatch.setitem(CATALOG_KINDS, name, kind._replace(source=source))
     path = tmp_path / "cat.json"
     path.write_bytes(b"replaced\n")
-    code, out, _ = run_cli(["catalog", "resolutions", "--c2", "5..12", "--output", str(path)],
+    code, out, _ = run_cli(["catalog", name, "--c2", "5..12", *flags, "--output", str(path)],
                            capsys)
     assert (code, json.loads(out)) == (1, {"error": {"message": "no run for c2 = 7",
                                                      "type": "DomainError"}})
     # the runs in the order of their texts: 10, 11, 12, 5 and 6 come before 7
-    before = serialize_catalog(kind.generate([5, 6, 10, 11, 12]))
+    before = serialize_catalog(kind.generate([5, 6, 10, 11, 12], *rest))
     text = path.read_text(encoding="utf-8")
     assert text == before[:-len('\n  ],\n  "schema_version": 1\n}\n')]
-    assert text == serialize_catalog(kind.generate(range(5, 13)))[:len(text)]
+    assert text == serialize_catalog(kind.generate(range(5, 13), *rest))[:len(text)]
 
 
 # the CSV is about a seventh of the JSON, so its grid is larger, to keep the

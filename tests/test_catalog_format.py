@@ -26,6 +26,7 @@ from chowkit.catalog import (
     CATALOG_KINDS,
     SCHEMA_VERSION,
     CatalogEntry,
+    CatalogKind,
     canonical_lines,
     diff_files,
     diff_pieces,
@@ -612,10 +613,12 @@ def test_equal_entries_hash_equal():
 def test_strata_outputs_are_encoded_once_per_pair(write, monkeypatch):
     """The shared outputs map of each (c2, s) is encoded once, and each
     distinct inputs item (key, type, value) of the document once, from a
-    cleared item cache, by the writer of sorted entries and by the strata
-    writer of the product of the factors."""
+    cleared item cache, by the writer of sorted entries (its map encoder)
+    and by the kinds' writer of the product of the factors (its outputs
+    encoder, which takes a map's items)."""
     maps, values = [], []
-    encode_map, encode_value = catalog_module._encode_map, catalog_module._encode_value
+    encoder = "_outputs_text" if write == "product" else "_encode_map"
+    encode_map, encode_value = getattr(catalog_module, encoder), catalog_module._encode_value
 
     def counting_map(mapping, *item_texts):
         maps.append(mapping)
@@ -626,7 +629,7 @@ def test_strata_outputs_are_encoded_once_per_pair(write, monkeypatch):
         return encode_value(value)
 
     entries = list(CATALOG_KINDS["strata"].generate(range(5, 13), range(0, 4)))
-    monkeypatch.setattr(catalog_module, "_encode_map", counting_map)
+    monkeypatch.setattr(catalog_module, encoder, counting_map)
     monkeypatch.setattr(catalog_module, "_encode_value", counting_value)
     catalog_module._item_texts.cache_clear()
     if write == "product":
@@ -635,16 +638,16 @@ def test_strata_outputs_are_encoded_once_per_pair(write, monkeypatch):
         serialize_catalog(entries)
     pairs = sorted({(e.inputs["c2"], e.inputs["s"]) for e in entries})
     assert (len(entries), len(pairs)) == (143, 13)
-    outputs = [m for m in maps if "c3" in m]
+    outputs = [m for m in maps if "c3" in dict(m)]
     assert len(outputs) == len({id(m) for m in outputs}) == len(pairs)
     items = {(k, type(v), v) for e in entries for k, v in e.inputs.items()}
-    expected = Counter((type(v), v) for m in outputs for v in m.values())
+    expected = Counter((type(v), v) for m in outputs for v in dict(m).values())
     expected.update((t, v) for _, t, v in items)
     assert Counter(values) == expected
     assert len(values) == 6 * len(pairs) + len(items)
 
 
-# the strata writer's grids: runs of one c2 that sort as texts (10..19 before
+# the strata grids of the writer: runs of one c2 that sort as texts (10..19 before
 # 5, 100.. before 95), s = 10 before s = 1 within a label (c2 >= 112), two s
 # under each of 1,685 labels, no admissible (c2, s), and no label
 PRODUCT_GRIDS = [
@@ -682,7 +685,7 @@ def test_strata_product_writer_refuses_repeated_keys(c2_range, l_range):
         CATALOG_KINDS["strata"].document(c2_range, l_range)
 
 
-# the family writers' grids: runs that sort as texts (c2 10..12 before 5,
+# the family grids of the writer: runs that sort as texts (c2 10..12 before 5,
 # 100..125 before 95, charge 10..12 before 2, c2 -1 before -10 before -2),
 # s = 10 before s = 1 within a run (c2 >= 112), and grids with no entry
 FAMILY_GRIDS = [
@@ -713,9 +716,10 @@ def test_family_run_writer_matches_the_sorted_entries(name, values):
         assert text == serialize_catalog([]) == '{\n  "entries": [],\n  "schema_version": 1\n}\n'
 
 
-def _numeric_order_runs(c2_values):
-    """The resolutions runs in the order of the numbers, whatever the order given."""
-    return catalog_module._resolutions_runs(sorted(c2_values))
+def _numeric_order_source(c2_values):
+    """The resolutions row source, its runs in the order of the numbers,
+    whatever the order given."""
+    return catalog_module._resolutions_source(sorted(c2_values))
 
 
 @pytest.mark.parametrize("name, values", [
@@ -729,7 +733,7 @@ def test_family_run_writer_refuses_runs_out_of_order(name, values):
     """A grid that repeats a leading value, or a row source whose runs do not
     come in the order of their texts, is not in canonical order: the writer
     raises, at the latest when it reaches the run."""
-    kind = (catalog_module._family("resolution", "", (("c2", range, None),), _numeric_order_runs)
+    kind = (CatalogKind("resolution", "", (("c2", range, None),), _numeric_order_source)
             if name == "numeric order" else CATALOG_KINDS[name])
     with pytest.raises(DomainError, match="out of order"):
         "".join(kind.document(*values).pieces)

@@ -20,7 +20,13 @@ sympy expansion proves it for every input:
 * the n!-scaled integer tuples the runtime checks compare are n! times the
   rational characters;
 * the scaled-integer numerators of the P^3 bounds over their denominators
-  are the rational formulas, in (n, |c_1|, p, q, sum b_i^2) with ch_2 = p/q.
+  are the rational formulas, in (n, |c_1|, p, q, sum b_i^2) with ch_2 = p/q;
+* |ch_3| of the resolved sheaf is strictly below the library's ch_3 bound
+  (rank 2, c_1 = -1), on the whole admissible region;
+* on P^3, the derived dual of a rank-2 reflexive F has the character
+  ch(F(-c_1)) - c_3 [pt], in (c_1, c_2, c_3), and that of a complex E with
+  H^-1(E) = F and H^0(E) of length l, twisted by c_1, is -ch F + (c_3 - l) [pt],
+  in (c_1, c_2, c_3, l).
 
 The characters of split sheaves are built here summand by summand, one
 truncated exp(tH) per line bundle, independently of the closed forms in
@@ -304,3 +310,77 @@ def test_complex_has_the_chi_of_its_reflexive_part():
         x = chow.chern_to_character(chow.ChernClasses(2, -1, c2, c3), 3)
         e = chow.sub(chow.ChernCharacter.of(3, 0, 0, 0, l), x)
         assert chow.euler_characteristic(chow.mul(chow.dual(e), e)) == 6 - 8 * c2
+
+
+def test_resolution_ch3_lies_strictly_inside_the_p3_bound():
+    """|ch_3| < ch3_bound(2, -1, ch_2) for every resolution entry, on the
+    whole admissible region: the paper's first result, for this family.
+
+    The bound is the library's: ch_2 = (1 - 2 c_2)/2 is in lowest terms and
+    negative for c_2 >= 5, its numerators are those of ``bounds._scaled``,
+    and both factors of the Euler bound's product are positive there, so
+    the product is not clamped.  Acceptance criterion 6 samples the same
+    containment as a brute-force oracle."""
+    p, q = 1 - 2 * C2, 2
+    _, den, h1_worst, shift, sections, ch3_shift = bounds._scaled(2, 1, p, q)
+    assert certified_nonnegative(h1_worst - 1) and certified_nonnegative(h1_worst + shift - 1)
+    bound = (6 * (h1_worst + shift) * h1_worst + sections + ch3_shift) / (3 * den**2)
+    for c2 in (5, 6, 17, 400):
+        assert bound.subs(C2, c2) == bounds.ch3_bound(2, -1, Fraction(1 - 2 * c2, 2))
+    ch3 = ch_of_classes(2, -1, C2, resolutions._c3_formula(C2, S))[3]
+    # 0 < ch_3, so |ch_3| = ch_3, and ch_3 < bound, each by a margin of at least 1/6
+    assert certified_nonnegative(ch3 - sp.Rational(1, 6))
+    assert certified_nonnegative(bound - ch3 - sp.Rational(1, 6))
+
+
+def twisted(ch, k):
+    """ch(X(k)) on P^3, from the components of ch(X): ch(X) exp(kH), truncated."""
+    return [sp.expand(sum(ch[i] * k ** (d - i) / sp.factorial(d - i) for i in range(d + 1)))
+            for d in range(4)]
+
+
+def dualized(ch):
+    """ch(X^dual): component i picks up the sign (-1)^i."""
+    return [(-1) ** i * x for i, x in enumerate(ch)]
+
+
+def points(length):
+    """The character of a zero-dimensional sheaf of the given length on P^3."""
+    return [0, 0, 0, length]
+
+
+C1, L = sp.symbols("c1 l", integer=True)
+
+
+def test_derived_dual_of_a_reflexive_sheaf():
+    """ch(F(-c_1)) - c_3 [pt] = dual(ch F) for every rank-2 (c_1, c_2, c_3) on
+    P^3: the character of RHom(F, O), whose cohomology is F^dual = F(-c_1)
+    in degree 0 and Ext^1(F, O), of length c_3, in degree 1.  The second
+    oracle is the ``chow`` route over the resolution entries."""
+    ch_f = ch_of_classes(2, C1, C2, C3)
+    assert_identity([a - b for a, b in zip(twisted(ch_f, -C1), points(C3))], dualized(ch_f))
+    for entry in catalog.CATALOG_KINDS["resolutions"].generate(range(5, 41)):
+        c3 = entry.outputs["c3"]
+        x = chow.chern_to_character(chow.ChernClasses(2, -1, entry.inputs["c2"], c3), 3)
+        assert chow.sub(chow.twist(x, 1), chow.ChernCharacter.of(3, 0, 0, 0, c3)) == chow.dual(x)
+
+
+def test_derived_dual_of_a_stratum_is_the_involution_on_l():
+    """For E with H^-1(E) = F (rank 2) and H^0(E) = Q of length l on P^3,
+    twist(dual(ch E), c_1) = -ch F + (c_3 - l) [pt]: on characters the
+    derived dual, normalized by the twist, is l -> c_3 - l within one
+    (c_2, s) stratum.  The second oracle is the ``chow`` route over the
+    resolution entries, for l 0..8."""
+    ch_f = ch_of_classes(2, C1, C2, C3)
+    ch_e = [q - f for q, f in zip(points(L), ch_f)]
+    assert_identity(twisted(dualized(ch_e), C1),
+                    [q - f for q, f in zip(points(C3 - L), ch_f)])
+    # c_3 >= 19 on the whole admissible region, so c_3 - l > 0 for l <= 18
+    assert certified_nonnegative(resolutions._c3_formula(C2, S) - 19)
+    for entry in catalog.CATALOG_KINDS["resolutions"].generate(range(5, 41)):
+        c3 = entry.outputs["c3"]
+        x = chow.chern_to_character(chow.ChernClasses(2, -1, entry.inputs["c2"], c3), 3)
+        for l in range(9):
+            e = chow.sub(chow.ChernCharacter.of(3, 0, 0, 0, l), x)
+            assert chow.twist(chow.dual(e), -1) == chow.sub(
+                chow.ChernCharacter.of(3, 0, 0, 0, c3 - l), x)

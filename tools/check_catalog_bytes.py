@@ -88,12 +88,12 @@ CHECKS = [
           "71dc853ceb766bfb4e961fc66d791c86a96c8714b163afb2884d88acb59d54b6"),
     # a strata grid across c2 99..100, where the order of the numbers and of
     # their texts differ, reaching s = 10 (70 entries) from c2 112 on: the
-    # strata writer's runs of one c2 and its order of s within a run
+    # writer's runs of one c2 and its order of s within a run
     Check(("catalog", "strata", "--c2", "95..125", "--l", "0..2"), "-", 508874,
           "61eeb7638648d058e77a4076c41fcf0a8f764cda030268f15e41b23474613eb9"),
     # a family grid on stdout across c2 99..100, and a bounds grid whose c2
-    # are negative ("c2":-1, before "c2":-10,): the family writer's runs of
-    # one leading value, in the order of their text
+    # are negative ("c2":-1, before "c2":-10,): the writer's runs of one
+    # leading value, in the order of their text
     Check(("catalog", "resolutions", "--c2", "5..300"), "-", 1190870,
           "f873afd785cabbccb3d1964977e3e01909a38b19622c46d4299ed1c36e506da5"),
     Check(("catalog", "bounds", "--rank", "3", "--c1", "-2", "--c2", "-12..12"), "-", 8278,
