@@ -23,12 +23,13 @@ document, to the same texts.  Each keeps at most ``_ITEM_CACHE_SIZE`` items,
 so a document whose items never repeat costs its encoding, never memory.
 
 Generation: :data:`CATALOG_KINDS` is the table of the kinds ``chowkit
-catalog <kind>`` builds.  Each kind has a row source, and both its entries
-(for CSV and library callers) and its document come from it.  A catalog is
-a product: its labels, and its runs of rows, one run per value of its grid,
-the first input of the entries that varies.  A strata catalog's labels are
-its (l, partition type) pairs and its rows the (c2, s) pairs of each c2;
-each other kind has one empty label.
+catalog <kind>`` builds.  Each kind has a row source, from which its
+document, its CSV rows and its entries (for library callers) all come, the
+last two in generation order (:meth:`CatalogKind.generation_rows`).  A
+catalog is a product: its labels, and its runs of rows, one run per value of
+its grid, the first input of the entries that varies.  A strata catalog's
+labels are its (l, partition type) pairs and its rows the (c2, s) pairs of
+each c2; each other kind has one empty label.
 
 Writing streams, through one writer, :func:`_document`: it encodes each
 label, run head and row once, sorts one run's rows at a time, and yields the
@@ -446,12 +447,11 @@ def _resolutions_source(c2_values: Iterable[int]) -> tuple[list, list]:
     return [()], (((("c2", c2),), rows(c2)) for c2 in c2_values)
 
 
-def _monad_row(monads: ModuleType, r: int, d: int, c: int) -> tuple:
-    """The (rest items, outputs items) of the "monad" entry of (r, d) and charge c."""
+def _monad_outputs(monads: ModuleType, r: int, d: int, c: int) -> tuple:
+    """The outputs items of the "monad" entry of (r, d) and charge c."""
     ch2 = Fraction(-2 * c - d, 2)
     shape = monads.monad_shape(r, d, ch2)
-    return ((("degree", d), ("rank", r)),
-            (("ch2", ch2), ("u", shape.u), ("v", shape.v), ("w", shape.w)))
+    return ("ch2", ch2), ("u", shape.u), ("v", shape.v), ("w", shape.w)
 
 
 def _monads_source(r_max: int, charges: Iterable[int]) -> tuple[list, list]:
@@ -462,21 +462,23 @@ def _monads_source(r_max: int, charges: Iterable[int]) -> tuple[list, list]:
     def rows(c: int) -> Iterator[tuple]:
         for r in range(1, r_max + 1):  # a negative c leaves every range of d empty
             for d in range(max(1 - r, -c), 1):
-                yield _monad_row(monads, r, d, c)
+                yield (("degree", d), ("rank", r)), _monad_outputs(monads, r, d, c)
 
     return [()], (((("charge", c),), rows(c)) for c in charges)
 
 
-def _monads_entries(r_max: int, charge_range: range) -> Iterator[CatalogEntry]:
-    """The entries of :func:`_monads_source`, in the order of (r, d, charge)."""
+def _monads_by_shape(r_max: int, charges: Iterable[int]) -> tuple[list, list]:
+    """The rows of :func:`_monads_source` in the order of (r, d, charge):
+    one run per (r, d), whose head is empty."""
     check_integer("rank-max", r_max)
     from . import monads
-    for r in range(1, r_max + 1):
-        for d in range(-r + 1, 1):
-            for c in charge_range:
-                if c >= 0 and d + c >= 0:
-                    rest, outputs = _monad_row(monads, r, d, c)
-                    yield CatalogEntry("monad", {"charge": c, **dict(rest)}, dict(outputs))
+
+    def rows(r: int, d: int) -> Iterator[tuple]:
+        for c in charges:
+            if c >= 0 and d + c >= 0:
+                yield (("charge", c), ("degree", d), ("rank", r)), _monad_outputs(monads, r, d, c)
+
+    return [()], (((), rows(r, d)) for r in range(1, r_max + 1) for d in range(1 - r, 1))
 
 
 def _strata_source(c2_values: Iterable[int], l_values: Iterable[int]) -> tuple[list, list]:
@@ -505,27 +507,29 @@ def _strata_source(c2_values: Iterable[int], l_values: Iterable[int]) -> tuple[l
 
 class CatalogKind(NamedTuple):
     """One ``catalog <kind>``.  ``entry_kind`` is the ``kind`` tag of its
-    entries.  ``params`` are the arguments of ``source``, ``generate`` and
-    ``document`` in order, each (name, type, default): the flag and config
-    key, ``int`` or ``range`` (an "a..b" grid), and the default, None when
-    the value must be given; the first ``range`` is the grid that leads the
-    runs.  Entries and document both come from the row source ``source``
-    (:func:`_document`), unless ``ordered`` generates the entries itself."""
+    entries.  ``params`` are the arguments of its row sources and methods in
+    order, each (name, type, default): the flag and config key, ``int`` or
+    ``range`` (an "a..b" grid), and the default, None when the value must be
+    given; the first ``range`` is the grid that leads the runs.  The document
+    comes from the row source ``source`` (:func:`_document`), the CSV rows and
+    the entries from :meth:`generation_rows`: ``ordered``, a row source of the
+    same shape in another order, when the kind has one, else ``source``."""
 
     entry_kind: str
     help: str
     params: tuple[tuple[str, type, Any], ...]
     source: Callable[..., tuple[list, list]]
-    ordered: Callable[..., Iterator[CatalogEntry]] | None = None
+    ordered: Callable[..., tuple[list, list]] | None = None
+
+    def generation_rows(self, *values: Any) -> tuple[list, list]:
+        """The (labels, runs) of the catalog in generation order."""
+        return (self.ordered or self.source)(*values)
 
     def generate(self, *values: Any) -> Iterator[CatalogEntry]:
-        """The entries in the order of the grid's values, each row's entries
-        label by label, sharing one read-only outputs map: the one way to a
-        catalog's entries, for CSV and library callers."""
-        if self.ordered is not None:
-            yield from self.ordered(*values)
-            return
-        labels, runs = self.source(*values)
+        """The entries of :meth:`generation_rows`, in its runs' order, each
+        row's entries label by label, sharing one read-only outputs map: the
+        one way to a catalog's entries for library callers."""
+        labels, runs = self.generation_rows(*values)
         for head, rows in runs:
             for rest, outputs in rows:
                 outputs = MappingProxyType(dict(outputs))
@@ -556,7 +560,7 @@ CATALOG_KINDS = {
                                _resolutions_source),
     "monads": CatalogKind("monad", "monad shapes over normalized data",
                           (("rank-max", int, None), ("charge", range, None)), _monads_source,
-                          _monads_entries),
+                          _monads_by_shape),
 }
 
 # the entry kinds, each with its JSON text, shared by every sort row of that kind

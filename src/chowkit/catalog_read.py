@@ -42,7 +42,7 @@ from .catalog import (
     _BLOCK_END, _BLOCK_HEAD, _DOCUMENT_HEAD, _DOCUMENT_TAIL, _ITEM_CACHE_SIZE, _ITEM_SEPARATOR,
     _KIND_FIELD, _KIND_TEXT, _MAP_HEAD, _MAP_TAIL, _OUTPUTS_FIELD, _VERSION, _VERSION_FIELD,
     CatalogEntry, _block_list, _check_tags, _check_version, _compact_line, _compact_map,
-    _encode_value, _indented_block, _indented_map, _item_texts, _json_str,
+    _indented_block, _indented_map, _item_texts, _json_str,
 )
 from .chow import _RATIONAL_RE, parse_rational
 from .errors import DomainError
@@ -186,24 +186,20 @@ def _item_line(text: str) -> tuple[str, str] | None:
     """(key, compact ``"k":v``) of one item line ``"k": v`` of a map in a
     block, or None unless the line is the text the writer gives that item.
 
-    The key and the value are scanned by the C scanner and the value decoded
-    as :func:`_decoded_item` decodes it, then both must be written back as
-    they stand: an item the line spells otherwise (``"2/4"``, ``"007"``, an
-    escaped key) is left to the whole-block parse.  This never raises.
+    The key and the value are scanned by the C scanner and decoded by
+    :func:`_decoded_item`, past its cache (this function's own keeps the
+    line).  The line must be that item's indented text as it stands, so an
+    item it spells otherwise (``"2/4"``, ``"007"``, an escaped key) is left
+    to the whole-block parse.  This never raises.
     """
     try:
-        key, end = _scan_key(text, 1)  # text[0] is checked with the key's text
-        if text[end:end + 2] != ": ":
-            return None
-        # where the scan stopped needs no check: a value text that is the
-        # writer's is one JSON value, which the scan reads to its end
-        raw, _ = _scan_value(text, end + 2)
-        key_text, value_text = text[:end], text[end + 2:]
-        if key_text != _json_str(key) or value_text != _encode_value(_decoded_value(raw)):
-            return None
+        # text[0], the separator and where the scans stopped need no check of
+        # their own: the whole line is compared with the writer's text
+        key, end = _scan_key(text, 1)
+        _, _, compact, indented = _decoded_item.__wrapped__(key, _scan_value(text, end + 2)[0])
     except (ValueError, StopIteration, RecursionError, DomainError):
         return None
-    return key, key_text + ":" + value_text
+    return (key, compact) if indented == text else None
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)

@@ -43,7 +43,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache, partial
-from types import MappingProxyType, SimpleNamespace
+from types import SimpleNamespace
 
 from .chow import (
     ChernCharacter,
@@ -157,10 +157,13 @@ def _rational_default(value) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-# the containers of a payload, told apart by exact type (an entry's map is a
-# MappingProxyType), and the CSV text of the scalar types whose str() is not it
-_CONTAINERS = {dict, MappingProxyType, list, tuple}
+# a payload's containers, by exact type, and the CSV text of scalars whose str() is not it
+_CONTAINERS = {dict, list, tuple}
 _SCALAR_TEXT = {Fraction: rational_str, bool: json.dumps, type(None): lambda v: ""}
+
+
+def _cell(value) -> str:
+    return _SCALAR_TEXT.get(type(value), str)(value)
 
 
 def _flat_rows(value, prefix: str = "") -> Iterator[tuple[str, str]]:
@@ -170,16 +173,13 @@ def _flat_rows(value, prefix: str = "") -> Iterator[tuple[str, str]]:
     Each level is sorted by its keys as strings, which sorts the joined keys,
     because no payload key holds a character below ".".
     """
-    if type(value) in (list, tuple):
-        items = sorted((str(i), v) for i, v in enumerate(value))
-    else:  # a dict, or an entry's read-only map
-        items = sorted(value.items())
-    for k, v in items:
-        key = f"{prefix}.{k}" if prefix else str(k)
+    items = enumerate(value) if type(value) in (list, tuple) else value.items()
+    for k, v in sorted((str(k), v) for k, v in items):
+        key = f"{prefix}.{k}" if prefix else k
         if type(v) in _CONTAINERS:
             yield from _flat_rows(v, key)
         else:
-            yield key, _SCALAR_TEXT.get(type(v), str)(v)
+            yield key, _cell(v)
 
 
 @cache
@@ -338,20 +338,14 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
         if value is None and default is None:
             raise UsageError(f"--{key} is required (flag or config file)")
         values.append(default if value is None else value)
-    # CSV rows come from the kind's generator, the one way to a catalog's
-    # entries.  JSON comes from the one document writer, over the kind's
-    # labels and runs, sorted one leading value at a time.  The writer
-    # computes and checks the labels and the first run before any output is
-    # opened, so a run that fails there leaves an existing file untouched
-    # and creates none.  An error in a later run leaves the blocks of the
-    # runs before it written.  The count is known once it is written.
-    if args.output is None and args.format == "csv":
-        _write(_csv_lines(kind.generate(*values)))
+    # Neither format builds an entry.  The JSON writer checks the labels and the
+    # first run before it returns, so before the output file is opened: a run
+    # that fails there leaves an existing file untouched and creates none.
+    if args.output is None:
+        _write(_catalog_csv(kind.entry_kind, *kind.generation_rows(*values))
+               if args.format == "csv" else kind.document(*values).pieces)
         return EXIT_OK, None
     document = kind.document(*values)
-    if args.output is None:
-        _write(document.pieces)
-        return EXIT_OK, None
     try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.writelines(document.pieces)
@@ -360,19 +354,25 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
     return EXIT_OK, {"path": args.output, "entries": document.count}
 
 
-def _csv_lines(entries: Iterable) -> Iterator[str]:
-    """The CSV lines of catalog entries in generation order.  A row is an entry's flattened
-    fields; all entries of one catalog have the same, so the first gives the header."""
-    csv_line, header = _csv_line_writer(), None
-    for entry in entries:
-        columns, row = zip(*_flat_rows({"kind": entry.kind, "inputs": entry.inputs,
-                                        "outputs": entry.outputs,
-                                        "schema_version": entry.schema_version}))
-        if header is None:
-            header = columns
-            yield csv_line(columns)
-        yield csv_line(row)
-    if header is None:  # an empty catalog: the header of an empty payload
+def _catalog_csv(entry_kind: str, labels: list, runs: Iterable[tuple]) -> Iterator[str]:
+    """The CSV lines of a row source's catalog in generation order, one row per
+    entry: its inputs (a run's head, a label and a row's rest, in the order of
+    their keys), kind, outputs and version, each part's cells made once."""
+    from .catalog import SCHEMA_VERSION
+
+    csv_line, header, version = _csv_line_writer(), None, _cell(SCHEMA_VERSION)
+    label_cells = [tuple(_cell(v) for _, v in label) for label in labels]
+    for head, rows in runs:
+        head_cells = tuple(_cell(v) for _, v in head)
+        for rest, out in rows:
+            if header is None and labels:  # the first entry's columns: every entry's
+                header = (*(f"inputs.{k}" for k, _ in head + labels[0] + rest), "kind",
+                          *(f"outputs.{k}" for k, _ in out), "schema_version")
+                yield csv_line(header)
+            tail = (*(_cell(v) for _, v in rest), entry_kind, *(_cell(v) for _, v in out), version)
+            for label in label_cells:
+                yield csv_line(head_cells + label + tail)
+    if header is None:  # no entry: the header of an empty payload
         yield from _csv_table(())
 
 

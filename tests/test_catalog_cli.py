@@ -246,6 +246,8 @@ def test_monads_catalog_entries():
     entries = list(CATALOG_KINDS["monads"].generate(2, range(0, 3)))
     # (r, d) in {(1,0), (2,-1), (2,0)}; d = -1 drops charge 0 (d + c < 0)
     assert len(entries) == 8
+    shapes = [(e.inputs["rank"], e.inputs["degree"], e.inputs["charge"]) for e in entries]
+    assert shapes == sorted(shapes)  # the order of the CSV rows
     for entry in entries:
         r, d, c = (
             entry.inputs["rank"],
@@ -1049,6 +1051,79 @@ def test_cli_csv_output(capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("inputs.c2,")
     assert len(lines) == 3  # header plus one row per admissible (c2, s)
+
+
+def _csv_lines(entries):
+    """The CSV lines of catalog entries in generation order, each row an entry's
+    flattened fields, sorted as one payload, under the first entry's columns:
+    the byte oracle of the CSV catalog writer."""
+    csv_line, header = cli._csv_line_writer(), None
+    for entry in entries:
+        columns, row = zip(*cli._flat_rows({"kind": entry.kind, "inputs": dict(entry.inputs),
+                                            "outputs": dict(entry.outputs),
+                                            "schema_version": entry.schema_version}))
+        if header is None:
+            header = columns
+            yield csv_line(columns)
+        yield csv_line(row)
+    if header is None:  # an empty catalog: the header of an empty payload
+        yield from cli._csv_table(())
+
+
+# (kind, flags, values): grids whose numbers and texts sort apart (c2 across
+# 99..100, s = 10 from c2 112 on, negative c2 and charges), and grids with no entry
+CSV_GRIDS = [
+    ("strata", "--c2 98..113 --l 0..2", (range(98, 114), range(0, 3))),
+    ("strata", "--c2 1..4 --l 0..2", (range(1, 5), range(0, 3))),
+    ("resolutions", "--c2 95..113", (range(95, 114),)),
+    ("bounds", "--rank 3 --c1 -2 --c2 -12..12", (3, -2, range(-12, 13))),
+    ("monads", "--rank-max 3 --charge -2..5", (3, range(-2, 6))),
+    ("monads", "--rank-max 0 --charge 0..3", (0, range(0, 4))),
+]
+
+
+@pytest.mark.parametrize("name, flags, values", CSV_GRIDS,
+                         ids=[f"{name} {flags}" for name, flags, _ in CSV_GRIDS])
+def test_cli_csv_catalog_is_the_entry_oracle(name, flags, values, capsys):
+    """A CSV catalog, written from its kind's row source, has the bytes of its
+    entries flattened one by one, in generation order."""
+    code, out, _ = run_cli(["--format", "csv", "catalog", name, *flags.split()], capsys)
+    assert code == 0
+    assert out == "".join(_csv_lines(CATALOG_KINDS[name].generate(*values)))
+
+
+def test_no_catalog_command_builds_an_entry(tmp_path, monkeypatch, capsys):
+    """Every ``catalog`` command writes from row sources and reads texts: with
+    ``CatalogEntry`` unbuildable, each exits and writes as it did before."""
+    monkeypatch.chdir(tmp_path)
+    commands = [("catalog", "strata", "--c2", "6..9", "--l", "0..2", "--output", "b.json")]
+    for name, flags in (("strata", "--c2 5..8 --l 0..2"), ("bounds", "--c2 -3..3"),
+                        ("resolutions", "--c2 5..12"), ("monads", "--rank-max 2 --charge -1..3")):
+        argv = ("catalog", name, *flags.split())
+        commands += [argv, (*argv, "--output", f"{name}.json"), ("--format", "csv", *argv)]
+    for fmt in ("json", "csv"):  # a diff read a block at a time, and one read whole
+        commands += [("--format", fmt, "catalog", "diff", a, "b.json")
+                     for a in ("strata.json", "edited.json")]
+
+    def run_all():
+        results = []
+        for argv in commands:
+            if "edited.json" in argv:  # strata.json, no longer in chowkit's layout
+                text = json.loads(Path("strata.json").read_text(encoding="utf-8"))
+                Path("edited.json").write_text(json.dumps(text, indent=1), encoding="utf-8")
+            code, out, err = run_cli(list(argv), capsys)
+            written = Path(argv[-1]).read_bytes() if "--output" in argv else None
+            results.append((code, out, err, written))
+        return results
+
+    want = run_all()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a catalog command built a CatalogEntry")
+
+    monkeypatch.setattr(CatalogEntry, "__init__", refuse)
+    assert run_all() == want
+    assert [code for code, *_ in want] == [0] * 13 + [1] * 4
 
 
 def test_cli_format_from_config(tmp_path, capsys):

@@ -102,6 +102,10 @@ CATALOG_STARTS = {
                     ["catalog", "chow", "cli", "errors", "resolutions"]),
     "monads": (["catalog", "monads", "--rank-max", "1", "--charge", "0..0"],
                ["catalog", "chow", "cli", "errors", "monads", "resolutions"]),
+    "strata-csv": (["--format", "csv", "catalog", "strata", "--c2", "5..5", "--l", "0..0"],
+                   ["catalog", "chow", "cli", "errors", "monads", "resolutions", "csv"]),
+    "monads-csv": (["--format", "csv", "catalog", "monads", "--rank-max", "1", "--charge", "0..0"],
+                   ["catalog", "chow", "cli", "errors", "monads", "resolutions", "csv"]),
     "diff": (["catalog", "diff", "a.json", "b.json"],
              ["catalog", "catalog_read", "chow", "cli", "errors"]),
 }

@@ -6,7 +6,7 @@ Usage:
 
 The commands run as ``python -m chowkit`` with this checkout's ``src`` on
 ``PYTHONPATH``, as the benchmark runs them.
-CHECKS is one table of 32 rows, each (argv, output, size, sha256, exit code,
+CHECKS is one table of 36 rows, each (argv, output, size, sha256, exit code,
 stdin).  The output is a file name, written with ``--output`` in a fresh
 temporary directory, or "-" for stdout.  Every command runs in that
 directory, so ``catalog diff a.json b.json`` reads the two catalogs written
@@ -19,7 +19,8 @@ The rows are the benchmark's full-size catalogs and their diff, its family
 grids as CSV, family and strata grids past the benchmark's and their diffs,
 a strata grid and a resolutions grid on stdout across c2 99..100, where
 the order of the numbers and of their texts differ, and a bounds grid on
-stdout whose c2 are negative.  The sizes and sha256s of the
+stdout whose c2 are negative, each as JSON and as CSV, and a long monads
+charge grid as CSV.  The sizes and sha256s of the
 benchmark's full-size grids are read from ``perfbench/workloads.py``; those
 of the other rows are in the table.
 The script prints one line per catalog and exits 1, naming each catalog
@@ -98,6 +99,17 @@ CHECKS = [
           "f873afd785cabbccb3d1964977e3e01909a38b19622c46d4299ed1c36e506da5"),
     Check(("catalog", "bounds", "--rank", "3", "--c1", "-2", "--c2", "-12..12"), "-", 8278,
           "919e95e75eeb66b3ced7eb12b95500336234a926877b3b84714f3742fb42d6ae"),
+    # the same grids as CSV, whose rows come in the grid's order, not the
+    # order of the texts, and a monads grid as CSV, whose rows come in the
+    # order of (rank, degree, charge)
+    Check(("--format", "csv", "catalog", "strata", "--c2", "95..125", "--l", "0..2"), "-", 95844,
+          "caf0e9e32fa3a0b6aab3d5b84e68361c3b501e63105e30ad8f9a962a9257a842"),
+    Check(("--format", "csv", "catalog", "resolutions", "--c2", "5..300"), "-", 318146,
+          "16600ff697c60a6d7c9501ed548f7027af041af3faa894cfbf32da184c87f308"),
+    Check(("--format", "csv", "catalog", "bounds", "--rank", "3", "--c1", "-2", "--c2", "-12..12"),
+          "-", 1475, "49d5f45b1e1b96346c8515b2b2808c857dc1b4af72f776327fb5838d224b49a9"),
+    Check(("--format", "csv", "catalog", "monads", "--rank-max", "8", "--charge", "0..400"), "-",
+          481322, "4de560c200ae39dbda968aa30478b97fe65aa27404bddaf32af5dfd975a0960b"),
     # a strata grid of 55,056 entries through the file writer, the chunked
     # stdout writer and the row-by-row CSV writer
     Check(_LARGE_STRATA, "strata-large.json", *_LARGE_STRATA_JSON),
