@@ -10,11 +10,11 @@ when a catalog file cannot be read or is not a catalog document, including
 one whose document or entry ``schema_version`` is unknown (reported as the
 same ``{"error": {...}}`` object, naming the file).  ``catalog_read.diff_files``
 decides how the two files are read, and reads them; this module reads no
-catalog.  Every output, error objects too, leaves through one writer,
-``_write``, in chunks of ``io.DEFAULT_BUFFER_SIZE``; when the reader closes
-standard output early (``chowkit ... | head -1``), the ``chowkit`` command
-exits 141, as a writer killed by SIGPIPE would, with nothing on standard
-error.
+catalog.  Every output, error objects and ``--output`` files too, leaves
+through one writer, ``_write``, in chunks of ``io.DEFAULT_BUFFER_SIZE``;
+when the reader closes standard output early (``chowkit ... | head -1``),
+the ``chowkit`` command exits 141, as a writer killed by SIGPIPE would, with
+nothing on standard error.
 
 All rationals are printed as reduced "p/q" strings; no floating point is
 ever emitted, so byte-identical output for identical invocations is
@@ -22,14 +22,17 @@ guaranteed.
 
 A start imports and builds only what its subcommand needs.  This module
 imports the standard library, ``chow`` and ``errors``; each handler imports
-the family module it calls, and argparse adds a subcommand's arguments only
-once it has chosen that subcommand (``_Subcommands``).  So ``chowkit todd``
-loads ``cli``, ``chow`` and ``errors``, and ``chowkit bound`` adds ``bounds``
-and ``splitting``.  A ``catalog`` command adds ``catalog`` and the modules
-of its kind: ``catalog strata`` and ``catalog monads`` add ``monads`` and
-``resolutions``, ``catalog resolutions`` adds ``resolutions``, ``catalog
-bounds`` adds ``bounds`` and ``splitting``, and ``catalog diff`` adds only
-the reader, ``catalog_read``.  Only CSV output imports ``csv``.
+the family module it calls.  ``build_parser`` makes the top-level parser
+alone, and a subcommand's parser, with its arguments, is made only once
+argparse has chosen that subcommand (``_Subcommands``), so a start builds
+one parser per level it chooses (three for ``catalog strata``), not all 17.
+So ``chowkit todd`` loads ``cli``, ``chow`` and ``errors``, and ``chowkit
+bound`` adds ``bounds`` and ``splitting``.  A ``catalog`` command adds
+``catalog`` and the modules of its kind: ``catalog strata`` and ``catalog
+monads`` add ``monads`` and ``resolutions``, ``catalog resolutions`` adds
+``resolutions``, ``catalog bounds`` adds ``bounds`` and ``splitting``, and
+``catalog diff`` adds only the reader, ``catalog_read``.  Only CSV output
+imports ``csv``.
 """
 
 from __future__ import annotations
@@ -79,25 +82,28 @@ _NEGATIVE_VALUE = re.compile(r"^-\d+([/,.]?[-\d,./]*)?$")
 
 
 class _Subcommands(argparse._SubParsersAction):
-    """Subparsers that get their arguments once argparse chooses them.
+    """Subparsers made once argparse chooses them.
 
-    ``add_parser(name, build=f)`` registers the name and its help at once;
-    ``f(subparser)`` adds the subparser's arguments the first time ``name``
-    is chosen, just before the subparser reads the rest of the command line.
+    ``add_parser(name, help=..., build=f, handler=h)`` registers only the
+    name and its help.  The first time ``name`` is chosen, just before its
+    subparser reads the rest of the command line, the subparser is made:
+    its ``prog``, its ``handler`` default and, by ``f(subparser)``, its
+    arguments.  Until then the name maps to its ``(f, h)`` pair; argparse
+    checks a chosen name against the map's keys before it calls this.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._builds = {}
-
-    def add_parser(self, name, *, build, **kwargs):
-        self._builds[name] = build
-        return super().add_parser(name, **kwargs)
+    def add_parser(self, name, *, help, build, handler) -> None:
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = build, handler
 
     def __call__(self, parser, namespace, values, option_string=None) -> None:
-        build = self._builds.pop(values[0], None)
-        if build is not None:
-            build(self._name_parser_map[values[0]])
+        name = values[0]
+        if type(self._name_parser_map[name]) is tuple:
+            build, handler = self._name_parser_map[name]
+            sub = self._name_parser_map[name] = self._parser_class(
+                prog=f"{self._prog_prefix} {name}")
+            sub.set_defaults(handler=handler)
+            build(sub)
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -342,13 +348,13 @@ def _cmd_catalog(args) -> tuple[int, dict | None]:
     # first run before it returns, so before the output file is opened: a run
     # that fails there leaves an existing file untouched and creates none.
     if args.output is None:
-        _write(_catalog_csv(kind.entry_kind, *kind.generation_rows(*values))
+        _write(sys.stdout, _catalog_csv(kind.entry_kind, *kind.generation_rows(*values))
                if args.format == "csv" else kind.document(*values).pieces)
         return EXIT_OK, None
     document = kind.document(*values)
-    try:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.writelines(document.pieces)
+    try:  # a 64 KiB file buffer takes eight of _write's chunks a system call
+        with open(args.output, "w", encoding="utf-8", buffering=1 << 16) as handle:
+            _write(handle, document.pieces)
     except OSError as exc:
         raise DomainError(f"cannot write catalog to {args.output!r}: {exc}")
     return EXIT_OK, {"path": args.output, "entries": document.count}
@@ -376,25 +382,31 @@ def _catalog_csv(entry_kind: str, labels: list, runs: Iterable[tuple]) -> Iterat
         yield from _csv_table(())
 
 
-def _write(pieces: Iterable[str]) -> None:
-    """Write ``pieces`` to stdout in chunks of ``io.DEFAULT_BUFFER_SIZE``.
+def _write(stream, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to ``stream`` in chunks of ``io.DEFAULT_BUFFER_SIZE``.
 
-    A reader that closes early makes a buffer flush raise BrokenPipeError,
-    where one large write can end short without an error; and on an
-    unbuffered stdout each small piece would be a system call of its own.
+    A reader of stdout that closes early makes a buffer flush raise
+    BrokenPipeError, where one large write can end short without an error;
+    and on an unbuffered stream each small piece would be a system call of
+    its own.  A DomainError in making the pieces (a catalog run after the
+    first) is raised once the pieces made before it are written.
     """
     size = io.DEFAULT_BUFFER_SIZE
     batch, length = [], 0
-    for piece in pieces:
-        batch.append(piece)
-        length += len(piece)
-        if length >= size:
-            text = "".join(batch)
-            end = len(text) - len(text) % size
-            for start in range(0, end, size):
-                sys.stdout.write(text[start:start + size])
-            batch, length = [text[end:]], len(text) - end
-    sys.stdout.write("".join(batch))
+    try:
+        for piece in pieces:
+            batch.append(piece)
+            length += len(piece)
+            if length >= size:
+                text = "".join(batch)
+                end = len(text) - len(text) % size
+                for start in range(0, end, size):
+                    stream.write(text[start:start + size])
+                batch, length = [text[end:]], len(text) - end
+    except DomainError:  # raised by the pieces, never by a write
+        stream.write("".join(batch))
+        raise
+    stream.write("".join(batch))
 
 
 def _cmd_diff(args) -> tuple[int, dict | None]:
@@ -404,7 +416,8 @@ def _cmd_diff(args) -> tuple[int, dict | None]:
         delta = diff_files(args.catalog_a, args.catalog_b)
     except DomainError as exc:  # a file that cannot be read or is not a catalog
         return EXIT_DIFF_TROUBLE, _error_payload(exc)
-    _write(diff_pieces(delta) if args.format == "json" else _csv_table(_diff_rows(delta)))
+    _write(sys.stdout,
+           diff_pieces(delta) if args.format == "json" else _csv_table(_diff_rows(delta)))
     return (EXIT_DIFFERENT if delta["only_in_a"] or delta["only_in_b"] else EXIT_OK), None
 
 
@@ -505,11 +518,12 @@ _SUBCOMMANDS = {
 
 def _add_subcommands(parser: argparse.ArgumentParser, dest: str, metavar: str,
                      table: dict) -> None:
-    """A required subcommand level: each name in ``table`` with its help and
-    handler, and the function that adds its arguments once it is chosen."""
+    """A required subcommand level: each name in ``table`` with its help, and
+    its handler and the function that adds its arguments, both used once the
+    name is chosen."""
     sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
     for name, (help_text, build, handler) in table.items():
-        sub.add_parser(name, help=help_text, build=build).set_defaults(handler=handler)
+        sub.add_parser(name, help=help_text, build=build, handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         code, payload = EXIT_DOMAIN_ERROR, _error_payload(exc)
     if payload is not None:
-        _write(_payload_pieces(payload, args.format))
+        _write(sys.stdout, _payload_pieces(payload, args.format))
     return code
 
 

@@ -152,6 +152,14 @@ class PartitionType(Value):
         canonical.sort(key=lambda p: (sum(p), p), reverse=True)
         self._store(tuple(canonical))
 
+    @classmethod
+    def _trusted(cls, parts: tuple[tuple[int, ...], ...]) -> PartitionType:
+        """The type of ``parts``, already in canonical form, stored without
+        the checks and the sort of ``__init__``."""
+        ptype = object.__new__(cls)
+        ptype._store(parts)
+        return ptype
+
     @property
     def total(self) -> int:
         return sum(sum(p) for p in self.parts)
@@ -177,7 +185,7 @@ class PartitionType(Value):
     def __str__(self) -> str:
         if not self.parts:
             return "empty"
-        return "|".join("(" + "+".join(str(x) for x in p) + ")" for p in self.parts)
+        return "|".join(["(" + "+".join(map(str, p)) + ")" for p in self.parts])
 
 
 def _partitions(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
@@ -199,7 +207,8 @@ def partition_types(l: int) -> list[PartitionType]:
     Enumerated as multisets: the candidate partitions are ordered by
     (size, entries) descending and chosen non-increasingly along that
     order, so each multiset appears exactly once.  Output order follows
-    the same descending order, hence is deterministic.
+    the same descending order, hence is deterministic.  Each type is built
+    in canonical form, so it is stored without ``PartitionType``'s checks.
     """
     check_integer("length", l)
     if l < 0:
@@ -211,14 +220,18 @@ def partition_types(l: int) -> list[PartitionType]:
     for k in range(l, 0, -1):
         first[k] = len(candidates)
         candidates.extend((p, k) for p in _partitions(k))
+    trusted, types = PartitionType._trusted, []
 
-    def generate(remaining: int, start: int):
-        if remaining == 0:
-            yield ()
-            return
+    def extend(prefix: tuple, remaining: int, start: int) -> None:
+        """Append each type that ``prefix`` begins, its later parts taken
+        from ``candidates[start:]`` and of total ``remaining``."""
         for i in range(max(start, first[remaining]), len(candidates)):
             piece, size = candidates[i]
-            for rest in generate(remaining - size, i):
-                yield (piece, *rest)
+            parts = (*prefix, piece)
+            if size == remaining:
+                types.append(trusted(parts))
+            else:
+                extend(parts, remaining - size, i)
 
-    return [PartitionType(parts) for parts in generate(l, 0)]
+    extend((), l, 0)
+    return types or [trusted(())]  # l = 0 has the one empty type

@@ -257,6 +257,21 @@ def test_monads_catalog_entries():
         assert entry.outputs["w"] == r + d + 2 * c
 
 
+def test_monads_catalog_reads_a_one_shot_charge_iterator():
+    """Every (r, d) run of the monads' generation order reads every charge,
+    so a one-shot iterator of charges gives the catalog of its range."""
+    kind = CATALOG_KINDS["monads"]
+    want = list(kind.generate(2, range(0, 3)))
+    assert len(want) == 8
+    assert list(kind.generate(2, iter(range(0, 3)))) == want
+    rows = [row for _, run in kind.generation_rows(2, range(0, 3))[1] for row in run]
+    once = [row for _, run in kind.generation_rows(2, iter(range(0, 3)))[1] for row in run]
+    assert once == rows and len(rows) == 8
+    document = kind.document(2, iter(range(0, 3)))
+    assert "".join(document.pieces) == serialize_catalog(want)
+    assert document.count == 8
+
+
 # ---------------------------------------------------------------------------
 # CLI behaviour
 
@@ -819,7 +834,8 @@ def test_cli_error_in_a_later_run_leaves_the_runs_before(name, flags, rest, tmp_
     """A document is written one run at a time, so an error in a run after
     the first is raised while the file is written: the command exits 1 with
     the error's payload, and the file holds the document up to that run, cut
-    off after the last block of the run before, which is not a catalog."""
+    off after the last block of the run before, which is not a catalog.  On
+    stdout that prefix comes before the payload."""
     kind = CATALOG_KINDS[name]
 
     def failing(rows, c2):
@@ -843,6 +859,66 @@ def test_cli_error_in_a_later_run_leaves_the_runs_before(name, flags, rest, tmp_
     text = path.read_text(encoding="utf-8")
     assert text == before[:-len('\n  ],\n  "schema_version": 1\n}\n')]
     assert text == serialize_catalog(kind.generate(range(5, 13), *rest))[:len(text)]
+    code, out, _ = run_cli(["catalog", name, "--c2", "5..12", *flags], capsys)
+    payload = {"error": {"message": "no run for c2 = 7", "type": "DomainError"}}
+    assert (code, out) == (1, text + json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+# commands whose runs in text order begin with runs of no rows (c2 3 and 4,
+# c2 1 to 4, charges -1 and -2), and one with no entry at all
+EMPTY_RUN_COMMANDS = [
+    ("strata", ["--c2", "3..6", "--l", "0..2"], (range(3, 7), range(0, 3))),
+    ("resolutions", ["--c2", "1..7"], (range(1, 8),)),
+    ("monads", ["--rank-max", "2", "--charge", "-2..1"], (2, range(-2, 2))),
+    ("resolutions", ["--c2", "1..4"], (range(1, 5),)),
+]
+
+
+@pytest.mark.parametrize("name, flags, values", EMPTY_RUN_COMMANDS,
+                         ids=[" ".join([name, *flags]) for name, flags, _ in EMPTY_RUN_COMMANDS])
+def test_cli_document_with_empty_runs_is_the_oracle(name, flags, values, tmp_path, capsys):
+    """A run with no rows adds no piece and no separator: the document on
+    stdout and in ``--output`` is the ``document_pieces`` oracle's."""
+    count, pieces = document_pieces(CATALOG_KINDS[name].generate(*values))
+    want = "".join(pieces)
+    code, out, _ = run_cli(["catalog", name, *flags], capsys)
+    assert (code, out) == (0, want)
+    path = tmp_path / "cat.json"
+    code, out, _ = run_cli(["catalog", name, *flags, "--output", str(path)], capsys)
+    assert (code, json.loads(out)["entries"]) == (0, count)
+    assert path.read_text(encoding="utf-8") == want
+    if not count:
+        assert want == '{\n  "entries": [],\n  "schema_version": 1\n}\n'
+
+
+@pytest.mark.parametrize("name, values", [
+    ("strata", ([10, 3, 5], range(0, 3))),  # c2 3 between two runs
+    ("strata", ([30, 5, 4], range(0, 3))),  # c2 4 last
+    ("resolutions", ([10, 2, 7, 30, 4],)),  # c2 2 in the middle and 4 last
+], ids=str)
+def test_document_with_empty_runs_in_the_middle_and_last_is_the_oracle(name, values):
+    kind = CATALOG_KINDS[name]
+    document = kind.document(*values)
+    count, pieces = document_pieces(kind.generate(*values))
+    assert "".join(document.pieces) == "".join(pieces)
+    assert document.count == count
+
+
+def test_strata_pieces_hold_a_bounded_number_of_labels():
+    """Each piece of a strata document holds the blocks of at most
+    ``_LABELS_PER_PIECE`` labels of one run, so the largest piece is bounded
+    by the cap and the run's rows, however many labels there are."""
+    c2_range, l_range = range(5, 9), range(0, 11)
+    kind = CATALOG_KINDS["strata"]
+    labels = sum(len(partition_types(l)) for l in l_range)
+    rows = max(len(admissible_s(c2)) for c2 in c2_range)
+    assert labels > 10 * catalog._LABELS_PER_PIECE
+    document = kind.document(c2_range, l_range)
+    pieces = list(document.pieces)
+    blocks = [piece.count(catalog._BLOCK_HEAD) for piece in pieces]
+    assert sum(blocks) == document.count == labels * sum(len(admissible_s(c2)) for c2 in c2_range)
+    assert max(blocks) <= catalog._LABELS_PER_PIECE * rows
+    assert len(pieces) < document.count / catalog._LABELS_PER_PIECE
 
 
 # the CSV is about a seventh of the JSON, so its grid is larger, to keep the
@@ -1438,9 +1514,14 @@ PARSED = [
 
 
 def test_build_parser_parses_every_subcommand():
-    """One parser from ``build_parser()`` reads an argv of each subcommand, twice."""
+    """Each subcommand's argv is read by a fresh parser from ``build_parser()``,
+    which makes that subcommand's parser as it chooses it, and by one parser
+    twice, the second time by the parsers made the first."""
+    for argv, handler in PARSED:
+        args = cli.build_parser().parse_args(argv.split())
+        assert (args.command, args.handler) == (argv.split()[0], handler)
     parser = cli.build_parser()
-    for _ in range(2):  # the second pass reads subparsers whose arguments are added
+    for _ in range(2):
         for argv, handler in PARSED:
             args = parser.parse_args(argv.split())
             assert (args.command, args.handler) == (argv.split()[0], handler)
@@ -1448,6 +1529,23 @@ def test_build_parser_parses_every_subcommand():
     assert (args.rank, args.c1, args.ch2, args.b, args.literal) == (2, -1, F(-9, 2), (0, -1), False)
     args = parser.parse_args(PARSED[11][0].split())
     assert (args.catalog_command, args.rank, args.c2, args.output) == ("bounds", 3, range(5, 6), None)
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    ("todd --dim 3", 2), ("catalog strata --c2 5..8 --l 0..2", 3), ("catalog diff a b", 3),
+])
+def test_a_start_makes_only_its_chosen_parsers(argv, parsers, monkeypatch):
+    """``build_parser()`` makes the top-level parser only; reading an argv
+    makes one parser for each subcommand level that it chooses."""
+    made = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *a, **k: made.append(k.get("prog")) or init(self, *a, **k))
+    parser = cli.build_parser()
+    assert made == ["chowkit"]
+    parser.parse_args(argv.split())
+    assert len(made) == parsers
+    assert made[1:] == [" ".join(["chowkit", *argv.split()[:i]]) for i in range(1, parsers)]
 
 
 # ---------------------------------------------------------------------------
