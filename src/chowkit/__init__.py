@@ -24,8 +24,8 @@ _EXPORTS = {
         "euler_bound", "extreme_bounds", "h0_line_bundle", "p3_bounds",
     ),
     "catalog": (
-        "SCHEMA_VERSION", "CatalogEntry", "bounds_catalog", "document_pieces",
-        "serialize_catalog", "serialize_entry",
+        "SCHEMA_VERSION", "CatalogEntry", "bounds_catalog", "serialize_catalog",
+        "serialize_entry",
     ),
     "catalog_read": ("canonical_lines", "parse_catalog"),
     "chow": (

@@ -40,10 +40,10 @@ peak memory follows the labels and the largest run (one piece of it, and
 the run's rows), never the document; its entry count is known only at the
 end, and an error in a run after the first is raised mid-document.
 Inputs items go through the writer's cache; outputs, which seldom repeat,
-are encoded afresh.  :func:`document_pieces` writes any entries a library
-caller builds, with one global sort of one row per entry, so its peak is
-about the size of the document; :func:`serialize_catalog` joins its pieces
-into one string.
+are encoded afresh.  :func:`serialize_catalog` writes the entries a library
+caller builds from their sorted canonical lines, through the line writer of
+``catalog diff``: row sources are written by :func:`_document`, and
+canonical lines by that one line writer.
 
 Reading and ``catalog diff`` live in :mod:`chowkit.catalog_read`, and each
 row source imports its kind's family modules when it runs: a start with no
@@ -101,8 +101,8 @@ class CatalogEntry(Value):
     The maps are read-only ``types.MappingProxyType`` views.  Any other
     mapping is copied into a new one, so changing the caller's dict later
     changes no entry; a ``MappingProxyType`` is kept as it is, so entries
-    built from one share it rather than copy it (the strata generator gives
-    all the entries of one (c2, s) the same outputs map).
+    built from one share it rather than copy it, which saves memory only (the
+    strata generator gives all the entries of one (c2, s) one outputs map).
     """
 
     __slots__ = ("kind", "inputs", "outputs", "schema_version")
@@ -220,14 +220,6 @@ def _indented_block(inputs: str, kind: str, outputs: str, version: str) -> str:
     """One entry as it appears, two levels deep, in the catalog document."""
     return (_BLOCK_HEAD + inputs + _KIND_FIELD + kind + _OUTPUTS_FIELD + outputs
             + _VERSION_FIELD + version + _BLOCK_END)
-
-
-def _map_texts(mapping: Mapping[str, Any],
-               item_texts: Callable[[Any, Any], tuple[str, str]] = _item_texts) -> tuple[str, str]:
-    """A map's compact text and its indented text in the document."""
-    items = _encode_map(mapping, item_texts)
-    compact, indented = zip(*items) if items else ((), ())
-    return _compact_map(compact), _indented_map(indented)
 
 
 # the document's text around its list of entry blocks
@@ -349,54 +341,11 @@ def _document(entry_kind: str, labels: list, runs: Iterable[tuple]) -> _Document
     return document
 
 
-def document_pieces(entries: Iterable[CatalogEntry]) -> tuple[int, Iterator[str]]:
-    """The entry count and the canonical catalog document of ``entries``, in pieces.
-
-    Each entry is encoded once, into a sort row of the compact texts its
-    canonical line is joined from (inputs, kind, outputs, in the line's
-    order) and the indented texts of its inputs and outputs, and the rows
-    are sorted as one.  Inputs items go through the writer's item cache, so
-    an item that repeats is encoded and checked once while it stays among
-    the last ``_ITEM_CACHE_SIZE`` items used, and a document whose inputs
-    never repeat keeps no more than that.  Consecutive entries that share
-    one outputs map (the same object, as the kinds' generators build them)
-    share its texts: the texts of the last outputs map, encoded without the
-    cache, are reused while the next entry's map ``is`` it, so a map must
-    not change while its entries are being encoded.
-
-    This returns only once every entry is encoded and the rows are sorted,
-    so an error in generating or encoding any entry is raised before any
-    piece exists, and the count is known.  No copy of the document is
-    built: peak memory is the sort rows, about the document's size, and
-    each row is dropped once its block is made.  ``entries`` may be a
-    generator, whose entries are then freed as they are encoded.  This
-    writes any entries a library caller builds, and is the oracle of the
-    kinds' documents.
-    """
-    rows, last = [], None  # last: the last outputs map; its texts follow
-    for entry in entries:
-        inputs, inputs_indented = _map_texts(entry.inputs)
-        if entry.outputs is not last:
-            last = entry.outputs
-            compact, indented = _map_texts(last, _item_texts.__wrapped__)
-        # No JSON object or string text is a proper prefix of another, and
-        # the version is one constant, so the rows sort as their lines do.
-        rows.append((inputs, _KIND_TEXT[entry.kind], compact, inputs_indented, indented))
-    rows.sort(reverse=True)  # descending, so that popping takes the rows in order
-
-    def blocks() -> Iterator[str]:
-        while rows:
-            row = rows.pop()
-            yield _indented_block(row[3], row[1], row[4], _VERSION)
-
-    return len(rows), chain([_DOCUMENT_HEAD], _block_list(blocks()), [_DOCUMENT_TAIL])
-
-
 def serialize_entry(entry: CatalogEntry) -> str:
     """Canonical single-line JSON for one entry.
 
-    As in :func:`document_pieces`, the inputs items go through the writer's
-    item cache and the outputs, which seldom repeat, are encoded afresh.
+    The inputs items go through the writer's item cache, and the outputs,
+    which seldom repeat, are encoded afresh.
     """
     inputs = _encode_map(entry.inputs)
     outputs = _encode_map(entry.outputs, _item_texts.__wrapped__)
@@ -410,10 +359,14 @@ def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
 
     The layout is ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
     trailing newline, where ``doc`` holds the entries and the schema version.
-    The text is joined from the pieces of :func:`document_pieces`; a large
-    catalog is better written from those, piece by piece.
+    Every line (:func:`serialize_entry`) is made before any block; each then
+    becomes its block through the line writer of ``catalog diff`` and is
+    dropped as it does, so the lines and the blocks are never all held.
     """
-    return "".join(document_pieces(entries)[1])
+    from .catalog_read import _line_blocks
+    lines = sorted(map(serialize_entry, entries), reverse=True)  # popped in order
+    blocks = _line_blocks(lines.pop() for _ in range(len(lines)))
+    return "".join(chain([_DOCUMENT_HEAD], _block_list(blocks), [_DOCUMENT_TAIL]))
 
 
 def bounds_catalog(r: int, c1: int, c2_range: range) -> list[CatalogEntry]:
@@ -439,6 +392,7 @@ def _bounds_source(r: int, c1: int, c2_values: Iterable[int]) -> tuple[list, lis
     from . import bounds
 
     def rows(c2: int) -> Iterator[tuple]:
+        check_integer("c_2", c2)
         ch2 = bounds._ch2_of_classes(c1, c2)
         report = bounds.bound_report(r, c1, ch2)
         # the interval of enumerate_admissible_c3, from the same ch_3 bound
@@ -481,6 +435,7 @@ def _monads_source(r_max: int, charges: Iterable[int]) -> tuple[list, list]:
     from . import monads
 
     def rows(c: int) -> Iterator[tuple]:
+        check_integer("charge", c)
         for r in range(1, r_max + 1):  # a negative c leaves every range of d empty
             for d in range(max(1 - r, -c), 1):
                 yield (("degree", d), ("rank", r)), _monad_outputs(monads, r, d, c)
@@ -495,6 +450,8 @@ def _monads_by_shape(r_max: int, charges: Iterable[int]) -> tuple[list, list]:
     check_integer("rank-max", r_max)
     from . import monads
     charges = tuple(charges)
+    for c in charges:
+        check_integer("charge", c)
 
     def rows(r: int, d: int) -> Iterator[tuple]:
         for c in charges:
@@ -560,10 +517,11 @@ class CatalogKind(NamedTuple):
                     yield CatalogEntry(self.entry_kind, dict(head + label + rest), outputs)
 
     def document(self, *values: Any) -> _Document:
-        """The document that ``document_pieces(generate(...))`` writes, with
-        the runs in the order of the grid's values' texts (c2 10 before 5,
-        -1 before -10; each value is an int), whose ``count`` is complete
-        once its pieces are exhausted."""
+        """The streaming writer of the kind's catalog: the document that
+        ``serialize_catalog(generate(...))`` returns, in pieces, with the
+        runs in the order of the grid's values' texts (c2 10 before 5, -1
+        before -10; each value is an int), whose ``count`` is complete once
+        its pieces are exhausted."""
         values = list(values)
         lead = [type_ for _, type_, _ in self.params].index(range)
         grid = values[lead] = sorted(values[lead], key=str)
@@ -586,7 +544,7 @@ CATALOG_KINDS = {
                           _monads_by_shape),
 }
 
-# the entry kinds, each with its JSON text, shared by every sort row of that kind
+# the entry kinds, each with its JSON text
 _KIND_TEXT = {k.entry_kind: _json_str(k.entry_kind) for k in CATALOG_KINDS.values()}
 
 

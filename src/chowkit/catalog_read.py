@@ -23,7 +23,8 @@ distinct lines sorted.  Either way one merge, :func:`diff_sorted`, keeps
 only the differing lines, so a diff of two streamed files holds the
 difference, not the two files, for every catalog kind (resolutions over c2
 5..2000 against 5..1999, 115,190 strings that never repeat: about 18 MB).
-The differing lines are written with the same encoder (:func:`diff_pieces`).
+The differing lines are written by the one line writer, :func:`_line_blocks`,
+which :func:`~chowkit.catalog.serialize_catalog` writes its blocks with too.
 The document and the diff payload write their lists of entry blocks
 through one list writer, so they share one layout.
 """
@@ -140,10 +141,11 @@ def _read_document(text: str, read_entry: Callable) -> list:
         return [read_entry(e) for e in entries]
 
 
-# The layout document_pieces writes: the head, then either "[]" and the tail,
-# or "[" and the entry blocks of _indented_block, each on lines of its own
-# and followed by "," or, after the last, by "]" and the tail.  No JSON
-# string holds a newline, so the text between blocks occurs nowhere else.
+# The layout chowkit writes (CatalogKind.document, serialize_catalog): the
+# head, then either "[]" and the tail, or "[" and the entry blocks of
+# _indented_block, each on lines of its own and followed by "," or, after
+# the last, by "]" and the tail.  No JSON string holds a newline, so the
+# text between blocks occurs nowhere else.
 _FIRST_BLOCK = _DOCUMENT_HEAD + "[\n"
 _EMPTY_DOCUMENT = _DOCUMENT_HEAD + "[]" + _DOCUMENT_TAIL
 _NEXT_BLOCK = _BLOCK_END + ",\n"
@@ -256,10 +258,10 @@ def _block_line(block: str) -> str:
 def stream_canonical_lines(handle: TextIO) -> Iterator[str]:
     """The canonical line of each entry of a catalog file, read a chunk at a time.
 
-    The file must have the exact head and tail that
-    :func:`~chowkit.catalog.document_pieces` writes, and its entries must
-    come in strictly increasing order.  The entries are cut apart where that
-    writer separates them, so memory holds a chunk and its entries, never
+    The file must have the exact head and tail that chowkit writes, and its
+    entries must come in strictly increasing order.  The entries are cut
+    apart where chowkit's writers separate them, so memory holds a chunk and
+    its entries, never
     the document.  Anything else, such as a valid catalog edited by hand, or
     text that is not UTF-8, raises :class:`DomainError`;
     :func:`canonical_lines` reads such a file whole.  Otherwise the lines
@@ -378,20 +380,20 @@ def diff_pieces(delta: Mapping[str, list[str]]) -> Iterator[str]:
 
     ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, where
     the payload holds ``identical`` and the entries of ``only_in_a`` and
-    ``only_in_b``.  Each entry is written from its canonical line's texts,
-    in the block layout of a catalog document, one piece per entry.
+    ``only_in_b``, each a piece of its own from :func:`_line_blocks`.
     """
-
-    def blocks(lines: list[str]) -> Iterator[str]:
-        for line in lines:  # a canonical line's keys are sorted
-            kind, inputs, outputs, version = _decode_entry(json.loads(line))
-            yield _indented_block(_indented_map([item[3] for item in inputs]), _json_str(kind),
-                                  _indented_map([item[3] for item in outputs]),
-                                  int.__repr__(version))
-
     a, b = delta["only_in_a"], delta["only_in_b"]
     yield '{\n  "identical": ' + ("false" if a or b else "true") + ',\n  "only_in_a": '
-    yield from _block_list(blocks(a))
+    yield from _block_list(_line_blocks(a))
     yield ',\n  "only_in_b": '
-    yield from _block_list(blocks(b))
+    yield from _block_list(_line_blocks(b))
     yield "\n}\n"
+
+
+def _line_blocks(lines: Iterable[str]) -> Iterator[str]:
+    """The entry block of each canonical line, decoded like any raw entry;
+    a canonical line's keys are sorted, so its items keep their order."""
+    for line in lines:
+        kind, inputs, outputs, _ = _decode_entry(json.loads(line))
+        yield _indented_block(_indented_map([item[3] for item in inputs]), _json_str(kind),
+                              _indented_map([item[3] for item in outputs]), _VERSION)

@@ -25,7 +25,6 @@ from chowkit.catalog import (
     canonical_lines,
     diff_pieces,
     diff_sorted,
-    document_pieces,
     parse_catalog,
     serialize_catalog,
     serialize_entry,
@@ -744,7 +743,7 @@ def test_cli_diff_of_unique_strings_peaks_at_a_bound(tmp_path, capsys):
         entries = (CatalogEntry("bound", {"c2": i}, {f"s{j}": f"{tag} {i} {j}" for j in range(32)})
                    for i in range(first, last))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(document_pieces(entries)[1])
+            handle.write(serialize_catalog(entries))
 
     def peak(entries, tag):
         a, b = tmp_path / f"{tag}-a.json", tmp_path / f"{tag}-b.json"
@@ -878,9 +877,9 @@ EMPTY_RUN_COMMANDS = [
                          ids=[" ".join([name, *flags]) for name, flags, _ in EMPTY_RUN_COMMANDS])
 def test_cli_document_with_empty_runs_is_the_oracle(name, flags, values, tmp_path, capsys):
     """A run with no rows adds no piece and no separator: the document on
-    stdout and in ``--output`` is the ``document_pieces`` oracle's."""
-    count, pieces = document_pieces(CATALOG_KINDS[name].generate(*values))
-    want = "".join(pieces)
+    stdout and in ``--output`` is the ``serialize_catalog`` oracle's."""
+    entries = list(CATALOG_KINDS[name].generate(*values))
+    count, want = len(entries), serialize_catalog(entries)
     code, out, _ = run_cli(["catalog", name, *flags], capsys)
     assert (code, out) == (0, want)
     path = tmp_path / "cat.json"
@@ -899,9 +898,9 @@ def test_cli_document_with_empty_runs_is_the_oracle(name, flags, values, tmp_pat
 def test_document_with_empty_runs_in_the_middle_and_last_is_the_oracle(name, values):
     kind = CATALOG_KINDS[name]
     document = kind.document(*values)
-    count, pieces = document_pieces(kind.generate(*values))
-    assert "".join(document.pieces) == "".join(pieces)
-    assert document.count == count
+    entries = list(kind.generate(*values))
+    assert "".join(document.pieces) == serialize_catalog(entries)
+    assert document.count == len(entries)
 
 
 def test_strata_pieces_hold_a_bounded_number_of_labels():

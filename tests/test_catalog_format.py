@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -31,7 +32,6 @@ from chowkit.catalog import (
     diff_files,
     diff_pieces,
     diff_sorted,
-    document_pieces,
     parse_catalog,
     serialize_catalog,
     serialize_entry,
@@ -147,7 +147,7 @@ entries = st.builds(
 
 
 # a run of entries sharing one read-only outputs map, as the strata generator
-# builds them; the emitter encodes such a map once per run
+# builds them
 shared_runs = st.builds(
     lambda kind, outputs, inputs: [CatalogEntry(kind, i, outputs) for i in inputs],
     st.sampled_from(ENTRY_KINDS),
@@ -200,10 +200,7 @@ def test_emitters_match_reference_and_round_trip(catalog):
         assert serialize_entry(entry) == reference_entry(entry)
     document = serialize_catalog(catalog)
     assert document == reference_catalog(catalog)
-    # the streamed pieces give the same text, from a one-pass iterator too
-    count, pieces = document_pieces(iter(catalog))
-    assert count == len(catalog)
-    assert "".join(pieces) == document
+    assert serialize_catalog(iter(catalog)) == document  # from a one-pass iterator too
     parsed = parse_catalog(document)
     assert parsed == sorted(catalog, key=reference_entry)
     assert serialize_catalog(parsed) == document
@@ -223,28 +220,6 @@ def test_emitters_match_reference_and_round_trip(catalog):
     else:
         with pytest.raises(DomainError, match="strictly increasing"):
             list(stream_canonical_lines(io.StringIO(document)))
-
-
-@pytest.mark.parametrize("grid", sorted(GOLDEN))
-def test_document_pieces_raises_before_any_piece(grid):
-    """An error after the last entry is raised by ``document_pieces`` itself,
-    so a caller can open its output only once every entry is encoded."""
-    generate, size, _ = GOLDEN[grid]
-    entries = list(generate())
-    seen = []
-
-    def failing():
-        for entry in entries:
-            seen.append(entry)
-            yield entry
-        raise DomainError("the grid ends in an error")
-
-    with pytest.raises(DomainError, match="ends in an error"):
-        document_pieces(failing())
-    assert len(seen) == len(entries)
-    count, pieces = document_pieces(iter(entries))
-    assert count == len(entries)
-    assert len("".join(pieces).encode()) == size
 
 
 def test_block_reader_across_chunk_boundaries(monkeypatch):
@@ -339,7 +314,7 @@ def test_writer_does_not_depend_on_the_item_cache():
     assert first.hits > 0 and 0 < first.currsize < first.maxsize
     warm = write_every_way()
     assert cache.cache_info().misses == first.misses
-    document_pieces(CatalogEntry("bound", {"filler": i}, {}) for i in range(first.maxsize + 1))
+    serialize_catalog(CatalogEntry("bound", {"filler": i}, {}) for i in range(first.maxsize + 1))
     filled = cache.cache_info()
     assert filled.currsize == first.maxsize
     evicted = write_every_way()
@@ -356,9 +331,25 @@ def test_writer_cache_stays_bounded_on_inputs_that_do_not_repeat():
     size = cache.cache_info().maxsize
     catalog = [CatalogEntry("bound", {"c2": i, "label": f"x{i}", "q": Fraction(i, 7)}, {"n": 1})
                for i in range(size)]  # 3 x size distinct inputs items
-    count, pieces = document_pieces(iter(catalog))
+    document = serialize_catalog(iter(catalog))
     assert cache.cache_info().currsize <= size
-    assert (count, "".join(pieces)) == (len(catalog), reference_catalog(catalog))
+    assert document == reference_catalog(catalog)
+
+
+def test_serialize_catalog_drops_each_line_as_its_block_is_made():
+    """On strata c2 5..12 by l 0..5 (676 entries) the writer peaks at about
+    2.2 times the document: its blocks and the joined text.  Holding every
+    sorted line beside every block would peak at about 2.9 times."""
+    entries = list(CATALOG_KINDS["strata"].generate(range(5, 13), range(0, 6)))
+    document = serialize_catalog(entries)  # warms the item caches
+    assert (len(entries), len(document)) == (676, 226_765)
+    tracemalloc.start()
+    try:
+        assert serialize_catalog(entries) == document
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(document)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +493,7 @@ def test_diff_of_written_catalogs_parses_no_json(tmp_path, monkeypatch):
     for name, entries in grids.items():
         paths.append(tmp_path / f"{name}.json")
         with open(paths[-1], "w", encoding="utf-8") as handle:
-            handle.writelines(document_pieces(entries)[1])
+            handle.write(serialize_catalog(entries))
     for cache in READER_CACHES:
         getattr(catalog_read, cache).cache_clear()
     monkeypatch.setattr(catalog_read.json, "loads", counting_loads)
@@ -558,9 +549,8 @@ def test_writer_rejects_keys_and_values_with_one_message(case, field):
     good = [CatalogEntry("bound", {"c2": 5, "x": v}, {"c2": 5, "x": v}) for v in (5, "a", 5, "a")]
     bad_entry = CatalogEntry("bound", **{"inputs": {}, "outputs": {}, field: bad})
     for run in ([bad_entry, *good], [*good, bad_entry]):
-        for write in (serialize_catalog, lambda e: document_pieces(iter(e))):
-            with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
-                write(run)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            serialize_catalog(run)
 
 
 def test_writer_keeps_equal_values_of_other_types_apart():
@@ -569,8 +559,6 @@ def test_writer_keeps_equal_values_of_other_types_apart():
     values = (1, True, Fraction(1), Fraction(1, 2), "x")
     catalog = [CatalogEntry("bound", {"c2": c2, "v": v}, {"v": v}) for c2 in (1, 2) for v in values]
     assert serialize_catalog(catalog) == reference_catalog(catalog)
-    count, pieces = document_pieces(iter(catalog))
-    assert (count, "".join(pieces)) == (len(catalog), reference_catalog(catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -609,33 +597,27 @@ def test_equal_entries_hash_equal():
     assert len({as_int, CatalogEntry("bound", {"c2": Fraction(3)}, {})}) == 2
 
 
-@pytest.mark.parametrize("write", ["sorted entries", "product"])
-def test_strata_outputs_are_encoded_once_per_pair(write, monkeypatch):
-    """The shared outputs map of each (c2, s) is encoded once, and each
-    distinct inputs item (key, type, value) of the document once, from a
-    cleared item cache, by the writer of sorted entries (its map encoder)
-    and by the kinds' writer of the product of the factors (its outputs
-    encoder, which takes a map's items)."""
+def test_strata_outputs_are_encoded_once_per_pair(monkeypatch):
+    """The kinds' writer of the product of the factors encodes the outputs
+    map of each (c2, s) once, through its outputs encoder, and each distinct
+    inputs item (key, type, value) of the document once, from a cleared item
+    cache."""
     maps, values = [], []
-    encoder = "_outputs_text" if write == "product" else "_encode_map"
-    encode_map, encode_value = getattr(catalog_module, encoder), catalog_module._encode_value
+    encode_map, encode_value = catalog_module._outputs_text, catalog_module._encode_value
 
-    def counting_map(mapping, *item_texts):
-        maps.append(mapping)
-        return encode_map(mapping, *item_texts)
+    def counting_map(items):
+        maps.append(items)
+        return encode_map(items)
 
     def counting_value(value):
         values.append((type(value), value))
         return encode_value(value)
 
     entries = list(CATALOG_KINDS["strata"].generate(range(5, 13), range(0, 4)))
-    monkeypatch.setattr(catalog_module, encoder, counting_map)
+    monkeypatch.setattr(catalog_module, "_outputs_text", counting_map)
     monkeypatch.setattr(catalog_module, "_encode_value", counting_value)
     catalog_module._item_texts.cache_clear()
-    if write == "product":
-        "".join(CATALOG_KINDS["strata"].document(range(5, 13), range(0, 4)).pieces)
-    else:
-        serialize_catalog(entries)
+    "".join(CATALOG_KINDS["strata"].document(range(5, 13), range(0, 4)).pieces)
     pairs = sorted({(e.inputs["c2"], e.inputs["s"]) for e in entries})
     assert (len(entries), len(pairs)) == (143, 13)
     outputs = [m for m in maps if "c3" in dict(m)]
@@ -665,9 +647,9 @@ def test_strata_product_writer_matches_the_sorted_entries(c2_range, l_range):
     document of its sorted entries, count and bytes."""
     kind = CATALOG_KINDS["strata"]
     document = kind.document(c2_range, l_range)
-    want_count, want = document_pieces(kind.generate(c2_range, l_range))
+    entries = list(kind.generate(c2_range, l_range))
     text = "".join(document.pieces)
-    assert (document.count, text) == (want_count, "".join(want))
+    assert (document.count, text) == (len(entries), reference_catalog(entries))
     if not document.count:
         assert text == serialize_catalog([])
 
@@ -708,11 +690,11 @@ def test_family_run_writer_matches_the_sorted_entries(name, values):
     are."""
     kind = CATALOG_KINDS[name]
     document = kind.document(*values)
-    want_count, want = document_pieces(kind.generate(*values))
-    assert document.count <= want_count
+    entries = list(kind.generate(*values))
+    assert document.count <= len(entries)
     text = "".join(document.pieces)
-    assert (document.count, text) == (want_count, "".join(want))
-    if not want_count:
+    assert (document.count, text) == (len(entries), reference_catalog(entries))
+    if not entries:
         assert text == serialize_catalog([]) == '{\n  "entries": [],\n  "schema_version": 1\n}\n'
 
 

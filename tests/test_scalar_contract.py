@@ -14,10 +14,12 @@ import inspect
 import typing
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import chowkit
 from chowkit import ChernClasses, SplittingType, ch_line_bundle
+from chowkit.catalog import CATALOG_KINDS
 from chowkit.chow import RationalLike
 from chowkit.errors import DomainError, Value
 
@@ -154,3 +156,29 @@ def test_a_bad_scalar_raises_a_domain_error(call):
     if result is not DomainError:
         assert equal is not None, f"{name}{junk!r} returned {result!r}"
         assert result == _outcome(function, equal), f"{name}{junk!r}"
+
+
+# a valid call of each catalog kind; each of its grids (a ``range``
+# parameter) then gets a one-value grid of junk
+GRID_CALLS = {
+    "bounds": (2, -1, range(5, 7)),
+    "monads": (2, range(0, 2)),
+    "resolutions": (range(5, 7),),
+    "strata": (range(5, 7), range(0, 2)),
+}
+
+
+@pytest.mark.parametrize("junk", [True, 1.5, None, "7", Fraction(7)], ids=repr)
+@pytest.mark.parametrize("name", sorted(GRID_CALLS))
+def test_a_bad_grid_value_raises_a_domain_error(name, junk):
+    """A grid value that is not an int is refused by the document and by
+    the entries, never written as another value or met by a TypeError."""
+    kind, args = CATALOG_KINDS[name], GRID_CALLS[name]
+    assert "".join(kind.document(*args).pieces) and list(kind.generate(*args))
+    grids = [index for index, (_, type_, _) in enumerate(kind.params) if type_ is range]
+    for index in grids:
+        bad = args[:index] + ([junk],) + args[index + 1:]
+        with pytest.raises(DomainError):
+            "".join(kind.document(*bad).pieces)
+        with pytest.raises(DomainError):
+            list(kind.generate(*bad))
